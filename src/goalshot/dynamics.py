@@ -6,6 +6,11 @@ drawn per component, independently and uniformly from [-r_max, +r_max]
 with r_max = noise_coefficient * |v + a|, so the disturbance scales with
 how fast the ball travels. The displacement is capped at max_speed, which
 keeps |velocity| <= max_speed after every step.
+
+`step`, `rollout_to_goal_line` and `keeper.simulate_shot` all step through
+`_advance` on plain floats; `Vec2` and `BallState` stay at the boundary.
+The loops add the acceleration to the first step only: skipping `step`'s
+later v + 0.0 at most flips the sign of a zero that no result depends on.
 """
 
 from __future__ import annotations
@@ -64,32 +69,36 @@ class CrossingOutcome:
     steps_taken: int
 
 
+def _advance(px, py, bx, by, config: DynamicsConfig, rng) -> tuple[float, float, float, float]:
+    """One step from (px, py) with b = velocity + acceleration: new position, velocity."""
+    r_max = config.noise_coefficient * math.hypot(bx, by)
+    if r_max > 0.0:
+        if rng is None:
+            raise ValueError("rng is required when noise_coefficient > 0")
+        # The values of rng.uniform(-r_max, r_max, 2), by numpy's own formula.
+        bx += -r_max + (r_max - -r_max) * rng.random()
+        by += -r_max + (r_max - -r_max) * rng.random()
+    u_norm = math.hypot(bx, by)
+    if u_norm > config.max_speed:
+        scale = config.max_speed / u_norm
+        bx, by = bx * scale, by * scale
+    return px + bx, py + by, config.decay * bx, config.decay * by
+
+
+def _goal_line_lateral(x0, y0, x1, y1, line_x) -> float | None:
+    """Interpolated y where the step (x0, y0) -> (x1, y1) reaches x = line_x, else None."""
+    return None if x1 < line_x else y0 + (line_x - x0) / (x1 - x0) * (y1 - y0)
+
+
 def step(state: BallState, config: DynamicsConfig,
          rng: np.random.Generator | None) -> BallState:
     """Advance the ball one simulation step.
 
     `rng` may be None only when the config has zero noise.
     """
-    bx = state.velocity.x + state.acceleration.x
-    by = state.velocity.y + state.acceleration.y
-    r_max = config.noise_coefficient * math.hypot(bx, by)
-    if r_max > 0.0:
-        if rng is None:
-            raise ValueError("rng is required when noise_coefficient > 0")
-        nx, ny = rng.uniform(-r_max, r_max, 2)
-        ux, uy = bx + nx, by + ny
-    else:
-        ux, uy = bx, by
-    u_norm = math.hypot(ux, uy)
-    if u_norm > config.max_speed:
-        scale = config.max_speed / u_norm
-        ux *= scale
-        uy *= scale
-    return BallState(
-        position=Vec2(state.position.x + ux, state.position.y + uy),
-        velocity=Vec2(config.decay * ux, config.decay * uy),
-        acceleration=Vec2(0.0, 0.0),
-    )
+    p, v, a = state.position, state.velocity, state.acceleration
+    px, py, vx, vy = _advance(p.x, p.y, v.x + a.x, v.y + a.y, config, rng)
+    return BallState(Vec2(px, py), Vec2(vx, vy), Vec2(0.0, 0.0))
 
 
 def kick(state: BallState, power: float, direction: float,
@@ -120,16 +129,15 @@ def rollout_to_goal_line(state: BallState, config: DynamicsConfig,
     """
     if state.position.x >= field.goal_line_x:
         raise ValueError("ball must start before the goal line")
-    current = state
+    p, v, a = state.position, state.velocity, state.acceleration
+    px, py, vx, vy = p.x, p.y, v.x + a.x, v.y + a.y
     for n in range(1, max_steps + 1):
-        prev = current.position
-        current = step(current, config, rng)
-        pos = current.position
-        if pos.x >= field.goal_line_x:
-            t = (field.goal_line_x - prev.x) / (pos.x - prev.x)
-            lateral = prev.y + t * (pos.y - prev.y)
+        x0, y0 = px, py
+        px, py, vx, vy = _advance(px, py, vx, vy, config, rng)
+        lateral = _goal_line_lateral(x0, y0, px, py, field.goal_line_x)
+        if lateral is not None:
             return CrossingOutcome(True, lateral, n)
-        if current.velocity.norm() < STOP_SPEED:
+        if math.hypot(vx, vy) < STOP_SPEED:
             return CrossingOutcome(False, None, n)
     return CrossingOutcome(False, None, max_steps)
 

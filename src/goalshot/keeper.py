@@ -8,18 +8,20 @@ of the keeper, or within defender_catch_radius of any field defender,
 before crossing the goal line; checking the whole segment rather than the
 endpoint keeps a fast ball from tunneling through a player's reach. A ball
 that dies en route also counts as caught: the keeper collects it.
-Otherwise the crossing lateral decides goal vs wide.
+Otherwise the crossing lateral decides goal vs wide. The shot runs on
+plain floats through the integrator of `dynamics`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dynamics import STOP_SPEED, BallState, DynamicsConfig, kick, step
+from .dynamics import STOP_SPEED, BallState, DynamicsConfig, _advance, _goal_line_lateral, kick
 from .geometry import FieldConfig, Vec2
 
 DEFAULT_DEFENDER_CATCH_RADIUS = 1.0
@@ -47,24 +49,20 @@ class KeeperModel:
             raise ValueError("KeeperModel parameters must be non-negative")
 
 
-def _segment_distance(point: Vec2, a: Vec2, b: Vec2) -> float:
-    """Distance from point to the segment a-b."""
-    ab = b - a
-    length_sq = ab.dot(ab)
+def _segment_distance(qx, qy, ax, ay, bx, by) -> float:
+    """Distance from the point q to the segment a-b."""
+    abx, aby = bx - ax, by - ay
+    length_sq = abx * abx + aby * aby
     if length_sq < 1e-18:
-        return point.distance_to(a)
-    t = max(0.0, min(1.0, (point - a).dot(ab) / length_sq))
-    return point.distance_to(a + ab * t)
+        return math.hypot(ax - qx, ay - qy)
+    t = max(0.0, min(1.0, ((qx - ax) * abx + (qy - ay) * aby) / length_sq))
+    return math.hypot(ax + abx * t - qx, ay + aby * t - qy)
 
 
-def _pursuit_point(ball: Vec2, velocity: Vec2, keeper: Vec2) -> Vec2:
-    """Closest point to the keeper on the ball's forward travel ray."""
-    speed = velocity.norm()
-    if speed < 1e-9:
-        return ball
-    direction = velocity * (1.0 / speed)
-    t = max(0.0, (keeper - ball).dot(direction))
-    return ball + direction * t
+def _pursuit_point(bx, by, dx, dy, kx, ky) -> tuple[float, float]:
+    """Closest point to the keeper k on the ball's travel ray (unit direction d)."""
+    t = max(0.0, (kx - bx) * dx + (ky - by) * dy)
+    return bx + dx * t, by + dy * t
 
 
 def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
@@ -78,41 +76,35 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
     Returns the outcome and the number of steps simulated. Deterministic
     for a given rng state.
     """
-    direction = (target - ball).angle()
-    state = kick(BallState.at_rest(ball), power, direction, dynamics)
-    state = BallState(state.position, ball_velocity, state.acceleration)
-    keeper = keeper_start
+    accel = kick(BallState.at_rest(ball), power, (target - ball).angle(), dynamics).acceleration
+    px, py, kx, ky = ball.x, ball.y, keeper_start.x, keeper_start.y
+    vx, vy = ball_velocity.x + accel.x, ball_velocity.y + accel.y
+    players = [(d.x, d.y, defender_catch_radius) for d in defenders]
     for n in range(1, max_steps + 1):
-        prev = state.position
-        state = step(state, dynamics, rng)
-        pos = state.position
-        # Clip the step's path at the goal line; interceptions only count
-        # before the ball crosses.
-        crossed = pos.x >= field.goal_line_x
-        if crossed:
-            t = (field.goal_line_x - prev.x) / (pos.x - prev.x)
-            path_end = Vec2(field.goal_line_x, prev.y + t * (pos.y - prev.y))
-        else:
-            path_end = pos
-        if _segment_distance(keeper, prev, path_end) <= keeper_model.catch_radius:
-            return ShotResult.CAUGHT, n
-        for defender in defenders:
-            if _segment_distance(defender, prev, path_end) <= defender_catch_radius:
+        x0, y0 = px, py
+        px, py, vx, vy = _advance(px, py, vx, vy, dynamics, rng)
+        # Clip the path at the goal line: interceptions count only before the ball crosses.
+        lateral = _goal_line_lateral(x0, y0, px, py, field.goal_line_x)
+        ex, ey = (px, py) if lateral is None else (field.goal_line_x, lateral)
+        for qx, qy, radius in ((kx, ky, keeper_model.catch_radius), *players):
+            if _segment_distance(qx, qy, x0, y0, ex, ey) <= radius:
                 return ShotResult.CAUGHT, n
-        if crossed:
-            if abs(path_end.y) <= field.goal_width / 2:
-                return ShotResult.GOAL, n
-            return ShotResult.WIDE, n
-        if state.velocity.norm() < STOP_SPEED:
+        if lateral is not None:
+            return (ShotResult.GOAL if abs(lateral) <= field.goal_width / 2
+                    else ShotResult.WIDE), n
+        speed = math.hypot(vx, vy)
+        if speed < STOP_SPEED:
             return ShotResult.CAUGHT, n
         if n > keeper_model.reaction_delay and keeper_model.max_speed > 0:
-            aim_point = _pursuit_point(pos, state.velocity, keeper)
+            aim_x, aim_y = _pursuit_point(px, py, vx * (1.0 / speed), vy * (1.0 / speed), kx, ky)
             if keeper_model.positioning_noise > 0:
-                jitter = rng.normal(0.0, keeper_model.positioning_noise, 2)
-                aim_point = Vec2(aim_point.x + jitter[0], aim_point.y + jitter[1])
-            gap = aim_point - keeper
-            reach = gap.norm()
+                # Two scalar draws: the values of rng.normal(0, noise, 2).
+                aim_x += rng.normal(0.0, keeper_model.positioning_noise)
+                aim_y += rng.normal(0.0, keeper_model.positioning_noise)
+            gx, gy = aim_x - kx, aim_y - ky
+            reach = math.hypot(gx, gy)
             if reach > keeper_model.max_speed:
-                gap = gap * (keeper_model.max_speed / reach)
-            keeper = keeper + gap
+                scale = keeper_model.max_speed / reach
+                gx, gy = gx * scale, gy * scale
+            kx, ky = kx + gx, ky + gy
     return ShotResult.CAUGHT, max_steps

@@ -460,15 +460,15 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
         keeper_x = field.goal_line_x - depth
         on_line = ball.y * depth / (field.goal_line_x - ball.x)
         keeper_y = on_line + rng.uniform(-g.keeper_lateral_spread, g.keeper_lateral_spread)
-        keeper = Vec2(keeper_x, float(np.clip(keeper_y, -half_goal, half_goal)))
+        keeper = Vec2(keeper_x, min(max(keeper_y, -half_goal), half_goal))
 
         defenders = []
         for _ in range(int(rng.integers(0, g.max_defenders + 1))):
             dx = rng.uniform(min(ball.x + 0.5, field.goal_line_x - 1.0),
                              field.goal_line_x - 0.5)
             dy = ball.y + rng.uniform(-8.0, 8.0)
-            defenders.append(Vec2(dx, float(np.clip(dy, -field.field_width / 2,
-                                                    field.field_width / 2))))
+            defenders.append(Vec2(dx, min(max(dy, -field.field_width / 2),
+                                          field.field_width / 2)))
 
         ball_velocity = Vec2.from_angle(rng.uniform(-math.pi, math.pi),
                                         rng.uniform(0.0, g.dribble_speed_max))

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 
 from .geometry import FieldConfig, Ray, Vec2, signed_offset
 
+# How far an aim point may sit off the goal line or outside the mouth (m).
+GOAL_LINE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class AimConfig:
     sigma_coefficient: float = 1.88
     sigma_horizon: float = 45.0
-    p_goal_threshold: float = 0.70
     target_count: int = 15
     target_inset: float = 0.25
 
@@ -40,8 +42,6 @@ class AimConfig:
             raise ValueError("sigma_coefficient must be positive")
         if self.sigma_horizon <= 0.0:
             raise ValueError("sigma_horizon must be positive")
-        if not 0.0 < self.p_goal_threshold < 1.0:
-            raise ValueError("p_goal_threshold must be in (0, 1)")
         if self.target_count < 1:
             raise ValueError("target_count must be >= 1")
         if self.target_inset < 0.0:
@@ -85,11 +85,11 @@ def sigma(d: float, config: AimConfig) -> float:
 
 
 def _validate_query(query: ShotQuery, field: FieldConfig) -> None:
-    if abs(query.target.x - field.goal_line_x) > 1e-9:
+    if abs(query.target.x - field.goal_line_x) > GOAL_LINE_TOLERANCE:
         raise ValueError("target must lie on the goal line")
     if query.ball.x >= field.goal_line_x:
         raise ValueError("ball must be in front of the goal line")
-    if abs(query.target.y) > field.goal_width / 2 + 1e-9:
+    if abs(query.target.y) > field.goal_width / 2 + GOAL_LINE_TOLERANCE:
         raise ValueError("target must lie within the goal mouth")
 
 

@@ -6,7 +6,7 @@ dataclass field names:
     [run]       seed
     [field]     field_length, field_width, goal_width, goal_line_x, ...
     [dynamics]  decay, noise_coefficient, max_speed, kick_power_rate, max_power
-    [aim]       sigma_coefficient, sigma_horizon, p_goal_threshold, ...
+    [aim]       sigma_coefficient, sigma_horizon, target_count, target_inset
     [train]     learning_rate, max_epochs, patience, init_half_range, seed, ...
     [policy]    p_goal_threshold, score_threshold
     [keeper]    max_speed, reaction_delay, catch_radius, positioning_noise

@@ -77,6 +77,9 @@ class MlpParams:
             raise ValueError("normalization must cover every input feature")
         if np.any(self.norm_std <= 0):
             raise ValueError("normalization stds must be positive")
+        arrays = (*self.weights, *self.biases, self.norm_mean, self.norm_std)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("weights, biases and normalization must be finite")
 
     def copy(self) -> MlpParams:
         return MlpParams(

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .aim import GOAL_LINE_TOLERANCE
 from .dynamics import DynamicsConfig
 from .geometry import FieldConfig, Ray, Vec2, opening_angle, signed_offset
 from .keeper import KeeperModel, ShotResult, simulate_shot
@@ -219,9 +220,10 @@ def _parse_float(raw: str, line: int, column: str) -> float:
 
 
 def load_scenes(path: str | Path, field: FieldConfig = FieldConfig()) -> list[KickScene]:
-    """Read scenes from CSV, validating the header, every cell, and that
-    the ball lies inside the field. Errors name the offending line and
-    column (line 1 is the header)."""
+    """Read scenes from CSV, validating the header, every cell, that the
+    ball lies inside the field and before the goal line, and that the
+    target lies on the goal line within the mouth. Errors name the
+    offending line and column (line 1 is the header)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -259,6 +261,12 @@ def load_scenes(path: str | Path, field: FieldConfig = FieldConfig()) -> list[Ki
             ball = Vec2(numeric["ball_x"], numeric["ball_y"])
             if not field.contains(ball):
                 raise ValueError(f"line {line}, column 'ball_x': ball outside field bounds")
+            if ball.x >= field.goal_line_x:
+                raise ValueError(f"line {line}, column 'ball_x': ball on or past the goal line")
+            if abs(numeric["target_x"] - field.goal_line_x) > GOAL_LINE_TOLERANCE:
+                raise ValueError(f"line {line}, column 'target_x': target off the goal line")
+            if abs(numeric["target_y"]) > field.goal_width / 2 + GOAL_LINE_TOLERANCE:
+                raise ValueError(f"line {line}, column 'target_y': target outside the goal mouth")
             try:
                 scenes.append(KickScene(
                     time=time,

@@ -62,6 +62,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="friction"):
             load_run_config(path)
 
+    def test_aim_p_goal_threshold_rejected(self, tmp_path):
+        # The stage-one threshold lives in [policy]; [aim] has no such key.
+        path = tmp_path / "bad.ini"
+        path.write_text("[aim]\np_goal_threshold = 0.99\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown key 'p_goal_threshold' in section \\[aim\\]"):
+            load_run_config(path)
+
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[weather]\nwind = 3\n", encoding="utf-8")

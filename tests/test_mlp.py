@@ -309,6 +309,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match="model file"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value", [("weights", "NaN"), ("biases", "Infinity"),
+                                              ("mean", "-Infinity"), ("std", "NaN")])
+    def test_non_finite_values_rejected(self, tmp_path, field, value):
+        import json
+        path = tmp_path / "model.json"
+        save_model(zero_params(), path)
+        doc = json.loads(path.read_text())
+        cells = {"weights": doc["weights"][-1][0], "biases": doc["biases"][-1],
+                 "mean": doc["normalization"]["mean"], "std": doc["normalization"]["std"]}
+        cells[field][0] = value
+        path.write_text(json.dumps(doc).replace(f'"{value}"', value))
+        with pytest.raises(ValueError, match="finite"):
+            load_model(path)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             MlpParams((3, 2), [np.zeros((3, 3))], [np.zeros(2)],

@@ -139,6 +139,21 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="bounds"):
             load_scenes(path, field)
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("target_x", "40.0", "off the goal line"),
+        ("target_y", "30.0", "outside the goal mouth"),
+        ("ball_x", "52.5", "on or past the goal line"),
+    ])
+    def test_row_geometry_rejected(self, field, tmp_path, column, value, message):
+        path = tmp_path / "geometry.csv"
+        save_scenes([make_scene(label=Label.GOAL)] * 2, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[CSV_HEADER.index(column)] = value
+        path.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 3, column '{column}': .*{message}"):
+            load_scenes(path, field)
+
     def test_half_defender_rejected(self, field, tmp_path):
         path = tmp_path / "half.csv"
         save_scenes([make_scene(defenders=(Vec2(40.0, 1.0),), label=Label.GOAL)], path)

@@ -56,7 +56,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    scenes = load_scenes(args.data, config.field)
+    scenes = load_scenes(args.data, config.field, config.dynamics)
     stats = univariate_stats(scenes, config.field)
     relevance = feature_relevance(scenes, config.field)
     header = (f"{'feature':<34} {'mean':>10} {'std':>10} {'median':>10} "
@@ -83,7 +83,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if overrides:
         train_config = replace(train_config, **overrides)
 
-    scenes = load_scenes(args.data, config.field)
+    scenes = load_scenes(args.data, config.field, config.dynamics)
     split = split_dataset(scenes, config.seed)
     balanced = balance_by_replication(split.train, config.seed)
     params, train_report = mlp.train(
@@ -112,7 +112,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
     params = mlp.load_model(args.model)
-    scenes = load_scenes(args.data, config.field)
+    scenes = load_scenes(args.data, config.field, config.dynamics)
     if args.use_test_split:
         scenes = list(split_dataset(scenes, config.seed).test)
     scores = mlp.score_batch(params, feature_matrix(scenes, config.field))
@@ -140,7 +140,7 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig):
                          config.policy)
     if kind == "lda":
         if args.data:
-            scenes = load_scenes(args.data, config.field)
+            scenes = load_scenes(args.data, config.field, config.dynamics)
         else:
             lda_seed = int(np.random.SeedSequence(
                 [config.seed, 3]).generate_state(1)[0])
@@ -183,6 +183,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_aim_table(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if args.distance_count < 1 or args.y_count < 1:
+        raise ValueError("--distance-count and --y-count must be >= 1")
+    if args.mc_rollouts < 0:
+        raise ValueError("--mc-rollouts must be >= 0")
     field, aim_config = config.field, config.aim
     distances = np.linspace(args.min_distance, args.max_distance, args.distance_count)
     laterals = np.linspace(-args.y_half, args.y_half, args.y_count)

@@ -4,6 +4,9 @@ Scores are oriented so that higher means more goal-like. Tied scores are
 grouped into a single threshold step, which makes the trapezoidal AUC equal
 the Mann-Whitney rank statistic (ties counted 1/2) exactly; auc_rank
 computes that statistic independently and serves as the oracle route.
+auc_rank ranks each positive score by its mid-rank in the sorted pooled
+scores, found by two binary searches; mid-ranks are half-integers, so the
+rank sum is exact.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .geometry import FieldConfig
 from .scenes import FEATURE_NAMES, KickScene, Label, feature_matrix
@@ -79,8 +81,10 @@ def auc_rank(samples: Sequence[ScoredSample]) -> float:
     """Mann-Whitney AUC: fraction of (positive, negative) pairs ranked
     correctly, ties counted 1/2."""
     pos, neg = _split_scores(samples)
-    ranks = rankdata(np.concatenate([pos, neg]))
-    rank_sum = ranks[: len(pos)].sum()
+    pooled = np.sort(np.concatenate([pos, neg]))
+    lo = np.searchsorted(pooled, pos, "left")
+    hi = np.searchsorted(pooled, pos, "right")
+    rank_sum = ((lo + hi + 1) / 2).sum()
     return float((rank_sum - len(pos) * (len(pos) + 1) / 2) / (len(pos) * len(neg)))
 
 

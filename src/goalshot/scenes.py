@@ -219,11 +219,13 @@ def _parse_float(raw: str, line: int, column: str) -> float:
     return value
 
 
-def load_scenes(path: str | Path, field: FieldConfig = FieldConfig()) -> list[KickScene]:
+def load_scenes(path: str | Path, field: FieldConfig = FieldConfig(),
+                dynamics: DynamicsConfig = DynamicsConfig()) -> list[KickScene]:
     """Read scenes from CSV, validating the header, every cell, that the
-    ball lies inside the field and before the goal line, and that the
-    target lies on the goal line within the mouth. Errors name the
-    offending line and column (line 1 is the header)."""
+    ball lies inside the field and before the goal line, that the target
+    lies on the goal line within the mouth, and that the kick power is at
+    most dynamics.max_power. Errors name the offending line and column
+    (line 1 is the header)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -267,6 +269,9 @@ def load_scenes(path: str | Path, field: FieldConfig = FieldConfig()) -> list[Ki
                 raise ValueError(f"line {line}, column 'target_x': target off the goal line")
             if abs(numeric["target_y"]) > field.goal_width / 2 + GOAL_LINE_TOLERANCE:
                 raise ValueError(f"line {line}, column 'target_y': target outside the goal mouth")
+            if numeric["kick_power"] > dynamics.max_power:
+                raise ValueError(f"line {line}, column 'kick_power': power above "
+                                 f"max_power {dynamics.max_power}")
             try:
                 scenes.append(KickScene(
                     time=time,

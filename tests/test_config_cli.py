@@ -262,6 +262,17 @@ class TestAimTable:
         assert len(values) == 7
         assert 0.0 <= float(values[-1]) <= 1.0
 
+    @pytest.mark.parametrize("flags", [
+        ["--distance-count", "1", "--y-count", "1", "--mc-rollouts", "-3"],
+        ["--distance-count", "0"],
+        ["--y-count", "0"],
+    ])
+    def test_invalid_counts_fail(self, flags, capsys):
+        assert main(["aim-table"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestParser:
     def test_help_lists_subcommands(self, capsys):

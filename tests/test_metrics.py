@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,39 @@ class TestAucRank:
         flipped = [ScoredSample(-s.score, s.label) for s in samples]
         assert math.isclose(auc_rank(flipped), 1.0 - auc_rank(samples),
                             abs_tol=1e-12)
+
+    def test_equals_rankdata_formula(self):
+        from scipy.stats import rankdata
+
+        def reference(pos, neg):
+            ranks = rankdata(np.concatenate([pos, neg]))
+            rank_sum = ranks[: len(pos)].sum()
+            return float((rank_sum - len(pos) * (len(pos) + 1) / 2)
+                         / (len(pos) * len(neg)))
+
+        rng = np.random.default_rng(23)
+        cases = [([0.5] * 7, [0.5] * 4), ([3.0], [3.0]), ([1.0], [0.0]),
+                 ([2.0], rng.integers(0, 4, 50)), (rng.integers(0, 4, 50), [2.0])]
+        draws = (lambda n: rng.integers(0, 5, n),  # heavy ties
+                 lambda n: rng.random(n),
+                 lambda n: np.round(rng.normal(0.0, 2.0, n), 1))
+        for i in range(300):
+            n_pos, n_neg = rng.integers(1, 120, 2)
+            draw = draws[i % len(draws)]
+            cases.append((draw(n_pos), draw(n_neg)))
+        for pos, neg in cases:
+            assert auc_rank(samples_from(pos, neg)) == reference(
+                np.asarray(pos, dtype=float), np.asarray(neg, dtype=float))
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import goalshot, goalshot.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 class TestKs2Curve:

@@ -143,6 +143,7 @@ class TestCsvRoundTrip:
         ("target_x", "40.0", "off the goal line"),
         ("target_y", "30.0", "outside the goal mouth"),
         ("ball_x", "52.5", "on or past the goal line"),
+        ("kick_power", "150.0", "max_power"),
     ])
     def test_row_geometry_rejected(self, field, tmp_path, column, value, message):
         path = tmp_path / "geometry.csv"

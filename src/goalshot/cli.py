@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from . import mlp
 from .aim import ShotQuery, discretize_targets, p_goal
 from .config import RunConfig, load_run_config
 from .dynamics import BallState, kick, rollout_to_goal_line
-from .experiment import report, run_experiment
+from .experiment import check_report_format, report, run_experiment
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve, scored_samples
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, lda_train
@@ -155,6 +156,7 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig):
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    check_report_format(args.format)
     config = _load_config(args)
     overrides = {}
     if args.p_goal_threshold is not None:
@@ -166,16 +168,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     policy_a = _make_policy(args.policy_a, args, config)
     policy_b = _make_policy(args.policy_b, args, config)
     eval_keeper = config.eval_keeper or config.keeper
-    log_handle = open(args.episode_log, "w", encoding="utf-8") if args.episode_log else None
-    try:
+    log = open(args.episode_log, "w", encoding="utf-8") if args.episode_log else nullcontext()
+    with log as log_handle:
         stats = run_experiment(policy_a, policy_b, args.games, args.shots,
                                eval_keeper, config.gen, config.dynamics,
                                config.field, config.seed,
                                config.gen.defender_catch_radius,
                                episode_log=log_handle)
-    finally:
-        if log_handle:
-            log_handle.close()
     text = report(stats, args.format, names=(policy_a.name, policy_b.name))
     _write_or_print(text, args.out)
     return 0

@@ -23,7 +23,7 @@ from .policies import Action, Policy
 from .scenes import GeneratorConfig, KickScene, generate_synthetic_scenes
 
 __all__ = [
-    "KeeperModel", "ShotResult", "EpisodeOutcome", "MatchStats",
+    "KeeperModel", "ShotResult", "EpisodeOutcome", "MatchStats", "check_report_format",
     "run_episode", "run_experiment", "report", "stats_pair_from_json",
 ]
 
@@ -165,9 +165,15 @@ def _cell(value: float | int | None) -> str:
     return repr(value)
 
 
+def check_report_format(format: str) -> None:
+    if format not in ("text", "csv", "json"):
+        raise ValueError(f"unknown report format {format!r}; use text, csv or json")
+
+
 def report(stats_pair: tuple[MatchStats, MatchStats], format: str,
            names: Sequence[str] = ("policy_a", "policy_b")) -> str:
     """Render the ten aggregate rows as 'text', 'csv' or 'json'."""
+    check_report_format(format)
     stats_a, stats_b = stats_pair
     if format == "json":
         return json.dumps({
@@ -182,25 +188,22 @@ def report(stats_pair: tuple[MatchStats, MatchStats], format: str,
             lines.append(f"{attr},{_cell(getattr(stats_a, attr))},"
                          f"{_cell(getattr(stats_b, attr))}")
         return "\n".join(lines) + "\n"
-    if format == "text":
-        label_width = max(len(label) for _, label in _REPORT_ROWS)
-        width = max(len(str(n)) for n in names) + 2
-        width = max(width, 12)
+    label_width = max(len(label) for _, label in _REPORT_ROWS)
+    width = max(max(len(str(n)) for n in names) + 2, 12)
 
-        def fmt(value: float | int | None) -> str:
-            if value is None:
-                return "n/a"
-            if isinstance(value, int):
-                return str(value)
-            return f"{value:.3f}"
+    def fmt(value: float | int | None) -> str:
+        if value is None:
+            return "n/a"
+        if isinstance(value, int):
+            return str(value)
+        return f"{value:.3f}"
 
-        lines = [f"{'Metric':<{label_width}}  {names[0]:>{width}}  {names[1]:>{width}}"]
-        for attr, label in _REPORT_ROWS:
-            lines.append(f"{label:<{label_width}}  "
-                         f"{fmt(getattr(stats_a, attr)):>{width}}  "
-                         f"{fmt(getattr(stats_b, attr)):>{width}}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {format!r}; use text, csv or json")
+    lines = [f"{'Metric':<{label_width}}  {names[0]:>{width}}  {names[1]:>{width}}"]
+    for attr, label in _REPORT_ROWS:
+        lines.append(f"{label:<{label_width}}  "
+                     f"{fmt(getattr(stats_a, attr)):>{width}}  "
+                     f"{fmt(getattr(stats_b, attr)):>{width}}")
+    return "\n".join(lines) + "\n"
 
 
 def stats_pair_from_json(text: str) -> tuple[MatchStats, MatchStats]:

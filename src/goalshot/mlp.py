@@ -356,3 +356,5 @@ def load_model(path: str | Path) -> MlpParams:
         )
     except KeyError as exc:
         raise ValueError(f"model file missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed model file {path}: {exc}") from None

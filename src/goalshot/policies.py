@@ -1,18 +1,18 @@
 """Shot policies behind one decide() interface.
 
-Every thresholded policy shares stage one: the goal is discretized into
-aim points and only those whose analytic goal-entry probability clears
-p_goal_threshold survive. Stage two ranks the survivors (by the neural
-score for the MLP policy, by a two-variable linear discriminant for the
-LDA baseline) and kicks at the best one if it clears the stage-two bar.
-The naive reference always shoots at the goal center.
+The thresholded policies run one two-stage routine. Stage one discretizes
+the goal into aim points and keeps those whose analytic goal-entry
+probability clears p_goal_threshold. Stage two ranks the survivors (the
+MLP policy by neural score, the LDA baseline by a two-variable linear
+discriminant) and kicks at the best one if it clears the ranker's bar.
+The naive reference has no stages; it always shoots at the goal center.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -79,28 +79,36 @@ def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
     return survivors
 
 
-def _best(candidates: list[tuple[Vec2, float, float]]) -> tuple[Vec2, float, float]:
-    # Max stage-two value; ties go to the target nearest the goal center,
-    # then to the smaller lateral coordinate.
-    return min(candidates, key=lambda c: (-c[1], abs(c[0].y), c[0].y))
+def _two_stage(scene: KickScene, field: FieldConfig, aim_config: AimConfig,
+               policy_config: PolicyConfig, rank: Callable[[Vec2], float],
+               bar: float) -> KickDecision:
+    """Kick at the stage-one survivor with the largest rank above bar, kept
+    as neural_score; ties go to the target nearest the goal center, then to
+    the smaller lateral coordinate."""
+    if not within_horizon(scene.ball, field, aim_config):
+        return _OUT_OF_RANGE
+    ranked = [(target, rank(target), pg) for target, pg
+              in stage_one_survivors(scene.ball, field, aim_config, policy_config)]
+    candidates = [c for c in ranked if c[1] > bar]
+    if not candidates:
+        return _NO_KICK
+    target, value, pg = min(candidates, key=lambda c: (-c[1], abs(c[0].y), c[0].y))
+    return KickDecision(Action.KICK, target=target, neural_score=value, p_goal=pg)
 
 
 def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
     """Two-stage decision: analytic p_goal filter, then best neural score."""
-    if not within_horizon(scene.ball, field, aim_config):
-        return _OUT_OF_RANGE
-    candidates = []
-    for target, pg in stage_one_survivors(scene.ball, field, aim_config, policy_config):
-        features = extract_features(replace(scene, target=target), field)
-        s = score(*forward(model, features.values))
-        if s > policy_config.score_threshold:
-            candidates.append((target, s, pg))
-    if not candidates:
-        return _NO_KICK
-    target, s, pg = _best(candidates)
-    return KickDecision(Action.KICK, target=target, neural_score=s, p_goal=pg)
+    return _two_stage(scene, field, aim_config, policy_config,
+                      lambda t: score(*forward(model, extract_features(
+                          replace(scene, target=t), field).values)),
+                      policy_config.score_threshold)
+
+
+def _lda_inputs(scene: KickScene, target: Vec2) -> tuple[float, float]:
+    return (scene.keeper.distance_to(scene.ball),
+            angle_at(scene.ball, scene.keeper, target))
 
 
 def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
@@ -110,8 +118,7 @@ def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
     for scene in scenes:
         if scene.label is None:
             raise ValueError("every scene must be labeled")
-        rows.append([scene.keeper.distance_to(scene.ball),
-                     angle_at(scene.ball, scene.keeper, scene.target), 1.0])
+        rows.append([*_lda_inputs(scene, scene.target), 1.0])
         targets.append(1.0 if scene.label is Label.GOAL else -1.0)
     y = np.array(targets)
     if np.all(y > 0) or np.all(y < 0):
@@ -128,21 +135,10 @@ def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
 def lda_policy_decide(scene: KickScene, model: LdaModel, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
-    """Same stage-one filter; stage two kicks where the discriminant is
-    largest, provided it is positive."""
-    if not within_horizon(scene.ball, field, aim_config):
-        return _OUT_OF_RANGE
-    keeper_distance = scene.keeper.distance_to(scene.ball)
-    candidates = []
-    for target, pg in stage_one_survivors(scene.ball, field, aim_config, policy_config):
-        value = model.discriminant(keeper_distance,
-                                   angle_at(scene.ball, scene.keeper, target))
-        if value > 0.0:
-            candidates.append((target, value, pg))
-    if not candidates:
-        return _NO_KICK
-    target, _, pg = _best(candidates)
-    return KickDecision(Action.KICK, target=target, p_goal=pg)
+    """Same two stages, ranked by the discriminant with bar 0; no neural score."""
+    decision = _two_stage(scene, field, aim_config, policy_config,
+                          lambda t: model.discriminant(*_lda_inputs(scene, t)), 0.0)
+    return replace(decision, neural_score=None)
 
 
 def naive_center_policy(scene: KickScene, field: FieldConfig,

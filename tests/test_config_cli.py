@@ -238,6 +238,15 @@ class TestCompare:
                                    "--p-goal-threshold", "0.95"])
         assert strict_kicks <= default_kicks
 
+    def test_unknown_format_fails_before_playing(self, tmp_path, data_csv,
+                                                 model_file, capsys):
+        log = tmp_path / "episodes.jsonl"
+        code = main(["compare", "--model", str(model_file), "--data", str(data_csv),
+                     "--games", "30", "--episode-log", str(log), "--format", "bogus"])
+        assert code == 1
+        assert "unknown report format 'bogus'" in capsys.readouterr().err
+        assert not log.exists()
+
 
 class TestAimTable:
     def test_grid_symmetric_and_bounded(self, capsys):

@@ -323,6 +323,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value", [("layer_sizes", 5), ("weights", None),
+                                              ("biases", 3)])
+    def test_malformed_field_rejected(self, tmp_path, field, value):
+        import json
+        path = tmp_path / "model.json"
+        save_model(zero_params(), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed model file .*model.json"):
+            load_model(path)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             MlpParams((3, 2), [np.zeros((3, 3))], [np.zeros(2)],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scene
+import goalshot.policies
 from goalshot.aim import ShotQuery, discretize_targets, p_goal
 from goalshot.config import RunConfig
 from goalshot.geometry import Vec2
@@ -54,6 +55,32 @@ def brute_force_mlp_decision(scene, model, field, aim_config, policy_config):
             best = cand
     return KickDecision(Action.KICK, target=best[0], neural_score=best[1],
                         p_goal=best[2])
+
+
+def brute_force_lda_decision(scene, model, field, aim_config, policy_config):
+    """Independent re-evaluation of every target with the LDA two-stage rule."""
+    keeper_distance = scene.keeper.distance_to(scene.ball)
+    best = None
+    for target in discretize_targets(field, aim_config):
+        pg = p_goal(ShotQuery(scene.ball, target), field, aim_config).p_goal
+        if pg < policy_config.p_goal_threshold:
+            continue
+        value = model.discriminant(keeper_distance,
+                                   angle_at(scene.ball, scene.keeper, target))
+        if value <= 0.0:
+            continue
+        if best is None or ((value, -abs(target.y), -target.y)
+                            > (best[1], -abs(best[0].y), -best[0].y)):
+            best = (target, value, pg)
+    if best is None:
+        return KickDecision(Action.NO_KICK)
+    return KickDecision(Action.KICK, target=best[0], p_goal=best[2])
+
+
+@pytest.fixture(scope="module")
+def lda_model():
+    return lda_train(generate_synthetic_scenes(600, CFG.gen, CFG.dynamics, CFG.field,
+                                               seed=4), CFG.field)
 
 
 class TestMlpPolicy:
@@ -168,6 +195,11 @@ class TestLdaPolicy:
         decision = lda_policy_decide(scene, model, field, CFG.aim, POLICY)
         assert decision.action is Action.NO_KICK
 
+    def test_zero_discriminant_does_not_clear_the_bar(self, field):
+        model = LdaModel(weight_distance=0.0, weight_angle=0.0, bias=0.0)
+        decision = lda_policy_decide(make_scene(), model, field, CFG.aim, POLICY)
+        assert decision == KickDecision(Action.NO_KICK)
+
     def test_tie_breaking_prefers_goal_center(self, field):
         # Constant positive discriminant ties every surviving target.
         model = LdaModel(weight_distance=0.0, weight_angle=0.0, bias=1.0)
@@ -187,6 +219,17 @@ class TestLdaPolicy:
                    key=lambda tp: angle_at(scene.ball, scene.keeper, tp[0]))
         assert decision.target == best[0]
 
+    def test_mirror_tie_goes_to_smaller_lateral(self, field):
+        # Two targets at exactly +/-y tie on value and on distance to center.
+        aim = replace(CFG.aim, target_count=2)
+        model = LdaModel(weight_distance=0.0, weight_angle=0.0, bias=1.0)
+        scene = make_scene(ball=Vec2(45.0, 0.0))
+        policy = PolicyConfig(p_goal_threshold=0.05)
+        ys = [t.y for t, _ in stage_one_survivors(scene.ball, field, aim, policy)]
+        assert ys == [-ys[1], ys[1]]
+        decision = lda_policy_decide(scene, model, field, aim, policy)
+        assert decision.target.y == min(ys)
+
     def test_stage_one_shared_with_mlp_policy(self, field, trained_model):
         scenes = generate_synthetic_scenes(50, CFG.gen, CFG.dynamics, field, seed=12)
         lda = LdaModel(0.1, 1.0, -0.5)
@@ -199,6 +242,38 @@ class TestLdaPolicy:
             for decision in (mlp_decision, lda_decision):
                 if decision.action is Action.KICK:
                     assert (decision.target.x, decision.target.y) in survivors
+
+    def test_matches_brute_force_on_random_scenes(self, field, lda_model):
+        scenes = generate_synthetic_scenes(300, CFG.gen, CFG.dynamics, field, seed=14)
+        actions = set()
+        for scene in scenes:
+            decision = lda_policy_decide(scene, lda_model, field, CFG.aim, POLICY)
+            expected = brute_force_lda_decision(scene, lda_model, field, CFG.aim,
+                                                POLICY)
+            actions.add(decision.action)
+            assert decision.action is expected.action
+            assert decision.target == expected.target
+            assert decision.p_goal == expected.p_goal
+            assert decision.neural_score is None
+        assert actions == {Action.KICK, Action.NO_KICK}  # both branches exercised
+
+
+class TestThresholdMonotonicity:
+    @pytest.mark.parametrize("kind", ["mlp", "lda"])
+    def test_raising_p_goal_threshold_never_creates_kicks(self, field, kind,
+                                                          trained_model, lda_model):
+        decide, model = {"mlp": (mlp_policy_decide, trained_model),
+                         "lda": (lda_policy_decide, lda_model)}[kind]
+        scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=15)
+        strict = PolicyConfig(p_goal_threshold=0.9)
+        dropped = 0
+        for scene in scenes:
+            loose_action = decide(scene, model, field, CFG.aim, POLICY).action
+            strict_action = decide(scene, model, field, CFG.aim, strict).action
+            if loose_action is Action.NO_KICK:
+                assert strict_action is Action.NO_KICK
+            dropped += strict_action is not loose_action
+        assert dropped > 0  # the stricter filter bit on some scenes
 
 
 class TestNaiveCenterPolicy:
@@ -236,3 +311,24 @@ class TestPolicyObjects:
                                                            POLICY)
         assert (mlp_policy.name, lda_policy.name, center.name) == \
             ("mlp", "lda", "center")
+
+    def test_decide_resolves_module_functions_at_call_time(self, field, trained_model,
+                                                           monkeypatch):
+        # Tracing wraps these module attributes after the policies are built.
+        mlp_policy = MlpPolicy(trained_model, field, CFG.aim, POLICY)
+        lda = LdaModel(0.0, 1.0, 0.1)
+        lda_policy = LdaPolicy(lda, field, CFG.aim, POLICY)
+        calls = []
+
+        def fake(name):
+            def decide(scene, model, field_, aim_config, policy_config):
+                calls.append((name, model))
+                return KickDecision(Action.NO_KICK, out_of_range=True)
+            return decide
+
+        monkeypatch.setattr(goalshot.policies, "mlp_policy_decide", fake("mlp"))
+        monkeypatch.setattr(goalshot.policies, "lda_policy_decide", fake("lda"))
+        scene = make_scene()
+        assert mlp_policy.decide(scene).out_of_range
+        assert lda_policy.decide(scene).out_of_range
+        assert calls == [("mlp", trained_model), ("lda", lda)]

@@ -9,6 +9,8 @@ products, whose last bits may differ on other CPUs or numpy builds.
 """
 
 import hashlib
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalshot.cli import main
+from goalshot.config import RunConfig
+from goalshot.mlp import load_model
+from goalshot.policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, lda_train
+from goalshot.scenes import generate_synthetic_scenes, load_scenes
 
 GEN_DATA_SHA256 = "b60aa2ef55b59e3952833ae0f47df82724de1929481ba1ecfa3db43ec6ec2007"
 MODEL_SHA256 = "6de465b64aafb25e3a93f758cea6f4dfc9d36ad1973db1a132a1a5288fddd3da"
 AIM_TABLE_SHA256 = "48cf079f68e6c2e270d8489a89544365018b9ceafecafc43d7ae2d65d1e79e8a"
 COMPARE_SHA256 = "78e008f5d2e6cda4b80e20e09a26ac91110be19cf5eb6e7a2641aabacd1540b9"
 EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62aa6360"
+DECISIONS_SHA256 = "7f415a94064918ba30ffe739c71f3b2d767e8aff8d4d62778317696be0b74d4b"
 
 
 def _sha256(path) -> str:
@@ -66,6 +73,26 @@ def test_compare_report_and_episode_log(pipeline):
          "--format", "json", "--out", str(report), "--episode-log", str(log))
     assert _sha256(report) == COMPARE_SHA256
     assert _sha256(log) == EPISODE_LOG_SHA256
+
+
+def test_policy_decisions(pipeline):
+    """repr of the (mlp, lda, center) decisions on 400 scenes with the ball
+    5 to 45.5 m along the field, so that some lie beyond the sigma horizon.
+    The mlp policy uses the pipeline model, the lda policy is fitted on the
+    pipeline CSV."""
+    _, data, model = pipeline
+    config = RunConfig()
+    field, aim, policy = config.field, config.aim, config.policy
+    scenes = generate_synthetic_scenes(400, replace(config.gen, x_min=5.0),
+                                       config.dynamics, field, seed=11)
+    policies = (MlpPolicy(load_model(model), field, aim, policy),
+                LdaPolicy(lda_train(load_scenes(data, field), field), field, aim, policy),
+                NaiveCenterPolicy(field, aim, policy))
+    decisions = [tuple(p.decide(scene) for p in policies) for scene in scenes]
+    mix = Counter((d.action.value, d.out_of_range) for row in decisions for d in row)
+    assert min(mix.values()) > 50 and len(mix) == 3
+    digest = hashlib.sha256(repr(decisions).encode()).hexdigest()
+    assert digest == DECISIONS_SHA256
 
 
 # The simulator draws its noise one scalar at a time. These pin that the

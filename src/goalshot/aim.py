@@ -16,7 +16,9 @@ d_r the ball-to-post distances,
     P(goal)  = 1 - P(left) - P(right).
 
 Tails are evaluated in closed form through the error function; numerical
-quadrature exists only as a test oracle.
+quadrature exists only as a test oracle. _ball_half computes the terms that
+depend only on the ball (both sigmas, the posts relative to the ball) once
+for all of its aim points; _target_half adds the terms of one aim point.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import FieldConfig, Ray, Vec2, signed_offset
+from .geometry import FieldConfig, Vec2, unit_components
 
 # How far an aim point may sit off the goal line or outside the mouth (m).
 GOAL_LINE_TOLERANCE = 1e-9
@@ -84,44 +86,44 @@ def sigma(d: float, config: AimConfig) -> float:
     return -config.sigma_coefficient * math.log(1.0 - d / config.sigma_horizon)
 
 
-def _validate_query(query: ShotQuery, field: FieldConfig) -> None:
-    if abs(query.target.x - field.goal_line_x) > GOAL_LINE_TOLERANCE:
-        raise ValueError("target must lie on the goal line")
-    if query.ball.x >= field.goal_line_x:
+def _ball_half(ball: Vec2, field: FieldConfig, config: AimConfig) -> tuple:
+    """The ball, then each post relative to it and the sigma of its
+    distance, positive since a valid ball sits before the goal line."""
+    if ball.x >= field.goal_line_x:
         raise ValueError("ball must be in front of the goal line")
-    if abs(query.target.y) > field.goal_width / 2 + GOAL_LINE_TOLERANCE:
+    return (ball, field.post_left - ball, sigma(ball.distance_to(field.post_left), config),
+            field.post_right - ball, sigma(ball.distance_to(field.post_right), config))
+
+
+def _target_half(ball_half: tuple, target: Vec2,
+                 field: FieldConfig) -> tuple[float, float, float]:
+    """(P(left), P(right), P(goal)) of one aim point, given the ball half."""
+    if abs(target.x - field.goal_line_x) > GOAL_LINE_TOLERANCE:
+        raise ValueError("target must lie on the goal line")
+    if abs(target.y) > field.goal_width / 2 + GOAL_LINE_TOLERANCE:
         raise ValueError("target must lie within the goal mouth")
-
-
-def _tails(query: ShotQuery, field: FieldConfig,
-           config: AimConfig) -> tuple[float, float]:
-    _validate_query(query, field)
-    line = Ray.toward(query.ball, query.target)
-    d_l = query.ball.distance_to(field.post_left)
-    d_r = query.ball.distance_to(field.post_right)
-    sigma_l = sigma(d_l, config)
-    sigma_r = sigma(d_r, config)
-    s_l = signed_offset(line, field.post_left)
-    s_r = signed_offset(line, field.post_right)
-    # A valid ball sits strictly before the goal line, so both post
-    # distances and both sigmas are positive.
-    return gaussian_cdf(-s_l / sigma_l), gaussian_cdf(s_r / sigma_r)
+    ball, to_left, sigma_l, to_right, sigma_r = ball_half
+    _, ux, uy = unit_components(target.x - ball.x, target.y - ball.y)
+    # signed_offset(Ray.toward(ball, target), post) for each post
+    left = gaussian_cdf(-(ux * to_left.y - uy * to_left.x) / sigma_l)
+    right = gaussian_cdf((ux * to_right.y - uy * to_right.x) / sigma_r)
+    return left, right, 1.0 - left - right
 
 
 def p_miss_left(query: ShotQuery, field: FieldConfig, config: AimConfig) -> float:
     """Probability the shot drifts outside the left post."""
-    return _tails(query, field, config)[0]
+    return p_goal(query, field, config).p_left
 
 
 def p_miss_right(query: ShotQuery, field: FieldConfig, config: AimConfig) -> float:
     """Probability the shot drifts outside the right post."""
-    return _tails(query, field, config)[1]
+    return p_goal(query, field, config).p_right
 
 
 def p_goal(query: ShotQuery, field: FieldConfig, config: AimConfig) -> AimResult:
     """Full left/right/goal probability split for one aim point."""
-    left, right = _tails(query, field, config)
-    return AimResult(p_left=left, p_right=right, p_goal=1.0 - left - right)
+    return AimResult(*_target_half(_ball_half(query.ball, field, config),
+                                   query.target, field))
 
 
 def within_horizon(ball: Vec2, field: FieldConfig, config: AimConfig) -> bool:

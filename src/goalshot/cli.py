@@ -21,7 +21,7 @@ from . import mlp
 from .aim import ShotQuery, discretize_targets, p_goal
 from .config import RunConfig, load_run_config
 from .dynamics import BallState, kick, rollout_to_goal_line
-from .experiment import check_report_format, report, run_experiment
+from .experiment import check_experiment_size, check_report_format, report, run_experiment
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve, scored_samples
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, lda_train
@@ -150,13 +150,15 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig):
                                                lda_seed)
         return LdaPolicy(lda_train(scenes, config.field), config.field,
                          config.aim, config.policy)
-    if kind == "center":
-        return NaiveCenterPolicy(config.field, config.aim, config.policy)
-    raise ValueError(f"unknown policy {kind!r}; use mlp, lda or center")
+    return NaiveCenterPolicy(config.field, config.aim, config.policy)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     check_report_format(args.format)
+    for kind in (args.policy_a, args.policy_b):
+        if kind not in ("mlp", "lda", "center"):
+            raise ValueError(f"unknown policy {kind!r}; use mlp, lda or center")
+    check_experiment_size(args.games, args.shots)
     config = _load_config(args)
     overrides = {}
     if args.p_goal_threshold is not None:

@@ -107,8 +107,7 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
     (game, shot) order. With episode_log set, one JSON line is written per
     episode.
     """
-    if games < 1 or shots_per_game < 1:
-        raise ValueError("games and shots_per_game must be >= 1")
+    check_experiment_size(games, shots_per_game)
     kicks: tuple[list[int], list[int]] = ([], [])
     goals: tuple[list[int], list[int]] = ([], [])
     for game in range(games):
@@ -163,6 +162,11 @@ def _cell(value: float | int | None) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(value)
+
+
+def check_experiment_size(games: int, shots_per_game: int) -> None:
+    if games < 1 or shots_per_game < 1:
+        raise ValueError("games and shots_per_game must be >= 1")
 
 
 def check_report_format(format: str) -> None:

@@ -84,7 +84,7 @@ class Ray:
     @classmethod
     def toward(cls, origin: Vec2, point: Vec2) -> Ray:
         """Ray from origin through a distinct point."""
-        return cls(origin, (point - origin).normalized())
+        return cls(origin, Vec2(*unit_components(point.x - origin.x, point.y - origin.y)[1:]))
 
     def point_at(self, t: float) -> Vec2:
         return self.origin + self.direction * t
@@ -146,6 +146,19 @@ def opening_angle(origin: Vec2, post_left: Vec2, post_right: Vec2) -> float:
     if u.norm() < 1e-12 or v.norm() < 1e-12:
         raise ValueError("origin coincides with a post")
     return math.atan2(abs(u.cross(v)), u.dot(v))
+
+
+def unit_components(dx: float, dy: float) -> tuple[float, float, float]:
+    """(n, dx / n, dy / n) for the vector (dx, dy) of length n, with the
+    checks of a Ray along it: finite, nonzero, and of unit length after."""
+    _require_finite("Vec2 component", dx, dy)
+    n = math.hypot(dx, dy)
+    if n < 1e-12:
+        raise ValueError("cannot normalize a zero-length vector")
+    ux, uy = dx / n, dy / n
+    if abs(math.hypot(ux, uy) - 1.0) > 1e-9:
+        raise ValueError("Ray direction must be a unit vector")
+    return n, ux, uy
 
 
 def signed_offset(line: Ray, point: Vec2) -> float:

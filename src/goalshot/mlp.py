@@ -136,6 +136,13 @@ def score(node1: float, node2: float) -> float:
     return (node1 - node2) / 4.0 + 0.5
 
 
+def score_rows(params: MlpParams, features: Sequence[Sequence[float]]) -> list[float]:
+    """score(*forward(params, row)) for each row, bit for bit: one elementwise
+    normalization, then a one-row product each, as a batched one may round differently."""
+    x = _normalize(params, np.array(features, dtype=float))
+    return [score(*_forward_normalized(params, row).tolist()) for row in x]
+
+
 def score_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
     out = forward_batch(params, features)
     return (out[:, 0] - out[:, 1]) / 4.0 + 0.5

@@ -5,6 +5,7 @@ the goal into aim points and keeps those whose analytic goal-entry
 probability clears p_goal_threshold. Stage two ranks the survivors (the
 MLP policy by neural score, the LDA baseline by a two-variable linear
 discriminant) and kicks at the best one if it clears the ranker's bar.
+The terms that depend only on the scene are computed once per decision.
 The naive reference has no stages; it always shoots at the goal center.
 """
 
@@ -16,10 +17,12 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .aim import AimConfig, ShotQuery, discretize_targets, p_goal, within_horizon
+# p_goal, forward and extract_features stay bound for perfbench/tracing.py.
+from .aim import (AimConfig, _ball_half, _target_half, discretize_targets,  # noqa: F401
+                  p_goal, within_horizon)
 from .geometry import FieldConfig, Vec2
-from .mlp import MlpParams, forward, score
-from .scenes import KickScene, Label, angle_at, extract_features
+from .mlp import MlpParams, forward, score_rows  # noqa: F401
+from .scenes import KickScene, Label, angle_at, extract_features, features_by_target  # noqa: F401
 
 
 class Action(enum.Enum):
@@ -71,25 +74,27 @@ def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
                         policy_config: PolicyConfig) -> list[tuple[Vec2, float]]:
     """(target, p_goal) pairs passing the analytic filter; shared by all
     thresholded policies."""
+    ball_half = _ball_half(ball, field, aim_config)
     survivors = []
     for target in discretize_targets(field, aim_config):
-        result = p_goal(ShotQuery(ball, target), field, aim_config)
-        if result.p_goal >= policy_config.p_goal_threshold:
-            survivors.append((target, result.p_goal))
+        pg = _target_half(ball_half, target, field)[2]
+        if pg >= policy_config.p_goal_threshold:
+            survivors.append((target, pg))
     return survivors
 
 
 def _two_stage(scene: KickScene, field: FieldConfig, aim_config: AimConfig,
-               policy_config: PolicyConfig, rank: Callable[[Vec2], float],
-               bar: float) -> KickDecision:
+               policy_config: PolicyConfig,
+               rank: Callable[[list[Vec2]], list[float]], bar: float) -> KickDecision:
     """Kick at the stage-one survivor with the largest rank above bar, kept
     as neural_score; ties go to the target nearest the goal center, then to
-    the smaller lateral coordinate."""
+    the smaller lateral coordinate. rank values every survivor at once."""
     if not within_horizon(scene.ball, field, aim_config):
         return _OUT_OF_RANGE
-    ranked = [(target, rank(target), pg) for target, pg
-              in stage_one_survivors(scene.ball, field, aim_config, policy_config)]
-    candidates = [c for c in ranked if c[1] > bar]
+    survivors = stage_one_survivors(scene.ball, field, aim_config, policy_config)
+    values = rank([target for target, _ in survivors]) if survivors else []
+    candidates = [(target, value, pg) for (target, pg), value in zip(survivors, values)
+                  if value > bar]
     if not candidates:
         return _NO_KICK
     target, value, pg = min(candidates, key=lambda c: (-c[1], abs(c[0].y), c[0].y))
@@ -100,15 +105,16 @@ def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
     """Two-stage decision: analytic p_goal filter, then best neural score."""
-    return _two_stage(scene, field, aim_config, policy_config,
-                      lambda t: score(*forward(model, extract_features(
-                          replace(scene, target=t), field).values)),
+    def rank(targets: list[Vec2]) -> list[float]:
+        row = features_by_target(scene, field)
+        return score_rows(model, [row(target) for target in targets])
+    return _two_stage(scene, field, aim_config, policy_config, rank,
                       policy_config.score_threshold)
 
 
-def _lda_inputs(scene: KickScene, target: Vec2) -> tuple[float, float]:
+def _lda_inputs(scene: KickScene, targets: Sequence[Vec2]) -> tuple[float, list[float]]:
     return (scene.keeper.distance_to(scene.ball),
-            angle_at(scene.ball, scene.keeper, target))
+            [angle_at(scene.ball, scene.keeper, target) for target in targets])
 
 
 def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
@@ -118,7 +124,8 @@ def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
     for scene in scenes:
         if scene.label is None:
             raise ValueError("every scene must be labeled")
-        rows.append([*_lda_inputs(scene, scene.target), 1.0])
+        distance, (angle,) = _lda_inputs(scene, [scene.target])
+        rows.append([distance, angle, 1.0])
         targets.append(1.0 if scene.label is Label.GOAL else -1.0)
     y = np.array(targets)
     if np.all(y > 0) or np.all(y < 0):
@@ -136,8 +143,10 @@ def lda_policy_decide(scene: KickScene, model: LdaModel, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
     """Same two stages, ranked by the discriminant with bar 0; no neural score."""
-    decision = _two_stage(scene, field, aim_config, policy_config,
-                          lambda t: model.discriminant(*_lda_inputs(scene, t)), 0.0)
+    def rank(targets: list[Vec2]) -> list[float]:
+        distance, angles = _lda_inputs(scene, targets)
+        return [model.discriminant(distance, angle) for angle in angles]
+    decision = _two_stage(scene, field, aim_config, policy_config, rank, 0.0)
     return replace(decision, neural_score=None)
 
 

@@ -15,13 +15,13 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .aim import GOAL_LINE_TOLERANCE
 from .dynamics import DynamicsConfig
-from .geometry import FieldConfig, Ray, Vec2, opening_angle, signed_offset
+from .geometry import FieldConfig, Vec2, opening_angle, unit_components
 from .keeper import KeeperModel, ShotResult, simulate_shot
 
 MAX_DEFENDERS = 10
@@ -118,6 +118,44 @@ def filter_defenders(scene: KickScene, field: FieldConfig) -> list[Vec2]:
     return kept
 
 
+def features_by_target(scene: KickScene, field: FieldConfig) -> Callable[[Vec2], list[float]]:
+    """The scene half of extract_features: computes the features that do
+    not depend on the aim point once, and returns the function that builds
+    the row of extract_features for an aim point."""
+    ball, keeper = scene.ball, scene.keeper
+    d_post_left = ball.distance_to(field.post_left)
+    d_post_right = ball.distance_to(field.post_right)
+    filtered = filter_defenders(scene, field)
+    keeper_distance = keeper.distance_to(ball)
+    # The points relative to the ball, as signed_offset(line, p) takes
+    # them, raising as it does on an overflow.
+    to_keeper = keeper - ball
+    defenders = [(d.distance_to(ball), d - ball, d.distance_to(field.goal_center))
+                 for d in filtered[:3]]
+    defenders += [(field.field_length, None, field.field_length)] * (3 - len(defenders))
+    head = [ball.x, ball.y, keeper.x, keeper.y, keeper_distance]
+    vision = angle_at(scene.attacker, field.post_left, field.post_right)
+    posts = [min(d_post_left, d_post_right), max(d_post_left, d_post_right), scene.kick_power]
+
+    def row(target: Vec2) -> list[float]:
+        dx, dy = target.x - ball.x, target.y - ball.y
+        distance, ux, uy = unit_components(dx, dy)  # the line Ray.toward(ball, target)
+        kx, ky = to_keeper.x, to_keeper.y
+        # angle_at(ball, keeper, target), 0.0 when the keeper is on the ball
+        keeper_angle = (0.0 if keeper_distance < 1e-12
+                        else math.atan2(abs(kx * dy - ky * dx), kx * dx + ky * dy))
+        body_to_shot = abs(_wrap_angle(scene.attacker_body_angle - math.atan2(dy, dx)))
+        values = [*head, abs(ux * ky - uy * kx), keeper_angle, vision, body_to_shot,
+                  distance, *posts, target.y, float(len(filtered))]
+        for d_ball, to_d, d_goal in defenders[:2]:
+            offset = (field.penalty_area_width if to_d is None
+                      else abs(ux * to_d.y - uy * to_d.x))
+            values += (d_ball, offset, d_goal)
+        values.append(defenders[2][0])
+        return values
+    return row
+
+
 def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
     """Canonical 22-feature view of a scene.
 
@@ -125,48 +163,13 @@ def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
     target). Features of absent defenders are imputed with "no threat"
     extremes: field_length for distances, penalty_area_width for offsets.
     """
-    ball, target, keeper = scene.ball, scene.target, scene.keeper
-    line = Ray.toward(ball, target)
-    shot_angle = (target - ball).angle()
-    d_post_left = ball.distance_to(field.post_left)
-    d_post_right = ball.distance_to(field.post_right)
-    filtered = filter_defenders(scene, field)
-
-    values = [
-        ball.x,
-        ball.y,
-        keeper.x,
-        keeper.y,
-        keeper.distance_to(ball),
-        abs(signed_offset(line, keeper)),
-        angle_at(ball, keeper, target),
-        angle_at(scene.attacker, field.post_left, field.post_right),
-        abs(_wrap_angle(scene.attacker_body_angle - shot_angle)),
-        ball.distance_to(target),
-        min(d_post_left, d_post_right),
-        max(d_post_left, d_post_right),
-        scene.kick_power,
-        target.y,
-        float(len(filtered)),
-    ]
-    goal_center = field.goal_center
-    for i in range(3):
-        if i < len(filtered):
-            d = filtered[i]
-            triple = (d.distance_to(ball), abs(signed_offset(line, d)),
-                      d.distance_to(goal_center))
-        else:
-            triple = (field.field_length, field.penalty_area_width, field.field_length)
-        if i < 2:
-            values.extend(triple)
-        else:
-            values.append(triple[0])
-    return FeatureVector(np.array(values, dtype=float))
+    return FeatureVector(np.array(features_by_target(scene, field)(scene.target),
+                                  dtype=float))
 
 
 def feature_matrix(scenes: Sequence[KickScene], field: FieldConfig) -> np.ndarray:
     """(n_scenes, 22) matrix of extracted features."""
-    return np.array([extract_features(s, field).values for s in scenes], dtype=float)
+    return np.array([features_by_target(s, field)(s.target) for s in scenes], dtype=float)
 
 
 # ---------------------------------------------------------------------------

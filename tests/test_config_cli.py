@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import goalshot.cli as cli
 from goalshot.cli import main
 from goalshot.config import RunConfig, load_run_config
 from goalshot.experiment import stats_pair_from_json
@@ -246,6 +247,20 @@ class TestCompare:
         assert code == 1
         assert "unknown report format 'bogus'" in capsys.readouterr().err
         assert not log.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--policy-b", "bogus"], "unknown policy 'bogus'"),
+        (["--policy-b", "center", "--games", "0"], "games and shots_per_game must be >= 1"),
+        (["--policy-b", "center", "--shots", "0"], "games and shots_per_game must be >= 1"),
+    ])
+    def test_bad_arguments_fail_before_building_policies(self, flags, message, capsys,
+                                                         monkeypatch):
+        def no_training_scenes(*args, **kwargs):
+            raise AssertionError("the lda policy was built")
+
+        monkeypatch.setattr(cli, "generate_synthetic_scenes", no_training_scenes)
+        assert main(["compare", "--policy-a", "lda", *flags]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestAimTable:

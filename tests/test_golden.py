@@ -31,6 +31,18 @@ EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62
 DECISIONS_SHA256 = "7f415a94064918ba30ffe739c71f3b2d767e8aff8d4d62778317696be0b74d4b"
 
 
+def _build() -> str:
+    """The numpy and BLAS build of this run, named in each pin's failure
+    message: a pin that fails on another build may differ by that build's
+    rounding rather than by a behaviour change."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (f"this run: numpy {np.__version__}, BLAS {blas.get('name')} "
+            f"{blas.get('version')} ({blas.get('openblas configuration', 'no detail')})")
+
+
+BUILD = _build()
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -51,19 +63,19 @@ def pipeline(tmp_path_factory):
 
 def test_gen_data_csv(pipeline):
     _, data, _ = pipeline
-    assert _sha256(data) == GEN_DATA_SHA256
+    assert _sha256(data) == GEN_DATA_SHA256, BUILD
 
 
 def test_trained_model_json(pipeline):
     _, _, model = pipeline
-    assert _sha256(model) == MODEL_SHA256
+    assert _sha256(model) == MODEL_SHA256, BUILD
 
 
 def test_aim_table_monte_carlo(tmp_path):
     out = tmp_path / "aim.csv"
     _run("aim-table", "--distance-count", "3", "--y-count", "3",
          "--mc-rollouts", "50", "--seed", "4", "--out", str(out))
-    assert _sha256(out) == AIM_TABLE_SHA256
+    assert _sha256(out) == AIM_TABLE_SHA256, BUILD
 
 
 def test_compare_report_and_episode_log(pipeline):
@@ -71,8 +83,8 @@ def test_compare_report_and_episode_log(pipeline):
     report, log = work / "compare.json", work / "episodes.jsonl"
     _run("compare", "--model", str(model), "--data", str(data), "--games", "10",
          "--format", "json", "--out", str(report), "--episode-log", str(log))
-    assert _sha256(report) == COMPARE_SHA256
-    assert _sha256(log) == EPISODE_LOG_SHA256
+    assert _sha256(report) == COMPARE_SHA256, BUILD
+    assert _sha256(log) == EPISODE_LOG_SHA256, BUILD
 
 
 def test_policy_decisions(pipeline):
@@ -92,7 +104,7 @@ def test_policy_decisions(pipeline):
     mix = Counter((d.action.value, d.out_of_range) for row in decisions for d in row)
     assert min(mix.values()) > 50 and len(mix) == 3
     digest = hashlib.sha256(repr(decisions).encode()).hexdigest()
-    assert digest == DECISIONS_SHA256
+    assert digest == DECISIONS_SHA256, BUILD
 
 
 # The simulator draws its noise one scalar at a time. These pin that the

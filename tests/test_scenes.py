@@ -2,17 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scene, random_scene
 from goalshot.config import RunConfig
+from goalshot.dynamics import DynamicsConfig
 from goalshot.geometry import Vec2
-from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, GeneratorConfig,
+from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, MAX_DEFENDERS, GeneratorConfig,
                              KickScene, Label, balance_by_replication,
                              extract_features, feature_matrix, filter_defenders,
                              generate_synthetic_scenes, load_scenes, mirror_scene,
                              save_scenes, split_dataset, univariate_stats)
 
 CFG = RunConfig()
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POINTS = st.builds(Vec2, _FINITE, _FINITE)
+# Any finite scene that load_scenes accepts under the default field and
+# dynamics: the ball inside the field and before the goal line, the target
+# on the goal line (within its tolerance) and inside the mouth.
+_LOADABLE_SCENES = st.builds(
+    KickScene,
+    time=st.integers(-2**63, 2**63),
+    ball=st.builds(Vec2, st.floats(-52.5, 52.5, exclude_max=True), st.floats(-34.0, 34.0)),
+    ball_velocity=_POINTS,
+    attacker=_POINTS,
+    attacker_body_angle=_FINITE,
+    keeper=_POINTS,
+    defenders=st.lists(_POINTS, max_size=MAX_DEFENDERS).map(tuple),
+    kick_power=st.floats(0.0, DynamicsConfig().max_power),
+    target=st.builds(Vec2, st.floats(52.5 - 5e-10, 52.5 + 5e-10), st.floats(-7.01, 7.01)),
+    label=st.sampled_from(Label),
+)
 
 
 class TestExtractFeatures:
@@ -104,6 +126,15 @@ class TestCsvRoundTrip:
         path = tmp_path / "scenes.csv"
         save_scenes(scenes, path)
         assert load_scenes(path, field) == scenes
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenes=st.lists(_LOADABLE_SCENES, max_size=4))
+    def test_round_trip_arbitrary_finite_scenes(self, scenes, tmp_path_factory):
+        path = tmp_path_factory.mktemp("round_trip") / "scenes.csv"
+        save_scenes(scenes, path)
+        loaded = load_scenes(path)
+        assert loaded == scenes
+        assert repr(loaded) == repr(scenes)  # also the sign of each zero
 
     def test_header_only_file(self, field, tmp_path):
         path = tmp_path / "empty.csv"

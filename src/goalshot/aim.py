@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .geometry import FieldConfig, Vec2, unit_components
 
@@ -86,13 +87,21 @@ def sigma(d: float, config: AimConfig) -> float:
     return -config.sigma_coefficient * math.log(1.0 - d / config.sigma_horizon)
 
 
-def _ball_half(ball: Vec2, field: FieldConfig, config: AimConfig) -> tuple:
+def post_distances(ball: Vec2, field: FieldConfig) -> tuple[float, float]:
+    """The ball's distances to the left and the right post."""
+    return ball.distance_to(field.post_left), ball.distance_to(field.post_right)
+
+
+def _ball_half(ball: Vec2, field: FieldConfig, config: AimConfig,
+               distances: tuple[float, float] | None = None) -> tuple:
     """The ball, then each post relative to it and the sigma of its
-    distance, positive since a valid ball sits before the goal line."""
+    distance, positive since a valid ball sits before the goal line.
+    distances: post_distances(ball, field), if known."""
     if ball.x >= field.goal_line_x:
         raise ValueError("ball must be in front of the goal line")
-    return (ball, field.post_left - ball, sigma(ball.distance_to(field.post_left), config),
-            field.post_right - ball, sigma(ball.distance_to(field.post_right), config))
+    d_left, d_right = distances or post_distances(ball, field)
+    return (ball, field.post_left - ball, sigma(d_left, config),
+            field.post_right - ball, sigma(d_right, config))
 
 
 def _target_half(ball_half: tuple, target: Vec2,
@@ -126,10 +135,11 @@ def p_goal(query: ShotQuery, field: FieldConfig, config: AimConfig) -> AimResult
                                    query.target, field))
 
 
-def within_horizon(ball: Vec2, field: FieldConfig, config: AimConfig) -> bool:
-    """True when both posts are close enough for the sigma model to apply."""
-    return (ball.distance_to(field.post_left) < config.sigma_horizon
-            and ball.distance_to(field.post_right) < config.sigma_horizon)
+def within_horizon(ball: Vec2, field: FieldConfig, config: AimConfig,
+                   distances: tuple[float, float] | None = None) -> bool:
+    """True when both posts are close enough for the sigma model to apply.
+    distances: post_distances(ball, field), if known."""
+    return max(distances or post_distances(ball, field)) < config.sigma_horizon
 
 
 def discretize_targets(field: FieldConfig, config: AimConfig) -> list[Vec2]:
@@ -138,11 +148,17 @@ def discretize_targets(field: FieldConfig, config: AimConfig) -> list[Vec2]:
     Sorted by lateral coordinate; a single target degenerates to the goal
     center.
     """
+    return list(_aim_points(field, config))
+
+
+@lru_cache(maxsize=64)
+def _aim_points(field: FieldConfig, config: AimConfig) -> tuple[Vec2, ...]:
+    """discretize_targets as a tuple, built once per (field, config)."""
     half = field.goal_width / 2 - config.target_inset
     if half < 0.0:
         raise ValueError("target_inset exceeds the goal half-width")
     n = config.target_count
     if n == 1:
-        return [Vec2(field.goal_line_x, 0.0)]
+        return (Vec2(field.goal_line_x, 0.0),)
     step = 2.0 * half / (n - 1)
-    return [Vec2(field.goal_line_x, -half + i * step) for i in range(n)]
+    return tuple(Vec2(field.goal_line_x, -half + i * step) for i in range(n))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -156,12 +156,10 @@ _REPORT_ROWS: tuple[tuple[str, str], ...] = (
 )
 
 
-def _cell(value: float | int | None) -> str:
+def _cell(value: float | int | None, real: Callable[[float], str] = repr) -> str:
     if value is None:
         return "n/a"
-    if isinstance(value, int):
-        return str(value)
-    return repr(value)
+    return str(value) if isinstance(value, int) else real(value)
 
 
 def check_experiment_size(games: int, shots_per_game: int) -> None:
@@ -194,19 +192,12 @@ def report(stats_pair: tuple[MatchStats, MatchStats], format: str,
         return "\n".join(lines) + "\n"
     label_width = max(len(label) for _, label in _REPORT_ROWS)
     width = max(max(len(str(n)) for n in names) + 2, 12)
-
-    def fmt(value: float | int | None) -> str:
-        if value is None:
-            return "n/a"
-        if isinstance(value, int):
-            return str(value)
-        return f"{value:.3f}"
-
+    fmt = "{:.3f}".format
     lines = [f"{'Metric':<{label_width}}  {names[0]:>{width}}  {names[1]:>{width}}"]
     for attr, label in _REPORT_ROWS:
         lines.append(f"{label:<{label_width}}  "
-                     f"{fmt(getattr(stats_a, attr)):>{width}}  "
-                     f"{fmt(getattr(stats_b, attr)):>{width}}")
+                     f"{_cell(getattr(stats_a, attr), fmt):>{width}}  "
+                     f"{_cell(getattr(stats_b, attr), fmt):>{width}}")
     return "\n".join(lines) + "\n"
 
 

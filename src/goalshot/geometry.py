@@ -60,10 +60,7 @@ class Vec2:
         return math.atan2(self.y, self.x)
 
     def normalized(self) -> Vec2:
-        n = self.norm()
-        if n < 1e-12:
-            raise ValueError("cannot normalize a zero-length vector")
-        return Vec2(self.x / n, self.y / n)
+        return Vec2(*unit_components(self.x, self.y)[1:])
 
     @staticmethod
     def from_angle(angle: float, length: float = 1.0) -> Vec2:
@@ -85,9 +82,6 @@ class Ray:
     def toward(cls, origin: Vec2, point: Vec2) -> Ray:
         """Ray from origin through a distinct point."""
         return cls(origin, Vec2(*unit_components(point.x - origin.x, point.y - origin.y)[1:]))
-
-    def point_at(self, t: float) -> Vec2:
-        return self.origin + self.direction * t
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ The two outputs are folded into a single score in [0, 1] via
 
 so the ideal GOAL response (+1, -1) maps to 1.0 and the ideal NO_GOAL
 response (-1, +1) maps to 0.0.
+
+One forward serves one row (forward, the policy) and a batch (score_batch,
+eval), and gives a row the same bits either way. Backprop keeps its own
+activation pass: changing its rounding would move every trained model.
 """
 
 from __future__ import annotations
@@ -114,7 +118,9 @@ def _normalize(params: MlpParams, features: np.ndarray) -> np.ndarray:
 
 def _forward_normalized(params: MlpParams, x: np.ndarray) -> np.ndarray:
     for w, b in zip(params.weights, params.biases):
-        x = np.tanh(x @ w + b)
+        # einsum sums a row's products in one order for any batch, so a batch
+        # row is bit-equal to the 1-row call; BLAS gemv and gemm (x @ w) are not.
+        x = np.tanh(np.einsum("...j,jk->...k", x, w) + b)
     return x
 
 
@@ -124,11 +130,6 @@ def forward(params: MlpParams, features: np.ndarray) -> tuple[float, float]:
     return float(out[0]), float(out[1])
 
 
-def forward_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    """(n, 2) outputs for an (n, n_features) batch."""
-    return _forward_normalized(params, _normalize(params, features))
-
-
 def score(node1: float, node2: float) -> float:
     """Fold the two output nodes into a goal score in [0, 1]."""
     if not (-1.0 <= node1 <= 1.0 and -1.0 <= node2 <= 1.0):
@@ -136,15 +137,9 @@ def score(node1: float, node2: float) -> float:
     return (node1 - node2) / 4.0 + 0.5
 
 
-def score_rows(params: MlpParams, features: Sequence[Sequence[float]]) -> list[float]:
-    """score(*forward(params, row)) for each row, bit for bit: one elementwise
-    normalization, then a one-row product each, as a batched one may round differently."""
-    x = _normalize(params, np.array(features, dtype=float))
-    return [score(*_forward_normalized(params, row).tolist()) for row in x]
-
-
 def score_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    out = forward_batch(params, features)
+    """score(*forward(params, row)) for each row of a batch, bit for bit."""
+    out = _forward_normalized(params, _normalize(params, features))
     return (out[:, 0] - out[:, 1]) / 4.0 + 0.5
 
 

@@ -18,10 +18,10 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 # p_goal, forward and extract_features stay bound for perfbench/tracing.py.
-from .aim import (AimConfig, _ball_half, _target_half, discretize_targets,  # noqa: F401
-                  p_goal, within_horizon)
+from .aim import (AimConfig, _aim_points, _ball_half, _target_half, p_goal,  # noqa: F401
+                  post_distances, within_horizon)
 from .geometry import FieldConfig, Vec2
-from .mlp import MlpParams, forward, score_rows  # noqa: F401
+from .mlp import MlpParams, forward, score_batch  # noqa: F401
 from .scenes import KickScene, Label, angle_at, extract_features, features_by_target  # noqa: F401
 
 
@@ -71,12 +71,14 @@ class LdaModel:
 
 
 def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
-                        policy_config: PolicyConfig) -> list[tuple[Vec2, float]]:
+                        policy_config: PolicyConfig,
+                        distances: tuple[float, float] | None = None
+                        ) -> list[tuple[Vec2, float]]:
     """(target, p_goal) pairs passing the analytic filter; shared by all
-    thresholded policies."""
-    ball_half = _ball_half(ball, field, aim_config)
+    thresholded policies. distances: post_distances(ball, field), if known."""
+    ball_half = _ball_half(ball, field, aim_config, distances)
     survivors = []
-    for target in discretize_targets(field, aim_config):
+    for target in _aim_points(field, aim_config):
         pg = _target_half(ball_half, target, field)[2]
         if pg >= policy_config.p_goal_threshold:
             survivors.append((target, pg))
@@ -89,9 +91,10 @@ def _two_stage(scene: KickScene, field: FieldConfig, aim_config: AimConfig,
     """Kick at the stage-one survivor with the largest rank above bar, kept
     as neural_score; ties go to the target nearest the goal center, then to
     the smaller lateral coordinate. rank values every survivor at once."""
-    if not within_horizon(scene.ball, field, aim_config):
+    distances = post_distances(scene.ball, field)
+    if not within_horizon(scene.ball, field, aim_config, distances):
         return _OUT_OF_RANGE
-    survivors = stage_one_survivors(scene.ball, field, aim_config, policy_config)
+    survivors = stage_one_survivors(scene.ball, field, aim_config, policy_config, distances)
     values = rank([target for target, _ in survivors]) if survivors else []
     candidates = [(target, value, pg) for (target, pg), value in zip(survivors, values)
                   if value > bar]
@@ -107,7 +110,7 @@ def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
     """Two-stage decision: analytic p_goal filter, then best neural score."""
     def rank(targets: list[Vec2]) -> list[float]:
         row = features_by_target(scene, field)
-        return score_rows(model, [row(target) for target in targets])
+        return score_batch(model, np.array([row(target) for target in targets])).tolist()
     return _two_stage(scene, field, aim_config, policy_config, rank,
                       policy_config.score_threshold)
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from goalshot.aim import (AimConfig, ShotQuery, discretize_targets, p_goal,
                           p_miss_left, p_miss_right, sigma, within_horizon)
-from goalshot.geometry import Ray, Vec2, signed_offset
+from goalshot.geometry import FieldConfig, Ray, Vec2, signed_offset
 
 AIM = AimConfig()
 
@@ -97,6 +99,20 @@ class TestPGoal:
             assert abs(result.p_left + result.p_right + result.p_goal - 1.0) <= 1e-12
             for p in (result.p_left, result.p_right, result.p_goal):
                 assert 0.0 <= p <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(ball_x=st.floats(min_value=8.0, max_value=52.4),
+           ball_y=st.floats(min_value=-34.0, max_value=34.0),
+           target_y=st.floats(min_value=-7.01, max_value=7.01))
+    def test_partition_of_unity_within_ulps(self, ball_x, ball_y, target_y):
+        """p_goal is 1 - left - right, so the three sum to 1 up to the
+        rounding of those two subtractions, not exactly."""
+        field = FieldConfig()
+        query = ShotQuery(Vec2(ball_x, ball_y), Vec2(field.goal_line_x, target_y))
+        assume(within_horizon(query.ball, field, AIM))
+        result = p_goal(query, field, AIM)
+        total = result.p_left + result.p_right + result.p_goal
+        assert abs(total - 1.0) <= 2 * math.ulp(1.0)
 
     def test_center_target_maximal_on_center_line(self, field):
         ball = Vec2(34.0, 0.0)

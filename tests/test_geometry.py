@@ -38,6 +38,8 @@ class TestVec2:
         assert math.isclose(v.norm(), 1.0, abs_tol=1e-15)
         with pytest.raises(ValueError):
             Vec2(0.0, 0.0).normalized()
+        with pytest.raises(ValueError):  # the norm overflows to inf
+            Vec2(1.7e308, 1.7e308).normalized()
 
 
 class TestRay:
@@ -49,7 +51,7 @@ class TestRay:
     def test_toward_normalizes(self):
         ray = Ray.toward(Vec2(1.0, 1.0), Vec2(4.0, 5.0))
         assert math.isclose(ray.direction.norm(), 1.0, abs_tol=1e-15)
-        assert ray.point_at(5.0) == Vec2(4.0, 5.0)
+        assert ray.origin + ray.direction * 5.0 == Vec2(4.0, 5.0)
 
 
 class TestFieldConfig:

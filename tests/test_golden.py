@@ -8,9 +8,11 @@ numpy build and float environment: training goes through BLAS matrix
 products, whose last bits may differ on other CPUs or numpy builds.
 """
 
+import ctypes
 import hashlib
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,13 +33,29 @@ EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62
 DECISIONS_SHA256 = "7f415a94064918ba30ffe739c71f3b2d767e8aff8d4d62778317696be0b74d4b"
 
 
+def _openblas_core() -> str:
+    """The kernel set OpenBLAS picked for this CPU at run time (or the one
+    OPENBLAS_CORETYPE forces). The configuration string names only the
+    build target, and the pins move with the kernels: the model pin differs
+    under the Haswell kernels of the same build."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _build() -> str:
     """The numpy and BLAS build of this run, named in each pin's failure
     message: a pin that fails on another build may differ by that build's
     rounding rather than by a behaviour change."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return (f"this run: numpy {np.__version__}, BLAS {blas.get('name')} "
-            f"{blas.get('version')} ({blas.get('openblas configuration', 'no detail')})")
+            f"{blas.get('version')} ({blas.get('openblas configuration', 'no detail')}), "
+            f"run-time core {_openblas_core()}")
 
 
 BUILD = _build()

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalshot.metrics import auc_rank, scored_samples
 from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig,
-                          example_mse, forward, forward_batch, gradient,
-                          load_model, save_model, score, score_batch,
-                          targets_from_labels, train)
+                          example_mse, forward, gradient, load_model, save_model,
+                          score, score_batch, targets_from_labels, train)
 from goalshot.scenes import Label
 
 
@@ -60,13 +61,26 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(zero_params(), np.array([1.0, 2.0]))
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(3)
-        params = random_params(rng)
-        batch = rng.uniform(-2, 2, (10, 3))
-        outputs = forward_batch(params, batch)
-        for row, out in zip(batch, outputs):
-            np.testing.assert_allclose(out, forward(params, row), atol=1e-15)
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
+           n=st.integers(min_value=1, max_value=64),
+           sizes=st.sampled_from([(22, 5, 2), (3, 4, 2), (22, 8, 5, 2)]),
+           view=st.sampled_from(["copy", "slice", "every_other", "columns", "fortran"]))
+    def test_batch_matches_single(self, seed, n, sizes, view):
+        """Row i of score_batch is bit-equal to the one-row forward, for any
+        batch size and memory layout: eval and decide score a row alike."""
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, sizes)
+        params.norm_mean[:] = rng.uniform(-30.0, 30.0, sizes[0])
+        params.norm_std[:] = rng.uniform(0.5, 20.0, sizes[0])
+        wide = rng.normal(0.0, 40.0, (n, 3 + sizes[0]))
+        x = wide[:, 3:].copy()
+        batch = {"copy": x, "slice": x[n // 3:], "every_other": x[::2],
+                 "columns": wide[:, 3:], "fortran": np.asfortranarray(x)}[view]
+        scores = score_batch(params, batch)
+        assert scores.shape == (len(batch),)
+        for row, batch_score in zip(batch, scores):
+            assert batch_score == score(*forward(params, row))
 
 
 class TestScore:
@@ -86,14 +100,6 @@ class TestScore:
         for _ in range(1000):
             a, b = rng.uniform(-1, 1, 2)
             assert math.isclose(score(a, b) + score(b, a), 1.0, abs_tol=1e-15)
-
-    def test_score_batch(self):
-        rng = np.random.default_rng(7)
-        params = random_params(rng)
-        batch = rng.uniform(-2, 2, (6, 3))
-        np.testing.assert_allclose(
-            score_batch(params, batch),
-            [score(*forward(params, row)) for row in batch], atol=1e-15)
 
 
 class TestGradient:

@@ -30,7 +30,7 @@ MODEL_SHA256 = "6de465b64aafb25e3a93f758cea6f4dfc9d36ad1973db1a132a1a5288fddd3da
 AIM_TABLE_SHA256 = "48cf079f68e6c2e270d8489a89544365018b9ceafecafc43d7ae2d65d1e79e8a"
 COMPARE_SHA256 = "78e008f5d2e6cda4b80e20e09a26ac91110be19cf5eb6e7a2641aabacd1540b9"
 EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62aa6360"
-DECISIONS_SHA256 = "7f415a94064918ba30ffe739c71f3b2d767e8aff8d4d62778317696be0b74d4b"
+DECISIONS_SHA256 = "627b27089f940bf7df58463493303eaf683a2f9c4a5ec58dad37b153d9fafa57"
 
 
 def _openblas_core() -> str:

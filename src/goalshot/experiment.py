@@ -156,10 +156,10 @@ _REPORT_ROWS: tuple[tuple[str, str], ...] = (
 )
 
 
-def _cell(value: float | int | None, real: Callable[[float], str] = repr) -> str:
+def _cell(value: float | int | None, float_format: Callable[[float], str] = repr) -> str:
     if value is None:
         return "n/a"
-    return str(value) if isinstance(value, int) else real(value)
+    return str(value) if isinstance(value, int) else float_format(value)
 
 
 def check_experiment_size(games: int, shots_per_game: int) -> None:

@@ -184,3 +184,10 @@ class TestDiscretizeTargets:
     def test_sorted_by_lateral(self, field):
         targets = discretize_targets(field, AIM)
         assert [t.y for t in targets] == sorted(t.y for t in targets)
+
+    def test_returns_a_fresh_list(self, field):
+        # The aim points are built once per configuration; a caller may
+        # still change the list it gets.
+        targets = discretize_targets(field, AIM)
+        targets.clear()
+        assert len(discretize_targets(field, AIM)) == AIM.target_count

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,8 +69,17 @@ class TestExtractFeatures:
         assert by_name["def3_distance_to_ball"] == field.field_length
 
     def test_mirror_flips_only_signed_laterals(self, field):
-        rng = np.random.default_rng(3)
         signed = {"ball_y", "keeper_y", "target_lateral"}
+        flip = np.array([-1.0 if name in signed else 1.0 for name in FEATURE_NAMES])
+        # Exact on generator scenes, whose body stays within 0.4 rad of the
+        # shot, where _wrap_angle rounds a and -a alike.
+        generated = generate_synthetic_scenes(300, replace(CFG.gen, x_min=5.0),
+                                              CFG.dynamics, field, seed=16)
+        for scene in generated:
+            expected = (flip * extract_features(scene, field).values).tolist()
+            assert extract_features(mirror_scene(scene), field).values.tolist() == expected
+        # For any body angle the wrap may round the two differently.
+        rng = np.random.default_rng(3)
         for _ in range(50):
             scene = random_scene(rng, field)
             base = extract_features(scene, field).values
@@ -106,7 +116,6 @@ class TestFilterDefenders:
             assert filter_defenders(scene, field) == expected
 
     def test_subset_and_idempotent(self, field):
-        from dataclasses import replace
         rng = np.random.default_rng(7)
         for _ in range(50):
             scene = random_scene(rng, field)

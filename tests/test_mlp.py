@@ -101,6 +101,14 @@ class TestScore:
             a, b = rng.uniform(-1, 1, 2)
             assert math.isclose(score(a, b) + score(b, a), 1.0, abs_tol=1e-15)
 
+    def test_score_batch(self):
+        rng = np.random.default_rng(7)
+        params = random_params(rng)
+        batch = rng.uniform(-2, 2, (6, 3))
+        np.testing.assert_array_equal(
+            score_batch(params, batch),
+            [score(*forward(params, row)) for row in batch])
+
 
 class TestGradient:
     def test_zero_gradient_at_exact_fit(self):

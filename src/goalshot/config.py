@@ -59,32 +59,17 @@ _SECTIONS = {
     "gen": GeneratorConfig,
 }
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
 def _parse_section(cls, section: str, items: dict[str, str]):
     hints = typing.get_type_hints(cls)
     scalar_fields = {f.name: hints[f.name] for f in fields(cls)
-                     if hints[f.name] in (int, float, bool)}
+                     if hints[f.name] in (int, float)}
     kwargs = {}
     for key, raw in items.items():
         if key not in scalar_fields:
             raise ValueError(f"unknown key '{key}' in section [{section}]")
         kind = scalar_fields[key]
         try:
-            if kind is bool:
-                lowered = raw.strip().lower()
-                if lowered in _TRUE:
-                    kwargs[key] = True
-                elif lowered in _FALSE:
-                    kwargs[key] = False
-                else:
-                    raise ValueError
-            elif kind is int:
-                kwargs[key] = int(raw)
-            else:
-                kwargs[key] = float(raw)
+            kwargs[key] = kind(raw)
         except ValueError:
             raise ValueError(
                 f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from None

@@ -209,7 +209,6 @@ class TrainConfig:
     init_half_range: float = 0.1
     seed: int = 0
     hidden_size: int = 5
-    compare_to_previous: bool = False
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -223,29 +222,24 @@ class TrainConfig:
 class EarlyStopping:
     """Consecutive-validation-failure tracker.
 
-    A failure is an epoch whose validation MSE is >= the best seen so far
-    (or >= the previous epoch's, with compare_to_previous). update()
-    returns True when the epoch improved the best MSE.
+    A failure is an epoch whose validation MSE is >= the best seen so far.
+    update() returns True when the epoch improved the best MSE.
     """
 
-    def __init__(self, patience: int, compare_to_previous: bool = False) -> None:
+    def __init__(self, patience: int) -> None:
         self.patience = patience
-        self.compare_to_previous = compare_to_previous
         self.best_mse = math.inf
         self.best_epoch = 0
         self.epoch = 0
-        self._previous = math.inf
         self._failures = 0
 
     def update(self, val_mse: float) -> bool:
         self.epoch += 1
-        reference = self._previous if self.compare_to_previous else self.best_mse
-        self._failures = self._failures + 1 if val_mse >= reference else 0
+        self._failures = self._failures + 1 if val_mse >= self.best_mse else 0
         improved = val_mse < self.best_mse
         if improved:
             self.best_mse = val_mse
             self.best_epoch = self.epoch
-        self._previous = val_mse
         return improved
 
     @property
@@ -289,7 +283,7 @@ def train(train_features: np.ndarray, train_labels: Sequence[Label],
 
     xn = (x - mean) / std
     xvn = (xv - mean) / std
-    stopper = EarlyStopping(config.patience, config.compare_to_previous)
+    stopper = EarlyStopping(config.patience)
     best_params = params.copy()
     train_history: list[float] = []
     val_history: list[float] = []

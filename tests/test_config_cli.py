@@ -27,7 +27,6 @@ reaction_delay = 1
 
 [train]
 max_epochs = 25
-compare_to_previous = yes
 
 [eval_keeper]
 max_speed = 0.9
@@ -52,16 +51,16 @@ class TestConfigFile:
         assert config.keeper.max_speed == 0.5
         assert config.keeper.reaction_delay == 1
         assert config.train.max_epochs == 25
-        assert config.train.compare_to_previous is True
         assert config.eval_keeper == KeeperModel(max_speed=0.9)
         # The labeling keeper inside the generator follows [keeper].
         assert config.gen.keeper == config.keeper
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[dynamics]\nfriction = 0.5\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="friction"):
-            load_run_config(path)
+        for section, key in (("dynamics", "friction"), ("train", "compare_to_previous")):
+            path.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"unknown key '{key}' in section \\[{section}\\]"):
+                load_run_config(path)
 
     def test_aim_p_goal_threshold_rejected(self, tmp_path):
         # The stage-one threshold lives in [policy]; [aim] has no such key.

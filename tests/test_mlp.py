@@ -203,17 +203,6 @@ class TestEarlyStopping:
             stopper.update(mse)
         assert not stopper.should_stop
 
-    def test_compare_to_previous_variant(self):
-        # A zig-zag sequence fails against best-so-far but not against the
-        # previous epoch; only a flat-then-rising tail trips this variant.
-        stopper = EarlyStopping(patience=2, compare_to_previous=True)
-        for mse in (0.5, 0.7, 0.6, 0.65, 0.62):
-            stopper.update(mse)
-            assert not stopper.should_stop
-        stopper.update(0.62)
-        stopper.update(0.63)
-        assert stopper.should_stop
-
 
 def _toy_separable(rng, n):
     """2D points labeled by the sign of x + y with a margin."""

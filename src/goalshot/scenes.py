@@ -102,10 +102,6 @@ def angle_at(origin: Vec2, a: Vec2, b: Vec2) -> float:
         return 0.0
 
 
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2 * math.pi) - math.pi
-
-
 def filter_defenders(scene: KickScene, field: FieldConfig) -> list[Vec2]:
     """Defenders that can threaten the shot: between the attacker's x and
     the goal line, laterally inside the keeper's great area. Sorted by
@@ -144,7 +140,8 @@ def features_by_target(scene: KickScene, field: FieldConfig) -> Callable[[Vec2],
         # angle_at(ball, keeper, target), 0.0 when the keeper is on the ball
         keeper_angle = (0.0 if keeper_distance < 1e-12
                         else math.atan2(abs(kx * dy - ky * dx), kx * dx + ky * dy))
-        body_to_shot = abs(_wrap_angle(scene.attacker_body_angle - math.atan2(dy, dx)))
+        body_to_shot = abs(math.remainder(scene.attacker_body_angle - math.atan2(dy, dx),
+                                          2 * math.pi))
         values = [*head, abs(ux * ky - uy * kx), keeper_angle, vision, body_to_shot,
                   distance, *posts, target.y, float(len(filtered))]
         for d_ball, to_d, d_goal in defenders[:2]:

@@ -71,24 +71,14 @@ class TestExtractFeatures:
     def test_mirror_flips_only_signed_laterals(self, field):
         signed = {"ball_y", "keeper_y", "target_lateral"}
         flip = np.array([-1.0 if name in signed else 1.0 for name in FEATURE_NAMES])
-        # Exact on generator scenes, whose body stays within 0.4 rad of the
-        # shot, where _wrap_angle rounds a and -a alike.
         generated = generate_synthetic_scenes(300, replace(CFG.gen, x_min=5.0),
                                               CFG.dynamics, field, seed=16)
-        for scene in generated:
+        rng = np.random.default_rng(3)
+        # random_scene bodies lie anywhere in +-3 rad of the shot.
+        drawn = [random_scene(rng, field) for _ in range(2000)]
+        for scene in generated + drawn:
             expected = (flip * extract_features(scene, field).values).tolist()
             assert extract_features(mirror_scene(scene), field).values.tolist() == expected
-        # For any body angle the wrap may round the two differently.
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            scene = random_scene(rng, field)
-            base = extract_features(scene, field).values
-            flipped = extract_features(mirror_scene(scene), field).values
-            for name, a, b in zip(FEATURE_NAMES, base, flipped):
-                if name in signed:
-                    assert math.isclose(a, -b, abs_tol=1e-9), name
-                else:
-                    assert math.isclose(a, b, abs_tol=1e-9), name
 
 
 class TestFilterDefenders:

@@ -34,7 +34,7 @@ def reference_features(scene, field):
     d_post_left = ball.distance_to(field.post_left)
     d_post_right = ball.distance_to(field.post_right)
     filtered = filter_defenders(scene, field)
-    wrapped = (scene.attacker_body_angle - shot_angle + math.pi) % (2 * math.pi) - math.pi
+    wrapped = math.remainder(scene.attacker_body_angle - shot_angle, 2 * math.pi)
     values = [
         ball.x, ball.y, keeper.x, keeper.y,
         keeper.distance_to(ball),

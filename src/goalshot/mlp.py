@@ -18,9 +18,12 @@ The two outputs are folded into a single score in [0, 1] via
 so the ideal GOAL response (+1, -1) maps to 1.0 and the ideal NO_GOAL
 response (-1, +1) maps to 0.0.
 
-One forward serves one row (forward, the policy) and a batch (score_batch,
-eval), and gives a row the same bits either way. Backprop keeps its own
-activation pass: changing its rounding would move every trained model.
+One layer pass serves one row (forward, the policy), a batch (score_batch,
+eval, the epoch MSE) and backprop, and gives a row the same bits in each.
+No product goes through BLAS, so the bits do not depend on the kernels
+OpenBLAS picks for the CPU; numpy's tanh kernel still varies with the SIMD
+extensions found, so trained models are reproducible on x86-64 CPUs with
+AVX2 for one numpy build.
 """
 
 from __future__ import annotations
@@ -116,17 +119,20 @@ def _normalize(params: MlpParams, features: np.ndarray) -> np.ndarray:
     return (x - params.norm_mean) / params.norm_std
 
 
-def _forward_normalized(params: MlpParams, x: np.ndarray) -> np.ndarray:
+def _activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """The normalized input and every layer's output, for a row or a batch."""
+    activations = [x]
     for w, b in zip(params.weights, params.biases):
-        # einsum sums a row's products in one order for any batch, so a batch
-        # row is bit-equal to the 1-row call; BLAS gemv and gemm (x @ w) are not.
-        x = np.tanh(np.einsum("...j,jk->...k", x, w) + b)
-    return x
+        # einsum sums a row's products in one order for any batch and any CPU,
+        # so a batch row is bit-equal to the 1-row call; the BLAS gemv and
+        # gemm behind matmul are not, and their kernels differ per core.
+        activations.append(np.tanh(np.einsum("...j,jk->...k", activations[-1], w) + b))
+    return activations
 
 
 def forward(params: MlpParams, features: np.ndarray) -> tuple[float, float]:
     """Raw (node1, node2) outputs, each in (-1, 1)."""
-    out = _forward_normalized(params, _normalize(params, features))
+    out = _activations(params, _normalize(params, features))[-1]
     return float(out[0]), float(out[1])
 
 
@@ -139,7 +145,7 @@ def score(node1: float, node2: float) -> float:
 
 def score_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
     """score(*forward(params, row)) for each row of a batch, bit for bit."""
-    out = _forward_normalized(params, _normalize(params, features))
+    out = _activations(params, _normalize(params, features))[-1]
     return (out[:, 0] - out[:, 1]) / 4.0 + 0.5
 
 
@@ -151,9 +157,7 @@ class MlpGradients:
 
 def _gradient_normalized(params: MlpParams, x: np.ndarray,
                          target: np.ndarray) -> MlpGradients:
-    activations = [x]
-    for w, b in zip(params.weights, params.biases):
-        activations.append(np.tanh(activations[-1] @ w + b))
+    activations = _activations(params, x)
     out = activations[-1]
     # d/d_out of mean((out - t)^2), then back through tanh at each layer.
     delta = (2.0 / out.size) * (out - target) * (1.0 - out * out)
@@ -164,7 +168,7 @@ def _gradient_normalized(params: MlpParams, x: np.ndarray,
         grads_b.append(delta)
         if layer > 0:
             a = activations[layer]
-            delta = (delta @ params.weights[layer].T) * (1.0 - a * a)
+            delta = np.einsum("k,jk->j", delta, params.weights[layer]) * (1.0 - a * a)
     grads_w.reverse()
     grads_b.reverse()
     return MlpGradients(grads_w, grads_b)
@@ -249,7 +253,7 @@ class EarlyStopping:
 
 def _dataset_mse(params: MlpParams, x_normalized: np.ndarray,
                  targets: np.ndarray) -> float:
-    out = _forward_normalized(params, x_normalized)
+    out = _activations(params, x_normalized)[-1]
     return float(np.mean((out - targets) ** 2))
 
 

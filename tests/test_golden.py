@@ -26,11 +26,11 @@ from goalshot.policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, lda_train
 from goalshot.scenes import generate_synthetic_scenes, load_scenes
 
 GEN_DATA_SHA256 = "b60aa2ef55b59e3952833ae0f47df82724de1929481ba1ecfa3db43ec6ec2007"
-MODEL_SHA256 = "6de465b64aafb25e3a93f758cea6f4dfc9d36ad1973db1a132a1a5288fddd3da"
+MODEL_SHA256 = "857d85948a4437b83077eb05d64ac041f86d5e6d1d4f70098016d4d2336b2178"
 AIM_TABLE_SHA256 = "48cf079f68e6c2e270d8489a89544365018b9ceafecafc43d7ae2d65d1e79e8a"
 COMPARE_SHA256 = "78e008f5d2e6cda4b80e20e09a26ac91110be19cf5eb6e7a2641aabacd1540b9"
 EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62aa6360"
-DECISIONS_SHA256 = "627b27089f940bf7df58463493303eaf683a2f9c4a5ec58dad37b153d9fafa57"
+DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd2c95"
 
 
 def _openblas_core() -> str:

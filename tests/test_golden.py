@@ -4,12 +4,17 @@ Each test runs commands through `goalshot.cli.main` in-process and pins
 the sha256 of the bytes they write. A refactor that claims no behaviour
 change must leave every pin as it is; a deliberate behaviour change
 updates the pin in the same change and says why. The pins hold for one
-numpy build and float environment: training goes through BLAS matrix
-products, whose last bits may differ on other CPUs or numpy builds.
+numpy build on x86-64 CPUs with AVX2. No product on the pinned paths goes
+through BLAS, so the kernels OpenBLAS picks for the CPU do not matter, but
+numpy's tanh kernel is chosen by the SIMD extensions found and rounds
+differently below AVX2 (other architectures are untested).
 """
 
-import ctypes
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -33,29 +38,13 @@ EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62
 DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd2c95"
 
 
-def _openblas_core() -> str:
-    """The kernel set OpenBLAS picked for this CPU at run time (or the one
-    OPENBLAS_CORETYPE forces). The configuration string names only the
-    build target, and the pins move with the kernels: the model pin differs
-    under the Haswell kernels of the same build."""
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
-
-
 def _build() -> str:
-    """The numpy and BLAS build of this run, named in each pin's failure
-    message: a pin that fails on another build may differ by that build's
-    rounding rather than by a behaviour change."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return (f"this run: numpy {np.__version__}, BLAS {blas.get('name')} "
-            f"{blas.get('version')} ({blas.get('openblas configuration', 'no detail')}), "
-            f"run-time core {_openblas_core()}")
+    """The numpy build and the SIMD extensions it found at run time, named
+    in each pin's failure message: a pin that fails on another build or
+    below AVX2 may differ by rounding rather than by a behaviour change.
+    NPY_DISABLE_CPU_FEATURES removes extensions from the list."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return f"this run: numpy {np.__version__}, SIMD extensions found {simd}"
 
 
 BUILD = _build()
@@ -87,6 +76,24 @@ def test_gen_data_csv(pipeline):
 def test_trained_model_json(pipeline):
     _, _, model = pipeline
     assert _sha256(model) == MODEL_SHA256, BUILD
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the OpenBLAS core types forced here are x86-64 kernels")
+def test_trained_model_on_any_openblas_core(tmp_path):
+    """The pipeline's model, trained in a child process per forced OpenBLAS
+    core type, hashes to the one pin."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    data, model = tmp_path / "scenes.csv", tmp_path / "model.json"
+    script = ("import sys; from goalshot.cli import main; sys.exit("
+              f"main(['gen-data', '--n', '500', '--seed', '1', '--out', {str(data)!r}]) or "
+              f"main(['train', '--data', {str(data)!r}, '--model-out', {str(model)!r}, "
+              "'--max-epochs', '5']))")
+    for core in ("Haswell", "Prescott"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_CORETYPE": core}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       capture_output=True, timeout=300)
+        assert _sha256(model) == MODEL_SHA256, f"{BUILD}, OpenBLAS core {core}"
 
 
 def test_aim_table_monte_carlo(tmp_path):

@@ -43,7 +43,7 @@ def _build() -> str:
     in each pin's failure message: a pin that fails on another build or
     below AVX2 may differ by rounding rather than by a behaviour change.
     NPY_DISABLE_CPU_FEATURES removes extensions from the list."""
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found")
     return f"this run: numpy {np.__version__}, SIMD extensions found {simd}"
 
 
@@ -84,12 +84,12 @@ def test_trained_model_on_any_openblas_core(tmp_path):
     """The pipeline's model, trained in a child process per forced OpenBLAS
     core type, hashes to the one pin."""
     src = Path(__file__).resolve().parent.parent / "src"
-    data, model = tmp_path / "scenes.csv", tmp_path / "model.json"
-    script = ("import sys; from goalshot.cli import main; sys.exit("
-              f"main(['gen-data', '--n', '500', '--seed', '1', '--out', {str(data)!r}]) or "
-              f"main(['train', '--data', {str(data)!r}, '--model-out', {str(model)!r}, "
-              "'--max-epochs', '5']))")
     for core in ("Haswell", "Prescott"):
+        data, model = tmp_path / f"{core}.csv", tmp_path / f"{core}.json"
+        script = ("import sys; from goalshot.cli import main; sys.exit("
+                  f"main(['gen-data', '--n', '500', '--seed', '1', '--out', {str(data)!r}]) or "
+                  f"main(['train', '--data', {str(data)!r}, '--model-out', {str(model)!r}, "
+                  "'--max-epochs', '5']))")
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_CORETYPE": core}
         subprocess.run([sys.executable, "-c", script], env=env, check=True,
                        capture_output=True, timeout=300)

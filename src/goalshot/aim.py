@@ -18,7 +18,10 @@ d_r the ball-to-post distances,
 Tails are evaluated in closed form through the error function; numerical
 quadrature exists only as a test oracle. _ball_half computes the terms that
 depend only on the ball (both sigmas, the posts relative to the ball) once
-for all of its aim points; _target_half adds the terms of one aim point.
+for all of its aim points; _target_half adds the terms of one aim point,
+all on plain floats. p_goal checks a caller's aim point (on the goal line,
+within the mouth) after the ball; _aim_points builds only valid ones, so
+the policies' stage one runs no target check.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import FieldConfig, Vec2, unit_components
+from .geometry import FieldConfig, Vec2, difference, unit_components
 
 # How far an aim point may sit off the goal line or outside the mouth (m).
 GOAL_LINE_TOLERANCE = 1e-9
@@ -94,28 +97,31 @@ def post_distances(ball: Vec2, field: FieldConfig) -> tuple[float, float]:
 
 def _ball_half(ball: Vec2, field: FieldConfig, config: AimConfig,
                distances: tuple[float, float] | None = None) -> tuple:
-    """The ball, then each post relative to it and the sigma of its
+    """The ball, then each post relative to it (x, y) and the sigma of its
     distance, positive since a valid ball sits before the goal line.
     distances: post_distances(ball, field), if known."""
     if ball.x >= field.goal_line_x:
         raise ValueError("ball must be in front of the goal line")
     d_left, d_right = distances or post_distances(ball, field)
-    return (ball, field.post_left - ball, sigma(d_left, config),
-            field.post_right - ball, sigma(d_right, config))
+    return (ball, *difference(field.post_left, ball), sigma(d_left, config),
+            *difference(field.post_right, ball), sigma(d_right, config))
 
 
-def _target_half(ball_half: tuple, target: Vec2,
-                 field: FieldConfig) -> tuple[float, float, float]:
-    """(P(left), P(right), P(goal)) of one aim point, given the ball half."""
+def _check_target(target: Vec2, field: FieldConfig) -> None:
+    """p_goal's checks of an aim point it did not build."""
     if abs(target.x - field.goal_line_x) > GOAL_LINE_TOLERANCE:
         raise ValueError("target must lie on the goal line")
     if abs(target.y) > field.goal_width / 2 + GOAL_LINE_TOLERANCE:
         raise ValueError("target must lie within the goal mouth")
-    ball, to_left, sigma_l, to_right, sigma_r = ball_half
+
+
+def _target_half(ball_half: tuple, target: Vec2) -> tuple[float, float, float]:
+    """(P(left), P(right), P(goal)) of one checked aim point, given the ball half."""
+    ball, left_x, left_y, sigma_l, right_x, right_y, sigma_r = ball_half
     _, ux, uy = unit_components(target.x - ball.x, target.y - ball.y)
     # signed_offset(Ray.toward(ball, target), post) for each post
-    left = gaussian_cdf(-(ux * to_left.y - uy * to_left.x) / sigma_l)
-    right = gaussian_cdf((ux * to_right.y - uy * to_right.x) / sigma_r)
+    left = gaussian_cdf(-(ux * left_y - uy * left_x) / sigma_l)
+    right = gaussian_cdf((ux * right_y - uy * right_x) / sigma_r)
     return left, right, 1.0 - left - right
 
 
@@ -131,8 +137,9 @@ def p_miss_right(query: ShotQuery, field: FieldConfig, config: AimConfig) -> flo
 
 def p_goal(query: ShotQuery, field: FieldConfig, config: AimConfig) -> AimResult:
     """Full left/right/goal probability split for one aim point."""
-    return AimResult(*_target_half(_ball_half(query.ball, field, config),
-                                   query.target, field))
+    ball_half = _ball_half(query.ball, field, config)
+    _check_target(query.target, field)
+    return AimResult(*_target_half(ball_half, query.target))
 
 
 def within_horizon(ball: Vec2, field: FieldConfig, config: AimConfig,

@@ -206,10 +206,9 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
                         f"{result.p_right!r},{result.p_goal!r}")
                 if args.mc_rollouts:
                     goals = 0
-                    direction = (target - ball).angle()
+                    state = kick(BallState.at_rest(ball), args.mc_power,
+                                 (target - ball).angle(), config.dynamics)
                     for _ in range(args.mc_rollouts):
-                        state = kick(BallState.at_rest(ball), args.mc_power,
-                                     direction, config.dynamics)
                         outcome = rollout_to_goal_line(state, config.dynamics,
                                                        field, rng)
                         if (outcome.crossed

@@ -22,6 +22,7 @@ rejected. Command-line flags override file values.
 from __future__ import annotations
 
 import configparser
+import math
 import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -73,6 +74,8 @@ def _parse_section(cls, section: str, items: dict[str, str]):
         except ValueError:
             raise ValueError(
                 f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from None
+        if not math.isfinite(kwargs[key]):
+            raise ValueError(f"[{section}] {key}: non-finite value {raw!r}")
     return cls(**kwargs)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def _require_finite(label: str, *values: float) -> None:
@@ -112,16 +113,18 @@ class FieldConfig:
         if abs(self.goal_line_x - self.field_length / 2) > 1e-9:
             raise ValueError("goal_line_x must equal field_length / 2")
 
-    @property
+    # Built on first access and kept in the instance __dict__, which the
+    # field-based eq, hash and repr never read.
+    @cached_property
     def goal_center(self) -> Vec2:
         return Vec2(self.goal_line_x, 0.0)
 
-    @property
+    @cached_property
     def post_left(self) -> Vec2:
         """Post on the +y side (shooter's left when attacking +x)."""
         return Vec2(self.goal_line_x, self.goal_width / 2)
 
-    @property
+    @cached_property
     def post_right(self) -> Vec2:
         return Vec2(self.goal_line_x, -self.goal_width / 2)
 
@@ -135,11 +138,18 @@ def opening_angle(origin: Vec2, post_left: Vec2, post_right: Vec2) -> float:
 
     Raises ValueError when origin coincides with either post.
     """
-    u = post_left - origin
-    v = post_right - origin
-    if u.norm() < 1e-12 or v.norm() < 1e-12:
+    ux, uy = difference(post_left, origin)
+    vx, vy = difference(post_right, origin)
+    if math.hypot(ux, uy) < 1e-12 or math.hypot(vx, vy) < 1e-12:
         raise ValueError("origin coincides with a post")
-    return math.atan2(abs(u.cross(v)), u.dot(v))
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+
+def difference(a: Vec2, b: Vec2) -> tuple[float, float]:
+    """The components of a - b, with the finiteness check of that Vec2."""
+    dx, dy = a.x - b.x, a.y - b.y
+    _require_finite("Vec2 component", dx, dy)
+    return dx, dy
 
 
 def unit_components(dx: float, dy: float) -> tuple[float, float, float]:

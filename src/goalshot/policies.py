@@ -79,7 +79,7 @@ def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
     ball_half = _ball_half(ball, field, aim_config, distances)
     survivors = []
     for target in _aim_points(field, aim_config):
-        pg = _target_half(ball_half, target, field)[2]
+        pg = _target_half(ball_half, target)[2]
         if pg >= policy_config.p_goal_threshold:
             survivors.append((target, pg))
     return survivors
@@ -150,7 +150,9 @@ def lda_policy_decide(scene: KickScene, model: LdaModel, field: FieldConfig,
         distance, angles = _lda_inputs(scene, targets)
         return [model.discriminant(distance, angle) for angle in angles]
     decision = _two_stage(scene, field, aim_config, policy_config, rank, 0.0)
-    return replace(decision, neural_score=None)
+    if decision.neural_score is not None:
+        decision = replace(decision, neural_score=None)
+    return decision
 
 
 def naive_center_policy(scene: KickScene, field: FieldConfig,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .aim import GOAL_LINE_TOLERANCE
 from .dynamics import DynamicsConfig
-from .geometry import FieldConfig, Vec2, opening_angle, unit_components
+from .geometry import FieldConfig, Vec2, difference, opening_angle, unit_components
 from .keeper import KeeperModel, ShotResult, simulate_shot
 
 MAX_DEFENDERS = 10
@@ -123,10 +123,10 @@ def features_by_target(scene: KickScene, field: FieldConfig) -> Callable[[Vec2],
     d_post_right = ball.distance_to(field.post_right)
     filtered = filter_defenders(scene, field)
     keeper_distance = keeper.distance_to(ball)
-    # The points relative to the ball, as signed_offset(line, p) takes
-    # them, raising as it does on an overflow.
-    to_keeper = keeper - ball
-    defenders = [(d.distance_to(ball), d - ball, d.distance_to(field.goal_center))
+    # The points relative to the ball as (x, y) pairs, as signed_offset(line,
+    # p) takes them, raising as it does on an overflow.
+    kx, ky = difference(keeper, ball)
+    defenders = [(d.distance_to(ball), difference(d, ball), d.distance_to(field.goal_center))
                  for d in filtered[:3]]
     defenders += [(field.field_length, None, field.field_length)] * (3 - len(defenders))
     head = [ball.x, ball.y, keeper.x, keeper.y, keeper_distance]
@@ -136,7 +136,6 @@ def features_by_target(scene: KickScene, field: FieldConfig) -> Callable[[Vec2],
     def row(target: Vec2) -> list[float]:
         dx, dy = target.x - ball.x, target.y - ball.y
         distance, ux, uy = unit_components(dx, dy)  # the line Ray.toward(ball, target)
-        kx, ky = to_keeper.x, to_keeper.y
         # angle_at(ball, keeper, target), 0.0 when the keeper is on the ball
         keeper_angle = (0.0 if keeper_distance < 1e-12
                         else math.atan2(abs(kx * dy - ky * dx), kx * dx + ky * dy))
@@ -146,7 +145,7 @@ def features_by_target(scene: KickScene, field: FieldConfig) -> Callable[[Vec2],
                   distance, *posts, target.y, float(len(filtered))]
         for d_ball, to_d, d_goal in defenders[:2]:
             offset = (field.penalty_area_width if to_d is None
-                      else abs(ux * to_d.y - uy * to_d.x))
+                      else abs(ux * to_d[1] - uy * to_d[0]))
             values += (d_ball, offset, d_goal)
         values.append(defenders[2][0])
         return values

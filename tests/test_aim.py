@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from goalshot.aim import (AimConfig, ShotQuery, discretize_targets, p_goal,
-                          p_miss_left, p_miss_right, sigma, within_horizon)
+from goalshot.aim import (AimConfig, ShotQuery, _aim_points, _check_target,
+                          discretize_targets, p_goal, p_miss_left, p_miss_right, sigma,
+                          within_horizon)
 from goalshot.geometry import FieldConfig, Ray, Vec2, signed_offset
 
 AIM = AimConfig()
@@ -191,3 +192,22 @@ class TestDiscretizeTargets:
         targets = discretize_targets(field, AIM)
         targets.clear()
         assert len(discretize_targets(field, AIM)) == AIM.target_count
+
+    @settings(max_examples=300, deadline=None)
+    @given(goal_width=st.floats(min_value=0.5, max_value=60.0),
+           field_length=st.floats(min_value=1.0, max_value=1000.0),
+           inset_share=st.floats(min_value=0.0, max_value=1.0),
+           target_count=st.integers(min_value=1, max_value=500),
+           sigma_coefficient=st.floats(min_value=1e-3, max_value=10.0),
+           sigma_horizon=st.floats(min_value=1e-3, max_value=1e3))
+    def test_aim_points_pass_the_target_checks(self, goal_width, field_length, inset_share,
+                                               target_count, sigma_coefficient,
+                                               sigma_horizon):
+        # Stage one skips p_goal's target checks, so its aim points must pass them.
+        field = FieldConfig(field_length=field_length, goal_line_x=field_length / 2,
+                            goal_width=goal_width)
+        config = AimConfig(sigma_coefficient=sigma_coefficient,
+                           sigma_horizon=sigma_horizon, target_count=target_count,
+                           target_inset=inset_share * goal_width / 2)
+        for target in _aim_points(field, config):
+            _check_target(target, field)

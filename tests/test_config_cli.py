@@ -81,6 +81,23 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="seed"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("command,section,key,raw", [
+        (["aim-table"], "aim", "sigma_horizon", "inf"),
+        (["gen-data", "--n", "5"], "gen", "keeper_lateral_spread", "inf"),
+        (["gen-data", "--n", "5"], "dynamics", "noise_coefficient", "inf"),
+        (["gen-data", "--n", "5"], "keeper", "catch_radius", "nan"),
+    ])
+    def test_non_finite_value_fails_at_load(self, command, section, key, raw, tmp_path,
+                                            capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [{section}] {key}: non-finite value '{raw}'\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
             load_run_config(tmp_path / "nope.ini")
@@ -284,6 +301,13 @@ class TestAimTable:
         values = rows[1].split(",")
         assert len(values) == 7
         assert 0.0 <= float(values[-1]) <= 1.0
+
+    def test_monte_carlo_power_above_max_fails(self, capsys):
+        assert main(["aim-table", "--distance-count", "1", "--y-count", "1",
+                     "--mc-rollouts", "3", "--mc-power", "500"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: power must be in [0, 100.0], got 500.0\n"
 
     @pytest.mark.parametrize("flags", [
         ["--distance-count", "1", "--y-count", "1", "--mc-rollouts", "-3"],

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from goalshot.geometry import FieldConfig, Ray, Vec2, opening_angle, signed_offset
+from goalshot.scenes import angle_at
 
 
 class TestVec2:
@@ -68,6 +70,24 @@ class TestFieldConfig:
         with pytest.raises(ValueError):
             FieldConfig(field_width=-68.0)
 
+    def test_posts_read_once_keep_eq_hash_and_repr(self):
+        read = FieldConfig()
+        posts = (read.post_left, read.post_right, read.goal_center)
+        assert read.post_left is posts[0]
+        fresh = FieldConfig()
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+
+    def test_replace_gives_new_posts(self):
+        field = FieldConfig()
+        assert field.post_left == Vec2(52.5, 7.01)
+        narrow = replace(field, goal_width=10.0, field_length=100.0, goal_line_x=50.0)
+        assert narrow.post_left == Vec2(50.0, 5.0)
+        assert narrow.post_right == Vec2(50.0, -5.0)
+        assert narrow.goal_center == Vec2(50.0, 0.0)
+        assert field.post_left == Vec2(52.5, 7.01)
+
     def test_contains(self, field):
         assert field.contains(Vec2(0.0, 0.0))
         assert field.contains(Vec2(52.5, 34.0))
@@ -88,6 +108,28 @@ class TestOpeningAngle:
     def test_between_posts_is_pi(self):
         angle = opening_angle(Vec2(1.5, 0.0), Vec2(1.0, 0.0), Vec2(2.0, 0.0))
         assert math.isclose(angle, math.pi, abs_tol=1e-15)
+
+    def test_equals_the_vec2_formula(self):
+        def vec2_formula(origin, a, b):
+            u, v = a - origin, b - origin
+            if u.norm() < 1e-12 or v.norm() < 1e-12:
+                raise ValueError("origin coincides with a post")
+            return math.atan2(abs(u.cross(v)), u.dot(v))
+
+        rng = np.random.default_rng(11)
+        for scale in (1e-6, 1.0, 60.0, 1e150):
+            for _ in range(300):
+                origin, a, b = (Vec2(*rng.uniform(-scale, scale, 2).tolist())
+                                for _ in range(3))
+                assert opening_angle(origin, a, b) == vec2_formula(origin, a, b)
+
+    def test_overflowing_difference_raises(self):
+        origin, a, b = Vec2(-1.7e308, 0.0), Vec2(1.7e308, 0.0), Vec2(0.0, 1.0)
+        with pytest.raises(ValueError, match="Vec2 component must be finite"):
+            opening_angle(origin, a, b)
+        with pytest.raises(ValueError, match="Vec2 component must be finite"):
+            opening_angle(origin, b, a)
+        assert angle_at(origin, a, b) == 0.0
 
     def test_degenerate_origin_raises(self):
         with pytest.raises(ValueError):

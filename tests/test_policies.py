@@ -8,7 +8,7 @@ from conftest import make_scene
 import goalshot.policies
 from goalshot.aim import ShotQuery, discretize_targets, p_goal
 from goalshot.config import RunConfig
-from goalshot.geometry import Vec2
+from goalshot.geometry import FieldConfig, Vec2
 from goalshot.mlp import TrainConfig, forward, score, train
 from goalshot.policies import (Action, KickDecision, LdaModel, LdaPolicy,
                                MlpPolicy, NaiveCenterPolicy, PolicyConfig,
@@ -313,6 +313,29 @@ class TestNaiveCenterPolicy:
         far = naive_center_policy(make_scene(keeper=Vec2(46.0, -6.0)), field,
                                   CFG.aim, POLICY)
         assert near == far
+
+
+def test_decisions_build_no_vec2(trained_model, lda_model, monkeypatch):
+    field = FieldConfig()
+    gen = replace(CFG.gen, x_min=5.0)  # from near the goal to beyond the horizon
+    scenes = generate_synthetic_scenes(240, gen, CFG.dynamics, field, seed=13)
+    policies = (MlpPolicy(trained_model, field, CFG.aim, POLICY),
+                LdaPolicy(lda_model, field, CFG.aim, POLICY))
+    for policy in policies:  # warm-up: aim points and posts are built once
+        policy.decide(scenes[0])
+    built = []
+    post_init = Vec2.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Vec2, "__post_init__", counted)
+    for policy in policies:
+        decisions = [policy.decide(scene) for scene in scenes]
+        assert built == [], policy.name
+        assert {d.action for d in decisions} == {Action.KICK, Action.NO_KICK}
+        assert any(d.out_of_range for d in decisions)
 
 
 class TestPolicyObjects:

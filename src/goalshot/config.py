@@ -48,6 +48,10 @@ class RunConfig:
     eval_keeper: KeeperModel | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"run seed must be >= 0, got {self.seed}")
+
 
 _SECTIONS = {
     "field": FieldConfig,

@@ -1,10 +1,12 @@
 """Policy-vs-policy shot experiments and aggregate match reports.
 
 A "game" is a bundle of shot episodes. In an experiment both policies face
-the identical seeded stream of scenes, and each episode re-seeds its noise
+the identical seeded stream of scenes, and each episode seeds its noise
 from the (experiment seed, game, shot) triple, so two policies, or two
 runs, see exactly the same world and differ only through their decisions.
-Per-game goal totals decide win/loss/draw.
+The two sides of a shot share its seed, so a kick both policies take at the
+same target has one outcome, simulated once. Per-game goal totals decide
+win/loss/draw.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .dynamics import DynamicsConfig
 from .geometry import FieldConfig
 from .keeper import (DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult,
                      simulate_shot)
-from .policies import Action, Policy
+from .policies import Action, KickDecision, Policy
 from .scenes import GeneratorConfig, KickScene, generate_synthetic_scenes
 
 __all__ = [
@@ -56,20 +58,32 @@ class MatchStats:
     draws: int
 
 
+_NO_KICK_OUTCOME = EpisodeOutcome(kicked=False, result=ShotResult.NO_KICK, steps=0)
+
+
+def _resolve(decision: KickDecision, scene: KickScene, keeper: KeeperModel,
+             dynamics: DynamicsConfig, field: FieldConfig,
+             seed: np.random.SeedSequence | np.random.Generator,
+             defender_catch_radius: float) -> EpisodeOutcome:
+    """Simulate the decision's kick, if any; the noise generator is built
+    from seed only for a kick (a Generator is used as it is)."""
+    if decision.action is not Action.KICK:
+        return _NO_KICK_OUTCOME
+    result, steps = simulate_shot(
+        scene.ball, scene.ball_velocity, decision.target, scene.kick_power,
+        scene.keeper, scene.defenders, keeper, dynamics, field,
+        np.random.default_rng(seed), defender_catch_radius)
+    return EpisodeOutcome(kicked=True, result=result, steps=steps)
+
+
 def run_episode(policy: Policy, scene: KickScene, keeper: KeeperModel,
                 dynamics: DynamicsConfig, field: FieldConfig,
                 rng: np.random.Generator,
                 defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS,
                 ) -> EpisodeOutcome:
     """Let the policy decide on the scene and resolve any kick it takes."""
-    decision = policy.decide(scene)
-    if decision.action is not Action.KICK:
-        return EpisodeOutcome(kicked=False, result=ShotResult.NO_KICK, steps=0)
-    result, steps = simulate_shot(
-        scene.ball, scene.ball_velocity, decision.target, scene.kick_power,
-        scene.keeper, scene.defenders, keeper, dynamics, field, rng,
-        defender_catch_radius)
-    return EpisodeOutcome(kicked=True, result=result, steps=steps)
+    return _resolve(policy.decide(scene), scene, keeper, dynamics, field, rng,
+                    defender_catch_radius)
 
 
 def _aggregate(kicks_per_game: list[int], goals_per_game: list[int],
@@ -104,8 +118,11 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
 
     Episode seeds come from a splittable scheme, so episodes are mutually
     independent and could be resolved in any order; results are reduced in
-    (game, shot) order. With episode_log set, one JSON line is written per
-    episode.
+    (game, shot) order. Both sides of a shot draw from the same seed, so
+    when their decisions agree (the same action and target) the second
+    side reuses the first side's outcome instead of simulating the same
+    kick again. With episode_log set, one JSON line is written per
+    episode, side a first.
     """
     check_experiment_size(games, shots_per_game)
     kicks: tuple[list[int], list[int]] = ([], [])
@@ -118,11 +135,16 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
         game_kicks = [0, 0]
         game_goals = [0, 0]
         for shot, scene in enumerate(scenes):
+            episode_seed = np.random.SeedSequence([seed, game, shot, _EPISODE_STREAM])
+            outcomes: dict[tuple, EpisodeOutcome] = {}
             for side, policy in enumerate((policy_a, policy_b)):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, game, shot, _EPISODE_STREAM]))
-                outcome = run_episode(policy, scene, keeper, dynamics, field,
-                                      rng, defender_catch_radius)
+                decision = policy.decide(scene)
+                key = (decision.action, decision.target)
+                outcome = outcomes.get(key)
+                if outcome is None:
+                    outcome = outcomes[key] = _resolve(
+                        decision, scene, keeper, dynamics, field, episode_seed,
+                        defender_catch_radius)
                 game_kicks[side] += int(outcome.kicked)
                 game_goals[side] += int(outcome.result is ShotResult.GOAL)
                 if episode_log is not None:

@@ -221,6 +221,8 @@ class TrainConfig:
             raise ValueError("max_epochs, patience and hidden_size must be >= 1")
         if self.init_half_range <= 0:
             raise ValueError("init_half_range must be positive")
+        if self.seed < 0:
+            raise ValueError(f"train seed must be >= 0, got {self.seed}")
 
 
 class EarlyStopping:
@@ -346,6 +348,10 @@ def load_model(path: str | Path) -> MlpParams:
     norm = doc.get("normalization")
     if not isinstance(norm, dict) or "mean" not in norm or "std" not in norm:
         raise ValueError("model file missing its normalization block")
+    sizes = doc.get("layer_sizes", [])
+    if not (isinstance(sizes, list) and all(type(n) is int for n in sizes)):
+        raise ValueError(f"malformed model file {path}: layer_sizes must be a list of "
+                         f"integers, got {sizes!r}")
     try:
         return MlpParams(
             layer_sizes=tuple(doc["layer_sizes"]),

@@ -5,14 +5,18 @@ the goal into aim points and keeps those whose analytic goal-entry
 probability clears p_goal_threshold. Stage two ranks the survivors (the
 MLP policy by neural score, the LDA baseline by a two-variable linear
 discriminant) and kicks at the best one if it clears the ranker's bar.
-The terms that depend only on the scene are computed once per decision.
-The naive reference has no stages; it always shoots at the goal center.
+The terms that depend only on the scene are computed once per decision,
+and stage one, which depends only on the ball and the configs, is kept for
+the last ball, so a second policy deciding on the same scene (as in a
+paired experiment) reuses it. The naive reference has no stages; it always
+shoots at the goal center.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -44,13 +48,18 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class KickDecision:
-    """out_of_range marks a NO_KICK forced by the sigma-model horizon."""
+    """out_of_range marks a NO_KICK forced by the sigma-model horizon. A
+    KICK needs a target."""
 
     action: Action
     target: Vec2 | None = None
     neural_score: float | None = None
     p_goal: float | None = None
     out_of_range: bool = False
+
+    def __post_init__(self) -> None:
+        if self.action is Action.KICK and self.target is None:
+            raise ValueError("a KICK decision needs a target")
 
 
 _NO_KICK = KickDecision(Action.NO_KICK)
@@ -85,16 +94,27 @@ def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
     return survivors
 
 
+@lru_cache(maxsize=1)
+def _stage_one(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
+               policy_config: PolicyConfig) -> tuple[tuple[Vec2, float], ...] | None:
+    """The horizon gate and stage one of a ball: None beyond the horizon,
+    else the survivors. Every argument is a frozen value, so the entry of
+    the last ball serves any later call with equal arguments."""
+    distances = post_distances(ball, field)
+    if not within_horizon(ball, field, aim_config, distances):
+        return None
+    return tuple(stage_one_survivors(ball, field, aim_config, policy_config, distances))
+
+
 def _two_stage(scene: KickScene, field: FieldConfig, aim_config: AimConfig,
                policy_config: PolicyConfig,
                rank: Callable[[list[Vec2]], list[float]], bar: float) -> KickDecision:
     """Kick at the stage-one survivor with the largest rank above bar, kept
     as neural_score; ties go to the target nearest the goal center, then to
     the smaller lateral coordinate. rank values every survivor at once."""
-    distances = post_distances(scene.ball, field)
-    if not within_horizon(scene.ball, field, aim_config, distances):
+    survivors = _stage_one(scene.ball, field, aim_config, policy_config)
+    if survivors is None:
         return _OUT_OF_RANGE
-    survivors = stage_one_survivors(scene.ball, field, aim_config, policy_config, distances)
     values = rank([target for target, _ in survivors]) if survivors else []
     candidates = [(target, value, pg) for (target, pg), value in zip(survivors, values)
                   if value > bar]

@@ -102,6 +102,27 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="not found"):
             load_run_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("command,ini,message", [
+        (["gen-data", "--n", "5", "--out", "OUT", "--seed", "-2"], "",
+         "run seed must be >= 0, got -2"),
+        (["gen-data", "--n", "5", "--out", "OUT"], "[run]\nseed = -3\n",
+         "run seed must be >= 0, got -3"),
+        (["train", "--data", "scenes.csv", "--model-out", "OUT"], "[train]\nseed = -3\n",
+         "train seed must be >= 0, got -3"),
+        # Without --mc-rollouts no generator is built, so nothing else catches it.
+        (["aim-table", "--out", "OUT", "--seed", "-1"], "", "run seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_fails_at_load(self, command, ini, message, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(ini, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [str(out) if arg == "OUT" else arg for arg in command]
+        assert main([*argv, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scene
+import goalshot.experiment
 from goalshot.config import RunConfig
 from goalshot.dynamics import DynamicsConfig
 from goalshot.experiment import (EpisodeOutcome, MatchStats, ShotResult, report,
@@ -13,7 +14,11 @@ from goalshot.experiment import (EpisodeOutcome, MatchStats, ShotResult, report,
                                  stats_pair_from_json)
 from goalshot.geometry import Vec2
 from goalshot.keeper import KeeperModel, simulate_shot
-from goalshot.policies import Action, KickDecision, NaiveCenterPolicy, PolicyConfig
+from goalshot.mlp import TrainConfig, train
+from goalshot.policies import (Action, KickDecision, LdaPolicy, MlpPolicy,
+                               NaiveCenterPolicy, PolicyConfig, lda_train)
+from goalshot.scenes import (balance_by_replication, feature_matrix,
+                             generate_synthetic_scenes, split_dataset)
 
 CFG = RunConfig()
 NOISELESS = DynamicsConfig(noise_coefficient=0.0)
@@ -168,6 +173,112 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(policy, policy, 0, 5, CFG.keeper, CFG.gen,
                            CFG.dynamics, field, seed=0)
+
+
+@pytest.fixture(scope="module")
+def policies():
+    """mlp, lda and center policies; the mlp is trained briefly, so it and
+    the lda often, but not always, kick at the same target."""
+    field = CFG.field
+    scenes = generate_synthetic_scenes(800, CFG.gen, CFG.dynamics, field, seed=21)
+    split = split_dataset(scenes, seed=21)
+    balanced = balance_by_replication(split.train, seed=21)
+    model, _ = train(feature_matrix(balanced, field), [s.label for s in balanced],
+                     feature_matrix(split.validation, field),
+                     [s.label for s in split.validation],
+                     TrainConfig(max_epochs=10, seed=21))
+    return {"mlp": MlpPolicy(model, field, CFG.aim, CFG.policy),
+            "lda": LdaPolicy(lda_train(scenes, field), field, CFG.aim, CFG.policy),
+            "center": NaiveCenterPolicy(field, CFG.aim, CFG.policy)}
+
+
+def reference_experiment(policy_a, policy_b, games, shots, seed, episode_log):
+    """The loop run_experiment replaces: each side decides and resolves on
+    its own, with a fresh generator from the shot's seed."""
+    per_side = ([], []), ([], [])  # (kicks, goals) per game, per side
+    for game in range(games):
+        scene_seed = int(np.random.SeedSequence(
+            [seed, game, goalshot.experiment._SCENE_STREAM]).generate_state(1)[0])
+        scenes = generate_synthetic_scenes(shots, CFG.gen, CFG.dynamics, CFG.field,
+                                           scene_seed)
+        counts = [[0, 0], [0, 0]]
+        for shot, scene in enumerate(scenes):
+            for side, policy in enumerate((policy_a, policy_b)):
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    [seed, game, shot, goalshot.experiment._EPISODE_STREAM]))
+                outcome = run_episode(policy, scene, CFG.keeper, CFG.dynamics,
+                                      CFG.field, rng, CFG.gen.defender_catch_radius)
+                counts[side][0] += int(outcome.kicked)
+                counts[side][1] += int(outcome.result is ShotResult.GOAL)
+                episode_log.write(json.dumps({
+                    "game": game, "shot": shot, "policy": policy.name,
+                    "kicked": outcome.kicked, "result": outcome.result.value,
+                    "steps": outcome.steps}) + "\n")
+        for side in (0, 1):
+            per_side[side][0].append(counts[side][0])
+            per_side[side][1].append(counts[side][1])
+    aggregate = goalshot.experiment._aggregate
+    return (aggregate(*per_side[0], per_side[1][1]),
+            aggregate(*per_side[1], per_side[0][1]))
+
+
+class TestSharedResolution:
+    @pytest.mark.parametrize("a, b", [("mlp", "lda"), ("lda", "mlp"), ("mlp", "mlp"),
+                                      ("center", "lda")])
+    def test_matches_the_per_side_loop(self, policies, a, b, monkeypatch):
+        logs = io.StringIO(), io.StringIO()
+        args = policies[a], policies[b], 20, 10
+        expected = reference_experiment(*args, 17, logs[0])
+        sims = []
+        simulate = goalshot.experiment.simulate_shot
+        monkeypatch.setattr(goalshot.experiment, "simulate_shot",
+                            lambda *shot: sims.append(shot) or simulate(*shot))
+        stats = run_experiment(*args, CFG.keeper, CFG.gen, CFG.dynamics, CFG.field, 17,
+                               CFG.gen.defender_catch_radius, episode_log=logs[1])
+        assert stats == expected
+        assert logs[1].getvalue() == logs[0].getvalue()
+        kicks = stats[0].kicks, stats[1].kicks
+        assert max(kicks) <= len(sims) <= sum(kicks)
+        if a == b:
+            assert len(sims) == kicks[0]
+        elif "center" not in (a, b):  # both branches ran: shared and split kicks
+            assert max(kicks) < len(sims) < sum(kicks)
+
+    @pytest.mark.parametrize("targets, simulations", [
+        ((Vec2(52.5, 1.0), Vec2(52.5, 1.0)), 1),
+        ((Vec2(52.5, 1.0), Vec2(52.5, -2.0)), 2),
+        ((None, None), 0),
+    ])
+    def test_one_simulation_and_generator_per_distinct_kick(self, monkeypatch, targets,
+                                                            simulations):
+        sims, generators = [], []
+        simulate = goalshot.experiment.simulate_shot
+        default_rng = np.random.default_rng
+
+        def counted_simulate(*args, **kwargs):
+            sims.append(args[2])
+            return simulate(*args, **kwargs)
+
+        def counted_rng(seed=None):
+            if isinstance(seed, np.random.SeedSequence):  # not the scene generator's
+                generators.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(goalshot.experiment, "simulate_shot", counted_simulate)
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        a, b = (FixedPolicy(KickDecision(Action.NO_KICK) if t is None
+                            else KickDecision(Action.KICK, target=t)) for t in targets)
+        stats_a, stats_b = run_experiment(a, b, 1, 1, CFG.keeper, CFG.gen, CFG.dynamics,
+                                          CFG.field, seed=4)
+        assert len(sims) == len(generators) == simulations
+        assert stats_a.kicks == stats_b.kicks == int(targets[0] is not None)
+
+    def test_swapping_the_sides_swaps_the_stats(self, policies):
+        args = 20, 10, CFG.keeper, CFG.gen, CFG.dynamics, CFG.field, 23
+        stats_ab = run_experiment(policies["mlp"], policies["lda"], *args)
+        stats_ba = run_experiment(policies["lda"], policies["mlp"], *args)
+        assert stats_ba == stats_ab[::-1]
+        assert stats_ab[0] != stats_ab[1]
 
 
 ZERO_KICK_STATS = MatchStats(kicks=0, kicks_mean_per_game=0.0, kicks_std=0.0,

@@ -326,8 +326,11 @@ class TestPersistence:
         with pytest.raises(ValueError, match="finite"):
             load_model(path)
 
-    @pytest.mark.parametrize("field, value", [("layer_sizes", 5), ("weights", None),
-                                              ("biases", 3)])
+    @pytest.mark.parametrize("field, value", [
+        ("layer_sizes", 5), ("weights", None), ("biases", 3),
+        # MlpParams would truncate or convert these; JSON integers only.
+        ("layer_sizes", [3.9, 4, 2]), ("layer_sizes", [3.0, 4, 2]),
+        ("layer_sizes", ["3", "4", "2"]), ("layer_sizes", [3, True, 2])])
     def test_malformed_field_rejected(self, tmp_path, field, value):
         import json
         path = tmp_path / "model.json"

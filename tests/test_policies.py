@@ -338,6 +338,61 @@ def test_decisions_build_no_vec2(trained_model, lda_model, monkeypatch):
         assert any(d.out_of_range for d in decisions)
 
 
+class TestStageOneMemo:
+    """_stage_one keeps the last ball's stage one; a hit must give the bits
+    a fresh computation gives."""
+
+    def _decide(self, policies, scene):
+        return [repr(policy.decide(scene)) for policy in policies]
+
+    def _cold(self, policies, scene):
+        goalshot.policies._stage_one.cache_clear()
+        return self._decide(policies, scene)
+
+    def test_revisited_ball_matches_a_cold_cache(self, trained_model, lda_model):
+        field = FieldConfig()
+        policies = (MlpPolicy(trained_model, field, CFG.aim, POLICY),
+                    LdaPolicy(lda_model, field, CFG.aim, POLICY))
+        scenes = generate_synthetic_scenes(40, CFG.gen, CFG.dynamics, field, seed=18)
+        for a, b in zip(scenes, scenes[1:]):
+            warm = [self._decide(policies, s) for s in (a, b, a)]
+            assert warm == [self._cold(policies, s) for s in (a, b, a)]
+
+    def test_signed_zero_ball_shares_an_entry(self, trained_model, lda_model):
+        field = FieldConfig()
+        policies = (MlpPolicy(trained_model, field, CFG.aim, POLICY),
+                    LdaPolicy(lda_model, field, CFG.aim, POLICY))
+        plus, minus = (make_scene(ball=Vec2(44.0, y), attacker=Vec2(43.3, y),
+                                  keeper=Vec2(50.0, 2.0)) for y in (0.0, -0.0))
+        for first, second in ((plus, minus), (minus, plus)):
+            cold = self._cold(policies, second)
+            self._cold(policies, first)
+            assert self._decide(policies, second) == cold
+        assert any(d.startswith("KickDecision(action=<Action.KICK")
+                   for d in self._cold(policies, plus))
+
+    def test_new_policy_config_is_not_served_a_stale_entry(self, trained_model):
+        field = FieldConfig()
+        scene = make_scene(ball=Vec2(44.0, 3.0), attacker=Vec2(43.3, 3.0))
+        strict = PolicyConfig(p_goal_threshold=0.95)
+        loose = MlpPolicy(trained_model, field, CFG.aim, POLICY)
+        tight = MlpPolicy(trained_model, field, CFG.aim, strict)
+        goalshot.policies._stage_one.cache_clear()
+        loose.decide(scene)
+        assert goalshot.policies._stage_one(scene.ball, field, CFG.aim, strict) == \
+            tuple(stage_one_survivors(scene.ball, field, CFG.aim, strict))
+        assert len(stage_one_survivors(scene.ball, field, CFG.aim, strict)) < \
+            len(stage_one_survivors(scene.ball, field, CFG.aim, POLICY))
+        loose.decide(scene)
+        assert self._decide([tight], scene) == self._cold([tight], scene)
+
+
+def test_kick_without_target_rejected():
+    with pytest.raises(ValueError, match="KICK decision needs a target"):
+        KickDecision(Action.KICK)
+    assert KickDecision(Action.NO_KICK).target is None
+
+
 class TestPolicyObjects:
     def test_wrappers_delegate(self, field, trained_model):
         scene = make_scene()

@@ -90,21 +90,15 @@ def sigma(d: float, config: AimConfig) -> float:
     return -config.sigma_coefficient * math.log(1.0 - d / config.sigma_horizon)
 
 
-def post_distances(ball: Vec2, field: FieldConfig) -> tuple[float, float]:
-    """The ball's distances to the left and the right post."""
-    return ball.distance_to(field.post_left), ball.distance_to(field.post_right)
-
-
-def _ball_half(ball: Vec2, field: FieldConfig, config: AimConfig,
-               distances: tuple[float, float] | None = None) -> tuple:
+def _ball_half(ball: Vec2, field: FieldConfig, config: AimConfig) -> tuple:
     """The ball, then each post relative to it (x, y) and the sigma of its
-    distance, positive since a valid ball sits before the goal line.
-    distances: post_distances(ball, field), if known."""
+    distance, positive since a valid ball sits before the goal line."""
     if ball.x >= field.goal_line_x:
         raise ValueError("ball must be in front of the goal line")
-    d_left, d_right = distances or post_distances(ball, field)
-    return (ball, *difference(field.post_left, ball), sigma(d_left, config),
-            *difference(field.post_right, ball), sigma(d_right, config))
+    return (ball, *difference(field.post_left, ball),
+            sigma(ball.distance_to(field.post_left), config),
+            *difference(field.post_right, ball),
+            sigma(ball.distance_to(field.post_right), config))
 
 
 def _check_target(target: Vec2, field: FieldConfig) -> None:
@@ -142,11 +136,10 @@ def p_goal(query: ShotQuery, field: FieldConfig, config: AimConfig) -> AimResult
     return AimResult(*_target_half(ball_half, query.target))
 
 
-def within_horizon(ball: Vec2, field: FieldConfig, config: AimConfig,
-                   distances: tuple[float, float] | None = None) -> bool:
-    """True when both posts are close enough for the sigma model to apply.
-    distances: post_distances(ball, field), if known."""
-    return max(distances or post_distances(ball, field)) < config.sigma_horizon
+def within_horizon(ball: Vec2, field: FieldConfig, config: AimConfig) -> bool:
+    """True when both posts are close enough for the sigma model to apply."""
+    return max(ball.distance_to(field.post_left),
+               ball.distance_to(field.post_right)) < config.sigma_horizon
 
 
 def discretize_targets(field: FieldConfig, config: AimConfig) -> list[Vec2]:

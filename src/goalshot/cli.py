@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -19,22 +20,35 @@ import numpy as np
 
 from . import mlp
 from .aim import ShotQuery, discretize_targets, p_goal
-from .config import RunConfig, load_run_config
+from .config import RunConfig, load_run_config, scalar_fields
 from .dynamics import BallState, kick, rollout_to_goal_line
 from .experiment import check_experiment_size, check_report_format, report, run_experiment
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve, scored_samples
-from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, lda_train
+from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
 from .scenes import (Label, balance_by_replication, feature_matrix,
                      generate_synthetic_scenes, load_scenes, save_scenes,
                      split_dataset, univariate_stats)
 
 
+def _flags(args: argparse.Namespace, cls) -> dict:
+    """The given flags named like a scalar field of cls; like INI values,
+    they must be finite."""
+    given = {key: getattr(args, key) for key in scalar_fields(cls)
+             if getattr(args, key, None) is not None}
+    for key, value in given.items():
+        if not math.isfinite(value):
+            raise ValueError(f"--{key.replace('_', '-')}: non-finite value {value!r}")
+    return given
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file, or the defaults, with the given flags applied; the
+    run section first, so a bad --seed is reported as the run seed."""
     config = load_run_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+    config = replace(config, **_flags(args, RunConfig))
+    return replace(config, train=replace(config.train, **_flags(args, mlp.TrainConfig)),
+                   policy=replace(config.policy, **_flags(args, PolicyConfig)))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -73,24 +87,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    train_config = config.train
-    overrides = {}
-    for key in ("learning_rate", "max_epochs", "patience", "hidden_size"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        train_config = replace(train_config, **overrides)
-
     scenes = load_scenes(args.data, config.field, config.dynamics)
     split = split_dataset(scenes, config.seed)
     balanced = balance_by_replication(split.train, config.seed)
     params, train_report = mlp.train(
         feature_matrix(balanced, config.field), [s.label for s in balanced],
         feature_matrix(split.validation, config.field),
-        [s.label for s in split.validation], train_config)
+        [s.label for s in split.validation], config.train)
     mlp.save_model(params, args.model_out)
     doc = {
         "epochs_run": train_report.epochs_run,
@@ -160,13 +163,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown policy {kind!r}; use mlp, lda or center")
     check_experiment_size(args.games, args.shots)
     config = _load_config(args)
-    overrides = {}
-    if args.p_goal_threshold is not None:
-        overrides["p_goal_threshold"] = args.p_goal_threshold
-    if args.score_threshold is not None:
-        overrides["score_threshold"] = args.score_threshold
-    if overrides:
-        config = replace(config, policy=replace(config.policy, **overrides))
     policy_a = _make_policy(args.policy_a, args, config)
     policy_b = _make_policy(args.policy_b, args, config)
     eval_keeper = config.eval_keeper or config.keeper
@@ -189,6 +185,11 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
     if args.mc_rollouts < 0:
         raise ValueError("--mc-rollouts must be >= 0")
     field, aim_config = config.field, config.aim
+    # The grid is a rectangle: its corners are on the pitch when all of it is.
+    for distance in (args.min_distance, args.max_distance):
+        if not field.contains(Vec2(field.goal_line_x - distance, args.y_half)):
+            raise ValueError(f"grid ball off the pitch at distance {distance!r} "
+                             f"with --y-half {args.y_half!r}")
     distances = np.linspace(args.min_distance, args.max_distance, args.distance_count)
     laterals = np.linspace(-args.y_half, args.y_half, args.y_count)
     targets = discretize_targets(field, aim_config)

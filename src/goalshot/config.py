@@ -14,9 +14,13 @@ dataclass field names:
                    that differs from the one that labeled the data
     [gen]       x_min, x_max, y_half_range, keeper_depth_min, ...
 
-The [keeper] section configures both the labeling keeper used by the scene
-generator and the default evaluation keeper. Unknown sections or keys are
-rejected. Command-line flags override file values.
+A section accepts exactly the int and float fields of its class
+(scalar_fields), and every error in it, from parsing or from the class's
+own checks, names the section. [keeper] is the labeling keeper of the scene
+generator, RunConfig.gen.keeper; RunConfig.keeper reads it, and it is also
+the default evaluation keeper. Unknown sections or keys are rejected. A
+command-line flag named like a scalar field of RunConfig, TrainConfig or
+PolicyConfig overrides that field's file value.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import configparser
 import math
 import typing
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 
 from .aim import AimConfig
 from .dynamics import DynamicsConfig
@@ -43,7 +49,6 @@ class RunConfig:
     aim: AimConfig = AimConfig()
     train: TrainConfig = TrainConfig()
     policy: PolicyConfig = PolicyConfig()
-    keeper: KeeperModel = KeeperModel()
     gen: GeneratorConfig = GeneratorConfig()
     eval_keeper: KeeperModel | None = None
     seed: int = 0
@@ -52,8 +57,14 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"run seed must be >= 0, got {self.seed}")
 
+    @property
+    def keeper(self) -> KeeperModel:
+        """The labeling keeper, set by [keeper]."""
+        return self.gen.keeper
+
 
 _SECTIONS = {
+    "run": RunConfig,
     "field": FieldConfig,
     "dynamics": DynamicsConfig,
     "aim": AimConfig,
@@ -64,15 +75,24 @@ _SECTIONS = {
     "gen": GeneratorConfig,
 }
 
-def _parse_section(cls, section: str, items: dict[str, str]):
+
+@cache
+def scalar_fields(cls) -> MappingProxyType:
+    """The int and float fields of a config class with their types: the keys
+    of its INI section and the command-line flags that override it. Cached:
+    resolving the annotations costs more than the rest of a config load."""
     hints = typing.get_type_hints(cls)
-    scalar_fields = {f.name: hints[f.name] for f in fields(cls)
-                     if hints[f.name] in (int, float)}
+    return MappingProxyType({f.name: hints[f.name] for f in fields(cls)
+                             if hints[f.name] in (int, float)})
+
+
+def _parse_section(cls, section: str, items: dict[str, str]):
+    kinds = scalar_fields(cls)
     kwargs = {}
     for key, raw in items.items():
-        if key not in scalar_fields:
+        if key not in kinds:
             raise ValueError(f"unknown key '{key}' in section [{section}]")
-        kind = scalar_fields[key]
+        kind = kinds[key]
         try:
             kwargs[key] = kind(raw)
         except ValueError:
@@ -80,7 +100,10 @@ def _parse_section(cls, section: str, items: dict[str, str]):
                 f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from None
         if not math.isfinite(kwargs[key]):
             raise ValueError(f"[{section}] {key}: non-finite value {raw!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {exc}") from None
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -94,34 +117,14 @@ def load_run_config(path: str | Path) -> RunConfig:
     except configparser.Error as exc:
         raise ValueError(f"malformed config file: {exc}") from None
 
-    seed = 0
     parsed: dict[str, object] = {}
     for section in parser.sections():
-        if section == "run":
-            for key, raw in parser["run"].items():
-                if key != "seed":
-                    raise ValueError(f"unknown key '{key}' in section [run]")
-                try:
-                    seed = int(raw)
-                except ValueError:
-                    raise ValueError(f"[run] seed: cannot parse {raw!r} as int") from None
-            continue
         if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}]")
         parsed[section] = _parse_section(_SECTIONS[section], section,
                                          dict(parser[section]))
-
-    keeper = parsed.get("keeper", KeeperModel())
-    gen = parsed.get("gen", GeneratorConfig())
-    gen = replace(gen, keeper=keeper)
-    return RunConfig(
-        field=parsed.get("field", FieldConfig()),
-        dynamics=parsed.get("dynamics", DynamicsConfig()),
-        aim=parsed.get("aim", AimConfig()),
-        train=parsed.get("train", TrainConfig()),
-        policy=parsed.get("policy", PolicyConfig()),
-        keeper=keeper,
-        gen=gen,
-        eval_keeper=parsed.get("eval_keeper"),
-        seed=seed,
-    )
+    # The other sections are named like the RunConfig fields they fill.
+    run = parsed.pop("run", RunConfig())
+    gen = replace(parsed.pop("gen", GeneratorConfig()),
+                  keeper=parsed.pop("keeper", KeeperModel()))
+    return replace(run, gen=gen, **parsed)

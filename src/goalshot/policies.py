@@ -23,7 +23,7 @@ import numpy as np
 
 # p_goal, forward and extract_features stay bound for perfbench/tracing.py.
 from .aim import (AimConfig, _aim_points, _ball_half, _target_half, p_goal,  # noqa: F401
-                  post_distances, within_horizon)
+                  within_horizon)
 from .geometry import FieldConfig, Vec2
 from .mlp import MlpParams, forward, score_batch  # noqa: F401
 from .scenes import KickScene, Label, angle_at, extract_features, features_by_target  # noqa: F401
@@ -80,12 +80,10 @@ class LdaModel:
 
 
 def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
-                        policy_config: PolicyConfig,
-                        distances: tuple[float, float] | None = None
-                        ) -> list[tuple[Vec2, float]]:
+                        policy_config: PolicyConfig) -> list[tuple[Vec2, float]]:
     """(target, p_goal) pairs passing the analytic filter; shared by all
-    thresholded policies. distances: post_distances(ball, field), if known."""
-    ball_half = _ball_half(ball, field, aim_config, distances)
+    thresholded policies."""
+    ball_half = _ball_half(ball, field, aim_config)
     survivors = []
     for target in _aim_points(field, aim_config):
         pg = _target_half(ball_half, target)[2]
@@ -100,10 +98,9 @@ def _stage_one(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
     """The horizon gate and stage one of a ball: None beyond the horizon,
     else the survivors. Every argument is a frozen value, so the entry of
     the last ball serves any later call with equal arguments."""
-    distances = post_distances(ball, field)
-    if not within_horizon(ball, field, aim_config, distances):
+    if not within_horizon(ball, field, aim_config):
         return None
-    return tuple(stage_one_survivors(ball, field, aim_config, policy_config, distances))
+    return tuple(stage_one_survivors(ball, field, aim_config, policy_config))
 
 
 def _two_stage(scene: KickScene, field: FieldConfig, aim_config: AimConfig,

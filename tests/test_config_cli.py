@@ -1,12 +1,20 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 import goalshot.cli as cli
 from goalshot.cli import main
-from goalshot.config import RunConfig, load_run_config
+from goalshot.config import RunConfig, load_run_config, scalar_fields
 from goalshot.experiment import stats_pair_from_json
 from goalshot.keeper import KeeperModel
+from goalshot.mlp import TrainConfig
+from goalshot.policies import PolicyConfig
 from goalshot.scenes import load_scenes
 
 
@@ -119,9 +127,128 @@ class TestConfigFile:
         argv = [str(out) if arg == "OUT" else arg for arg in command]
         assert main([*argv, "--config", str(path)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
+        # An error in the file names its section; a flag's error does not.
+        section = ini.split("\n", 1)[0] + " " if ini else ""
+        assert captured.err == f"error: {section}{message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,raw,message", [
+        ("keeper", "max_speed", "-1", "KeeperModel parameters must be non-negative"),
+        ("eval_keeper", "max_speed", "-1", "KeeperModel parameters must be non-negative"),
+        ("policy", "p_goal_threshold", "2", "p_goal_threshold must be in (0, 1)"),
+        ("aim", "target_count", "0", "target_count must be >= 1"),
+    ])
+    def test_rejected_value_names_its_section(self, section, key, raw, message,
+                                              tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["gen-data", "--n", "5", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [{section}] {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0],
+                        encoding="utf-8")
+        config = load_run_config(path)
+        assert config.seed == 7
+        assert config.keeper == KeeperModel(max_speed=0.28, reaction_delay=2)
+        assert config.eval_keeper == KeeperModel(max_speed=0.5)
+        assert config.gen.max_defenders == 5
+
+    def test_keeper_is_the_generator_keeper(self):
+        config = RunConfig()
+        keeper = KeeperModel(max_speed=0.4)
+        assert replace(config, gen=replace(config.gen, keeper=keeper)).keeper == keeper
+        assert "keeper" not in {f.name for f in fields(RunConfig)}
+
+
+def _subcommand_flags() -> list[tuple[str, str]]:
+    """(subcommand, dest) of every option of every subcommand."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return [(name, action.dest) for name, parser in sub.choices.items()
+            for action in parser._actions if action.option_strings]
+
+
+# The sections flags may override, with their classes.
+_FLAG_SECTIONS = (("run", RunConfig), ("train", TrainConfig), ("policy", PolicyConfig))
+# The file value, then the flag value, of each field a flag overrides; each
+# differs from the default.
+_FILE_AND_FLAG = {"seed": (7, 9), "learning_rate": (0.01, 0.02), "max_epochs": (30, 40),
+                  "patience": (3, 4), "hidden_size": (6, 7),
+                  "p_goal_threshold": (0.6, 0.8), "score_threshold": (0.4, 0.45)}
+_REQUIRED = {"gen-data": ["--n", "5", "--out", "x.csv"], "stats": ["--data", "x.csv"],
+             "train": ["--data", "x.csv", "--model-out", "m.json"],
+             "eval": ["--model", "m.json", "--data", "x.csv"],
+             "compare": [], "aim-table": []}
+
+
+def _config_flags() -> list[tuple[str, str]]:
+    return [(command, dest) for command, dest in _subcommand_flags()
+            if any(dest in scalar_fields(cls) for _, cls in _FLAG_SECTIONS)]
+
+
+def _flag_section_values(config: RunConfig) -> dict[tuple[str, str], object]:
+    parts = {"run": config, "train": config.train, "policy": config.policy}
+    return {(section, key): getattr(parts[section], key)
+            for section, cls in _FLAG_SECTIONS for key in scalar_fields(cls)}
+
+
+class TestFlagOverrides:
+    def test_every_config_flag_has_values(self):
+        assert {dest for _, dest in _config_flags()} == set(_FILE_AND_FLAG)
+        assert {command for command, _ in _subcommand_flags()} == set(_REQUIRED)
+
+    def test_no_flag_names_a_section(self):
+        sections = {f.name for f in fields(RunConfig)} - set(scalar_fields(RunConfig))
+        assert sections
+        assert not sections & {dest for _, dest in _subcommand_flags()}
+
+    @pytest.mark.parametrize("command,dest", _config_flags())
+    def test_flag_overrides_only_its_field(self, command, dest, tmp_path):
+        lines = []
+        for section, cls in _FLAG_SECTIONS:
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {_FILE_AND_FLAG[key][0]}" for key in scalar_fields(cls)
+                      if key in _FILE_AND_FLAG]
+        path = tmp_path / "run.ini"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        file_config = load_run_config(path)
+        value = _FILE_AND_FLAG[dest][1]
+        args = cli.build_parser().parse_args(
+            [command, *_REQUIRED[command], "--config", str(path),
+             "--" + dest.replace("_", "-"), str(value)])
+        config = cli._load_config(args)
+
+        before, after = _flag_section_values(file_config), _flag_section_values(config)
+        assert all(before[item] == _FILE_AND_FLAG[item[1]][0] for item in before
+                   if item[1] in _FILE_AND_FLAG)
+        changed = {item for item in before if before[item] != after[item]}
+        assert changed == {(section, dest) for section, cls in _FLAG_SECTIONS
+                           if dest in scalar_fields(cls)}
+        assert all(after[item] == value for item in changed)
+        assert replace(config, seed=file_config.seed, train=file_config.train,
+                       policy=file_config.policy) == file_config
+
+    @pytest.mark.parametrize("command,flag,raw", [
+        ("train", "--learning-rate", "inf"),
+        ("train", "--learning-rate", "nan"),
+        ("compare", "--score-threshold", "nan"),
+    ])
+    def test_non_finite_flag_fails_at_load(self, command, flag, raw, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *_REQUIRED[command], flag, raw]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: non-finite value {float(raw)!r}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +467,47 @@ class TestAimTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--y-half", "36", "--min-distance", "5", "--max-distance", "5"],
+        ["--y-half=-34.5"],
+        ["--max-distance", "110"],
+    ])
+    def test_grid_off_the_pitch_fails(self, flags, tmp_path, capsys):
+        out = tmp_path / "aim.csv"
+        assert main(["aim-table", *flags, "--distance-count", "1", "--y-count", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: grid ball off the pitch at distance ")
+        assert "with --y-half " in captured.err
+        assert not out.exists()
+
+    def test_grid_on_the_touchline_passes(self, capsys):
+        assert main(["aim-table", "--y-half", "34", "--min-distance", "5",
+                     "--max-distance", "5", "--distance-count", "1", "--y-count", "2"]) == 0
+        ys = {line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]}
+        assert ys == {"-34.0", "34.0"}
+
+
+_BAD_GRID = ["--y-half", "36", "--min-distance", "5", "--max-distance", "5",
+             "--distance-count", "1", "--y-count", "2"]
+
+
+@pytest.mark.parametrize("launcher", [["-m", "goalshot.cli"],
+                                      ["-c", "from goalshot.cli import entry; entry()"]])
+@pytest.mark.parametrize("grid,code", [(["--distance-count", "1", "--y-count", "1"], 0),
+                                       (_BAD_GRID, 1)])
+def test_entry_points_exit_codes(launcher, grid, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, *launcher, "aim-table", *grid], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == code
+    if code:
+        assert result.stdout == ""
+        assert result.stderr == ("error: grid ball off the pitch at distance 5.0 "
+                                 "with --y-half 36.0\n")
+    else:
+        assert result.stdout.startswith("ball_x,ball_y,target_y,")
 
 
 class TestParser:

@@ -31,24 +31,30 @@ from .scenes import (Label, balance_by_replication, feature_matrix,
                      split_dataset, univariate_stats)
 
 
-def _flags(args: argparse.Namespace, cls) -> dict:
-    """The given flags named like a scalar field of cls; like INI values,
-    they must be finite."""
-    given = {key: getattr(args, key) for key in scalar_fields(cls)
-             if getattr(args, key, None) is not None}
-    for key, value in given.items():
+def _with_flags(config, args: argparse.Namespace):
+    """config with the given flags named like its scalar fields applied, one
+    at a time. Like INI values they must be finite, and as an INI error names
+    its section, a value the class rejects names its flag."""
+    for key in scalar_fields(type(config)):
+        value = getattr(args, key, None)
+        if value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
         if not math.isfinite(value):
-            raise ValueError(f"--{key.replace('_', '-')}: non-finite value {value!r}")
-    return given
+            raise ValueError(f"{flag}: non-finite value {value!r}")
+        try:
+            config = replace(config, **{key: value})
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+    return config
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """The config file, or the defaults, with the given flags applied; the
     run section first, so a bad --seed is reported as the run seed."""
-    config = load_run_config(args.config) if args.config else RunConfig()
-    config = replace(config, **_flags(args, RunConfig))
-    return replace(config, train=replace(config.train, **_flags(args, mlp.TrainConfig)),
-                   policy=replace(config.policy, **_flags(args, PolicyConfig)))
+    config = _with_flags(load_run_config(args.config) if args.config else RunConfig(), args)
+    return replace(config, train=_with_flags(config.train, args),
+                   policy=_with_flags(config.policy, args))
 
 
 def _write_or_print(text: str, out: str | None) -> None:

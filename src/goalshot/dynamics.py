@@ -9,6 +9,7 @@ keeps |velocity| <= max_speed after every step.
 
 `step`, `rollout_to_goal_line` and `keeper.simulate_shot` all step through
 `_advance` on plain floats; `Vec2` and `BallState` stay at the boundary.
+`kick` and `keeper.simulate_shot` take the impulse from `kick_components`.
 The loops add the acceleration to the first step only: skipping `step`'s
 later v + 0.0 at most flips the sign of a zero that no result depends on.
 """
@@ -16,11 +17,11 @@ later v + 0.0 at most flips the sign of a zero that no result depends on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import FieldConfig, Vec2
+from .geometry import FieldConfig, Vec2, _require_finite
 
 # A rolling ball below this speed (m/step) is considered at rest.
 STOP_SPEED = 1e-3
@@ -37,12 +38,16 @@ class DynamicsConfig:
     max_power: float = 100.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must be in (0, 1), got {self.decay}")
         if self.noise_coefficient < 0.0:
             raise ValueError("noise_coefficient must be >= 0")
         if self.max_speed <= 0.0 or self.kick_power_rate <= 0.0 or self.max_power <= 0.0:
             raise ValueError("max_speed, kick_power_rate and max_power must be positive")
+        if not math.isfinite(self.kick_power_rate * self.max_power):
+            raise ValueError("kick_power_rate * max_power overflows")
 
 
 @dataclass(frozen=True)
@@ -101,21 +106,25 @@ def step(state: BallState, config: DynamicsConfig,
     return BallState(Vec2(px, py), Vec2(vx, vy), Vec2(0.0, 0.0))
 
 
+def kick_components(power: float, direction: float,
+                    config: DynamicsConfig) -> tuple[float, float]:
+    """The (x, y) acceleration of an impulse of the given power, `direction`
+    radians from the +x axis."""
+    if not 0.0 <= power <= config.max_power:
+        raise ValueError(f"power must be in [0, {config.max_power}], got {power}")
+    magnitude = config.kick_power_rate * power
+    return math.cos(direction) * magnitude, math.sin(direction) * magnitude
+
+
 def kick(state: BallState, power: float, direction: float,
          config: DynamicsConfig) -> BallState:
     """Set the ball's acceleration for an impulse of the given power.
 
-    `direction` is radians from the +x axis. Position and velocity are
-    untouched; the impulse takes effect on the next step.
+    Position and velocity are untouched; the impulse takes effect on the
+    next step.
     """
-    if not 0.0 <= power <= config.max_power:
-        raise ValueError(f"power must be in [0, {config.max_power}], got {power}")
-    magnitude = config.kick_power_rate * power
-    return BallState(
-        position=state.position,
-        velocity=state.velocity,
-        acceleration=Vec2.from_angle(direction, magnitude),
-    )
+    return BallState(state.position, state.velocity,
+                     Vec2(*kick_components(power, direction, config)))
 
 
 def rollout_to_goal_line(state: BallState, config: DynamicsConfig,

@@ -10,6 +10,26 @@ endpoint keeps a fast ball from tunneling through a player's reach. A ball
 that dies en route also counts as caught: the keeper collects it.
 Otherwise the crossing lateral decides goal vs wide. The shot runs on
 plain floats through the integrator of `dynamics`.
+
+Before measuring a player's distance to a step's path, each step skips a
+player that lies more than its radius outside the box of the points that
+`_segment_distance` can return. The skip never changes a result:
+
+- `_segment_distance(q, a, b)` measures from q to c = a + ab * t, with
+  ab = b - a rounded and t in [0, 1]. Rounding is monotone, so each
+  coordinate of c lies between that of a and that of b' = a + ab, as
+  computed. The box spans a and b' exactly, so it needs no margin and no
+  bound on coordinate size. (A box around a and b with a margin of 1e-9
+  would need |coordinates| far below 1e6: c can overshoot b by a few ulps.
+  A ball travels at most max_speed / (1 - decay), 50 m by default, but a
+  caller may place players anywhere.)
+- For a player left of the box whose computed lo_x - qx exceeds its
+  radius, c_x >= lo_x, so by monotone rounding the computed x term
+  |c_x - qx| is at least as large. math.hypot(a, b) >= |a|, so the
+  distance exceeds the radius, or is NaN after an overflow. The other
+  three sides are symmetric.
+- A skip draws no random number, and any catch ends the shot as CAUGHT at
+  that step, so which player catches does not matter.
 """
 
 from __future__ import annotations
@@ -21,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import STOP_SPEED, BallState, DynamicsConfig, _advance, _goal_line_lateral, kick
-from .geometry import FieldConfig, Vec2
+from .dynamics import STOP_SPEED, DynamicsConfig, _advance, _goal_line_lateral, kick_components
+from .geometry import FieldConfig, Vec2, _require_finite
 
 DEFAULT_DEFENDER_CATCH_RADIUS = 1.0
 
@@ -44,6 +64,8 @@ class KeeperModel:
     positioning_noise: float = 0.15
 
     def __post_init__(self) -> None:
+        for name in ("max_speed", "catch_radius", "positioning_noise"):
+            _require_finite(name, getattr(self, name))
         if (self.max_speed < 0 or self.reaction_delay < 0
                 or self.catch_radius < 0 or self.positioning_noise < 0):
             raise ValueError("KeeperModel parameters must be non-negative")
@@ -76,9 +98,9 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
     Returns the outcome and the number of steps simulated. Deterministic
     for a given rng state.
     """
-    accel = kick(BallState.at_rest(ball), power, (target - ball).angle(), dynamics).acceleration
+    ax, ay = kick_components(power, math.atan2(target.y - ball.y, target.x - ball.x), dynamics)
     px, py, kx, ky = ball.x, ball.y, keeper_start.x, keeper_start.y
-    vx, vy = ball_velocity.x + accel.x, ball_velocity.y + accel.y
+    vx, vy = ball_velocity.x + ax, ball_velocity.y + ay
     players = [(d.x, d.y, defender_catch_radius) for d in defenders]
     for n in range(1, max_steps + 1):
         x0, y0 = px, py
@@ -86,7 +108,14 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
         # Clip the path at the goal line: interceptions count only before the ball crosses.
         lateral = _goal_line_lateral(x0, y0, px, py, field.goal_line_x)
         ex, ey = (px, py) if lateral is None else (field.goal_line_x, lateral)
+        # The box of the points _segment_distance can return (module docstring).
+        bx, by = x0 + (ex - x0), y0 + (ey - y0)
+        lo_x, hi_x = (x0, bx) if x0 <= bx else (bx, x0)
+        lo_y, hi_y = (y0, by) if y0 <= by else (by, y0)
         for qx, qy, radius in ((kx, ky, keeper_model.catch_radius), *players):
+            if (lo_x - qx > radius or qx - hi_x > radius
+                    or lo_y - qy > radius or qy - hi_y > radius):
+                continue
             if _segment_distance(qx, qy, x0, y0, ex, ey) <= radius:
                 return ShotResult.CAUGHT, n
         if lateral is not None:
@@ -98,9 +127,9 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
         if n > keeper_model.reaction_delay and keeper_model.max_speed > 0:
             aim_x, aim_y = _pursuit_point(px, py, vx * (1.0 / speed), vy * (1.0 / speed), kx, ky)
             if keeper_model.positioning_noise > 0:
-                # Two scalar draws: the values of rng.normal(0, noise, 2).
-                aim_x += rng.normal(0.0, keeper_model.positioning_noise)
-                aim_y += rng.normal(0.0, keeper_model.positioning_noise)
+                # The values of rng.normal(0, noise, 2), by numpy's own formula.
+                aim_x += 0.0 + keeper_model.positioning_noise * rng.standard_normal()
+                aim_y += 0.0 + keeper_model.positioning_noise * rng.standard_normal()
             gx, gy = aim_x - kx, aim_y - ky
             reach = math.hypot(gx, gy)
             if reach > keeper_model.max_speed:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -21,7 +21,8 @@ import numpy as np
 
 from .aim import GOAL_LINE_TOLERANCE
 from .dynamics import DynamicsConfig
-from .geometry import FieldConfig, Vec2, difference, opening_angle, unit_components
+from .geometry import (FieldConfig, Vec2, _require_finite, difference, opening_angle,
+                       unit_components)
 from .keeper import KeeperModel, ShotResult, simulate_shot
 
 MAX_DEFENDERS = 10
@@ -420,6 +421,9 @@ class GeneratorConfig:
     keeper: KeeperModel = KeeperModel()
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float":
+                _require_finite(f.name, getattr(self, f.name))
         if self.x_min >= self.x_max:
             raise ValueError("empty ball sampling region: x_min >= x_max")
         if self.y_half_range <= 0:
@@ -434,6 +438,14 @@ class GeneratorConfig:
                 or self.body_angle_spread < 0 or self.dribble_speed_max < 0
                 or self.defender_catch_radius < 0):
             raise ValueError("spreads, margins and radii must be >= 0")
+        # The ranges drawn from config bounds alone must have a finite width.
+        for lo, hi in ((self.x_min, self.x_max), (-self.y_half_range, self.y_half_range),
+                       (self.keeper_depth_min, self.keeper_depth_max),
+                       (-self.keeper_lateral_spread, self.keeper_lateral_spread),
+                       (-self.body_angle_spread, self.body_angle_spread),
+                       (self.kick_power_min, self.kick_power_max)):
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ValueError(f"sampling range [{lo!r}, {hi!r}] is too wide")
 
 
 def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
@@ -458,33 +470,41 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
         raise ValueError("target_margin leaves no goal mouth to aim at")
 
     rng = np.random.default_rng(seed)
+    random = rng.random
+
+    def uniform(lo: float, hi: float) -> float:
+        """The value of rng.uniform(lo, hi), by numpy's own formula."""
+        return lo + (hi - lo) * random()
+
+    # Config bounds as the floats numpy would convert them to.
+    x_min, x_max, y_half = float(g.x_min), float(g.x_max), float(g.y_half_range)
+    depth_min, depth_max = float(g.keeper_depth_min), float(g.keeper_depth_max)
+    power_min, power_max = float(g.kick_power_min), float(g.kick_power_max)
+    target_half = half_goal - g.target_margin
     scenes: list[KickScene] = []
     for _ in range(n):
-        ball = Vec2(rng.uniform(g.x_min, g.x_max),
-                    rng.uniform(-g.y_half_range, g.y_half_range))
-        target = Vec2(field.goal_line_x,
-                      rng.uniform(-(half_goal - g.target_margin), half_goal - g.target_margin))
+        ball = Vec2(uniform(x_min, x_max), uniform(-y_half, y_half))
+        target = Vec2(field.goal_line_x, uniform(-target_half, target_half))
         shot_angle = (target - ball).angle()
         attacker = ball - Vec2.from_angle(shot_angle, 0.7)
-        body_angle = shot_angle + rng.uniform(-g.body_angle_spread, g.body_angle_spread)
+        body_angle = shot_angle + uniform(-g.body_angle_spread, g.body_angle_spread)
 
-        depth = rng.uniform(g.keeper_depth_min, g.keeper_depth_max)
+        depth = uniform(depth_min, depth_max)
         keeper_x = field.goal_line_x - depth
         on_line = ball.y * depth / (field.goal_line_x - ball.x)
-        keeper_y = on_line + rng.uniform(-g.keeper_lateral_spread, g.keeper_lateral_spread)
+        keeper_y = on_line + uniform(-g.keeper_lateral_spread, g.keeper_lateral_spread)
         keeper = Vec2(keeper_x, min(max(keeper_y, -half_goal), half_goal))
 
         defenders = []
         for _ in range(int(rng.integers(0, g.max_defenders + 1))):
-            dx = rng.uniform(min(ball.x + 0.5, field.goal_line_x - 1.0),
-                             field.goal_line_x - 0.5)
-            dy = ball.y + rng.uniform(-8.0, 8.0)
+            dx = uniform(min(ball.x + 0.5, field.goal_line_x - 1.0), field.goal_line_x - 0.5)
+            dy = ball.y + uniform(-8.0, 8.0)
             defenders.append(Vec2(dx, min(max(dy, -field.field_width / 2),
                                           field.field_width / 2)))
 
-        ball_velocity = Vec2.from_angle(rng.uniform(-math.pi, math.pi),
-                                        rng.uniform(0.0, g.dribble_speed_max))
-        power = rng.uniform(g.kick_power_min, g.kick_power_max)
+        ball_velocity = Vec2.from_angle(uniform(-math.pi, math.pi),
+                                        uniform(0.0, g.dribble_speed_max))
+        power = uniform(power_min, power_max)
         result, _ = simulate_shot(ball, ball_velocity, target, power, keeper,
                                   defenders, g.keeper, dynamics, field, rng,
                                   g.defender_catch_radius)

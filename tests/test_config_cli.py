@@ -127,9 +127,9 @@ class TestConfigFile:
         argv = [str(out) if arg == "OUT" else arg for arg in command]
         assert main([*argv, "--config", str(path)]) == 1
         captured = capsys.readouterr()
-        # An error in the file names its section; a flag's error does not.
-        section = ini.split("\n", 1)[0] + " " if ini else ""
-        assert captured.err == f"error: {section}{message}\n"
+        # An error in the file names its section, an error in a flag its flag.
+        where = ini.split("\n", 1)[0] + " " if ini else "--seed: "
+        assert captured.err == f"error: {where}{message}\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -247,6 +247,22 @@ class TestFlagOverrides:
         assert main([command, *_REQUIRED[command], flag, raw]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag}: non-finite value {float(raw)!r}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,flag,raw,message", [
+        ("train", "--max-epochs", "0", "max_epochs, patience and hidden_size must be >= 1"),
+        ("train", "--learning-rate", "-1", "learning_rate must be positive"),
+        ("compare", "--p-goal-threshold", "1.5", "p_goal_threshold must be in (0, 1)"),
+        ("compare", "--score-threshold", "2", "score_threshold must be in (0, 1)"),
+    ])
+    def test_rejected_flag_value_names_its_flag(self, command, flag, raw, message,
+                                                tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # A valid flag given first does not take the blame.
+        assert main([command, *_REQUIRED[command], "--seed", "3", flag, raw]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: {message}\n"
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 

@@ -3,9 +3,12 @@
 `rollout_to_goal_line` and `simulate_shot` step the ball on plain floats.
 The reference loops below step it through the public `step` and resolve
 the shot with `Vec2` arithmetic, performing the same float operations in
-the same order. Results, step counts and the generator state afterwards
-must match exactly, including the sign of a zero lateral.
+the same order, and measure every player's distance, where `simulate_shot`
+skips the players out of reach. Results, step counts and the generator
+state afterwards must match exactly, including the sign of a zero lateral.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from goalshot.dynamics import (STOP_SPEED, BallState, CrossingOutcome, DynamicsC
                                kick, rollout_to_goal_line, step)
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.keeper import KeeperModel, ShotResult, simulate_shot
+from goalshot.scenes import GeneratorConfig
 
 FIELD = FieldConfig()
 CONFIGS = (DynamicsConfig(), DynamicsConfig(noise_coefficient=0.0),
@@ -125,3 +129,92 @@ def test_simulate_shot_matches_vec2_reference(config):
                                   model, config, FIELD, ref_rng)
         assert got == expected
         assert got_rng.random() == ref_rng.random()
+
+
+# simulate_shot skips a player that lies farther than its radius outside the
+# box of the step's path before measuring its distance; reference_shot
+# measures every player. Players sit exactly at the radius from a first-step
+# path, and one ulp either side of it, on each axis from both ends of the
+# path and along its normal. The paths: axis-aligned and noise-free, a noisy
+# diagonal, one clipped at the goal line (with players around the unclipped
+# end too), and a zero-length step. Players left of the start stand behind
+# the ball.
+BOUNDARY_SHOTS = (
+    (Vec2(30.0, 0.0), Vec2(0.0, 0.0), Vec2(52.5, 0.0), 100.0,
+     DynamicsConfig(noise_coefficient=0.0), 0),
+    (Vec2(35.0, -6.0), Vec2(0.25, -0.125), Vec2(52.5, 4.0), 80.0, DynamicsConfig(), 3),
+    (Vec2(51.0, 2.0), Vec2(0.0, 0.0), Vec2(52.5, -3.0), 100.0, DynamicsConfig(), 5),
+    (Vec2(40.0, 1.0), Vec2(0.0, 0.0), Vec2(52.5, 1.0), 0.0, DynamicsConfig(), 7),
+)
+
+
+def _first_path(ball, velocity, target, power, config, seed):
+    """The start, the clipped end and the unclipped end of the first step."""
+    state = kick(BallState.at_rest(ball), power, (target - ball).angle(), config)
+    end = step(BallState(ball, velocity, state.acceleration), config,
+               np.random.default_rng(seed)).position
+    if end.x < FIELD.goal_line_x:
+        return ball, end, end
+    t = (FIELD.goal_line_x - ball.x) / (end.x - ball.x)
+    return ball, Vec2(FIELD.goal_line_x, ball.y + t * (end.y - ball.y)), end
+
+
+def _around(point, offsets):
+    for dx, dy in offsets:
+        x, y = point.x + dx, point.y + dy
+        for nx in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+            for ny in (math.nextafter(y, -math.inf), y, math.nextafter(y, math.inf)):
+                yield Vec2(nx, ny)
+
+
+def _boundary_players(start, end, unclipped, radius):
+    axes = ((radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius))
+    yield from _around(start, axes)
+    yield from _around(end, axes)
+    if unclipped != end:
+        yield from _around(unclipped, axes)
+    path = end - start
+    if path.norm() > 0.0:
+        normal = Vec2(-path.y, path.x).normalized() * radius
+        yield from _around(start + path * 0.5, ((normal.x, normal.y), (-normal.x, -normal.y)))
+
+
+@pytest.mark.parametrize("radius", (1.0, 0.75))
+@pytest.mark.parametrize("shot", BOUNDARY_SHOTS)
+def test_prune_keeps_results_at_the_catch_radius(shot, radius):
+    ball, velocity, target, power, config, seed = shot
+    start, end, unclipped = _first_path(ball, velocity, target, power, config, seed)
+    far_keeper = Vec2(FIELD.goal_line_x, 20.0)
+    first_step = set()
+    for player in _boundary_players(start, end, unclipped, radius):
+        for keeper, defenders, model in (
+                (player, (), KeeperModel(catch_radius=radius)),
+                (far_keeper, (Vec2(start.x - 5.0, start.y), player), KeeperModel())):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = simulate_shot(ball, velocity, target, power, keeper, defenders,
+                                model, config, FIELD, got_rng, radius)
+            expected = reference_shot(ball, velocity, target, power, keeper, defenders,
+                                      model, config, FIELD, ref_rng, radius)
+            assert got == expected
+            assert got_rng.random() == ref_rng.random()
+            first_step.add(got[1] == 1)
+    # The cases straddle the boundary: some players catch at once, some do not.
+    assert first_step == ({True} if start == end else {True, False})
+
+
+# The generator and the keeper draw by numpy's own formulas, which propagate
+# NaN or inf where rng.uniform would raise; so no config may carry them.
+@pytest.mark.parametrize("make,message", [
+    (lambda: KeeperModel(catch_radius=math.nan), "catch_radius must be finite"),
+    (lambda: KeeperModel(positioning_noise=math.inf), "positioning_noise must be finite"),
+    (lambda: DynamicsConfig(max_speed=math.inf), "max_speed must be finite"),
+    (lambda: DynamicsConfig(noise_coefficient=math.nan), "noise_coefficient must be finite"),
+    (lambda: DynamicsConfig(kick_power_rate=1e300, max_power=1e300), "overflows"),
+    (lambda: GeneratorConfig(kick_power_max=math.nan), "kick_power_max must be finite"),
+    (lambda: GeneratorConfig(body_angle_spread=1e308), "too wide"),
+    (lambda: GeneratorConfig(keeper_lateral_spread=1e308), "too wide"),
+    (lambda: GeneratorConfig(x_min=-1e308, x_max=1e308), "too wide"),
+])
+def test_configs_reject_non_finite_values(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

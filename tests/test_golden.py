@@ -11,6 +11,7 @@ differently below AVX2 (other architectures are untested).
 """
 
 import hashlib
+import math
 import os
 import platform
 import subprocess
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from goalshot.cli import main
@@ -157,3 +158,28 @@ def test_scalar_normal_draws_match_array_draw(seed, s):
     got = [scalar_rng.normal(0.0, s) for _ in range(2)]
     assert got == expected.tolist()
     assert scalar_rng.random() == array_rng.random()
+
+
+# The generator and the keeper draw by numpy's own formulas, which equal
+# rng.uniform and rng.normal bit for bit over every range numpy accepts.
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_SEEDS, a=st.floats(allow_nan=False, allow_infinity=False),
+       b=st.floats(allow_nan=False, allow_infinity=False), equal=st.booleans())
+def test_uniform_formula_matches_uniform(seed, a, b, equal):
+    lo, hi = min(a, b), a if equal else max(a, b)
+    assume(math.isfinite(hi - lo))  # numpy raises OverflowError otherwise
+    numpy_rng, formula_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _bits(lo + (hi - lo) * formula_rng.random()) == _bits(numpy_rng.uniform(lo, hi))
+    assert formula_rng.random() == numpy_rng.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_SEEDS, s=st.floats(min_value=0.0, allow_infinity=False))
+def test_normal_formula_matches_normal(seed, s):
+    numpy_rng, formula_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _bits(0.0 + s * formula_rng.standard_normal()) == _bits(numpy_rng.normal(0.0, s))
+    assert formula_rng.random() == numpy_rng.random()

@@ -4,11 +4,19 @@ Subcommands: gen-data, stats, train, eval, compare, aim-table. Every
 command is deterministic given (config, seed), with a default seed of 0
 and never the wall clock, and exits nonzero with a one-line diagnostic on
 any error.
+
+The parser is built once per process and reused by every `main` call.
+`main` looks the command function up by name (`cmd_` + the subcommand) when
+it runs, so a function replaced on this module after the first call is the
+one that runs. aim-table's Monte-Carlo column draws its uniforms in blocks
+(`dynamics.BlockUniforms`): the same values as one `rng.random()` per draw,
+so the column is unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +29,7 @@ import numpy as np
 from . import mlp
 from .aim import ShotQuery, discretize_targets, p_goal
 from .config import RunConfig, load_run_config, scalar_fields
-from .dynamics import BallState, kick, rollout_to_goal_line
+from .dynamics import BallState, BlockUniforms, kick, rollout_to_goal_line
 from .experiment import check_experiment_size, check_report_format, report, run_experiment
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve, scored_samples
@@ -202,7 +210,8 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
     header = "ball_x,ball_y,target_y,p_left,p_right,p_goal"
     if args.mc_rollouts:
         header += ",mc_p_goal"
-        rng = np.random.default_rng(config.seed)
+        # Safe to draw ahead: nothing else draws from this generator.
+        uniforms = BlockUniforms(np.random.default_rng(config.seed))
     lines = [header]
     for distance in distances:
         for lateral in laterals:
@@ -217,7 +226,7 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
                                  (target - ball).angle(), config.dynamics)
                     for _ in range(args.mc_rollouts):
                         outcome = rollout_to_goal_line(state, config.dynamics,
-                                                       field, rng)
+                                                       field, uniforms)
                         if (outcome.crossed
                                 and abs(outcome.lateral_at_goal_line) <= field.goal_width / 2):
                             goals += 1
@@ -227,7 +236,10 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, one per process. Each subcommand's name is
+    its `args.command`; `main` finds the function that runs it by that name."""
     parser = argparse.ArgumentParser(
         prog="goalshot",
         description="Shot-decision engine and experiment harness for simulated 2D soccer.")
@@ -241,12 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate a synthetic labeled scene CSV")
     p.add_argument("--n", type=int, required=True, help="number of scenes")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("stats", parents=[common],
                        help="univariate statistics and per-feature AUC relevance")
     p.add_argument("--data", required=True, help="scene CSV path")
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", parents=[common],
                        help="split, balance, and train the neural scorer")
@@ -257,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--hidden-size", type=int, default=None)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common],
                        help="score a scene file and report ROC/KS2")
@@ -267,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate only the seeded test partition of the file")
     p.add_argument("--roc-out", help="write the ROC curve CSV here")
     p.add_argument("--ks2-out", help="write the KS2 curve CSV here")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", parents=[common],
                        help="paired policy-vs-policy experiment")
@@ -286,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="text", help="text, csv or json")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--episode-log", help="write per-episode JSON lines here")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("aim-table", parents=[common],
                        help="CSV grid of goal-entry probabilities")
@@ -302,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-power", type=float, default=100.0,
                    help="kick power for the Monte-Carlo rollouts")
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.set_defaults(func=cmd_aim_table)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

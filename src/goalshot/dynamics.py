@@ -12,12 +12,22 @@ keeps |velocity| <= max_speed after every step.
 `kick` and `keeper.simulate_shot` take the impulse from `kick_components`.
 The loops add the acceleration to the first step only: skipping `step`'s
 later v + 0.0 at most flips the sign of a zero that no result depends on.
+A run checks once, at its exit, that the ball's position is finite: a noise
+range that overflows turns it to NaN, and every comparison on NaN is false.
+
+`_advance` calls only `rng.random()`, so a rollout may take a
+`BlockUniforms`, which hands out the same values drawn a block at a time.
+`aim-table`'s Monte-Carlo column uses it. `keeper.simulate_shot` and the
+scene generator keep scalar draws: their uniforms interleave with
+`standard_normal` and `integers` draws from the same generator, so drawing
+ahead would change the stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +35,8 @@ from .geometry import FieldConfig, Vec2, _require_finite
 
 # A rolling ball below this speed (m/step) is considered at rest.
 STOP_SPEED = 1e-3
+# Uniforms a BlockUniforms draws from its generator at a time.
+UNIFORM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,30 @@ class CrossingOutcome:
     crossed: bool
     lateral_at_goal_line: float | None
     steps_taken: int
+
+
+class BlockUniforms:
+    """The values of rng.random(), in order, one per call to random().
+
+    Drawn as rng.random(block).tolist(), Python floats bit-equal to the
+    scalar draws, and handed out by a C-level iterator, far cheaper per value
+    than a Generator.random call. The generator ends up to a block ahead of
+    the last value used, so nothing else may draw from it.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int = UNIFORM_BLOCK) -> None:
+        if block < 1:
+            raise ValueError(f"block must be >= 1, got {block}")
+        blocks = iter(lambda: rng.random(block).tolist(), None)
+        self.random = chain.from_iterable(blocks).__next__
+
+
+def _finite_exit(px, py, result):
+    """result, once the ball's final position (px, py) is known to be finite."""
+    if math.isfinite(px) and math.isfinite(py):
+        return result
+    raise ValueError(f"the ball left the finite range at ({px!r}, {py!r}): "
+                     "the noise range noise_coefficient * speed overflows")
 
 
 def _advance(px, py, bx, by, config: DynamicsConfig, rng) -> tuple[float, float, float, float]:
@@ -128,13 +164,16 @@ def kick(state: BallState, power: float, direction: float,
 
 
 def rollout_to_goal_line(state: BallState, config: DynamicsConfig,
-                         field: FieldConfig, rng: np.random.Generator | None,
+                         field: FieldConfig,
+                         rng: np.random.Generator | BlockUniforms | None,
                          max_steps: int = 10_000) -> CrossingOutcome:
     """Step the ball until it crosses the goal line or comes to rest.
 
     The lateral coordinate at the crossing is linearly interpolated inside
     the crossing step. A ball that never reaches the line (speed drops
-    below STOP_SPEED, or max_steps elapses) reports crossed=False.
+    below STOP_SPEED, or max_steps elapses) reports crossed=False. Raises
+    ValueError if the ball's position overflows. `rng` supplies the noise
+    through `random()` alone, so a `BlockUniforms` gives the same outcome.
     """
     if state.position.x >= field.goal_line_x:
         raise ValueError("ball must start before the goal line")
@@ -145,10 +184,10 @@ def rollout_to_goal_line(state: BallState, config: DynamicsConfig,
         px, py, vx, vy = _advance(px, py, vx, vy, config, rng)
         lateral = _goal_line_lateral(x0, y0, px, py, field.goal_line_x)
         if lateral is not None:
-            return CrossingOutcome(True, lateral, n)
+            return _finite_exit(px, py, CrossingOutcome(True, lateral, n))
         if math.hypot(vx, vy) < STOP_SPEED:
-            return CrossingOutcome(False, None, n)
-    return CrossingOutcome(False, None, max_steps)
+            return _finite_exit(px, py, CrossingOutcome(False, None, n))
+    return _finite_exit(px, py, CrossingOutcome(False, None, max_steps))
 
 
 def travel_range(initial_speed: float, decay: float) -> float:

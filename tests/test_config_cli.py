@@ -6,12 +6,16 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import goalshot.cli as cli
+from goalshot.aim import discretize_targets
 from goalshot.cli import main
 from goalshot.config import RunConfig, load_run_config, scalar_fields
+from goalshot.dynamics import BallState, kick, rollout_to_goal_line
 from goalshot.experiment import stats_pair_from_json
+from goalshot.geometry import Vec2
 from goalshot.keeper import KeeperModel
 from goalshot.mlp import TrainConfig
 from goalshot.policies import PolicyConfig
@@ -466,6 +470,33 @@ class TestAimTable:
         assert len(values) == 7
         assert 0.0 <= float(values[-1]) <= 1.0
 
+    @pytest.mark.parametrize("rollouts,ini", [
+        (1, ""), (7, ""), (300, ""), (7, "[dynamics]\nnoise_coefficient = 0\n")])
+    def test_monte_carlo_column_matches_per_call_draws(self, rollouts, ini, tmp_path,
+                                                       capsys):
+        """The column draws its uniforms in blocks; a loop that calls
+        rng.random() once per uniform gives the same column."""
+        path = tmp_path / "run.ini"
+        path.write_text(ini, encoding="utf-8")
+        assert main(["aim-table", "--config", str(path), "--distance-count", "2",
+                     "--y-count", "2", "--mc-rollouts", str(rollouts), "--seed", "5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        config = load_run_config(path)
+        field, rng = config.field, np.random.default_rng(5)
+        targets = discretize_targets(field, config.aim)
+        assert len(rows) == 4 * len(targets)
+        for i, row in enumerate(rows):
+            ball, target = Vec2(float(row[0]), float(row[1])), targets[i % len(targets)]
+            assert float(row[2]) == target.y
+            state = kick(BallState.at_rest(ball), 100.0, (target - ball).angle(),
+                         config.dynamics)
+            goals = 0
+            for _ in range(rollouts):
+                outcome = rollout_to_goal_line(state, config.dynamics, field, rng)
+                goals += (outcome.crossed
+                          and abs(outcome.lateral_at_goal_line) <= field.goal_width / 2)
+            assert row[-1] == repr(goals / rollouts)
+
     def test_monte_carlo_power_above_max_fails(self, capsys):
         assert main(["aim-table", "--distance-count", "1", "--y-count", "1",
                      "--mc-rollouts", "3", "--mc-power", "500"]) == 1
@@ -539,6 +570,46 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--n", "1", "--out", "x.csv", "--frobnicate"])
         assert exc.value.code != 0
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_values_do_not_leak_between_calls(self, monkeypatch):
+        seen = []
+        for name in ("cmd_gen_data", "cmd_train", "cmd_eval"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+        calls = [
+            (["gen-data", "--n", "5", "--out", "a.csv", "--seed", "3"], "seed", 3),
+            (["gen-data", "--n", "5", "--out", "a.csv"], "seed", None),
+            (["eval", *_REQUIRED["eval"], "--use-test-split"], "use_test_split", True),
+            (["eval", *_REQUIRED["eval"]], "use_test_split", False),
+            (["train", *_REQUIRED["train"], "--report-out", "r.json"], "report_out", "r.json"),
+            (["train", *_REQUIRED["train"]], "report_out", None),
+        ]
+        for argv, key, value in calls:
+            assert main(argv) == 0
+            assert getattr(seen[-1], key) == value
+        assert len(seen) == len(calls)
+
+    def test_valid_call_after_a_rejection(self, tmp_path, capsys):
+        out = tmp_path / "scenes.csv"
+        for argv in (["gen-data", "--n", "five", "--out", str(out)],
+                     ["gen-data", "--out", str(out)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert main(["gen-data", "--n", "5", "--out", str(out)]) == 0
+        assert len(load_scenes(out)) == 5
+
+    def test_command_replaced_after_the_first_call_runs(self, tmp_path, monkeypatch,
+                                                        capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["gen-data", "--n", "5", "--out", str(first)]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gen_data", lambda args: seen.append(args.out) or 0)
+        assert main(["gen-data", "--n", "5", "--out", str(second)]) == 0
+        assert seen == [str(second)]
+        assert first.exists() and not second.exists()
 
     def test_config_file_drives_commands(self, tmp_path, capsys):
         config = tmp_path / "run.ini"

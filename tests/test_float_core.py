@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from goalshot.dynamics import (STOP_SPEED, BallState, CrossingOutcome, DynamicsConfig,
-                               kick, rollout_to_goal_line, step)
+from goalshot.dynamics import (STOP_SPEED, BallState, BlockUniforms, CrossingOutcome,
+                               DynamicsConfig, kick, kick_components, rollout_to_goal_line,
+                               step)
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.keeper import KeeperModel, ShotResult, simulate_shot
 from goalshot.scenes import GeneratorConfig
@@ -218,3 +219,22 @@ def test_prune_keeps_results_at_the_catch_radius(shot, radius):
 def test_configs_reject_non_finite_values(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+# A noise range that overflows turns the ball's position to NaN, on which
+# every comparison is false: the shot used to end WIDE after one step and the
+# rollout crossed at a NaN lateral. With 1e308, r_max itself overflows; with
+# 5e307 on a full-power kick, r_max is finite but the width 2 * r_max is not.
+@pytest.mark.parametrize("noise", (1e308, 5e307))
+def test_ball_leaving_the_finite_range_fails(noise):
+    config = DynamicsConfig(noise_coefficient=noise)
+    r_max = noise * math.hypot(*kick_components(100.0, 0.0, config))
+    assert math.isinf(r_max) == (noise == 1e308) and math.isinf(2 * r_max)
+    ball, target = Vec2(32.5, 0.0), Vec2(FIELD.goal_line_x, 0.0)
+    state = kick(BallState.at_rest(ball), 100.0, 0.0, config)
+    for rng in (np.random.default_rng(1), BlockUniforms(np.random.default_rng(1))):
+        with pytest.raises(ValueError, match="the ball left the finite range"):
+            rollout_to_goal_line(state, config, FIELD, rng)
+    with pytest.raises(ValueError, match="the ball left the finite range"):
+        simulate_shot(ball, Vec2(0.0, 0.0), target, 100.0, Vec2(FIELD.goal_line_x, 20.0),
+                      (), KeeperModel(), config, FIELD, np.random.default_rng(1))

@@ -12,8 +12,9 @@ keeps |velocity| <= max_speed after every step.
 `kick` and `keeper.simulate_shot` take the impulse from `kick_components`.
 The loops add the acceleration to the first step only: skipping `step`'s
 later v + 0.0 at most flips the sign of a zero that no result depends on.
-A run checks once, at its exit, that the ball's position is finite: a noise
-range that overflows turns it to NaN, and every comparison on NaN is false.
+A noise range that overflows turns the ball's position to NaN. Every
+comparison on NaN is false, so the crossing test is the first that passes;
+`_goal_line_lateral` checks there, once per run, that the position is finite.
 
 `_advance` calls only `rng.random()`, so a rollout may take a
 `BlockUniforms`, which hands out the same values drawn a block at a time.
@@ -89,25 +90,15 @@ class CrossingOutcome:
 class BlockUniforms:
     """The values of rng.random(), in order, one per call to random().
 
-    Drawn as rng.random(block).tolist(), Python floats bit-equal to the
-    scalar draws, and handed out by a C-level iterator, far cheaper per value
-    than a Generator.random call. The generator ends up to a block ahead of
-    the last value used, so nothing else may draw from it.
+    Drawn as rng.random(UNIFORM_BLOCK).tolist(), Python floats bit-equal to
+    the scalar draws, and handed out by a C-level iterator, far cheaper per
+    value than a Generator.random call. The generator ends up to a block
+    ahead of the last value used, so nothing else may draw from it.
     """
 
-    def __init__(self, rng: np.random.Generator, block: int = UNIFORM_BLOCK) -> None:
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
-        blocks = iter(lambda: rng.random(block).tolist(), None)
+    def __init__(self, rng: np.random.Generator) -> None:
+        blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
         self.random = chain.from_iterable(blocks).__next__
-
-
-def _finite_exit(px, py, result):
-    """result, once the ball's final position (px, py) is known to be finite."""
-    if math.isfinite(px) and math.isfinite(py):
-        return result
-    raise ValueError(f"the ball left the finite range at ({px!r}, {py!r}): "
-                     "the noise range noise_coefficient * speed overflows")
 
 
 def _advance(px, py, bx, by, config: DynamicsConfig, rng) -> tuple[float, float, float, float]:
@@ -127,8 +118,16 @@ def _advance(px, py, bx, by, config: DynamicsConfig, rng) -> tuple[float, float,
 
 
 def _goal_line_lateral(x0, y0, x1, y1, line_x) -> float | None:
-    """Interpolated y where the step (x0, y0) -> (x1, y1) reaches x = line_x, else None."""
-    return None if x1 < line_x else y0 + (line_x - x0) / (x1 - x0) * (y1 - y0)
+    """Interpolated y where the step (x0, y0) -> (x1, y1) reaches x = line_x, else None.
+
+    Raises ValueError if (x1, y1) is not finite (module docstring).
+    """
+    if x1 < line_x:
+        return None
+    if not (math.isfinite(x1) and math.isfinite(y1)):
+        raise ValueError(f"the ball left the finite range at ({x1!r}, {y1!r}): "
+                         "the noise range noise_coefficient * speed overflows")
+    return y0 + (line_x - x0) / (x1 - x0) * (y1 - y0)
 
 
 def step(state: BallState, config: DynamicsConfig,
@@ -184,10 +183,10 @@ def rollout_to_goal_line(state: BallState, config: DynamicsConfig,
         px, py, vx, vy = _advance(px, py, vx, vy, config, rng)
         lateral = _goal_line_lateral(x0, y0, px, py, field.goal_line_x)
         if lateral is not None:
-            return _finite_exit(px, py, CrossingOutcome(True, lateral, n))
+            return CrossingOutcome(True, lateral, n)
         if math.hypot(vx, vy) < STOP_SPEED:
-            return _finite_exit(px, py, CrossingOutcome(False, None, n))
-    return _finite_exit(px, py, CrossingOutcome(False, None, max_steps))
+            return CrossingOutcome(False, None, n)
+    return CrossingOutcome(False, None, max_steps)
 
 
 def travel_range(initial_speed: float, decay: float) -> float:

@@ -41,8 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (STOP_SPEED, DynamicsConfig, _advance, _finite_exit, _goal_line_lateral,
-                       kick_components)
+from .dynamics import STOP_SPEED, DynamicsConfig, _advance, _goal_line_lateral, kick_components
 from .geometry import FieldConfig, Vec2, _require_finite
 
 DEFAULT_DEFENDER_CATCH_RADIUS = 1.0
@@ -119,13 +118,13 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
                     or lo_y - qy > radius or qy - hi_y > radius):
                 continue
             if _segment_distance(qx, qy, x0, y0, ex, ey) <= radius:
-                return _finite_exit(px, py, (ShotResult.CAUGHT, n))
+                return ShotResult.CAUGHT, n
         if lateral is not None:
-            result = ShotResult.GOAL if abs(lateral) <= field.goal_width / 2 else ShotResult.WIDE
-            return _finite_exit(px, py, (result, n))
+            return (ShotResult.GOAL if abs(lateral) <= field.goal_width / 2
+                    else ShotResult.WIDE), n
         speed = math.hypot(vx, vy)
         if speed < STOP_SPEED:
-            return _finite_exit(px, py, (ShotResult.CAUGHT, n))
+            return ShotResult.CAUGHT, n
         if n > keeper_model.reaction_delay and keeper_model.max_speed > 0:
             aim_x, aim_y = _pursuit_point(px, py, vx * (1.0 / speed), vy * (1.0 / speed), kx, ky)
             if keeper_model.positioning_noise > 0:
@@ -138,4 +137,4 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
                 scale = keeper_model.max_speed / reach
                 gx, gy = gx * scale, gy * scale
             kx, ky = kx + gx, ky + gy
-    return _finite_exit(px, py, (ShotResult.CAUGHT, max_steps))
+    return ShotResult.CAUGHT, max_steps

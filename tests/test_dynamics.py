@@ -140,18 +140,13 @@ class TestRollout:
 class TestBlockUniforms:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
-           block=st.one_of(st.integers(min_value=1, max_value=40), st.just(UNIFORM_BLOCK)),
            draws=st.integers(min_value=0, max_value=3 * UNIFORM_BLOCK + 5))
-    def test_values_equal_scalar_draws(self, seed, block, draws):
-        source = BlockUniforms(np.random.default_rng(seed), block)
+    def test_values_equal_scalar_draws(self, seed, draws):
+        source = BlockUniforms(np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         got = [source.random() for _ in range(draws)]
         assert all(type(u) is float for u in got)
         assert [u.hex() for u in got] == [rng.random().hex() for _ in range(draws)]
-
-    def test_block_must_be_positive(self):
-        with pytest.raises(ValueError, match="block must be >= 1, got 0"):
-            BlockUniforms(np.random.default_rng(0), 0)
 
 
 class TestTravelRange:

@@ -1,7 +1,8 @@
 """Golden-output pins for the CLI pipeline.
 
 Each test runs commands through `goalshot.cli.main` in-process and pins
-the sha256 of the bytes they write. A refactor that claims no behaviour
+the sha256 of the bytes they write, to a file or, for eval and stats, to
+stdout. A refactor that claims no behaviour
 change must leave every pin as it is; a deliberate behaviour change
 updates the pin in the same change and says why. The pins hold for one
 numpy build on x86-64 CPUs with AVX2. No product on the pinned paths goes
@@ -37,6 +38,8 @@ AIM_TABLE_SHA256 = "48cf079f68e6c2e270d8489a89544365018b9ceafecafc43d7ae2d65d1e7
 COMPARE_SHA256 = "78e008f5d2e6cda4b80e20e09a26ac91110be19cf5eb6e7a2641aabacd1540b9"
 EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62aa6360"
 DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd2c95"
+EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
+STATS_SHA256 = "821ec09178eef386d3304fb33befe7badd2f3e0052e18447d392b88556a9efd1"
 
 
 def _build() -> str:
@@ -95,6 +98,24 @@ def test_trained_model_on_any_openblas_core(tmp_path):
         subprocess.run([sys.executable, "-c", script], env=env, check=True,
                        capture_output=True, timeout=300)
         assert _sha256(model) == MODEL_SHA256, f"{BUILD}, OpenBLAS core {core}"
+
+
+def _stdout_sha256(capsys, *argv: str) -> str:
+    capsys.readouterr()
+    _run(*argv)
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_eval_test_split_stdout(pipeline, capsys):
+    _, data, model = pipeline
+    digest = _stdout_sha256(capsys, "eval", "--model", str(model), "--data", str(data),
+                            "--use-test-split")
+    assert digest == EVAL_SHA256, BUILD
+
+
+def test_stats_stdout(pipeline, capsys):
+    _, data, _ = pipeline
+    assert _stdout_sha256(capsys, "stats", "--data", str(data)) == STATS_SHA256, BUILD
 
 
 def test_aim_table_monte_carlo(tmp_path):

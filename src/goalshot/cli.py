@@ -34,7 +34,7 @@ from .experiment import check_experiment_size, check_report_format, report, run_
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve, scored_samples
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
-from .scenes import (Label, balance_by_replication, feature_matrix,
+from .scenes import (Label, SceneTable, balance_by_replication, feature_matrix,
                      generate_synthetic_scenes, load_scenes, save_scenes,
                      split_dataset, univariate_stats)
 
@@ -101,13 +101,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    scenes = load_scenes(args.data, config.field, config.dynamics)
-    split = split_dataset(scenes, config.seed)
+    split = split_dataset(SceneTable.load(args.data, config.field, config.dynamics),
+                          config.seed)
     balanced = balance_by_replication(split.train, config.seed)
     params, train_report = mlp.train(
-        feature_matrix(balanced, config.field), [s.label for s in balanced],
-        feature_matrix(split.validation, config.field),
-        [s.label for s in split.validation], config.train)
+        feature_matrix(balanced, config.field), balanced.labels,
+        feature_matrix(split.validation, config.field), split.validation.labels,
+        config.train)
     mlp.save_model(params, args.model_out)
     doc = {
         "epochs_run": train_report.epochs_run,
@@ -130,11 +130,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
     params = mlp.load_model(args.model)
-    scenes = load_scenes(args.data, config.field, config.dynamics)
+    scenes = SceneTable.load(args.data, config.field, config.dynamics)
     if args.use_test_split:
-        scenes = list(split_dataset(scenes, config.seed).test)
+        scenes = split_dataset(scenes, config.seed).test
     scores = mlp.score_batch(params, feature_matrix(scenes, config.field))
-    samples = scored_samples(scores, [s.label for s in scenes])
+    samples = scored_samples(scores, scenes.labels)
     roc = roc_curve(samples)
     ks = ks2_curve(samples)
     print(f"n={len(samples)} auc={roc.auc:.6f} ks2={ks.ks2:.6f} "

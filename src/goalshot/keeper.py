@@ -97,7 +97,7 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
 
     Returns the outcome and the number of steps simulated. Deterministic
     for a given rng state. Raises ValueError if the ball's position
-    overflows.
+    overflows, or the keeper's blurred aim point does.
     """
     ax, ay = kick_components(power, math.atan2(target.y - ball.y, target.x - ball.x), dynamics)
     px, py, kx, ky = ball.x, ball.y, keeper_start.x, keeper_start.y
@@ -134,6 +134,9 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
             gx, gy = aim_x - kx, aim_y - ky
             reach = math.hypot(gx, gy)
             if reach > keeper_model.max_speed:
+                if not math.isfinite(reach):
+                    raise ValueError(f"positioning_noise {keeper_model.positioning_noise!r} "
+                                     "moves the keeper's aim point out of float range")
                 scale = keeper_model.max_speed / reach
                 gx, gy = gx * scale, gy * scale
             kx, ky = kx + gx, ky + gy

@@ -6,6 +6,14 @@ keeper, up to ten field defenders, the kick parameters, and the eventual
 outcome. Scenes are persisted as CSV (one scene per row, see CSV_HEADER)
 and turned into the canonical 22-value feature vector consumed by the
 neural scorer.
+
+`SceneTable.load` is the one CSV reader. Its table holds the time column
+as Python ints, the twelve scalar columns in float64, the defenders as an
+(n, 10, 2) array with a count per row, and a GOAL mask; every value is the
+float its cell parses to, so values round-trip exactly. train and eval
+split, balance and featurize the table by index arrays; `load_scenes`
+turns it into KickScenes. `scene_features` is the one feature kernel, for
+table rows and KickScenes (extract_features, the policies) alike.
 """
 
 from __future__ import annotations
@@ -14,15 +22,15 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .aim import GOAL_LINE_TOLERANCE
 from .dynamics import DynamicsConfig
-from .geometry import (FieldConfig, Vec2, _require_finite, difference, opening_angle,
-                       unit_components)
+from .geometry import FieldConfig, Vec2, _require_finite, opening_angle, unit_components
 from .keeper import KeeperModel, ShotResult, simulate_shot
 
 MAX_DEFENDERS = 10
@@ -103,54 +111,77 @@ def angle_at(origin: Vec2, a: Vec2, b: Vec2) -> float:
         return 0.0
 
 
-def filter_defenders(scene: KickScene, field: FieldConfig) -> list[Vec2]:
-    """Defenders that can threaten the shot: between the attacker's x and
-    the goal line, laterally inside the keeper's great area. Sorted by
-    distance to the ball, nearest first. The keeper is never included (it
-    is not part of scene.defenders)."""
+def _threats(attacker_x: float, ball_x: float, ball_y: float,
+             defenders: Iterable[Sequence[float]],
+             field: FieldConfig) -> list[tuple[float, float, float]]:
+    """(distance to the ball, x, y) of each (x, y) defender that can
+    threaten the shot: between the attacker's x and the goal line, laterally
+    inside the keeper's great area. Nearest the ball first."""
     half_band = field.penalty_area_width / 2
-    kept = [d for d in scene.defenders
-            if scene.attacker.x <= d.x <= field.goal_line_x and abs(d.y) <= half_band]
-    kept.sort(key=lambda d: d.distance_to(scene.ball))
+    kept = [(math.hypot(ball_x - x, ball_y - y), x, y) for x, y in defenders
+            if attacker_x <= x <= field.goal_line_x and abs(y) <= half_band]
+    kept.sort(key=itemgetter(0))
     return kept
 
 
-def features_by_target(scene: KickScene, field: FieldConfig) -> Callable[[Vec2], list[float]]:
-    """The scene half of extract_features: computes the features that do
-    not depend on the aim point once, and returns the function that builds
-    the row of extract_features for an aim point."""
-    ball, keeper = scene.ball, scene.keeper
-    d_post_left = ball.distance_to(field.post_left)
-    d_post_right = ball.distance_to(field.post_right)
-    filtered = filter_defenders(scene, field)
-    keeper_distance = keeper.distance_to(ball)
-    # The points relative to the ball as (x, y) pairs, as signed_offset(line,
-    # p) takes them, raising as it does on an overflow.
-    kx, ky = difference(keeper, ball)
-    defenders = [(d.distance_to(ball), difference(d, ball), d.distance_to(field.goal_center))
-                 for d in filtered[:3]]
-    defenders += [(field.field_length, None, field.field_length)] * (3 - len(defenders))
-    head = [ball.x, ball.y, keeper.x, keeper.y, keeper_distance]
-    vision = angle_at(scene.attacker, field.post_left, field.post_right)
-    posts = [min(d_post_left, d_post_right), max(d_post_left, d_post_right), scene.kick_power]
+def filter_defenders(scene: KickScene, field: FieldConfig) -> list[Vec2]:
+    """Defenders that can threaten the shot (see _threats), nearest the ball
+    first. The keeper is never included (it is not part of scene.defenders)."""
+    return [Vec2(x, y) for _, x, y in _threats(scene.attacker.x, scene.ball.x, scene.ball.y,
+                                                [(d.x, d.y) for d in scene.defenders], field)]
 
-    def row(target: Vec2) -> list[float]:
-        dx, dy = target.x - ball.x, target.y - ball.y
+
+def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]],
+                   field: FieldConfig) -> Callable[[float, float], list[float]]:
+    """The feature kernel, on plain floats: a scene's SCALAR_COLUMNS values
+    and its (x, y) defenders. Computes the features that do not depend on
+    the aim point once, and returns the function that builds the row of
+    extract_features for an aim point (target_x, target_y)."""
+    bx, by, _, _, ax, ay, body_angle, kx, ky, kick_power = values[:10]
+    left, right, center = field.post_left, field.post_right, field.goal_center
+    d_post_left = math.hypot(left.x - bx, left.y - by)
+    d_post_right = math.hypot(right.x - bx, right.y - by)
+    threats = _threats(ax, bx, by, defenders, field)
+    keeper_distance = math.hypot(bx - kx, by - ky)
+    # The points relative to the ball as (x, y) pairs, as signed_offset(line,
+    # p) takes them, raising as geometry.difference does on an overflow.
+    kdx, kdy = kx - bx, ky - by
+    _require_finite("Vec2 component", kdx, kdy)
+    near = []
+    for d_ball, x, y in threats[:3]:
+        _require_finite("Vec2 component", x - bx, y - by)
+        near.append((d_ball, x - bx, y - by, math.hypot(center.x - x, center.y - y)))
+    near += [(field.field_length, None, None, field.field_length)] * (3 - len(near))
+    head = [bx, by, kx, ky, keeper_distance]
+    # angle_at(attacker, post_left, post_right): 0.0 where opening_angle raises
+    ux, uy, vx, vy = left.x - ax, left.y - ay, right.x - ax, right.y - ay
+    vision = (math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+              if all(map(math.isfinite, (ux, uy, vx, vy)))
+              and math.hypot(ux, uy) >= 1e-12 and math.hypot(vx, vy) >= 1e-12 else 0.0)
+    posts = [min(d_post_left, d_post_right), max(d_post_left, d_post_right), kick_power]
+
+    def row(target_x: float, target_y: float) -> list[float]:
+        dx, dy = target_x - bx, target_y - by
         distance, ux, uy = unit_components(dx, dy)  # the line Ray.toward(ball, target)
         # angle_at(ball, keeper, target), 0.0 when the keeper is on the ball
         keeper_angle = (0.0 if keeper_distance < 1e-12
-                        else math.atan2(abs(kx * dy - ky * dx), kx * dx + ky * dy))
-        body_to_shot = abs(math.remainder(scene.attacker_body_angle - math.atan2(dy, dx),
-                                          2 * math.pi))
-        values = [*head, abs(ux * ky - uy * kx), keeper_angle, vision, body_to_shot,
-                  distance, *posts, target.y, float(len(filtered))]
-        for d_ball, to_d, d_goal in defenders[:2]:
-            offset = (field.penalty_area_width if to_d is None
-                      else abs(ux * to_d[1] - uy * to_d[0]))
+                        else math.atan2(abs(kdx * dy - kdy * dx), kdx * dx + kdy * dy))
+        body_to_shot = abs(math.remainder(body_angle - math.atan2(dy, dx), 2 * math.pi))
+        values = [*head, abs(ux * kdy - uy * kdx), keeper_angle, vision, body_to_shot,
+                  distance, *posts, target_y, float(len(threats))]
+        for d_ball, to_x, to_y, d_goal in near[:2]:
+            offset = (field.penalty_area_width if to_x is None
+                      else abs(ux * to_y - uy * to_x))
             values += (d_ball, offset, d_goal)
-        values.append(defenders[2][0])
+        values.append(near[2][0])
         return values
     return row
+
+
+def features_by_target(scene: KickScene, field: FieldConfig) -> Callable[[Vec2], list[float]]:
+    """scene_features of a KickScene, taking the aim point as a Vec2."""
+    row = scene_features(_scalars(scene), [(d.x, d.y) for d in scene.defenders], field)
+    return lambda target: row(target.x, target.y)
 
 
 def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
@@ -164,13 +195,18 @@ def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
                                   dtype=float))
 
 
-def feature_matrix(scenes: Sequence[KickScene], field: FieldConfig) -> np.ndarray:
-    """(n_scenes, 22) matrix of extracted features."""
+def feature_matrix(scenes: Sequence[KickScene] | SceneTable,
+                   field: FieldConfig) -> np.ndarray:
+    """(n_scenes, 22) matrix of extracted features of a scene list or a
+    SceneTable; both give a scene the same bits."""
+    if isinstance(scenes, SceneTable):
+        return np.array([scene_features(values, defenders, field)(*values[10:12])
+                         for values, defenders in scenes.rows()], dtype=float)
     return np.array([features_by_target(s, field)(s.target) for s in scenes], dtype=float)
 
 
 # ---------------------------------------------------------------------------
-# CSV persistence
+# CSV persistence and the scene table
 # ---------------------------------------------------------------------------
 
 _BASE_COLUMNS = (
@@ -180,6 +216,15 @@ _BASE_COLUMNS = (
 )
 CSV_HEADER: tuple[str, ...] = _BASE_COLUMNS + tuple(
     f"def{i}_{axis}" for i in range(1, MAX_DEFENDERS + 1) for axis in ("x", "y"))
+SCALAR_COLUMNS: tuple[str, ...] = _BASE_COLUMNS[1:13]
+_LABELS = (Label.GOAL.value, Label.NO_GOAL.value)
+
+
+def _scalars(scene: KickScene) -> list[float]:
+    """The scene's SCALAR_COLUMNS values."""
+    return [scene.ball.x, scene.ball.y, scene.ball_velocity.x, scene.ball_velocity.y,
+            scene.attacker.x, scene.attacker.y, scene.attacker_body_angle,
+            scene.keeper.x, scene.keeper.y, scene.kick_power, scene.target.x, scene.target.y]
 
 
 def save_scenes(scenes: Sequence[KickScene], path: str | Path) -> None:
@@ -190,23 +235,9 @@ def save_scenes(scenes: Sequence[KickScene], path: str | Path) -> None:
         for idx, scene in enumerate(scenes):
             if scene.label is None:
                 raise ValueError(f"scene {idx} has no label; cannot be saved")
-            row = [
-                str(scene.time),
-                repr(scene.ball.x), repr(scene.ball.y),
-                repr(scene.ball_velocity.x), repr(scene.ball_velocity.y),
-                repr(scene.attacker.x), repr(scene.attacker.y),
-                repr(scene.attacker_body_angle),
-                repr(scene.keeper.x), repr(scene.keeper.y),
-                repr(scene.kick_power),
-                repr(scene.target.x), repr(scene.target.y),
-                scene.label.value,
-            ]
-            for i in range(MAX_DEFENDERS):
-                if i < len(scene.defenders):
-                    row.extend((repr(scene.defenders[i].x), repr(scene.defenders[i].y)))
-                else:
-                    row.extend(("", ""))
-            writer.writerow(row)
+            row = [str(scene.time), *map(repr, _scalars(scene)), scene.label.value,
+                   *(repr(c) for d in scene.defenders for c in (d.x, d.y))]
+            writer.writerow(row + [""] * (len(CSV_HEADER) - len(row)))
 
 
 def _parse_float(raw: str, line: int, column: str) -> float:
@@ -219,75 +250,131 @@ def _parse_float(raw: str, line: int, column: str) -> float:
     return value
 
 
+def _checked_cells(line: int, row: list[str]) -> tuple[int, list[float]]:
+    """The time and the floats of a CSV row (the scalar columns, then x, y of
+    each defender given), checked cell by cell in column order. Raises naming
+    the first bad cell."""
+    if len(row) != len(CSV_HEADER):
+        raise ValueError(f"line {line}: expected {len(CSV_HEADER)} cells, got {len(row)}")
+    try:
+        time = int(row[0])
+    except ValueError:
+        raise ValueError(f"line {line}, column 'time': not an integer: {row[0]!r}") from None
+    values = [_parse_float(raw, line, name) for raw, name in zip(row[1:13], SCALAR_COLUMNS)]
+    if row[13] not in _LABELS:
+        raise ValueError(f"line {line}, column 'label': expected GOAL or NO_GOAL, got {row[13]!r}")
+    for i in range(1, MAX_DEFENDERS + 1):
+        raw_x, raw_y = row[12 + 2 * i], row[13 + 2 * i]
+        if raw_x == "" and raw_y == "":
+            continue
+        if raw_x == "" or raw_y == "":
+            raise ValueError(
+                f"line {line}, column 'def{i}_x': defender {i} has only one coordinate")
+        values += (_parse_float(raw_x, line, f"def{i}_x"), _parse_float(raw_y, line, f"def{i}_y"))
+    return time, values
+
+
+@dataclass(frozen=True, eq=False)
+class SceneTable:
+    """Labeled scenes column by column (see the module docstring); row i is
+    scene i of the CSV."""
+
+    time: np.ndarray  # (n,) object: Python ints
+    values: np.ndarray  # (n, 12) float64: the SCALAR_COLUMNS
+    defenders: np.ndarray  # (n, MAX_DEFENDERS, 2) float64: defender_count given, then NaN
+    defender_count: np.ndarray  # (n,) int
+    goal: np.ndarray  # (n,) bool: the label is GOAL
+
+    def __len__(self) -> int:
+        return len(self.goal)
+
+    def take(self, index: np.ndarray) -> SceneTable:
+        """The rows at index, in its order (repeats allowed)."""
+        return SceneTable(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    @property
+    def labels(self) -> list[Label]:
+        return [Label.GOAL if goal else Label.NO_GOAL for goal in self.goal.tolist()]
+
+    def rows(self) -> Iterable[tuple[list[float], Iterable[tuple[float, float]]]]:
+        """Each row's values and its (x, y) defenders, as Python floats."""
+        flat = self.defenders.reshape(len(self), 2 * MAX_DEFENDERS).tolist()
+        return ((values, zip(d[0:2 * n:2], d[1:2 * n:2]))
+                for values, d, n in zip(self.values.tolist(), flat, self.defender_count.tolist()))
+
+    def scenes(self) -> list[KickScene]:
+        """Each row as a KickScene."""
+        return [KickScene(time, Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay), body, Vec2(kx, ky),
+                          tuple(Vec2(x, y) for x, y in defenders), power, Vec2(tx, ty), label)
+                for time, ((bx, by, vx, vy, ax, ay, body, kx, ky, power, tx, ty), defenders),
+                label in zip(self.time.tolist(), self.rows(), self.labels)]
+
+    @classmethod
+    def load(cls, path: str | Path, field: FieldConfig = FieldConfig(),
+             dynamics: DynamicsConfig = DynamicsConfig()) -> SceneTable:
+        """Read scenes from CSV, validating the header, every cell, that the
+        ball lies inside the field and before the goal line, that the target
+        lies on the goal line within the mouth, and that the kick power lies
+        in [0, dynamics.max_power]. Errors name the first bad line (line 1 is
+        the header), in it the first bad cell in column order, else the first
+        failed range. A row is checked in one pass on plain floats; only a
+        row that fails is scanned cell by cell."""
+        half_length, half_width = field.field_length / 2, field.field_width / 2
+        goal_x, max_power = field.goal_line_x, dynamics.max_power
+        half_mouth = field.goal_width / 2 + GOAL_LINE_TOLERANCE
+        times, rows, counts, goal = [], [], [], []
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError("empty file: missing header row") from None
+            if tuple(header) != CSV_HEADER:
+                raise ValueError(f"unexpected header: expected {','.join(CSV_HEADER)}")
+            for line, row in enumerate(reader, start=2):
+                try:
+                    if len(row) != len(CSV_HEADER) or row[13] not in _LABELS:
+                        raise ValueError
+                    # The defender cells given, taken here only in pairs from def1_x on.
+                    given = list(filter(None, row[14:]))
+                    if len(given) % 2 or any(row[14 + len(given):]):
+                        raise ValueError
+                    time = int(row[0])
+                    values = [*map(float, row[1:13]), *map(float, given)]
+                    if not all(map(math.isfinite, values)):
+                        raise ValueError
+                except ValueError:
+                    time, values = _checked_cells(line, row)
+                ball_x, ball_y = values[0], values[1]
+                power, target_x, target_y = values[9:12]
+                if abs(ball_x) > half_length or abs(ball_y) > half_width:
+                    raise ValueError(f"line {line}, column 'ball_x': ball outside field bounds")
+                if ball_x >= goal_x:
+                    raise ValueError(f"line {line}, column 'ball_x': ball on or past the goal line")
+                if abs(target_x - goal_x) > GOAL_LINE_TOLERANCE:
+                    raise ValueError(f"line {line}, column 'target_x': target off the goal line")
+                if abs(target_y) > half_mouth:
+                    raise ValueError(
+                        f"line {line}, column 'target_y': target outside the goal mouth")
+                if power > max_power:
+                    raise ValueError(f"line {line}, column 'kick_power': power above "
+                                     f"max_power {max_power}")
+                if power < 0:
+                    raise ValueError(f"line {line}: kick_power must be finite and >= 0")
+                times.append(time)
+                rows.append(values + [math.nan] * (12 + 2 * MAX_DEFENDERS - len(values)))
+                counts.append(len(values) // 2 - 6)
+                goal.append(row[13] == Label.GOAL.value)
+        data = np.array(rows, dtype=float).reshape(len(rows), 12 + 2 * MAX_DEFENDERS)
+        return cls(np.array(times, dtype=object), data[:, :12],
+                   data[:, 12:].reshape(len(rows), MAX_DEFENDERS, 2),
+                   np.array(counts, dtype=np.intp), np.array(goal, dtype=bool))
+
+
 def load_scenes(path: str | Path, field: FieldConfig = FieldConfig(),
                 dynamics: DynamicsConfig = DynamicsConfig()) -> list[KickScene]:
-    """Read scenes from CSV, validating the header, every cell, that the
-    ball lies inside the field and before the goal line, that the target
-    lies on the goal line within the mouth, and that the kick power is at
-    most dynamics.max_power. Errors name the offending line and column
-    (line 1 is the header)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty file: missing header row") from None
-        if tuple(header) != CSV_HEADER:
-            raise ValueError(f"unexpected header: expected {','.join(CSV_HEADER)}")
-        scenes: list[KickScene] = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(
-                    f"line {line}: expected {len(CSV_HEADER)} cells, got {len(row)}")
-            cells = dict(zip(CSV_HEADER, row))
-            try:
-                time = int(cells["time"])
-            except ValueError:
-                raise ValueError(
-                    f"line {line}, column 'time': not an integer: {cells['time']!r}") from None
-            numeric = {name: _parse_float(cells[name], line, name)
-                       for name in _BASE_COLUMNS if name not in ("time", "label")}
-            if cells["label"] not in (Label.GOAL.value, Label.NO_GOAL.value):
-                raise ValueError(
-                    f"line {line}, column 'label': expected GOAL or NO_GOAL, got {cells['label']!r}")
-            defenders = []
-            for i in range(1, MAX_DEFENDERS + 1):
-                raw_x, raw_y = cells[f"def{i}_x"], cells[f"def{i}_y"]
-                if raw_x == "" and raw_y == "":
-                    continue
-                if raw_x == "" or raw_y == "":
-                    raise ValueError(
-                        f"line {line}, column 'def{i}_x': defender {i} has only one coordinate")
-                defenders.append(Vec2(_parse_float(raw_x, line, f"def{i}_x"),
-                                      _parse_float(raw_y, line, f"def{i}_y")))
-            ball = Vec2(numeric["ball_x"], numeric["ball_y"])
-            if not field.contains(ball):
-                raise ValueError(f"line {line}, column 'ball_x': ball outside field bounds")
-            if ball.x >= field.goal_line_x:
-                raise ValueError(f"line {line}, column 'ball_x': ball on or past the goal line")
-            if abs(numeric["target_x"] - field.goal_line_x) > GOAL_LINE_TOLERANCE:
-                raise ValueError(f"line {line}, column 'target_x': target off the goal line")
-            if abs(numeric["target_y"]) > field.goal_width / 2 + GOAL_LINE_TOLERANCE:
-                raise ValueError(f"line {line}, column 'target_y': target outside the goal mouth")
-            if numeric["kick_power"] > dynamics.max_power:
-                raise ValueError(f"line {line}, column 'kick_power': power above "
-                                 f"max_power {dynamics.max_power}")
-            try:
-                scenes.append(KickScene(
-                    time=time,
-                    ball=ball,
-                    ball_velocity=Vec2(numeric["ball_vx"], numeric["ball_vy"]),
-                    attacker=Vec2(numeric["attacker_x"], numeric["attacker_y"]),
-                    attacker_body_angle=numeric["attacker_body_angle"],
-                    keeper=Vec2(numeric["keeper_x"], numeric["keeper_y"]),
-                    defenders=tuple(defenders),
-                    kick_power=numeric["kick_power"],
-                    target=Vec2(numeric["target_x"], numeric["target_y"]),
-                    label=Label(cells["label"]),
-                ))
-            except ValueError as exc:
-                raise ValueError(f"line {line}: {exc}") from None
-    return scenes
+    """The scenes of a CSV file, read and checked by SceneTable.load."""
+    return SceneTable.load(path, field, dynamics).scenes()
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +384,13 @@ def load_scenes(path: str | Path, field: FieldConfig = FieldConfig(),
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: tuple[KickScene, ...]
-    validation: tuple[KickScene, ...]
-    test: tuple[KickScene, ...]
+    train: tuple[KickScene, ...] | SceneTable
+    validation: tuple[KickScene, ...] | SceneTable
+    test: tuple[KickScene, ...] | SceneTable
     seed: int
 
 
-def split_dataset(scenes: Sequence[KickScene], seed: int) -> DatasetSplit:
+def split_dataset(scenes: Sequence[KickScene] | SceneTable, seed: int) -> DatasetSplit:
     """Seeded shuffle followed by a contiguous 50/25/25 partition.
 
     Quotas are rounded half-up, keeping every part within one scene of its
@@ -312,41 +399,37 @@ def split_dataset(scenes: Sequence[KickScene], seed: int) -> DatasetSplit:
     n = len(scenes)
     if n < 4:
         raise ValueError(f"need at least 4 scenes to split, got {n}")
-    rng = np.random.default_rng(seed)
-    shuffled = [scenes[i] for i in rng.permutation(n)]
+    order = np.random.default_rng(seed).permutation(n)
     n_train = int(n * 0.5 + 0.5)
     n_val = int(n * 0.25 + 0.5)
-    return DatasetSplit(
-        train=tuple(shuffled[:n_train]),
-        validation=tuple(shuffled[n_train:n_train + n_val]),
-        test=tuple(shuffled[n_train + n_val:]),
-        seed=seed,
-    )
+    parts = [order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]]
+    if isinstance(scenes, SceneTable):
+        return DatasetSplit(*(scenes.take(part) for part in parts), seed=seed)
+    return DatasetSplit(*(tuple(scenes[i] for i in part) for part in parts), seed=seed)
 
 
-def balance_by_replication(train: Sequence[KickScene], seed: int) -> list[KickScene]:
-    """Equalize class counts by replicating minority scenes.
+def balance_by_replication(train: Sequence[KickScene] | SceneTable,
+                           seed: int) -> list[KickScene] | SceneTable:
+    """Equalize class counts by replicating minority scenes, appended to the
+    training scenes: a list for a list, a table for a table.
 
     Whole passes over the minority first, then a seeded sample without
     replacement for the remainder. The majority class is untouched.
     """
-    goals = [s for s in train if s.label is Label.GOAL]
-    no_goals = [s for s in train if s.label is Label.NO_GOAL]
-    if len(goals) + len(no_goals) != len(train):
+    if isinstance(train, SceneTable):
+        goal = train.goal
+    elif any(s.label is None for s in train):
         raise ValueError("all scenes must be labeled to balance")
-    if not goals or not no_goals:
+    else:
+        goal = np.array([s.label is Label.GOAL for s in train], dtype=bool)
+    goals, no_goals = np.flatnonzero(goal), np.flatnonzero(~goal)
+    if not goals.size or not no_goals.size:
         raise ValueError("both classes must be present to balance")
-    minority, majority = (goals, no_goals) if len(goals) < len(no_goals) else (no_goals, goals)
-    deficit = len(majority) - len(minority)
-    if deficit == 0:
-        return list(train)
-    passes, remainder = divmod(deficit, len(minority))
-    extra = minority * passes
-    if remainder:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(minority), size=remainder, replace=False)
-        extra = extra + [minority[i] for i in picks]
-    return list(train) + extra
+    minority, majority = (goals, no_goals) if goals.size < no_goals.size else (no_goals, goals)
+    passes, remainder = divmod(majority.size - minority.size, minority.size)
+    picks = np.random.default_rng(seed).choice(minority.size, size=remainder, replace=False)
+    index = np.concatenate([np.arange(goal.size), np.tile(minority, passes), minority[picks]])
+    return train.take(index) if isinstance(train, SceneTable) else [train[i] for i in index]
 
 
 @dataclass(frozen=True)

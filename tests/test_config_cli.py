@@ -303,6 +303,15 @@ class TestGenData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_keeper_noise_out_of_float_range_fails(self, tmp_path, capsys):
+        path = tmp_path / "noise.ini"
+        path.write_text("[keeper]\npositioning_noise = 1e308\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", "--n", "20", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: positioning_noise 1e+308 moves the "
+                                           "keeper's aim point out of float range\n")
+        assert not out.exists()
+
     def test_unwritable_path_fails(self, tmp_path):
         out = tmp_path / "missing-dir" / "x.csv"
         assert main(["gen-data", "--n", "5", "--out", str(out)]) == 1

@@ -238,3 +238,21 @@ def test_ball_leaving_the_finite_range_fails(noise):
     with pytest.raises(ValueError, match="the ball left the finite range"):
         simulate_shot(ball, Vec2(0.0, 0.0), target, 100.0, Vec2(FIELD.goal_line_x, 20.0),
                       (), KeeperModel(), config, FIELD, np.random.default_rng(1))
+
+
+# A positioning noise near the float limit blurs the keeper's aim point to
+# inf. The step toward it, scaled by max_speed / inf, used to move the keeper
+# to NaN, after which no player could catch: most such shots ended as goals.
+def test_keeper_step_leaving_the_finite_range_fails():
+    model = KeeperModel(positioning_noise=1e308)
+    ball, target, keeper = Vec2(40.0, 0.0), Vec2(FIELD.goal_line_x, 0.0), Vec2(51.0, 0.0)
+    failed = 0
+    for seed in range(200):
+        try:
+            simulate_shot(ball, Vec2(0.0, 0.0), target, 60.0, keeper, (), model,
+                          DynamicsConfig(), FIELD, np.random.default_rng(seed))
+        except ValueError as exc:
+            assert str(exc) == ("positioning_noise 1e+308 moves the keeper's aim point "
+                                "out of float range")
+            failed += 1
+    assert failed > 100

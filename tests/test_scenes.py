@@ -11,7 +11,7 @@ from goalshot.config import RunConfig
 from goalshot.dynamics import DynamicsConfig
 from goalshot.geometry import Vec2
 from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, MAX_DEFENDERS, GeneratorConfig,
-                             KickScene, Label, balance_by_replication,
+                             KickScene, Label, SceneTable, balance_by_replication,
                              extract_features, feature_matrix, filter_defenders,
                              generate_synthetic_scenes, load_scenes, mirror_scene,
                              save_scenes, split_dataset, univariate_stats)
@@ -32,6 +32,25 @@ _LOADABLE_SCENES = st.builds(
     attacker_body_angle=_FINITE,
     keeper=_POINTS,
     defenders=st.lists(_POINTS, max_size=MAX_DEFENDERS).map(tuple),
+    kick_power=st.floats(0.0, DynamicsConfig().max_power),
+    target=st.builds(Vec2, st.floats(52.5 - 5e-10, 52.5 + 5e-10), st.floats(-7.01, 7.01)),
+    label=st.sampled_from(Label),
+)
+
+# Loadable scenes near the pitch whose defenders fall both inside the filter
+# band in front of the attacker and anywhere around it, band edges included.
+_NEAR = st.floats(-60.0, 60.0)
+_TABLE_SCENES = st.builds(
+    KickScene,
+    time=st.integers(-2**70, 2**70),
+    ball=st.builds(Vec2, st.floats(-52.5, 45.0), st.floats(-34.0, 34.0)),
+    ball_velocity=st.builds(Vec2, _NEAR, _NEAR),
+    attacker=st.builds(Vec2, st.floats(-60.0, 45.0), _NEAR),
+    attacker_body_angle=_FINITE,
+    keeper=st.builds(Vec2, _NEAR, _NEAR),
+    defenders=st.lists(st.one_of(
+        st.builds(Vec2, st.floats(45.0, 52.5), st.floats(-20.16, 20.16)),
+        st.builds(Vec2, _NEAR, _NEAR)), max_size=MAX_DEFENDERS).map(tuple),
     kick_power=st.floats(0.0, DynamicsConfig().max_power),
     target=st.builds(Vec2, st.floats(52.5 - 5e-10, 52.5 + 5e-10), st.floats(-7.01, 7.01)),
     label=st.sampled_from(Label),
@@ -200,6 +219,88 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
             load_scenes(path, field)
+
+    def test_first_bad_line_is_reported(self, field, tmp_path):
+        """A range error on line 3 is reported before a non-number on line 4."""
+        path = tmp_path / "order.csv"
+        save_scenes([make_scene(label=Label.GOAL)] * 3, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace("32.5", "90.0", 1)
+        lines[3] = lines[3].replace("85.0", "eighty")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            SceneTable.load(path, field)
+        assert str(raised.value) == "line 3, column 'ball_x': ball outside field bounds"
+
+    @pytest.mark.parametrize("changes, message", [
+        # A bad cell is reported before a failed range, cells in column order.
+        ({"ball_x": "90.0", "kick_power": "eighty"},
+         "line 2, column 'kick_power': not a number: 'eighty'"),
+        ({"ball_y": "nan", "keeper_x": "x"}, "line 2, column 'ball_y': non-finite value 'nan'"),
+        ({"label": "MAYBE", "def2_y": "inf"},
+         "line 2, column 'label': expected GOAL or NO_GOAL, got 'MAYBE'"),
+        ({"def1_x": "", "def2_x": "1e999"},
+         "line 2, column 'def1_x': defender 1 has only one coordinate"),
+        ({"time": "1.5", "ball_x": "x"}, "line 2, column 'time': not an integer: '1.5'"),
+        ({"target_y": "30.0", "kick_power": "150.0"},
+         "line 2, column 'target_y': target outside the goal mouth"),
+        ({"kick_power": "-1.0"}, "line 2: kick_power must be finite and >= 0"),
+        ({"kick_power": "-0.0"}, None),
+        # A defender given after an empty slot loads, as def1 onwards.
+        ({"def1_x": "", "def1_y": "", "def3_x": "40.0", "def3_y": "2.0"}, None),
+    ])
+    def test_row_errors_keep_their_text(self, field, tmp_path, changes, message):
+        path = tmp_path / "row.csv"
+        save_scenes([make_scene(defenders=(Vec2(40.0, 1.0), Vec2(41.0, -1.0)),
+                                label=Label.GOAL)], path)
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        cells = row.split(",")
+        for column, value in changes.items():
+            cells[CSV_HEADER.index(column)] = value
+        path.write_text(header + "\n" + ",".join(cells) + "\n", encoding="utf-8")
+        if message is None:
+            table = SceneTable.load(path, field)
+            assert table.scenes() == load_scenes(path, field)
+            return
+        for load in (SceneTable.load, load_scenes):
+            with pytest.raises(ValueError) as raised:
+                load(path, field)
+            assert str(raised.value) == message
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _hex_rows(matrix):
+    return [[float.hex(v) for v in row] for row in matrix.tolist()]
+
+
+class TestSceneTable:
+    @settings(max_examples=150, deadline=None)
+    @given(scenes=st.lists(_TABLE_SCENES, max_size=12), seed=st.integers(0, 2**32))
+    def test_matches_the_scene_list(self, scenes, seed, tmp_path_factory):
+        """Rows, feature bits, split and balance of a saved scene list are
+        the same from its SceneTable as from load_scenes."""
+        path = tmp_path_factory.mktemp("table") / "scenes.csv"
+        save_scenes(scenes, path)
+        table = SceneTable.load(path)
+        assert load_scenes(path) == scenes
+        assert len(table) == len(scenes) and table.scenes() == scenes
+        assert table.labels == [s.label for s in scenes]
+        assert (_outcome(lambda: _hex_rows(feature_matrix(table, CFG.field)))
+                == _outcome(lambda: _hex_rows(feature_matrix(scenes, CFG.field))))
+        if len(scenes) < 4:
+            return
+        by_table, by_list = split_dataset(table, seed), split_dataset(scenes, seed)
+        for part in ("train", "validation", "test"):
+            assert getattr(by_table, part).scenes() == list(getattr(by_list, part))
+        assert (_outcome(lambda: balance_by_replication(by_table.train, seed).scenes())
+                == _outcome(balance_by_replication, by_list.train, seed))
 
 
 class TestSplitDataset:

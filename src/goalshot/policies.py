@@ -127,7 +127,7 @@ def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
     """Two-stage decision: analytic p_goal filter, then best neural score."""
     def rank(targets: list[Vec2]) -> list[float]:
         row = features_by_target(scene, field)
-        return score_batch(model, np.array([row(target) for target in targets])).tolist()
+        return score_batch(model, np.array([row(t.x, t.y) for t in targets])).tolist()
     return _two_stage(scene, field, aim_config, policy_config, rank,
                       policy_config.score_threshold)
 

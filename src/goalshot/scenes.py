@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,10 +178,10 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
     return row
 
 
-def features_by_target(scene: KickScene, field: FieldConfig) -> Callable[[Vec2], list[float]]:
-    """scene_features of a KickScene, taking the aim point as a Vec2."""
-    row = scene_features(_scalars(scene), [(d.x, d.y) for d in scene.defenders], field)
-    return lambda target: row(target.x, target.y)
+def features_by_target(scene: KickScene,
+                       field: FieldConfig) -> Callable[[float, float], list[float]]:
+    """scene_features of a KickScene."""
+    return scene_features(_scalars(scene), [(d.x, d.y) for d in scene.defenders], field)
 
 
 def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
@@ -191,8 +191,8 @@ def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
     target). Features of absent defenders are imputed with "no threat"
     extremes: field_length for distances, penalty_area_width for offsets.
     """
-    return FeatureVector(np.array(features_by_target(scene, field)(scene.target),
-                                  dtype=float))
+    row = features_by_target(scene, field)(scene.target.x, scene.target.y)
+    return FeatureVector(np.array(row, dtype=float))
 
 
 def feature_matrix(scenes: Sequence[KickScene] | SceneTable,
@@ -202,7 +202,8 @@ def feature_matrix(scenes: Sequence[KickScene] | SceneTable,
     if isinstance(scenes, SceneTable):
         return np.array([scene_features(values, defenders, field)(*values[10:12])
                          for values, defenders in scenes.rows()], dtype=float)
-    return np.array([features_by_target(s, field)(s.target) for s in scenes], dtype=float)
+    return np.array([features_by_target(s, field)(s.target.x, s.target.y) for s in scenes],
+                    dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +236,9 @@ def save_scenes(scenes: Sequence[KickScene], path: str | Path) -> None:
         for idx, scene in enumerate(scenes):
             if scene.label is None:
                 raise ValueError(f"scene {idx} has no label; cannot be saved")
-            row = [str(scene.time), *map(repr, _scalars(scene)), scene.label.value,
-                   *(repr(c) for d in scene.defenders for c in (d.x, d.y))]
+            row = [str(scene.time), *map(repr, _scalars(scene)), scene.label.value]
+            for d in scene.defenders:
+                row += (repr(d.x), repr(d.y))
             writer.writerow(row + [""] * (len(CSV_HEADER) - len(row)))
 
 
@@ -296,11 +298,12 @@ class SceneTable:
     def labels(self) -> list[Label]:
         return [Label.GOAL if goal else Label.NO_GOAL for goal in self.goal.tolist()]
 
-    def rows(self) -> Iterable[tuple[list[float], Iterable[tuple[float, float]]]]:
-        """Each row's values and its (x, y) defenders, as Python floats."""
-        flat = self.defenders.reshape(len(self), 2 * MAX_DEFENDERS).tolist()
-        return ((values, zip(d[0:2 * n:2], d[1:2 * n:2]))
-                for values, d, n in zip(self.values.tolist(), flat, self.defender_count.tolist()))
+    def rows(self) -> Iterator[tuple[list[float], list[list[float]]]]:
+        """Each row's values and its [x, y] defenders, as Python floats, one
+        row at a time."""
+        for values, defenders, n in zip(self.values, self.defenders,
+                                        self.defender_count.tolist()):
+            yield values.tolist(), defenders[:n].tolist()
 
     def scenes(self) -> list[KickScene]:
         """Each row as a KickScene."""

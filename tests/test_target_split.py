@@ -109,7 +109,7 @@ def assert_matches_reference(scene, aim_config):
     row = features_by_target(scene, FIELD)
     for target in targets + [scene.target]:
         expected = reference_features(replace(scene, target=target), FIELD)
-        assert row(target) == expected
+        assert row(target.x, target.y) == expected
         assert extract_features(replace(scene, target=target), FIELD).values.tolist() == expected
         query = ShotQuery(scene.ball, target)
         expected = outcome(reference_tails, query, FIELD, aim_config)
@@ -171,7 +171,7 @@ def test_feature_errors_match_reference(scene, target):
     scene = replace(scene, target=target)
     expected = outcome(reference_features, scene, FIELD)
     assert isinstance(expected[0], type)
-    assert outcome(lambda: features_by_target(scene, FIELD)(target)) == expected
+    assert outcome(lambda: features_by_target(scene, FIELD)(target.x, target.y)) == expected
     assert outcome(extract_features, scene, FIELD) == expected
 
 

@@ -22,9 +22,9 @@ from .policies import (Action, KickDecision, LdaModel, LdaPolicy, MlpPolicy,
                        NaiveCenterPolicy, PolicyConfig, lda_policy_decide,
                        lda_train, mlp_policy_decide, naive_center_policy)
 from .scenes import (FEATURE_NAMES, DatasetSplit, FeatureVector, GeneratorConfig,
-                     KickScene, Label, SceneTable, UnivariateReport, balance_by_replication,
-                     extract_features, feature_matrix, filter_defenders,
-                     generate_synthetic_scenes, load_scenes, save_scenes,
-                     split_dataset, univariate_stats)
+                     KickScene, Label, SceneTable, UnivariateReport,
+                     balance_by_replication, extract_features, feature_matrix,
+                     filter_defenders, generate_synthetic_scenes, load_scenes,
+                     save_scenes, split_dataset, univariate_stats)
 
 __version__ = "0.1.0"

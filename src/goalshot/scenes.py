@@ -366,7 +366,7 @@ class SceneTable:
                     raise ValueError(f"line {line}: kick_power must be finite and >= 0")
                 times.append(time)
                 rows.append(values + [math.nan] * (12 + 2 * MAX_DEFENDERS - len(values)))
-                counts.append(len(values) // 2 - 6)
+                counts.append((len(values) - 12) // 2)
                 goal.append(row[13] == Label.GOAL.value)
         data = np.array(rows, dtype=float).reshape(len(rows), 12 + 2 * MAX_DEFENDERS)
         return cls(np.array(times, dtype=object), data[:, :12],

@@ -9,19 +9,19 @@ top, while a genuinely uninformative variable sits near 0.5.
 
 import numpy as np
 
-from goalshot import (Label, auc_rank, feature_relevance,
+from goalshot import (SceneTable, auc_rank, feature_relevance,
                       generate_synthetic_scenes, scored_samples,
                       univariate_stats)
 from goalshot.config import RunConfig
 
 cfg = RunConfig()
-scenes = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=5)
-goals = sum(1 for s in scenes if s.label is Label.GOAL)
-print(f"generated {len(scenes)} scenes, goal fraction {goals / len(scenes):.3f}")
+table = SceneTable.from_scenes(
+    generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=5))
+print(f"generated {len(table)} scenes, goal fraction {table.goal.mean():.3f}")
 
 print()
 print("=== Univariate statistics (a few features) ===")
-report = univariate_stats(scenes, cfg.field)
+report = univariate_stats(table, cfg.field)
 print(f"{'feature':<34} {'mean':>9} {'std':>8} {'median':>9} {'p1':>8} {'p99':>9}")
 for name in ("ball_x", "keeper_distance_to_ball", "angle_ball_keeper_destiny",
              "kick_power", "def1_distance_to_ball"):
@@ -31,12 +31,11 @@ for name in ("ball_x", "keeper_distance_to_ball", "angle_ball_keeper_destiny",
 
 print()
 print("=== Folded single-variable AUC, best to worst ===")
-relevance = feature_relevance(scenes, cfg.field)
+relevance = feature_relevance(table, cfg.field)
 for name, auc in sorted(relevance.items(), key=lambda kv: -kv[1]):
     print(f"{name:<34} {auc:.3f}")
 
 rng = np.random.default_rng(5)
-noise_auc = auc_rank(scored_samples(rng.random(len(scenes)),
-                                    [s.label for s in scenes]))
+noise_auc = auc_rank(scored_samples(rng.random(len(table)), table.labels))
 print()
 print(f"a pure-noise variable, for contrast:  {max(noise_auc, 1 - noise_auc):.3f}")

@@ -10,24 +10,23 @@ round-trips through a JSON file.
 import tempfile
 from pathlib import Path
 
-from goalshot import (Label, TrainConfig, balance_by_replication, feature_matrix,
+from goalshot import (SceneTable, TrainConfig, balance_by_replication, feature_matrix,
                       forward, generate_synthetic_scenes, load_model, save_model,
                       score, split_dataset, train)
 from goalshot.config import RunConfig
 
 cfg = RunConfig()
 scenes = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=3)
-split = split_dataset(scenes, seed=3)
+split = split_dataset(SceneTable.from_scenes(scenes), seed=3)
 balanced = balance_by_replication(split.train, seed=3)
-goals = sum(1 for s in balanced if s.label is Label.GOAL)
+goals = int(balanced.goal.sum())
 print(f"train {len(split.train)} -> balanced {len(balanced)} "
       f"({goals} goal / {len(balanced) - goals} no-goal), "
       f"validation {len(split.validation)}, test {len(split.test)}")
 
 params, report = train(
-    feature_matrix(balanced, cfg.field), [s.label for s in balanced],
-    feature_matrix(split.validation, cfg.field),
-    [s.label for s in split.validation],
+    feature_matrix(balanced, cfg.field), balanced.labels,
+    feature_matrix(split.validation, cfg.field), split.validation.labels,
     TrainConfig(max_epochs=80, patience=10, seed=3))
 
 print()
@@ -44,7 +43,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.json"
     save_model(params, path)
     loaded = load_model(path)
-    example = feature_matrix(split.test[:1], cfg.field)[0]
+    example = feature_matrix(split.test, cfg.field)[0]
     original = score(*forward(params, example))
     reloaded = score(*forward(loaded, example))
     print()

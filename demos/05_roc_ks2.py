@@ -5,7 +5,7 @@ the ROC curve; the KS2 statistic is the largest vertical gap between the
 two classes' score CDFs. Both are threshold-free views of separability.
 """
 
-from goalshot import (TrainConfig, auc_rank, balance_by_replication,
+from goalshot import (SceneTable, TrainConfig, auc_rank, balance_by_replication,
                       feature_matrix, generate_synthetic_scenes, ks2_curve,
                       roc_curve, score_batch, scored_samples, split_dataset,
                       train)
@@ -13,16 +13,15 @@ from goalshot.config import RunConfig
 
 cfg = RunConfig()
 scenes = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=4)
-split = split_dataset(scenes, seed=4)
+split = split_dataset(SceneTable.from_scenes(scenes), seed=4)
 balanced = balance_by_replication(split.train, seed=4)
 params, _ = train(
-    feature_matrix(balanced, cfg.field), [s.label for s in balanced],
-    feature_matrix(split.validation, cfg.field),
-    [s.label for s in split.validation],
+    feature_matrix(balanced, cfg.field), balanced.labels,
+    feature_matrix(split.validation, cfg.field), split.validation.labels,
     TrainConfig(max_epochs=80, patience=10, seed=4))
 
 samples = scored_samples(score_batch(params, feature_matrix(split.test, cfg.field)),
-                         [s.label for s in split.test])
+                         split.test.labels)
 roc = roc_curve(samples)
 ks = ks2_curve(samples)
 

@@ -8,21 +8,20 @@ policies alone.
 """
 
 from goalshot import (LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig,
-                      TrainConfig, balance_by_replication, feature_matrix,
+                      SceneTable, TrainConfig, balance_by_replication, feature_matrix,
                       generate_synthetic_scenes, lda_train, report,
                       run_experiment, split_dataset, train)
 from goalshot.config import RunConfig
 
 cfg = RunConfig()
 scenes = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=6)
-split = split_dataset(scenes, seed=6)
+split = split_dataset(SceneTable.from_scenes(scenes), seed=6)
 balanced = balance_by_replication(split.train, seed=6)
 params, _ = train(
-    feature_matrix(balanced, cfg.field), [s.label for s in balanced],
-    feature_matrix(split.validation, cfg.field),
-    [s.label for s in split.validation],
+    feature_matrix(balanced, cfg.field), balanced.labels,
+    feature_matrix(split.validation, cfg.field), split.validation.labels,
     TrainConfig(max_epochs=80, patience=10, seed=6))
-lda_model = lda_train(list(split.train), cfg.field)
+lda_model = lda_train(split.train.scenes(), cfg.field)
 print(f"linear baseline: {lda_model.weight_distance:+.4f} * keeper_distance "
       f"{lda_model.weight_angle:+.4f} * keeper_angle {lda_model.bias:+.4f}")
 

@@ -85,12 +85,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    scenes = load_scenes(args.data, config.field, config.dynamics)
-    stats = univariate_stats(scenes, config.field)
-    relevance = feature_relevance(scenes, config.field)
+    table = SceneTable.load(args.data, config.field, config.dynamics)
+    stats = univariate_stats(table, config.field)
+    relevance = feature_relevance(table, config.field)
     header = (f"{'feature':<34} {'mean':>10} {'std':>10} {'median':>10} "
               f"{'p1':>10} {'p99':>10} {'missing':>8} {'auc':>7}")
-    lines = [f"{len(scenes)} scenes", header, "-" * len(header)]
+    lines = [f"{len(table)} scenes", header, "-" * len(header)]
     for name, s in stats.per_feature.items():
         lines.append(f"{name:<34} {s.mean:>10.4f} {s.std:>10.4f} {s.median:>10.4f} "
                      f"{s.percentile_1:>10.4f} {s.percentile_99:>10.4f} "
@@ -176,6 +176,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if kind not in ("mlp", "lda", "center"):
             raise ValueError(f"unknown policy {kind!r}; use mlp, lda or center")
     check_experiment_size(args.games, args.shots)
+    if "lda" in (args.policy_a, args.policy_b) and not args.data and args.lda_train_scenes < 1:
+        raise ValueError(f"--lda-train-scenes must be >= 1, got {args.lda_train_scenes}")
     config = _load_config(args)
     policy_a = _make_policy(args.policy_a, args, config)
     policy_b = _make_policy(args.policy_b, args, config)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import FieldConfig
-from .scenes import FEATURE_NAMES, KickScene, Label, feature_matrix
+from .scenes import FEATURE_NAMES, Label, SceneTable, feature_matrix
 
 
 @dataclass(frozen=True)
@@ -111,15 +111,13 @@ def scored_samples(scores: Sequence[float], labels: Sequence[Label]) -> list[Sco
     return [ScoredSample(float(s), l) for s, l in zip(scores, labels)]
 
 
-def feature_relevance(scenes: Sequence[KickScene], field: FieldConfig) -> dict[str, float]:
+def feature_relevance(table: SceneTable, field: FieldConfig) -> dict[str, float]:
     """Folded single-variable AUC per feature: each feature plays classifier
     by itself, and max(auc, 1 - auc) makes both orientations count."""
-    if len(scenes) < 2:
+    if len(table) < 2:
         raise ValueError("need at least two scenes")
-    labels = [s.label for s in scenes]
-    if any(l is None for l in labels):
-        raise ValueError("every scene must be labeled")
-    matrix = feature_matrix(scenes, field)
+    labels = table.labels
+    matrix = feature_matrix(table, field)
     relevance: dict[str, float] = {}
     for j, name in enumerate(FEATURE_NAMES):
         auc = auc_rank(scored_samples(matrix[:, j], labels))

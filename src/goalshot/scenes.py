@@ -7,13 +7,12 @@ outcome. Scenes are persisted as CSV (one scene per row, see CSV_HEADER)
 and turned into the canonical 22-value feature vector consumed by the
 neural scorer.
 
-`SceneTable.load` is the one CSV reader. Its table holds the time column
-as Python ints, the twelve scalar columns in float64, the defenders as an
-(n, 10, 2) array with a count per row, and a GOAL mask; every value is the
-float its cell parses to, so values round-trip exactly. train and eval
-split, balance and featurize the table by index arrays; `load_scenes`
-turns it into KickScenes. `scene_features` is the one feature kernel, for
-table rows and KickScenes (extract_features, the policies) alike.
+The dataset layer (split, balance, features, statistics) takes a
+`SceneTable`: time as Python ints, the twelve scalar columns in float64,
+the defenders as an (n, 10, 2) array with a count per row, and a GOAL
+mask. `SceneTable.load` reads it from CSV, each value the float its cell
+parses to; `from_scenes` builds it from labeled KickScenes.
+`scene_features` is the one feature kernel, for table rows and KickScenes.
 """
 
 from __future__ import annotations
@@ -195,15 +194,12 @@ def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
     return FeatureVector(np.array(row, dtype=float))
 
 
-def feature_matrix(scenes: Sequence[KickScene] | SceneTable,
-                   field: FieldConfig) -> np.ndarray:
-    """(n_scenes, 22) matrix of extracted features of a scene list or a
-    SceneTable; both give a scene the same bits."""
-    if isinstance(scenes, SceneTable):
-        return np.array([scene_features(values, defenders, field)(*values[10:12])
-                         for values, defenders in scenes.rows()], dtype=float)
-    return np.array([features_by_target(s, field)(s.target.x, s.target.y) for s in scenes],
-                    dtype=float)
+def feature_matrix(table: SceneTable, field: FieldConfig) -> np.ndarray:
+    """(n, 22) matrix of the table's features, bit-equal to extract_features
+    of each row's scene."""
+    return np.array([scene_features(values, defenders, field)(*values[10:12])
+                     for values, defenders in table.rows()],
+                    dtype=float).reshape(len(table), len(FEATURE_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +301,27 @@ class SceneTable:
                                         self.defender_count.tolist()):
             yield values.tolist(), defenders[:n].tolist()
 
+    @classmethod
+    def _of_rows(cls, times: list[int], rows: list[list[float]], goal: list[bool]) -> SceneTable:
+        """The table of rows of the SCALAR_COLUMNS values, then x, y per defender."""
+        data = np.full((len(rows), 12 + 2 * MAX_DEFENDERS), math.nan)
+        for i, row in enumerate(rows):
+            data[i, :len(row)] = row
+        return cls(np.array(times, dtype=object), data[:, :12],
+                   data[:, 12:].reshape(len(rows), MAX_DEFENDERS, 2),
+                   np.array([(len(row) - 12) // 2 for row in rows], dtype=np.intp),
+                   np.array(goal, dtype=bool))
+
+    @classmethod
+    def from_scenes(cls, scenes: Sequence[KickScene]) -> SceneTable:
+        """The table of labeled scenes, row i scene i."""
+        if any(s.label is None for s in scenes):
+            raise ValueError("every scene must be labeled")
+        return cls._of_rows([s.time for s in scenes],
+                            [_scalars(s) + [c for d in s.defenders for c in (d.x, d.y)]
+                             for s in scenes],
+                            [s.label is Label.GOAL for s in scenes])
+
     def scenes(self) -> list[KickScene]:
         """Each row as a KickScene."""
         return [KickScene(time, Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay), body, Vec2(kx, ky),
@@ -325,7 +342,7 @@ class SceneTable:
         half_length, half_width = field.field_length / 2, field.field_width / 2
         goal_x, max_power = field.goal_line_x, dynamics.max_power
         half_mouth = field.goal_width / 2 + GOAL_LINE_TOLERANCE
-        times, rows, counts, goal = [], [], [], []
+        times, rows, goal = [], [], []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -365,13 +382,9 @@ class SceneTable:
                 if power < 0:
                     raise ValueError(f"line {line}: kick_power must be finite and >= 0")
                 times.append(time)
-                rows.append(values + [math.nan] * (12 + 2 * MAX_DEFENDERS - len(values)))
-                counts.append((len(values) - 12) // 2)
+                rows.append(values)
                 goal.append(row[13] == Label.GOAL.value)
-        data = np.array(rows, dtype=float).reshape(len(rows), 12 + 2 * MAX_DEFENDERS)
-        return cls(np.array(times, dtype=object), data[:, :12],
-                   data[:, 12:].reshape(len(rows), MAX_DEFENDERS, 2),
-                   np.array(counts, dtype=np.intp), np.array(goal, dtype=bool))
+        return cls._of_rows(times, rows, goal)
 
 
 def load_scenes(path: str | Path, field: FieldConfig = FieldConfig(),
@@ -387,52 +400,42 @@ def load_scenes(path: str | Path, field: FieldConfig = FieldConfig(),
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: tuple[KickScene, ...] | SceneTable
-    validation: tuple[KickScene, ...] | SceneTable
-    test: tuple[KickScene, ...] | SceneTable
-    seed: int
+    train: SceneTable
+    validation: SceneTable
+    test: SceneTable
 
 
-def split_dataset(scenes: Sequence[KickScene] | SceneTable, seed: int) -> DatasetSplit:
+def split_dataset(table: SceneTable, seed: int) -> DatasetSplit:
     """Seeded shuffle followed by a contiguous 50/25/25 partition.
 
     Quotas are rounded half-up, keeping every part within one scene of its
     exact proportion.
     """
-    n = len(scenes)
+    n = len(table)
     if n < 4:
         raise ValueError(f"need at least 4 scenes to split, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(n * 0.5 + 0.5)
     n_val = int(n * 0.25 + 0.5)
     parts = [order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]]
-    if isinstance(scenes, SceneTable):
-        return DatasetSplit(*(scenes.take(part) for part in parts), seed=seed)
-    return DatasetSplit(*(tuple(scenes[i] for i in part) for part in parts), seed=seed)
+    return DatasetSplit(*(table.take(part) for part in parts))
 
 
-def balance_by_replication(train: Sequence[KickScene] | SceneTable,
-                           seed: int) -> list[KickScene] | SceneTable:
-    """Equalize class counts by replicating minority scenes, appended to the
-    training scenes: a list for a list, a table for a table.
+def balance_by_replication(train: SceneTable, seed: int) -> SceneTable:
+    """Equalize class counts by replicating minority rows, appended to the
+    training rows.
 
     Whole passes over the minority first, then a seeded sample without
     replacement for the remainder. The majority class is untouched.
     """
-    if isinstance(train, SceneTable):
-        goal = train.goal
-    elif any(s.label is None for s in train):
-        raise ValueError("all scenes must be labeled to balance")
-    else:
-        goal = np.array([s.label is Label.GOAL for s in train], dtype=bool)
-    goals, no_goals = np.flatnonzero(goal), np.flatnonzero(~goal)
+    goals, no_goals = np.flatnonzero(train.goal), np.flatnonzero(~train.goal)
     if not goals.size or not no_goals.size:
         raise ValueError("both classes must be present to balance")
     minority, majority = (goals, no_goals) if goals.size < no_goals.size else (no_goals, goals)
     passes, remainder = divmod(majority.size - minority.size, minority.size)
     picks = np.random.default_rng(seed).choice(minority.size, size=remainder, replace=False)
-    index = np.concatenate([np.arange(goal.size), np.tile(minority, passes), minority[picks]])
-    return train.take(index) if isinstance(train, SceneTable) else [train[i] for i in index]
+    index = np.concatenate([np.arange(len(train)), np.tile(minority, passes), minority[picks]])
+    return train.take(index)
 
 
 @dataclass(frozen=True)
@@ -450,29 +453,23 @@ class UnivariateReport:
     per_feature: dict[str, FeatureStats]
 
 
-def univariate_stats(scenes: Sequence[KickScene], field: FieldConfig) -> UnivariateReport:
+def univariate_stats(table: SceneTable, field: FieldConfig) -> UnivariateReport:
     """Per-feature mean/std/median/1st/99th percentile and missing fraction.
 
     Percentiles interpolate linearly between order statistics; std is the
     population standard deviation.
     """
-    if not scenes:
+    if not len(table):
         raise ValueError("need at least one scene")
-    matrix = feature_matrix(scenes, field)
+    matrix = feature_matrix(table, field)
     stats: dict[str, FeatureStats] = {}
     for j, name in enumerate(FEATURE_NAMES):
         column = matrix[:, j]
         finite = column[np.isfinite(column)]
         missing = 1.0 - finite.size / column.size
         p1, median, p99 = np.percentile(finite, [1, 50, 99], method="linear")
-        stats[name] = FeatureStats(
-            mean=float(finite.mean()),
-            std=float(finite.std()),
-            median=float(median),
-            percentile_1=float(p1),
-            percentile_99=float(p99),
-            missing_fraction=float(missing),
-        )
+        stats[name] = FeatureStats(float(finite.mean()), float(finite.std()), float(median),
+                                   float(p1), float(p99), float(missing))
     return UnivariateReport(stats)
 
 

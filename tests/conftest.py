@@ -1,9 +1,16 @@
 """Shared fixtures and scene-building helpers."""
 
 import pytest
+from hypothesis import Phase, settings
 
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.scenes import KickScene
+
+# A failing property test is reported with its shrunk example but without
+# the explain phase, which re-runs the example once per drawn value: on a
+# list of scenes that took minutes and most of a gigabyte per failure.
+settings.register_profile("goalshot", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("goalshot")
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig,
                           save_model, score, score_batch, train)
 from goalshot.policies import (Action, LdaPolicy, MlpPolicy, PolicyConfig,
                                lda_train, mlp_policy_decide)
-from goalshot.scenes import (Label, balance_by_replication, extract_features,
+from goalshot.scenes import (Label, SceneTable, balance_by_replication, extract_features,
                              feature_matrix, generate_synthetic_scenes,
                              load_scenes, save_scenes, split_dataset)
 
@@ -64,12 +64,12 @@ def dataset():
 @pytest.fixture(scope="module")
 def trained(dataset):
     start = time.perf_counter()
-    split = split_dataset(dataset, SEED)
+    split = split_dataset(SceneTable.from_scenes(dataset), SEED)
     balanced = balance_by_replication(split.train, SEED)
     params, report = train(
-        feature_matrix(balanced, CFG.field), [s.label for s in balanced],
-        feature_matrix(split.validation, CFG.field),
-        [s.label for s in split.validation], TRAIN_CONFIG)
+        feature_matrix(balanced, CFG.field), balanced.labels,
+        feature_matrix(split.validation, CFG.field), split.validation.labels,
+        TRAIN_CONFIG)
     _timings["train"] = time.perf_counter() - start
     return params, split, report
 
@@ -308,7 +308,7 @@ def test_08_learning_capability(dataset, trained):
                    "on held-out scenes"):
         params, split, report = trained
         scores = score_batch(params, feature_matrix(split.test, CFG.field))
-        samples = scored_samples(scores, [s.label for s in split.test])
+        samples = scored_samples(scores, split.test.labels)
         auc = auc_rank(samples)
         ks2 = ks2_curve(samples).ks2
         print(f"      held-out AUC {auc:.3f}, KS2 {ks2:.3f}, "
@@ -369,7 +369,7 @@ def test_10_feature_relevance_pattern():
         rng = np.random.default_rng(SEED)
         noise_auc = auc_rank(scored_samples(rng.random(len(balanced)), labels))
         folded_noise = max(noise_auc, 1.0 - noise_auc)
-        relevance = feature_relevance(balanced, CFG.field)
+        relevance = feature_relevance(SceneTable.from_scenes(balanced), CFG.field)
         print(f"      noise {folded_noise:.3f}, keeper angle "
               f"{relevance['angle_ball_keeper_destiny']:.3f}", end=" ")
         assert 0.50 <= folded_noise <= 0.55
@@ -437,7 +437,7 @@ def test_12_policy_comparison(trained):
         start = time.perf_counter()
         params, split, _ = trained
         mlp_policy = MlpPolicy(params, CFG.field, CFG.aim, PolicyConfig())
-        lda_policy = LdaPolicy(lda_train(list(split.train), CFG.field),
+        lda_policy = LdaPolicy(lda_train(split.train.scenes(), CFG.field),
                                CFG.field, CFG.aim, PolicyConfig())
         mlp_stats, lda_stats = run_experiment(
             mlp_policy, lda_policy, 100, 10, CFG.keeper, CFG.gen, CFG.dynamics,

@@ -19,7 +19,7 @@ from goalshot.geometry import Vec2
 from goalshot.keeper import KeeperModel
 from goalshot.mlp import TrainConfig
 from goalshot.policies import PolicyConfig
-from goalshot.scenes import load_scenes
+from goalshot.scenes import CSV_HEADER, load_scenes
 
 
 CONFIG_TEXT = """
@@ -369,6 +369,12 @@ class TestTrainEval:
         assert ks_rows[0] == "threshold,cdf_positive,cdf_negative,gap"
         assert len(ks_rows) > 2
 
+    def test_eval_of_a_header_only_file_fails(self, tmp_path, model_file, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
+        assert main(["eval", "--model", str(model_file), "--data", str(data)]) == 1
+        assert capsys.readouterr().err == "error: both classes must be present\n"
+
 
 class TestCompare:
     def test_identical_policies_all_draws(self, tmp_path, data_csv, model_file):
@@ -445,6 +451,8 @@ class TestCompare:
         (["--policy-b", "bogus"], "unknown policy 'bogus'"),
         (["--policy-b", "center", "--games", "0"], "games and shots_per_game must be >= 1"),
         (["--policy-b", "center", "--shots", "0"], "games and shots_per_game must be >= 1"),
+        (["--policy-b", "center", "--lda-train-scenes", "0"],
+         "--lda-train-scenes must be >= 1, got 0"),
     ])
     def test_bad_arguments_fail_before_building_policies(self, flags, message, capsys,
                                                          monkeypatch):

@@ -17,7 +17,7 @@ from goalshot.keeper import KeeperModel, simulate_shot
 from goalshot.mlp import TrainConfig, train
 from goalshot.policies import (Action, KickDecision, LdaPolicy, MlpPolicy,
                                NaiveCenterPolicy, PolicyConfig, lda_train)
-from goalshot.scenes import (balance_by_replication, feature_matrix,
+from goalshot.scenes import (SceneTable, balance_by_replication, feature_matrix,
                              generate_synthetic_scenes, split_dataset)
 
 CFG = RunConfig()
@@ -181,11 +181,10 @@ def policies():
     the lda often, but not always, kick at the same target."""
     field = CFG.field
     scenes = generate_synthetic_scenes(800, CFG.gen, CFG.dynamics, field, seed=21)
-    split = split_dataset(scenes, seed=21)
+    split = split_dataset(SceneTable.from_scenes(scenes), seed=21)
     balanced = balance_by_replication(split.train, seed=21)
-    model, _ = train(feature_matrix(balanced, field), [s.label for s in balanced],
-                     feature_matrix(split.validation, field),
-                     [s.label for s in split.validation],
+    model, _ = train(feature_matrix(balanced, field), balanced.labels,
+                     feature_matrix(split.validation, field), split.validation.labels,
                      TrainConfig(max_epochs=10, seed=21))
     return {"mlp": MlpPolicy(model, field, CFG.aim, CFG.policy),
             "lda": LdaPolicy(lda_train(scenes, field), field, CFG.aim, CFG.policy),

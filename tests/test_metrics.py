@@ -10,7 +10,7 @@ import pytest
 from conftest import make_scene
 from goalshot.metrics import (Ks2Curve, ScoredSample, auc_rank, feature_relevance,
                               ks2_curve, roc_curve, scored_samples)
-from goalshot.scenes import Label
+from goalshot.scenes import Label, SceneTable
 
 
 def samples_from(pos_scores, neg_scores):
@@ -183,7 +183,7 @@ class TestFeatureRelevance:
         scenes = ([make_scene(kick_power=90.0 + i, label=Label.GOAL) for i in range(8)]
                   + [make_scene(kick_power=10.0 + i, label=Label.NO_GOAL)
                      for i in range(8)])
-        relevance = feature_relevance(scenes, field)
+        relevance = feature_relevance(SceneTable.from_scenes(scenes), field)
         assert relevance["kick_power"] == 1.0
 
     def test_folding_keeps_both_orientations(self, field):
@@ -192,11 +192,11 @@ class TestFeatureRelevance:
         scenes = ([make_scene(kick_power=10.0 + i, label=Label.GOAL) for i in range(8)]
                   + [make_scene(kick_power=90.0 + i, label=Label.NO_GOAL)
                      for i in range(8)])
-        assert feature_relevance(scenes, field)["kick_power"] == 1.0
+        assert feature_relevance(SceneTable.from_scenes(scenes), field)["kick_power"] == 1.0
 
     def test_all_features_covered(self, field):
         scenes = [make_scene(kick_power=30.0, label=Label.GOAL),
                   make_scene(kick_power=60.0, label=Label.NO_GOAL)]
-        relevance = feature_relevance(scenes, field)
+        relevance = feature_relevance(SceneTable.from_scenes(scenes), field)
         assert len(relevance) == 22
         assert all(0.5 <= v <= 1.0 for v in relevance.values())

@@ -14,7 +14,7 @@ from goalshot.policies import (Action, KickDecision, LdaModel, LdaPolicy,
                                MlpPolicy, NaiveCenterPolicy, PolicyConfig,
                                lda_policy_decide, lda_train, mlp_policy_decide,
                                naive_center_policy, stage_one_survivors)
-from goalshot.scenes import (Label, angle_at, balance_by_replication,
+from goalshot.scenes import (Label, SceneTable, angle_at, balance_by_replication,
                              extract_features, feature_matrix,
                              generate_synthetic_scenes, mirror_scene, split_dataset)
 
@@ -25,12 +25,10 @@ POLICY = PolicyConfig()
 @pytest.fixture(scope="module")
 def trained_model():
     scenes = generate_synthetic_scenes(1200, CFG.gen, CFG.dynamics, CFG.field, seed=2)
-    split = split_dataset(scenes, seed=2)
+    split = split_dataset(SceneTable.from_scenes(scenes), seed=2)
     balanced = balance_by_replication(split.train, seed=2)
-    params, _ = train(feature_matrix(balanced, CFG.field),
-                      [s.label for s in balanced],
-                      feature_matrix(split.validation, CFG.field),
-                      [s.label for s in split.validation],
+    params, _ = train(feature_matrix(balanced, CFG.field), balanced.labels,
+                      feature_matrix(split.validation, CFG.field), split.validation.labels,
                       TrainConfig(max_epochs=40, patience=8, seed=2))
     return params
 

@@ -282,30 +282,57 @@ def _hex_rows(matrix):
 
 class TestSceneTable:
     @settings(max_examples=150, deadline=None)
-    @given(scenes=st.lists(_TABLE_SCENES, max_size=12), seed=st.integers(0, 2**32))
-    def test_matches_the_scene_list(self, scenes, seed, tmp_path_factory):
-        """Rows, feature bits, split and balance of a saved scene list are
-        the same from its SceneTable as from load_scenes."""
+    @given(scenes=st.lists(_TABLE_SCENES, max_size=12))
+    def test_from_scenes_matches_a_round_trip(self, scenes, tmp_path_factory):
+        """from_scenes gives, field for field, the table that SceneTable.load
+        reads back from save_scenes; its feature rows have the bits of
+        extract_features of each scene."""
         path = tmp_path_factory.mktemp("table") / "scenes.csv"
         save_scenes(scenes, path)
-        table = SceneTable.load(path)
-        assert load_scenes(path) == scenes
+        table, loaded = SceneTable.from_scenes(scenes), SceneTable.load(path)
+        for name in ("values", "defenders", "defender_count", "goal"):
+            mine, theirs = getattr(table, name), getattr(loaded, name)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert np.array_equal(mine, theirs, equal_nan=True)
+            assert np.array_equal(np.signbit(mine), np.signbit(theirs))
+        times = table.time.tolist()
+        assert times == loaded.time.tolist() == [s.time for s in scenes]
+        assert all(type(t) is int for t in times)
         assert len(table) == len(scenes) and table.scenes() == scenes
         assert table.labels == [s.label for s in scenes]
         assert (_outcome(lambda: _hex_rows(feature_matrix(table, CFG.field)))
-                == _outcome(lambda: _hex_rows(feature_matrix(scenes, CFG.field))))
-        if len(scenes) < 4:
+                == _outcome(lambda: _hex_rows(np.array(
+                    [extract_features(s, CFG.field).values for s in scenes]).reshape(-1, 22))))
+
+    def test_from_scenes_rejects_an_unlabeled_scene(self):
+        with pytest.raises(ValueError, match="every scene must be labeled"):
+            SceneTable.from_scenes([make_scene(label=Label.GOAL), make_scene()])
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenes=st.lists(_TABLE_SCENES, min_size=4, max_size=12),
+           seed=st.integers(0, 2**32))
+    def test_split_and_balance_pick_whole_rows(self, scenes, seed):
+        """Each part of a split, and a balanced train part, holds rows of the
+        table whole: the scenes at the picked positions."""
+        table = SceneTable.from_scenes(scenes)
+        split = split_dataset(table, seed)
+        order = np.random.default_rng(seed).permutation(len(scenes))
+        assert ([s for part in (split.train, split.validation, split.test)
+                 for s in part.scenes()] == [scenes[i] for i in order])
+        try:
+            balanced = balance_by_replication(split.train, seed)
+        except ValueError as exc:
+            assert str(exc) == "both classes must be present to balance"
+            assert len(set(split.train.labels)) == 1
             return
-        by_table, by_list = split_dataset(table, seed), split_dataset(scenes, seed)
-        for part in ("train", "validation", "test"):
-            assert getattr(by_table, part).scenes() == list(getattr(by_list, part))
-        assert (_outcome(lambda: balance_by_replication(by_table.train, seed).scenes())
-                == _outcome(balance_by_replication, by_list.train, seed))
+        assert 2 * int(balanced.goal.sum()) == len(balanced)
+        assert balanced.scenes()[:len(split.train)] == split.train.scenes()
+        assert all(s in split.train.scenes() for s in balanced.scenes())
 
 
 class TestSplitDataset:
     def _scenes(self, n):
-        return [make_scene(time=i, label=Label.GOAL) for i in range(n)]
+        return SceneTable.from_scenes([make_scene(time=i, label=Label.GOAL) for i in range(n)])
 
     def test_eight_scenes(self):
         split = split_dataset(self._scenes(8), seed=1)
@@ -313,17 +340,19 @@ class TestSplitDataset:
 
     def test_deterministic(self):
         scenes = self._scenes(40)
-        assert split_dataset(scenes, seed=5) == split_dataset(scenes, seed=5)
+        a, b = split_dataset(scenes, seed=5), split_dataset(scenes, seed=5)
+        for part in ("train", "validation", "test"):
+            assert getattr(a, part).time.tolist() == getattr(b, part).time.tolist()
 
     def test_partition_is_exact(self):
         scenes = self._scenes(101)
         split = split_dataset(scenes, seed=2)
-        ids = [s.time for part in (split.train, split.validation, split.test)
-               for s in part]
+        ids = [t for part in (split.train, split.validation, split.test)
+               for t in part.time.tolist()]
         assert sorted(ids) == list(range(101))
 
     def test_reference_sizes_for_large_dataset(self):
-        scenes = [make_scene(label=Label.GOAL)] * 10691
+        scenes = SceneTable.from_scenes([make_scene(label=Label.GOAL)] * 10691)
         split = split_dataset(scenes, seed=0)
         assert (len(split.train), len(split.validation), len(split.test)) == \
             (5346, 2673, 2672)
@@ -335,28 +364,31 @@ class TestSplitDataset:
 
 class TestBalanceByReplication:
     def _mixed(self, n_goal, n_no_goal):
-        return ([make_scene(time=i, label=Label.GOAL) for i in range(n_goal)]
-                + [make_scene(time=1000 + i, label=Label.NO_GOAL)
-                   for i in range(n_no_goal)])
+        return SceneTable.from_scenes(
+            [make_scene(time=i, label=Label.GOAL) for i in range(n_goal)]
+            + [make_scene(time=1000 + i, label=Label.NO_GOAL) for i in range(n_no_goal)])
 
-    def _counts(self, scenes):
-        goals = sum(1 for s in scenes if s.label is Label.GOAL)
-        return goals, len(scenes) - goals
+    def _counts(self, table):
+        goals = int(table.goal.sum())
+        return goals, len(table) - goals
+
+    def _goal_times(self, table):
+        return [t for t, goal in zip(table.time.tolist(), table.goal) if goal]
 
     def test_whole_passes_only(self):
         out = balance_by_replication(self._mixed(100, 300), seed=0)
         assert self._counts(out) == (300, 300)
-        times = [s.time for s in out if s.label is Label.GOAL]
+        times = self._goal_times(out)
         assert all(times.count(t) == 3 for t in set(times))
 
     def test_already_balanced_is_identity(self):
         scenes = self._mixed(50, 50)
-        assert balance_by_replication(scenes, seed=0) == scenes
+        assert balance_by_replication(scenes, seed=0).scenes() == scenes.scenes()
 
     def test_partial_pass_samples_without_replacement(self):
         out = balance_by_replication(self._mixed(100, 250), seed=3)
         assert self._counts(out) == (250, 250)
-        times = [s.time for s in out if s.label is Label.GOAL]
+        times = self._goal_times(out)
         copies = [times.count(t) for t in set(times)]
         assert sorted(set(copies)) == [2, 3]
         assert sum(1 for c in copies if c == 3) == 50
@@ -364,7 +396,7 @@ class TestBalanceByReplication:
     def test_every_output_scene_comes_from_input(self):
         scenes = self._mixed(7, 18)
         out = balance_by_replication(scenes, seed=1)
-        assert all(s in scenes for s in out)
+        assert all(s in scenes.scenes() for s in out.scenes())
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -375,7 +407,7 @@ class TestUnivariateStats:
     def test_known_power_distribution(self, field):
         scenes = [make_scene(kick_power=float(i), label=Label.GOAL)
                   for i in range(1, 101)]
-        report = univariate_stats(scenes, field)
+        report = univariate_stats(SceneTable.from_scenes(scenes), field)
         stats = report.per_feature["kick_power"]
         assert math.isclose(stats.mean, 50.5, abs_tol=1e-12)
         assert math.isclose(stats.median, 50.5, abs_tol=1e-12)
@@ -385,20 +417,21 @@ class TestUnivariateStats:
         assert stats.missing_fraction == 0.0
 
     def test_constant_feature(self, field):
-        scenes = [make_scene(label=Label.GOAL) for _ in range(10)]
-        stats = univariate_stats(scenes, field).per_feature["ball_x"]
+        table = SceneTable.from_scenes([make_scene(label=Label.GOAL) for _ in range(10)])
+        stats = univariate_stats(table, field).per_feature["ball_x"]
         assert stats.std == 0.0
         assert stats.percentile_1 == stats.median == stats.percentile_99
 
     def test_percentile_ordering(self, field):
         rng = np.random.default_rng(13)
-        scenes = [random_scene(rng, field, label=Label.GOAL) for _ in range(60)]
-        for stats in univariate_stats(scenes, field).per_feature.values():
+        table = SceneTable.from_scenes([random_scene(rng, field, label=Label.GOAL)
+                                        for _ in range(60)])
+        for stats in univariate_stats(table, field).per_feature.values():
             assert stats.percentile_1 <= stats.median <= stats.percentile_99
 
     def test_empty_rejected(self, field):
         with pytest.raises(ValueError):
-            univariate_stats([], field)
+            univariate_stats(SceneTable.from_scenes([]), field)
 
 
 class TestGenerator:
@@ -443,5 +476,11 @@ class TestKickSceneValidation:
             make_scene(kick_power=-2.0)
 
     def test_feature_matrix_shape(self, field):
-        scenes = [make_scene(), make_scene(kick_power=50.0)]
-        assert feature_matrix(scenes, field).shape == (2, 22)
+        scenes = [make_scene(label=Label.GOAL), make_scene(kick_power=50.0, label=Label.GOAL)]
+        assert feature_matrix(SceneTable.from_scenes(scenes), field).shape == (2, 22)
+
+    def test_feature_matrix_of_no_rows(self, field, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
+        for table in (SceneTable.from_scenes([]), SceneTable.load(path, field)):
+            assert feature_matrix(table, field).shape == (0, 22)

@@ -20,7 +20,7 @@ from goalshot.aim import (GOAL_LINE_TOLERANCE, AimConfig, ShotQuery, discretize_
                           gaussian_cdf, p_goal, p_miss_left, p_miss_right, sigma)
 from goalshot.geometry import FieldConfig, Ray, Vec2, signed_offset
 from goalshot.policies import PolicyConfig, stage_one_survivors
-from goalshot.scenes import (angle_at, extract_features, feature_matrix,
+from goalshot.scenes import (Label, SceneTable, angle_at, extract_features, feature_matrix,
                              features_by_target, filter_defenders)
 
 FIELD = FieldConfig()
@@ -142,8 +142,9 @@ def test_matches_reference_on_seeded_scenes(aim_config):
         else:
             with pytest.raises(ValueError, match="sigma horizon"):
                 stage_one_survivors(scene.ball, FIELD, aim_config, PolicyConfig())
-    assert feature_matrix(scenes, FIELD).tolist() == [reference_features(s, FIELD)
-                                                      for s in scenes]
+    table = SceneTable.from_scenes([replace(s, label=Label.GOAL) for s in scenes])
+    assert feature_matrix(table, FIELD).tolist() == [reference_features(s, FIELD)
+                                                     for s in scenes]
 
 
 @pytest.mark.parametrize("aim_config", AIM_CONFIGS)

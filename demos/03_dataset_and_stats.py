@@ -9,7 +9,7 @@ top, while a genuinely uninformative variable sits near 0.5.
 
 import numpy as np
 
-from goalshot import (SceneTable, auc_rank, feature_relevance,
+from goalshot import (SceneTable, auc_rank, feature_matrix, feature_relevance,
                       generate_synthetic_scenes, scored_samples,
                       univariate_stats)
 from goalshot.config import RunConfig
@@ -21,7 +21,8 @@ print(f"generated {len(table)} scenes, goal fraction {table.goal.mean():.3f}")
 
 print()
 print("=== Univariate statistics (a few features) ===")
-report = univariate_stats(table, cfg.field)
+matrix = feature_matrix(table, cfg.field)
+report = univariate_stats(matrix)
 print(f"{'feature':<34} {'mean':>9} {'std':>8} {'median':>9} {'p1':>8} {'p99':>9}")
 for name in ("ball_x", "keeper_distance_to_ball", "angle_ball_keeper_destiny",
              "kick_power", "def1_distance_to_ball"):
@@ -31,7 +32,7 @@ for name in ("ball_x", "keeper_distance_to_ball", "angle_ball_keeper_destiny",
 
 print()
 print("=== Folded single-variable AUC, best to worst ===")
-relevance = feature_relevance(table, cfg.field)
+relevance = feature_relevance(matrix, table.goal)
 for name, auc in sorted(relevance.items(), key=lambda kv: -kv[1]):
     print(f"{name:<34} {auc:.3f}")
 

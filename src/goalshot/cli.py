@@ -86,8 +86,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _load_config(args)
     table = SceneTable.load(args.data, config.field, config.dynamics)
-    stats = univariate_stats(table, config.field)
-    relevance = feature_relevance(table, config.field)
+    matrix = feature_matrix(table, config.field)
+    stats = univariate_stats(matrix)
+    relevance = feature_relevance(matrix, table.goal)
     header = (f"{'feature':<34} {'mean':>10} {'std':>10} {'median':>10} "
               f"{'p1':>10} {'p99':>10} {'missing':>8} {'auc':>7}")
     lines = [f"{len(table)} scenes", header, "-" * len(header)]

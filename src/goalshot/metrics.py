@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import FieldConfig
-from .scenes import FEATURE_NAMES, Label, SceneTable, feature_matrix
+from .scenes import FEATURE_NAMES, Label
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,10 @@ def _split_scores(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarr
     neg = np.array([s.score for s in samples if s.label is Label.NO_GOAL], dtype=float)
     if len(pos) + len(neg) != len(samples):
         raise ValueError("every sample must be labeled GOAL or NO_GOAL")
+    return _checked(pos, neg)
+
+
+def _checked(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both classes must be present")
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
@@ -80,7 +83,10 @@ def roc_curve(samples: Sequence[ScoredSample]) -> RocCurve:
 def auc_rank(samples: Sequence[ScoredSample]) -> float:
     """Mann-Whitney AUC: fraction of (positive, negative) pairs ranked
     correctly, ties counted 1/2."""
-    pos, neg = _split_scores(samples)
+    return _mann_whitney_auc(*_split_scores(samples))
+
+
+def _mann_whitney_auc(pos: np.ndarray, neg: np.ndarray) -> float:
     pooled = np.sort(np.concatenate([pos, neg]))
     lo = np.searchsorted(pooled, pos, "left")
     hi = np.searchsorted(pooled, pos, "right")
@@ -111,15 +117,14 @@ def scored_samples(scores: Sequence[float], labels: Sequence[Label]) -> list[Sco
     return [ScoredSample(float(s), l) for s, l in zip(scores, labels)]
 
 
-def feature_relevance(table: SceneTable, field: FieldConfig) -> dict[str, float]:
-    """Folded single-variable AUC per feature: each feature plays classifier
-    by itself, and max(auc, 1 - auc) makes both orientations count."""
-    if len(table) < 2:
+def feature_relevance(matrix: np.ndarray, goal: np.ndarray) -> dict[str, float]:
+    """Folded single-variable AUC per column of a feature_matrix, with goal
+    the rows' GOAL mask: each feature plays classifier by itself, and
+    max(auc, 1 - auc) makes both orientations count."""
+    if len(matrix) < 2:
         raise ValueError("need at least two scenes")
-    labels = table.labels
-    matrix = feature_matrix(table, field)
     relevance: dict[str, float] = {}
-    for j, name in enumerate(FEATURE_NAMES):
-        auc = auc_rank(scored_samples(matrix[:, j], labels))
+    for name, column in zip(FEATURE_NAMES, matrix.T):
+        auc = _mann_whitney_auc(*_checked(column[goal], column[~goal]))
         relevance[name] = max(auc, 1.0 - auc)
     return relevance

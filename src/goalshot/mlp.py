@@ -24,6 +24,13 @@ No product goes through BLAS, so the bits do not depend on the kernels
 OpenBLAS picks for the CPU; numpy's tanh kernel still varies with the SIMD
 extensions found, so trained models are reproducible on x86-64 CPUs with
 AVX2 for one numpy build.
+
+One backprop kernel serves train and gradient(). It keeps all weights and
+biases in one flat float64 buffer, of which the trained MlpParams' weights
+and biases are reshaped views, and writes the gradient into a second flat
+buffer of the same layout; an update is one w - learning_rate * g over the
+whole buffer. Its layer outputs and deltas live in buffers made once per
+training run, so an example step allocates no array.
 """
 
 from __future__ import annotations
@@ -119,14 +126,21 @@ def _normalize(params: MlpParams, features: np.ndarray) -> np.ndarray:
     return (x - params.norm_mean) / params.norm_std
 
 
-def _activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """The normalized input and every layer's output, for a row or a batch."""
+def _activations(params: MlpParams, x: np.ndarray,
+                 out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
+    """The normalized input and every layer's output, for a row or a batch.
+
+    With out, one preallocated buffer per layer, the outputs are written
+    there and nothing is allocated but the returned list."""
     activations = [x]
-    for w, b in zip(params.weights, params.biases):
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
         # einsum sums a row's products in one order for any batch and any CPU,
         # so a batch row is bit-equal to the 1-row call; the BLAS gemv and
         # gemm behind matmul are not, and their kernels differ per core.
-        activations.append(np.tanh(np.einsum("...j,jk->...k", activations[-1], w) + b))
+        z = np.einsum("...j,jk->...k", activations[-1], w,
+                      out=None if out is None else out[layer])
+        z += b
+        activations.append(np.tanh(z, out=z))
     return activations
 
 
@@ -155,23 +169,67 @@ class MlpGradients:
     biases: list[np.ndarray]
 
 
-def _gradient_normalized(params: MlpParams, x: np.ndarray,
-                         target: np.ndarray) -> MlpGradients:
-    activations = _activations(params, x)
-    out = activations[-1]
-    # d/d_out of mean((out - t)^2), then back through tanh at each layer.
-    delta = (2.0 / out.size) * (out - target) * (1.0 - out * out)
-    grads_w: list[np.ndarray] = []
-    grads_b: list[np.ndarray] = []
-    for layer in reversed(range(len(params.weights))):
-        grads_w.append(np.outer(activations[layer], delta))
-        grads_b.append(delta)
-        if layer > 0:
-            a = activations[layer]
-            delta = np.einsum("k,jk->j", delta, params.weights[layer]) * (1.0 - a * a)
-    grads_w.reverse()
-    grads_b.reverse()
-    return MlpGradients(grads_w, grads_b)
+class _Backprop:
+    """Online backprop on one flat parameter buffer.
+
+    theta holds each layer's weight matrix and then its bias vector, layer
+    after layer, and params.weights and params.biases are reshaped views into
+    it; grad has the same layout. The layer outputs and the tanh slopes go
+    into buffers made once, so a step allocates no array. Every product and
+    sum is the float operation that np.outer and w - lr * g per array make,
+    so the buffers do not change the bits.
+    """
+
+    def __init__(self, params: MlpParams) -> None:
+        sizes = params.layer_sizes
+        self.theta = np.concatenate([a.ravel() for layer in zip(params.weights, params.biases)
+                                     for a in layer])
+        self.grad = np.empty_like(self.theta)
+        self.params = MlpParams(sizes, *self._views(sizes, self.theta),
+                                params.norm_mean, params.norm_std)
+        self.grad_weights, self.grad_biases = self._views(sizes, self.grad)
+        self.outputs = [np.empty(n) for n in sizes[1:]]
+        self.output_columns = [a[:, None] for a in self.outputs]
+        self.slopes = [np.empty(n) for n in sizes[1:]]
+
+    @staticmethod
+    def _views(sizes: tuple[int, ...],
+               buffer: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            weights.append(buffer[start:start + fan_in * fan_out].reshape(fan_in, fan_out))
+            start += fan_in * fan_out
+            biases.append(buffer[start:start + fan_out])
+            start += fan_out
+        return weights, biases
+
+    def backprop(self, x: np.ndarray, x_column: np.ndarray, target: np.ndarray) -> None:
+        """The gradient of the per-example MSE at the normalized row x (x_column
+        is x as an (n, 1) view) into grad."""
+        _activations(self.params, x, self.outputs)
+        out = self.outputs[-1]
+        # d/d_out of mean((out - t)^2), then back through tanh at each layer;
+        # each layer's delta is its bias gradient.
+        delta = self.grad_biases[-1]
+        np.subtract(out, target, out=delta)
+        np.multiply(2.0 / out.size, delta, out=delta)
+        for layer in reversed(range(len(self.outputs))):
+            a, slope, delta = self.outputs[layer], self.slopes[layer], self.grad_biases[layer]
+            np.multiply(a, a, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            np.multiply(delta, slope, out=delta)
+            column = self.output_columns[layer - 1] if layer else x_column
+            np.multiply(column, delta, out=self.grad_weights[layer])
+            if layer:
+                np.einsum("k,jk->j", delta, self.params.weights[layer],
+                          out=self.grad_biases[layer - 1])
+
+    def step(self, x: np.ndarray, x_column: np.ndarray, target: np.ndarray,
+             learning_rate: float) -> None:
+        """One online gradient step, w - learning_rate * g for every parameter."""
+        self.backprop(x, x_column, target)
+        np.multiply(learning_rate, self.grad, out=self.grad)
+        np.subtract(self.theta, self.grad, out=self.theta)
 
 
 def gradient(params: MlpParams, features: np.ndarray,
@@ -182,7 +240,10 @@ def gradient(params: MlpParams, features: np.ndarray,
         raise ValueError(f"target must have {params.layer_sizes[-1]} components")
     if np.any(np.abs(t) > 1.0):
         raise ValueError("target components must be in [-1, 1]")
-    return _gradient_normalized(params, _normalize(params, features), t)
+    x = _normalize(params, features)
+    kernel = _Backprop(params)
+    kernel.backprop(x, x[:, None], t)
+    return MlpGradients(kernel.grad_weights, kernel.grad_biases)
 
 
 def example_mse(params: MlpParams, features: np.ndarray,
@@ -284,23 +345,21 @@ def train(train_features: np.ndarray, train_labels: Sequence[Label],
     std = x.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
     rng = np.random.default_rng(config.seed)
-    params = init_params((x.shape[1], config.hidden_size, 2), mean, std, rng,
-                         config.init_half_range)
+    kernel = _Backprop(init_params((x.shape[1], config.hidden_size, 2), mean, std, rng,
+                                   config.init_half_range))
+    params = kernel.params
 
     xn = (x - mean) / std
     xvn = (xv - mean) / std
+    rows, columns, row_targets = list(xn), list(xn[:, :, None]), list(targets)
     stopper = EarlyStopping(config.patience)
     best_params = params.copy()
     train_history: list[float] = []
     val_history: list[float] = []
     stop_reason = StopReason.MAX_EPOCHS
     for _ in range(config.max_epochs):
-        for i in rng.permutation(len(xn)):
-            grads = _gradient_normalized(params, xn[i], targets[i])
-            for w, gw in zip(params.weights, grads.weights):
-                w -= config.learning_rate * gw
-            for b, gb in zip(params.biases, grads.biases):
-                b -= config.learning_rate * gb
+        for i in rng.permutation(len(xn)).tolist():
+            kernel.step(rows[i], columns[i], row_targets[i], config.learning_rate)
         train_history.append(_dataset_mse(params, xn, targets))
         val_mse = _dataset_mse(params, xvn, val_targets)
         val_history.append(val_mse)

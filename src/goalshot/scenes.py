@@ -453,18 +453,17 @@ class UnivariateReport:
     per_feature: dict[str, FeatureStats]
 
 
-def univariate_stats(table: SceneTable, field: FieldConfig) -> UnivariateReport:
-    """Per-feature mean/std/median/1st/99th percentile and missing fraction.
+def univariate_stats(matrix: np.ndarray) -> UnivariateReport:
+    """Per-feature mean/std/median/1st/99th percentile and missing fraction
+    of a feature_matrix.
 
     Percentiles interpolate linearly between order statistics; std is the
     population standard deviation.
     """
-    if not len(table):
+    if not len(matrix):
         raise ValueError("need at least one scene")
-    matrix = feature_matrix(table, field)
     stats: dict[str, FeatureStats] = {}
-    for j, name in enumerate(FEATURE_NAMES):
-        column = matrix[:, j]
+    for name, column in zip(FEATURE_NAMES, matrix.T):
         finite = column[np.isfinite(column)]
         missing = 1.0 - finite.size / column.size
         p1, median, p99 = np.percentile(finite, [1, 50, 99], method="linear")

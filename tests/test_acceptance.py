@@ -369,7 +369,8 @@ def test_10_feature_relevance_pattern():
         rng = np.random.default_rng(SEED)
         noise_auc = auc_rank(scored_samples(rng.random(len(balanced)), labels))
         folded_noise = max(noise_auc, 1.0 - noise_auc)
-        relevance = feature_relevance(SceneTable.from_scenes(balanced), CFG.field)
+        table = SceneTable.from_scenes(balanced)
+        relevance = feature_relevance(feature_matrix(table, CFG.field), table.goal)
         print(f"      noise {folded_noise:.3f}, keeper angle "
               f"{relevance['angle_ball_keeper_destiny']:.3f}", end=" ")
         assert 0.50 <= folded_noise <= 0.55

@@ -7,10 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_scene
+from conftest import make_scene, random_scene
 from goalshot.metrics import (Ks2Curve, ScoredSample, auc_rank, feature_relevance,
                               ks2_curve, roc_curve, scored_samples)
-from goalshot.scenes import Label, SceneTable
+from goalshot.scenes import FEATURE_NAMES, Label, SceneTable, feature_matrix
+
+
+def relevance_of(scenes, field):
+    table = SceneTable.from_scenes(scenes)
+    return feature_relevance(feature_matrix(table, field), table.goal)
 
 
 def samples_from(pos_scores, neg_scores):
@@ -183,7 +188,7 @@ class TestFeatureRelevance:
         scenes = ([make_scene(kick_power=90.0 + i, label=Label.GOAL) for i in range(8)]
                   + [make_scene(kick_power=10.0 + i, label=Label.NO_GOAL)
                      for i in range(8)])
-        relevance = feature_relevance(SceneTable.from_scenes(scenes), field)
+        relevance = relevance_of(scenes, field)
         assert relevance["kick_power"] == 1.0
 
     def test_folding_keeps_both_orientations(self, field):
@@ -192,11 +197,29 @@ class TestFeatureRelevance:
         scenes = ([make_scene(kick_power=10.0 + i, label=Label.GOAL) for i in range(8)]
                   + [make_scene(kick_power=90.0 + i, label=Label.NO_GOAL)
                      for i in range(8)])
-        assert feature_relevance(SceneTable.from_scenes(scenes), field)["kick_power"] == 1.0
+        assert relevance_of(scenes, field)["kick_power"] == 1.0
 
     def test_all_features_covered(self, field):
         scenes = [make_scene(kick_power=30.0, label=Label.GOAL),
                   make_scene(kick_power=60.0, label=Label.NO_GOAL)]
-        relevance = feature_relevance(SceneTable.from_scenes(scenes), field)
+        relevance = relevance_of(scenes, field)
         assert len(relevance) == 22
         assert all(0.5 <= v <= 1.0 for v in relevance.values())
+
+    def test_equals_auc_rank_per_column(self, field):
+        """The GOAL-mask split gives every feature the bits of auc_rank over
+        that column's ScoredSamples, ties and duplicated rows included."""
+        rng = np.random.default_rng(17)
+        scenes = [random_scene(rng, field, label=Label.GOAL if rng.random() < 0.4
+                               else Label.NO_GOAL) for _ in range(150)]
+        table = SceneTable.from_scenes(scenes + scenes[:40])
+        matrix = feature_matrix(table, field)
+        relevance = feature_relevance(matrix, table.goal)
+        assert list(relevance) == list(FEATURE_NAMES)
+        for name, column in zip(FEATURE_NAMES, matrix.T):
+            auc = auc_rank(scored_samples(column, table.labels))
+            assert relevance[name] == max(auc, 1.0 - auc)
+
+    def test_single_class_rejected(self, field):
+        with pytest.raises(ValueError, match="both classes"):
+            relevance_of([make_scene(label=Label.GOAL) for _ in range(4)], field)

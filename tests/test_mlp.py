@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalshot.metrics import auc_rank, scored_samples
-from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig,
+from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig, _Backprop,
                           example_mse, forward, gradient, load_model, save_model,
                           score, score_batch, targets_from_labels, train)
 from goalshot.scenes import Label
@@ -30,6 +30,33 @@ def random_params(rng, layer_sizes=(3, 4, 2), scale=0.8):
     for b in params.biases:
         b += rng.uniform(-scale, scale, b.shape)
     return params
+
+
+def oracle_gradient(params, x, target):
+    """Textbook backprop of the per-example MSE at a normalized row, apart
+    from goalshot.mlp: its own layer pass, np.outer per layer and fresh
+    arrays throughout. The flat-buffer kernel must match it bit for bit."""
+    activations = [x]
+    for w, b in zip(params.weights, params.biases):
+        activations.append(np.tanh(np.einsum("...j,jk->...k", activations[-1], w) + b))
+    out = activations[-1]
+    delta = (2.0 / out.size) * (out - target) * (1.0 - out * out)
+    grads_w, grads_b = [], []
+    for layer in reversed(range(len(params.weights))):
+        grads_w.append(np.outer(activations[layer], delta))
+        grads_b.append(delta)
+        if layer > 0:
+            a = activations[layer]
+            delta = np.einsum("k,jk->j", delta, params.weights[layer]) * (1.0 - a * a)
+    return grads_w[::-1], grads_b[::-1]
+
+
+def oracle_step(params, x, target, learning_rate):
+    grads_w, grads_b = oracle_gradient(params, x, target)
+    for w, gw in zip(params.weights, grads_w):
+        w -= learning_rate * gw
+    for b, gb in zip(params.biases, grads_b):
+        b -= learning_rate * gb
 
 
 class TestForward:
@@ -171,6 +198,35 @@ class TestGradient:
                 b -= lr * g
             assert example_mse(params, x, target) < before
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
+           sizes=st.sampled_from([(22, 5, 2), (3, 4, 2), (22, 8, 5, 2)]),
+           goals=st.lists(st.booleans(), min_size=1, max_size=12),
+           learning_rate=st.sampled_from([1e-3, 0.01, 0.3]))
+    def test_kernel_steps_match_the_oracle(self, seed, sizes, goals, learning_rate):
+        """K online steps through the flat-buffer kernel, on rows and columns
+        of one normalized matrix as train takes them, leave every weight and
+        bias bit-equal to the oracle's; gradient() gives the oracle's
+        gradient bit for bit before each step."""
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, sizes)
+        params.norm_mean[:] = rng.uniform(-5.0, 5.0, sizes[0])
+        params.norm_std[:] = rng.uniform(0.5, 3.0, sizes[0])
+        raw = rng.normal(0.0, 4.0, (len(goals), sizes[0]))
+        xn = (raw - params.norm_mean) / params.norm_std
+        targets = targets_from_labels([Label.GOAL if g else Label.NO_GOAL for g in goals])
+        kernel = _Backprop(params)
+        for raw_row, row, column, target in zip(raw, list(xn), list(xn[:, :, None]), targets):
+            grads = gradient(params, raw_row, target)
+            oracle_w, oracle_b = oracle_gradient(params, row, target)
+            for got, want in zip(grads.weights + grads.biases, oracle_w + oracle_b):
+                np.testing.assert_array_equal(got, want)
+            kernel.step(row, column, target, learning_rate)
+            oracle_step(params, row, target, learning_rate)
+            for got, want in zip(kernel.params.weights + kernel.params.biases,
+                                 params.weights + params.biases):
+                np.testing.assert_array_equal(got, want)
+
     def test_bad_target_rejected(self):
         params = zero_params()
         with pytest.raises(ValueError):
@@ -252,6 +308,22 @@ class TestTrain:
         assert params.layer_sizes == (2, 5, 2)
         auc = auc_rank(scored_samples(score_batch(params, tx), tlabels))
         assert auc >= 0.99
+
+    def test_returns_the_best_epoch(self):
+        """The returned weights are the best validation epoch's, not the live
+        buffer that trained on past it."""
+        rng = np.random.default_rng(37)
+        x, _ = _toy_separable(rng, 60)
+        vx, _ = _toy_separable(rng, 30)
+        labels = [Label.GOAL if g else Label.NO_GOAL for g in rng.random(60) < 0.5]
+        vlabels = [Label.GOAL if g else Label.NO_GOAL for g in rng.random(30) < 0.5]
+        config = TrainConfig(max_epochs=50, patience=2, learning_rate=0.05, seed=3)
+        params, report = train(x, labels, vx, vlabels, config)
+        assert report.stop_reason is StopReason.EARLY_STOP
+        assert report.best_epoch < report.epochs_run
+        out = np.array([forward(params, row) for row in vx])
+        val_mse = float(np.mean((out - targets_from_labels(vlabels)) ** 2))
+        assert val_mse == report.validation_mse_history[report.best_epoch - 1]
 
     def test_empty_sets_rejected(self):
         x = np.zeros((4, 2))

@@ -407,7 +407,7 @@ class TestUnivariateStats:
     def test_known_power_distribution(self, field):
         scenes = [make_scene(kick_power=float(i), label=Label.GOAL)
                   for i in range(1, 101)]
-        report = univariate_stats(SceneTable.from_scenes(scenes), field)
+        report = univariate_stats(feature_matrix(SceneTable.from_scenes(scenes), field))
         stats = report.per_feature["kick_power"]
         assert math.isclose(stats.mean, 50.5, abs_tol=1e-12)
         assert math.isclose(stats.median, 50.5, abs_tol=1e-12)
@@ -418,7 +418,7 @@ class TestUnivariateStats:
 
     def test_constant_feature(self, field):
         table = SceneTable.from_scenes([make_scene(label=Label.GOAL) for _ in range(10)])
-        stats = univariate_stats(table, field).per_feature["ball_x"]
+        stats = univariate_stats(feature_matrix(table, field)).per_feature["ball_x"]
         assert stats.std == 0.0
         assert stats.percentile_1 == stats.median == stats.percentile_99
 
@@ -426,12 +426,12 @@ class TestUnivariateStats:
         rng = np.random.default_rng(13)
         table = SceneTable.from_scenes([random_scene(rng, field, label=Label.GOAL)
                                         for _ in range(60)])
-        for stats in univariate_stats(table, field).per_feature.values():
+        for stats in univariate_stats(feature_matrix(table, field)).per_feature.values():
             assert stats.percentile_1 <= stats.median <= stats.percentile_99
 
     def test_empty_rejected(self, field):
         with pytest.raises(ValueError):
-            univariate_stats(SceneTable.from_scenes([]), field)
+            univariate_stats(feature_matrix(SceneTable.from_scenes([]), field))
 
 
 class TestGenerator:

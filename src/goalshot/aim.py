@@ -17,23 +17,32 @@ d_r the ball-to-post distances,
 
 Tails are evaluated in closed form through the error function; numerical
 quadrature exists only as a test oracle. _ball_half computes the terms that
-depend only on the ball (both sigmas, the posts relative to the ball) once
-for all of its aim points; _target_half adds the terms of one aim point,
-all on plain floats. p_goal checks a caller's aim point (on the goal line,
-within the mouth) after the ball; _aim_points builds only valid ones, so
-the policies' stage one runs no target check.
+depend only on the ball (the posts relative to it and the sigmas of their
+distances) once for all of its aim points; its sigma raises HorizonError
+beyond the horizon, which makes it the policies' horizon gate too.
+_aim_chances adds the terms of each aim point on plain floats: its shot line
+(geometry.shot_line), which the policies' rankers reuse, and both tails.
+p_goal checks a caller's aim point (on the goal line, within the mouth)
+after the ball; _aim_points builds only valid ones, so the policies' stage
+one runs no target check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import Sequence
 
-from .geometry import FieldConfig, Vec2, difference, unit_components
+from .geometry import FieldConfig, Vec2, _require_finite, difference, shot_line
 
 # How far an aim point may sit off the goal line or outside the mouth (m).
 GOAL_LINE_TOLERANCE = 1e-9
+_SQRT2 = math.sqrt(2.0)
+
+
+class HorizonError(ValueError):
+    """A shot distance at or beyond the sigma horizon."""
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,9 @@ class AimConfig:
     target_inset: float = 0.25
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float":
+                _require_finite(f.name, getattr(self, f.name))
         if self.sigma_coefficient <= 0.0:
             raise ValueError("sigma_coefficient must be positive")
         if self.sigma_horizon <= 0.0:
@@ -71,34 +83,32 @@ class AimResult:
     p_goal: float
 
 
-def gaussian_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
 def sigma(d: float, config: AimConfig) -> float:
     """Lateral standard deviation of a shot after d meters of travel.
 
     Strictly increasing in d; diverges at the horizon, so d must satisfy
-    0 <= d < sigma_horizon.
+    0 <= d < sigma_horizon; raises HorizonError from the horizon on.
     """
     if d < 0.0:
         raise ValueError(f"distance must be >= 0, got {d}")
     if d >= config.sigma_horizon:
-        raise ValueError(
+        raise HorizonError(
             f"distance {d} is at or beyond the sigma horizon {config.sigma_horizon}")
     return -config.sigma_coefficient * math.log(1.0 - d / config.sigma_horizon)
 
 
 def _ball_half(ball: Vec2, field: FieldConfig, config: AimConfig) -> tuple:
-    """The ball, then each post relative to it (x, y) and the sigma of its
-    distance, positive since a valid ball sits before the goal line."""
+    """The ball (x, y), then each post relative to it (x, y) and the sigma of
+    its distance. Raises HorizonError beyond the horizon (where within_horizon
+    is false), else ValueError for a ball on or past the goal line."""
+    left_x, left_y = difference(field.post_left, ball)
+    right_x, right_y = difference(field.post_right, ball)
+    # hypot of the differences is ball.distance_to(post)
+    sigma_l = sigma(math.hypot(left_x, left_y), config)
+    sigma_r = sigma(math.hypot(right_x, right_y), config)
     if ball.x >= field.goal_line_x:
         raise ValueError("ball must be in front of the goal line")
-    return (ball, *difference(field.post_left, ball),
-            sigma(ball.distance_to(field.post_left), config),
-            *difference(field.post_right, ball),
-            sigma(ball.distance_to(field.post_right), config))
+    return ball.x, ball.y, left_x, left_y, sigma_l, right_x, right_y, sigma_r
 
 
 def _check_target(target: Vec2, field: FieldConfig) -> None:
@@ -109,31 +119,28 @@ def _check_target(target: Vec2, field: FieldConfig) -> None:
         raise ValueError("target must lie within the goal mouth")
 
 
-def _target_half(ball_half: tuple, target: Vec2) -> tuple[float, float, float]:
-    """(P(left), P(right), P(goal)) of one checked aim point, given the ball half."""
-    ball, left_x, left_y, sigma_l, right_x, right_y, sigma_r = ball_half
-    _, ux, uy = unit_components(target.x - ball.x, target.y - ball.y)
-    # signed_offset(Ray.toward(ball, target), post) for each post
-    left = gaussian_cdf(-(ux * left_y - uy * left_x) / sigma_l)
-    right = gaussian_cdf((ux * right_y - uy * right_x) / sigma_r)
-    return left, right, 1.0 - left - right
-
-
-def p_miss_left(query: ShotQuery, field: FieldConfig, config: AimConfig) -> float:
-    """Probability the shot drifts outside the left post."""
-    return p_goal(query, field, config).p_left
-
-
-def p_miss_right(query: ShotQuery, field: FieldConfig, config: AimConfig) -> float:
-    """Probability the shot drifts outside the right post."""
-    return p_goal(query, field, config).p_right
+def _aim_chances(ball_half: tuple, targets: Sequence[Vec2]) -> list[tuple]:
+    """(target, shot line, P(left), P(right), P(goal)) of each checked aim
+    point, given the ball half."""
+    bx, by, left_x, left_y, sigma_l, right_x, right_y, sigma_r = ball_half
+    erf, sqrt2 = math.erf, _SQRT2
+    chances = []
+    for target in targets:
+        line = shot_line(target.x - bx, target.y - by)
+        ux, uy = line[3], line[4]
+        # Phi(z) = 0.5 * (1 + erf(z / sqrt 2)) of -signed_offset(Ray.toward(ball,
+        # target), post_left) / sigma_l and of +signed_offset(..., post_right) / sigma_r
+        left = 0.5 * (1.0 + erf(-(ux * left_y - uy * left_x) / sigma_l / sqrt2))
+        right = 0.5 * (1.0 + erf((ux * right_y - uy * right_x) / sigma_r / sqrt2))
+        chances.append((target, line, left, right, 1.0 - left - right))
+    return chances
 
 
 def p_goal(query: ShotQuery, field: FieldConfig, config: AimConfig) -> AimResult:
     """Full left/right/goal probability split for one aim point."""
     ball_half = _ball_half(query.ball, field, config)
     _check_target(query.target, field)
-    return AimResult(*_target_half(ball_half, query.target))
+    return AimResult(*_aim_chances(ball_half, (query.target,))[0][2:])
 
 
 def within_horizon(ball: Vec2, field: FieldConfig, config: AimConfig) -> bool:

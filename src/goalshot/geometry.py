@@ -61,7 +61,7 @@ class Vec2:
         return math.atan2(self.y, self.x)
 
     def normalized(self) -> Vec2:
-        return Vec2(*unit_components(self.x, self.y)[1:])
+        return Vec2(*shot_line(self.x, self.y)[3:])
 
     @staticmethod
     def from_angle(angle: float, length: float = 1.0) -> Vec2:
@@ -82,7 +82,7 @@ class Ray:
     @classmethod
     def toward(cls, origin: Vec2, point: Vec2) -> Ray:
         """Ray from origin through a distinct point."""
-        return cls(origin, Vec2(*unit_components(point.x - origin.x, point.y - origin.y)[1:]))
+        return cls(origin, Vec2(*shot_line(point.x - origin.x, point.y - origin.y)[3:]))
 
 
 @dataclass(frozen=True)
@@ -152,17 +152,19 @@ def difference(a: Vec2, b: Vec2) -> tuple[float, float]:
     return dx, dy
 
 
-def unit_components(dx: float, dy: float) -> tuple[float, float, float]:
-    """(n, dx / n, dy / n) for the vector (dx, dy) of length n, with the
-    checks of a Ray along it: finite, nonzero, and of unit length after."""
-    _require_finite("Vec2 component", dx, dy)
+def shot_line(dx: float, dy: float) -> tuple[float, float, float, float, float]:
+    """(dx, dy, n, dx / n, dy / n) for the vector (dx, dy) of length n, with
+    the checks of a Ray along it: finite, nonzero, and of unit length after.
+    Of a target relative to the ball, the line Ray.toward(ball, target)."""
     n = math.hypot(dx, dy)
+    if not n < math.inf:  # a component is not finite, or the length overflows
+        _require_finite("Vec2 component", dx, dy)
     if n < 1e-12:
         raise ValueError("cannot normalize a zero-length vector")
     ux, uy = dx / n, dy / n
     if abs(math.hypot(ux, uy) - 1.0) > 1e-9:
         raise ValueError("Ray direction must be a unit vector")
-    return n, ux, uy
+    return dx, dy, n, ux, uy
 
 
 def signed_offset(line: Ray, point: Vec2) -> float:

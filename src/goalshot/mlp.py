@@ -246,12 +246,6 @@ def gradient(params: MlpParams, features: np.ndarray,
     return MlpGradients(kernel.grad_weights, kernel.grad_biases)
 
 
-def example_mse(params: MlpParams, features: np.ndarray,
-                target: Sequence[float]) -> float:
-    out = np.asarray(forward(params, features))
-    return float(np.mean((out - np.asarray(target, float)) ** 2))
-
-
 class StopReason(enum.Enum):
     MAX_EPOCHS = "MAX_EPOCHS"
     EARLY_STOP = "EARLY_STOP"

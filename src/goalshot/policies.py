@@ -2,19 +2,21 @@
 
 The thresholded policies run one two-stage routine. Stage one discretizes
 the goal into aim points and keeps those whose analytic goal-entry
-probability clears p_goal_threshold. Stage two ranks the survivors (the
-MLP policy by neural score, the LDA baseline by a two-variable linear
-discriminant) and kicks at the best one if it clears the ranker's bar.
-The terms that depend only on the scene are computed once per decision,
-and stage one, which depends only on the ball and the configs, is kept for
-the last ball, so a second policy deciding on the same scene (as in a
-paired experiment) reuses it. The naive reference has no stages; it always
-shoots at the goal center.
+probability clears p_goal_threshold, each kept with its shot line (the
+target relative to the ball, its distance and unit direction). Stage two
+ranks the survivors from those lines (the MLP policy by neural score, the
+LDA baseline by a two-variable linear discriminant) and kicks at the best
+one if it clears the ranker's bar. The terms that depend only on the scene
+are computed once per decision, and stage one, which depends only on the
+ball and the configs, is kept for the last ball, so a second policy
+deciding on the same scene (as in a paired experiment) reuses it. The
+naive reference has no stages; it always shoots at the goal center.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Protocol, Sequence
@@ -22,8 +24,8 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 # p_goal, forward and extract_features stay bound for perfbench/tracing.py.
-from .aim import (AimConfig, _aim_points, _ball_half, _target_half, p_goal,  # noqa: F401
-                  within_horizon)
+from .aim import (AimConfig, HorizonError, _aim_chances, _aim_points, _ball_half,
+                  p_goal, within_horizon)  # noqa: F401
 from .geometry import FieldConfig, Vec2
 from .mlp import MlpParams, forward, score_batch  # noqa: F401
 from .scenes import KickScene, Label, angle_at, extract_features, features_by_target  # noqa: F401
@@ -80,40 +82,39 @@ class LdaModel:
 
 
 def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
-                        policy_config: PolicyConfig) -> list[tuple[Vec2, float]]:
-    """(target, p_goal) pairs passing the analytic filter; shared by all
-    thresholded policies."""
-    ball_half = _ball_half(ball, field, aim_config)
-    survivors = []
-    for target in _aim_points(field, aim_config):
-        pg = _target_half(ball_half, target)[2]
-        if pg >= policy_config.p_goal_threshold:
-            survivors.append((target, pg))
-    return survivors
+                        policy_config: PolicyConfig) -> list[tuple[Vec2, float, tuple]]:
+    """(target, p_goal, shot line) of each aim point passing the analytic
+    filter; shared by all thresholded policies. Raises HorizonError beyond
+    the sigma horizon."""
+    threshold = policy_config.p_goal_threshold
+    return [(target, pg, line) for target, line, _, _, pg in
+            _aim_chances(_ball_half(ball, field, aim_config), _aim_points(field, aim_config))
+            if pg >= threshold]
 
 
 @lru_cache(maxsize=1)
 def _stage_one(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
-               policy_config: PolicyConfig) -> tuple[tuple[Vec2, float], ...] | None:
+               policy_config: PolicyConfig) -> tuple[tuple[Vec2, float, tuple], ...] | None:
     """The horizon gate and stage one of a ball: None beyond the horizon,
     else the survivors. Every argument is a frozen value, so the entry of
     the last ball serves any later call with equal arguments."""
-    if not within_horizon(ball, field, aim_config):
+    try:
+        return tuple(stage_one_survivors(ball, field, aim_config, policy_config))
+    except HorizonError:
         return None
-    return tuple(stage_one_survivors(ball, field, aim_config, policy_config))
 
 
 def _two_stage(scene: KickScene, field: FieldConfig, aim_config: AimConfig,
                policy_config: PolicyConfig,
-               rank: Callable[[list[Vec2]], list[float]], bar: float) -> KickDecision:
+               rank: Callable[[tuple], list[float]], bar: float) -> KickDecision:
     """Kick at the stage-one survivor with the largest rank above bar, kept
     as neural_score; ties go to the target nearest the goal center, then to
     the smaller lateral coordinate. rank values every survivor at once."""
     survivors = _stage_one(scene.ball, field, aim_config, policy_config)
     if survivors is None:
         return _OUT_OF_RANGE
-    values = rank([target for target, _ in survivors]) if survivors else []
-    candidates = [(target, value, pg) for (target, pg), value in zip(survivors, values)
+    values = rank(survivors) if survivors else []
+    candidates = [(target, value, pg) for (target, pg, _), value in zip(survivors, values)
                   if value > bar]
     if not candidates:
         return _NO_KICK
@@ -125,16 +126,12 @@ def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
     """Two-stage decision: analytic p_goal filter, then best neural score."""
-    def rank(targets: list[Vec2]) -> list[float]:
+    def rank(survivors: tuple) -> list[float]:
         row = features_by_target(scene, field)
-        return score_batch(model, np.array([row(t.x, t.y) for t in targets])).tolist()
+        rows = [row(target.y, line) for target, _, line in survivors]
+        return score_batch(model, np.array(rows)).tolist()
     return _two_stage(scene, field, aim_config, policy_config, rank,
                       policy_config.score_threshold)
-
-
-def _lda_inputs(scene: KickScene, targets: Sequence[Vec2]) -> tuple[float, list[float]]:
-    return (scene.keeper.distance_to(scene.ball),
-            [angle_at(scene.ball, scene.keeper, target) for target in targets])
 
 
 def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
@@ -144,8 +141,8 @@ def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
     for scene in scenes:
         if scene.label is None:
             raise ValueError("every scene must be labeled")
-        distance, (angle,) = _lda_inputs(scene, [scene.target])
-        rows.append([distance, angle, 1.0])
+        rows.append([scene.keeper.distance_to(scene.ball),
+                     angle_at(scene.ball, scene.keeper, scene.target), 1.0])
         targets.append(1.0 if scene.label is Label.GOAL else -1.0)
     y = np.array(targets)
     if np.all(y > 0) or np.all(y < 0):
@@ -163,9 +160,18 @@ def lda_policy_decide(scene: KickScene, model: LdaModel, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
     """Same two stages, ranked by the discriminant with bar 0; no neural score."""
-    def rank(targets: list[Vec2]) -> list[float]:
-        distance, angles = _lda_inputs(scene, targets)
-        return [model.discriminant(distance, angle) for angle in angles]
+    def rank(survivors: tuple) -> list[float]:
+        ball, keeper = scene.ball, scene.keeper
+        distance = keeper.distance_to(ball)
+        kdx, kdy = keeper.x - ball.x, keeper.y - ball.y
+        # angle_at(ball, keeper, target) from the target's line, which is
+        # finite and not degenerate: 0.0 where the keeper's offset is not
+        # finite or its length (distance) is below opening_angle's 1e-12
+        if not (math.isfinite(kdx) and math.isfinite(kdy)) or distance < 1e-12:
+            return [model.discriminant(distance, 0.0)] * len(survivors)
+        return [model.discriminant(distance, math.atan2(abs(kdx * dy - kdy * dx),
+                                                        kdx * dx + kdy * dy))
+                for _, _, (dx, dy, _, _, _) in survivors]
     decision = _two_stage(scene, field, aim_config, policy_config, rank, 0.0)
     if decision.neural_score is not None:
         decision = replace(decision, neural_score=None)

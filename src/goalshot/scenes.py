@@ -12,7 +12,9 @@ The dataset layer (split, balance, features, statistics) takes a
 the defenders as an (n, 10, 2) array with a count per row, and a GOAL
 mask. `SceneTable.load` reads it from CSV, each value the float its cell
 parses to; `from_scenes` builds it from labeled KickScenes.
-`scene_features` is the one feature kernel, for table rows and KickScenes.
+`scene_features` is the one feature kernel, for table rows and KickScenes;
+its row takes the aim point's shot line (geometry.shot_line), which the
+MLP policy reuses from stage one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -29,7 +31,7 @@ import numpy as np
 
 from .aim import GOAL_LINE_TOLERANCE
 from .dynamics import DynamicsConfig
-from .geometry import FieldConfig, Vec2, _require_finite, opening_angle, unit_components
+from .geometry import FieldConfig, Vec2, _require_finite, opening_angle, shot_line
 from .keeper import KeeperModel, ShotResult, simulate_shot
 
 MAX_DEFENDERS = 10
@@ -131,11 +133,12 @@ def filter_defenders(scene: KickScene, field: FieldConfig) -> list[Vec2]:
 
 
 def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]],
-                   field: FieldConfig) -> Callable[[float, float], list[float]]:
+                   field: FieldConfig) -> Callable[[float, tuple], list[float]]:
     """The feature kernel, on plain floats: a scene's SCALAR_COLUMNS values
     and its (x, y) defenders. Computes the features that do not depend on
     the aim point once, and returns the function that builds the row of
-    extract_features for an aim point (target_x, target_y)."""
+    extract_features for an aim point from its y and its shot line
+    shot_line(target_x - ball_x, target_y - ball_y)."""
     bx, by, _, _, ax, ay, body_angle, kx, ky, kick_power = values[:10]
     left, right, center = field.post_left, field.post_right, field.goal_center
     d_post_left = math.hypot(left.x - bx, left.y - by)
@@ -151,6 +154,8 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
         _require_finite("Vec2 component", x - bx, y - by)
         near.append((d_ball, x - bx, y - by, math.hypot(center.x - x, center.y - y)))
     near += [(field.field_length, None, None, field.field_length)] * (3 - len(near))
+    # Two threats give three features each, the third its distance to the ball.
+    no_offset, third, count = field.penalty_area_width, near.pop()[0], float(len(threats))
     head = [bx, by, kx, ky, keeper_distance]
     # angle_at(attacker, post_left, post_right): 0.0 where opening_angle raises
     ux, uy, vx, vy = left.x - ax, left.y - ay, right.x - ax, right.y - ay
@@ -159,26 +164,24 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
               and math.hypot(ux, uy) >= 1e-12 and math.hypot(vx, vy) >= 1e-12 else 0.0)
     posts = [min(d_post_left, d_post_right), max(d_post_left, d_post_right), kick_power]
 
-    def row(target_x: float, target_y: float) -> list[float]:
-        dx, dy = target_x - bx, target_y - by
-        distance, ux, uy = unit_components(dx, dy)  # the line Ray.toward(ball, target)
+    def row(target_y: float, line: tuple) -> list[float]:
+        dx, dy, distance, ux, uy = line
         # angle_at(ball, keeper, target), 0.0 when the keeper is on the ball
         keeper_angle = (0.0 if keeper_distance < 1e-12
                         else math.atan2(abs(kdx * dy - kdy * dx), kdx * dx + kdy * dy))
-        body_to_shot = abs(math.remainder(body_angle - math.atan2(dy, dx), 2 * math.pi))
+        body_to_shot = abs(math.remainder(body_angle - math.atan2(dy, dx), math.tau))
         values = [*head, abs(ux * kdy - uy * kdx), keeper_angle, vision, body_to_shot,
-                  distance, *posts, target_y, float(len(threats))]
-        for d_ball, to_x, to_y, d_goal in near[:2]:
-            offset = (field.penalty_area_width if to_x is None
-                      else abs(ux * to_y - uy * to_x))
-            values += (d_ball, offset, d_goal)
-        values.append(near[2][0])
+                  distance, *posts, target_y, count]
+        for d_ball, to_x, to_y, d_goal in near:
+            values += (d_ball, no_offset if to_x is None else abs(ux * to_y - uy * to_x),
+                       d_goal)
+        values.append(third)
         return values
     return row
 
 
 def features_by_target(scene: KickScene,
-                       field: FieldConfig) -> Callable[[float, float], list[float]]:
+                       field: FieldConfig) -> Callable[[float, tuple], list[float]]:
     """scene_features of a KickScene."""
     return scene_features(_scalars(scene), [(d.x, d.y) for d in scene.defenders], field)
 
@@ -190,14 +193,17 @@ def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
     target). Features of absent defenders are imputed with "no threat"
     extremes: field_length for distances, penalty_area_width for offsets.
     """
-    row = features_by_target(scene, field)(scene.target.x, scene.target.y)
+    ball, target = scene.ball, scene.target
+    row = features_by_target(scene, field)(target.y,
+                                           shot_line(target.x - ball.x, target.y - ball.y))
     return FeatureVector(np.array(row, dtype=float))
 
 
 def feature_matrix(table: SceneTable, field: FieldConfig) -> np.ndarray:
     """(n, 22) matrix of the table's features, bit-equal to extract_features
     of each row's scene."""
-    return np.array([scene_features(values, defenders, field)(*values[10:12])
+    return np.array([scene_features(values, defenders, field)(
+                         values[11], shot_line(values[10] - values[0], values[11] - values[1]))
                      for values, defenders in table.rows()],
                     dtype=float).reshape(len(table), len(FEATURE_NAMES))
 
@@ -603,18 +609,3 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
             label=Label.GOAL if result is ShotResult.GOAL else Label.NO_GOAL,
         ))
     return scenes
-
-
-def mirror_scene(scene: KickScene) -> KickScene:
-    """Reflect a scene across the center line (y -> -y)."""
-    flip = lambda v: Vec2(v.x, -v.y)  # noqa: E731
-    return replace(
-        scene,
-        ball=flip(scene.ball),
-        ball_velocity=flip(scene.ball_velocity),
-        attacker=flip(scene.attacker),
-        attacker_body_angle=-scene.attacker_body_angle,
-        keeper=flip(scene.keeper),
-        defenders=tuple(flip(d) for d in scene.defenders),
-        target=flip(scene.target),
-    )

@@ -1,0 +1,49 @@
+"""Reference functions that only the tests call."""
+
+import math
+from dataclasses import replace
+from typing import Sequence
+
+import numpy as np
+
+from goalshot.aim import AimConfig, ShotQuery, p_goal
+from goalshot.geometry import FieldConfig, Vec2
+from goalshot.mlp import MlpParams, forward
+from goalshot.scenes import KickScene
+
+
+def gaussian_cdf(z: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def p_miss_left(query: ShotQuery, field: FieldConfig, config: AimConfig) -> float:
+    """Probability the shot drifts outside the left post."""
+    return p_goal(query, field, config).p_left
+
+
+def p_miss_right(query: ShotQuery, field: FieldConfig, config: AimConfig) -> float:
+    """Probability the shot drifts outside the right post."""
+    return p_goal(query, field, config).p_right
+
+
+def example_mse(params: MlpParams, features: np.ndarray,
+                target: Sequence[float]) -> float:
+    """Mean squared error of the network's two outputs on one example."""
+    out = np.asarray(forward(params, features))
+    return float(np.mean((out - np.asarray(target, float)) ** 2))
+
+
+def mirror_scene(scene: KickScene) -> KickScene:
+    """Reflect a scene across the center line (y -> -y)."""
+    flip = lambda v: Vec2(v.x, -v.y)  # noqa: E731
+    return replace(
+        scene,
+        ball=flip(scene.ball),
+        ball_velocity=flip(scene.ball_velocity),
+        attacker=flip(scene.attacker),
+        attacker_body_angle=-scene.attacker_body_angle,
+        keeper=flip(scene.keeper),
+        defenders=tuple(flip(d) for d in scene.defenders),
+        target=flip(scene.target),
+    )

@@ -28,13 +28,14 @@ from goalshot.geometry import Ray, Vec2, signed_offset
 from goalshot.metrics import (auc_rank, feature_relevance, ks2_curve,
                               roc_curve, scored_samples)
 from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig,
-                          example_mse, forward, gradient, load_model,
-                          save_model, score, score_batch, train)
+                          forward, gradient, load_model, save_model, score,
+                          score_batch, train)
 from goalshot.policies import (Action, LdaPolicy, MlpPolicy, PolicyConfig,
                                lda_train, mlp_policy_decide)
 from goalshot.scenes import (Label, SceneTable, balance_by_replication, extract_features,
                              feature_matrix, generate_synthetic_scenes,
                              load_scenes, save_scenes, split_dataset)
+from oracles import example_mse
 
 CFG = RunConfig()
 SEED = 0

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from goalshot.aim import (AimConfig, ShotQuery, _aim_points, _check_target,
-                          discretize_targets, p_goal, p_miss_left, p_miss_right, sigma,
-                          within_horizon)
+                          discretize_targets, p_goal, sigma, within_horizon)
 from goalshot.geometry import FieldConfig, Ray, Vec2, signed_offset
+from oracles import p_miss_left, p_miss_right
 
 AIM = AimConfig()
 
@@ -26,6 +26,17 @@ def random_query(rng, field):
     ball = Vec2(rng.uniform(20.0, 50.0), rng.uniform(-15.0, 15.0))
     target = Vec2(field.goal_line_x, rng.uniform(-7.01, 7.01))
     return ShotQuery(ball, target)
+
+
+class TestAimConfig:
+    @pytest.mark.parametrize("name", ["sigma_coefficient", "sigma_horizon", "target_inset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            AimConfig(**{name: value})
+
+    def test_finite_floats_accepted(self):
+        assert AimConfig(sigma_coefficient=0.5, sigma_horizon=1e300, target_inset=0.0)
 
 
 class TestSigma:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from goalshot.metrics import auc_rank, scored_samples
 from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig, _Backprop,
-                          example_mse, forward, gradient, load_model, save_model,
+                          forward, gradient, load_model, save_model,
                           score, score_batch, targets_from_labels, train)
 from goalshot.scenes import Label
+from oracles import example_mse
 
 
 def zero_params(layer_sizes=(3, 4, 2)):

@@ -16,7 +16,8 @@ from goalshot.policies import (Action, KickDecision, LdaModel, LdaPolicy,
                                naive_center_policy, stage_one_survivors)
 from goalshot.scenes import (Label, SceneTable, angle_at, balance_by_replication,
                              extract_features, feature_matrix,
-                             generate_synthetic_scenes, mirror_scene, split_dataset)
+                             generate_synthetic_scenes, split_dataset)
+from oracles import mirror_scene
 
 CFG = RunConfig()
 POLICY = PolicyConfig()
@@ -222,7 +223,7 @@ class TestLdaPolicy:
         model = LdaModel(weight_distance=0.0, weight_angle=0.0, bias=1.0)
         scene = make_scene(ball=Vec2(45.0, 0.0))
         policy = PolicyConfig(p_goal_threshold=0.05)
-        ys = [t.y for t, _ in stage_one_survivors(scene.ball, field, aim, policy)]
+        ys = [t.y for t, _, _ in stage_one_survivors(scene.ball, field, aim, policy)]
         assert ys == [-ys[1], ys[1]]
         decision = lda_policy_decide(scene, model, field, aim, policy)
         assert decision.target.y == min(ys)
@@ -231,7 +232,7 @@ class TestLdaPolicy:
         scenes = generate_synthetic_scenes(50, CFG.gen, CFG.dynamics, field, seed=12)
         lda = LdaModel(0.1, 1.0, -0.5)
         for scene in scenes:
-            survivors = {(t.x, t.y) for t, _ in
+            survivors = {(t.x, t.y) for t, _, _ in
                          stage_one_survivors(scene.ball, field, CFG.aim, POLICY)}
             mlp_decision = mlp_policy_decide(scene, trained_model, field, CFG.aim,
                                              POLICY)

@@ -13,8 +13,9 @@ from goalshot.geometry import Vec2
 from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, MAX_DEFENDERS, GeneratorConfig,
                              KickScene, Label, SceneTable, balance_by_replication,
                              extract_features, feature_matrix, filter_defenders,
-                             generate_synthetic_scenes, load_scenes, mirror_scene,
+                             generate_synthetic_scenes, load_scenes,
                              save_scenes, split_dataset, univariate_stats)
+from oracles import mirror_scene
 
 CFG = RunConfig()
 

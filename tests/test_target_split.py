@@ -17,11 +17,12 @@ import pytest
 
 from conftest import make_scene
 from goalshot.aim import (GOAL_LINE_TOLERANCE, AimConfig, ShotQuery, discretize_targets,
-                          gaussian_cdf, p_goal, p_miss_left, p_miss_right, sigma)
-from goalshot.geometry import FieldConfig, Ray, Vec2, signed_offset
+                          p_goal, sigma)
+from goalshot.geometry import FieldConfig, Ray, Vec2, shot_line, signed_offset
 from goalshot.policies import PolicyConfig, stage_one_survivors
 from goalshot.scenes import (Label, SceneTable, angle_at, extract_features, feature_matrix,
                              features_by_target, filter_defenders)
+from oracles import gaussian_cdf, p_miss_left, p_miss_right
 
 FIELD = FieldConfig()
 AIM_CONFIGS = (AimConfig(), AimConfig(target_count=1), AimConfig(target_inset=0.0))
@@ -109,7 +110,8 @@ def assert_matches_reference(scene, aim_config):
     row = features_by_target(scene, FIELD)
     for target in targets + [scene.target]:
         expected = reference_features(replace(scene, target=target), FIELD)
-        assert row(target.x, target.y) == expected
+        line = shot_line(target.x - scene.ball.x, target.y - scene.ball.y)
+        assert row(target.y, line) == expected
         assert extract_features(replace(scene, target=target), FIELD).values.tolist() == expected
         query = ShotQuery(scene.ball, target)
         expected = outcome(reference_tails, query, FIELD, aim_config)
@@ -124,7 +126,8 @@ def assert_matches_reference(scene, aim_config):
     expected = [(t, pg) for t, (_, _, pg) in
                 ((t, reference_tails(ShotQuery(scene.ball, t), FIELD, aim_config))
                  for t in targets) if pg >= policy.p_goal_threshold]
-    assert stage_one_survivors(scene.ball, FIELD, aim_config, policy) == expected
+    assert [(t, pg) for t, pg, _ in
+            stage_one_survivors(scene.ball, FIELD, aim_config, policy)] == expected
 
 
 def in_range(scene, aim_config):
@@ -172,7 +175,8 @@ def test_feature_errors_match_reference(scene, target):
     scene = replace(scene, target=target)
     expected = outcome(reference_features, scene, FIELD)
     assert isinstance(expected[0], type)
-    assert outcome(lambda: features_by_target(scene, FIELD)(target.x, target.y)) == expected
+    assert outcome(lambda: features_by_target(scene, FIELD)(
+        target.y, shot_line(target.x - scene.ball.x, target.y - scene.ball.y))) == expected
     assert outcome(extract_features, scene, FIELD) == expected
 
 

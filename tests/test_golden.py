@@ -40,6 +40,8 @@ EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62
 DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd2c95"
 EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
 STATS_SHA256 = "821ec09178eef386d3304fb33befe7badd2f3e0052e18447d392b88556a9efd1"
+ROC_SHA256 = "a4d47726de13a8ed762b4c90ff5489f71a6f23574badef8188ca47cb659de172"
+KS2_SHA256 = "ef8e5cc553cafabe602907d3313c426313e4a2395dd49cdc9f2b88ac75f728eb"
 
 
 def _build() -> str:
@@ -111,6 +113,17 @@ def test_eval_test_split_stdout(pipeline, capsys):
     digest = _stdout_sha256(capsys, "eval", "--model", str(model), "--data", str(data),
                             "--use-test-split")
     assert digest == EVAL_SHA256, BUILD
+
+
+def test_eval_curve_files(pipeline):
+    """Every point of the ROC and KS2 curves of the whole CSV, which the
+    stdout pin reduces to auc, ks2 and the threshold."""
+    work, data, model = pipeline
+    roc, ks2 = work / "roc.csv", work / "ks2.csv"
+    _run("eval", "--model", str(model), "--data", str(data),
+         "--roc-out", str(roc), "--ks2-out", str(ks2))
+    assert _sha256(roc) == ROC_SHA256, BUILD
+    assert _sha256(ks2) == KS2_SHA256, BUILD
 
 
 def test_stats_stdout(pipeline, capsys):

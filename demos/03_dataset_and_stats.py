@@ -10,8 +10,7 @@ top, while a genuinely uninformative variable sits near 0.5.
 import numpy as np
 
 from goalshot import (SceneTable, auc_rank, feature_matrix, feature_relevance,
-                      generate_synthetic_scenes, scored_samples,
-                      univariate_stats)
+                      generate_synthetic_scenes, univariate_stats)
 from goalshot.config import RunConfig
 
 cfg = RunConfig()
@@ -37,6 +36,6 @@ for name, auc in sorted(relevance.items(), key=lambda kv: -kv[1]):
     print(f"{name:<34} {auc:.3f}")
 
 rng = np.random.default_rng(5)
-noise_auc = auc_rank(scored_samples(rng.random(len(table)), table.labels))
+noise_auc = auc_rank(rng.random(len(table)), table.goal)
 print()
 print(f"a pure-noise variable, for contrast:  {max(noise_auc, 1 - noise_auc):.3f}")

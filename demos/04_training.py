@@ -25,8 +25,8 @@ print(f"train {len(split.train)} -> balanced {len(balanced)} "
       f"validation {len(split.validation)}, test {len(split.test)}")
 
 params, report = train(
-    feature_matrix(balanced, cfg.field), balanced.labels,
-    feature_matrix(split.validation, cfg.field), split.validation.labels,
+    feature_matrix(balanced, cfg.field), balanced.goal,
+    feature_matrix(split.validation, cfg.field), split.validation.goal,
     TrainConfig(max_epochs=80, patience=10, seed=3))
 
 print()

@@ -7,8 +7,7 @@ two classes' score CDFs. Both are threshold-free views of separability.
 
 from goalshot import (SceneTable, TrainConfig, auc_rank, balance_by_replication,
                       feature_matrix, generate_synthetic_scenes, ks2_curve,
-                      roc_curve, score_batch, scored_samples, split_dataset,
-                      train)
+                      roc_curve, score_batch, split_dataset, train)
 from goalshot.config import RunConfig
 
 cfg = RunConfig()
@@ -16,17 +15,17 @@ scenes = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=
 split = split_dataset(SceneTable.from_scenes(scenes), seed=4)
 balanced = balance_by_replication(split.train, seed=4)
 params, _ = train(
-    feature_matrix(balanced, cfg.field), balanced.labels,
-    feature_matrix(split.validation, cfg.field), split.validation.labels,
+    feature_matrix(balanced, cfg.field), balanced.goal,
+    feature_matrix(split.validation, cfg.field), split.validation.goal,
     TrainConfig(max_epochs=80, patience=10, seed=4))
 
-samples = scored_samples(score_batch(params, feature_matrix(split.test, cfg.field)),
-                         split.test.labels)
-roc = roc_curve(samples)
-ks = ks2_curve(samples)
+scores = score_batch(params, feature_matrix(split.test, cfg.field))
+roc = roc_curve(scores, split.test.goal)
+ks = ks2_curve(scores, split.test.goal)
 
-print(f"held-out test set: {len(samples)} scenes")
-print(f"AUC  = {roc.auc:.3f}   (trapezoid; rank statistic {auc_rank(samples):.3f})")
+print(f"held-out test set: {len(scores)} scenes")
+print(f"AUC  = {roc.auc:.3f}   (trapezoid; rank statistic "
+      f"{auc_rank(scores, split.test.goal):.3f})")
 print(f"KS2  = {ks.ks2:.3f}   at score threshold {ks.ks2_threshold:.3f}")
 
 print()

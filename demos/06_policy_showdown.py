@@ -18,8 +18,8 @@ scenes = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=
 split = split_dataset(SceneTable.from_scenes(scenes), seed=6)
 balanced = balance_by_replication(split.train, seed=6)
 params, _ = train(
-    feature_matrix(balanced, cfg.field), balanced.labels,
-    feature_matrix(split.validation, cfg.field), split.validation.labels,
+    feature_matrix(balanced, cfg.field), balanced.goal,
+    feature_matrix(split.validation, cfg.field), split.validation.goal,
     TrainConfig(max_epochs=80, patience=10, seed=6))
 lda_model = lda_train(split.train.scenes(), cfg.field)
 print(f"linear baseline: {lda_model.weight_distance:+.4f} * keeper_distance "

@@ -14,14 +14,14 @@ from .experiment import (EpisodeOutcome, MatchStats, report, run_episode,
                          run_experiment)
 from .geometry import FieldConfig, Ray, Vec2, opening_angle, signed_offset
 from .keeper import KeeperModel, ShotResult, simulate_shot
-from .metrics import (Ks2Curve, RocCurve, ScoredSample, auc_rank,
-                      feature_relevance, ks2_curve, roc_curve, scored_samples)
+from .metrics import (Ks2Curve, RocCurve, auc_rank, feature_relevance,
+                      ks2_curve, roc_curve)
 from .mlp import (MlpParams, TrainConfig, TrainReport, forward, gradient,
                   load_model, save_model, score, score_batch, train)
 from .policies import (Action, KickDecision, LdaModel, LdaPolicy, MlpPolicy,
                        NaiveCenterPolicy, PolicyConfig, lda_policy_decide,
                        lda_train, mlp_policy_decide, naive_center_policy)
-from .scenes import (FEATURE_NAMES, DatasetSplit, FeatureVector, GeneratorConfig,
+from .scenes import (FEATURE_NAMES, DatasetSplit, GeneratorConfig,
                      KickScene, Label, SceneTable, UnivariateReport,
                      balance_by_replication, extract_features, feature_matrix,
                      filter_defenders, generate_synthetic_scenes, load_scenes,

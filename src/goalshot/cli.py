@@ -32,7 +32,7 @@ from .config import RunConfig, load_run_config, scalar_fields
 from .dynamics import BallState, BlockUniforms, kick, rollout_to_goal_line
 from .experiment import check_experiment_size, check_report_format, report, run_experiment
 from .geometry import Vec2
-from .metrics import feature_relevance, ks2_curve, roc_curve, scored_samples
+from .metrics import feature_relevance, ks2_curve, roc_curve
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
 from .scenes import (Label, SceneTable, balance_by_replication, feature_matrix,
                      generate_synthetic_scenes, load_scenes, save_scenes,
@@ -106,8 +106,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                           config.seed)
     balanced = balance_by_replication(split.train, config.seed)
     params, train_report = mlp.train(
-        feature_matrix(balanced, config.field), balanced.labels,
-        feature_matrix(split.validation, config.field), split.validation.labels,
+        feature_matrix(balanced, config.field), balanced.goal,
+        feature_matrix(split.validation, config.field), split.validation.goal,
         config.train)
     mlp.save_model(params, args.model_out)
     doc = {
@@ -135,10 +135,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.use_test_split:
         scenes = split_dataset(scenes, config.seed).test
     scores = mlp.score_batch(params, feature_matrix(scenes, config.field))
-    samples = scored_samples(scores, scenes.labels)
-    roc = roc_curve(samples)
-    ks = ks2_curve(samples)
-    print(f"n={len(samples)} auc={roc.auc:.6f} ks2={ks.ks2:.6f} "
+    roc = roc_curve(scores, scenes.goal)
+    ks = ks2_curve(scores, scenes.goal)
+    print(f"n={len(scores)} auc={roc.auc:.6f} ks2={ks.ks2:.6f} "
           f"ks2_threshold={ks.ks2_threshold:.6f}")
     if args.roc_out:
         lines = ["fpr,tpr"] + [f"{x!r},{y!r}" for x, y in roc.points]

@@ -1,28 +1,23 @@
 """Binary-classifier evaluation: ROC/AUC, two-sample KS, feature screening.
 
-Scores are oriented so that higher means more goal-like. Tied scores are
-grouped into a single threshold step, which makes the trapezoidal AUC equal
-the Mann-Whitney rank statistic (ties counted 1/2) exactly; auc_rank
-computes that statistic independently and serves as the oracle route.
-auc_rank ranks each positive score by its mid-rank in the sorted pooled
-scores, found by two binary searches; mid-ranks are half-integers, so the
-rank sum is exact.
+Every metric takes (scores, goal): a 1-D score array and the rows' bool
+GOAL mask of the same shape, such as SceneTable.goal. Scores are oriented
+so that higher means more goal-like. Tied scores are grouped into a single
+threshold step, which makes the trapezoidal AUC equal the Mann-Whitney
+rank statistic (ties counted 1/2) exactly; auc_rank computes that
+statistic independently and serves as the oracle route. auc_rank ranks
+each positive score by its mid-rank in the sorted pooled scores, found by
+two binary searches; mid-ranks are half-integers, so the rank sum is
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .scenes import FEATURE_NAMES, Label
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    score: float
-    label: Label
+from .scenes import FEATURE_NAMES
 
 
 @dataclass(eq=False)
@@ -48,25 +43,24 @@ class Ks2Curve:
     ks2_threshold: float
 
 
-def _split_scores(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.array([s.score for s in samples if s.label is Label.GOAL], dtype=float)
-    neg = np.array([s.score for s in samples if s.label is Label.NO_GOAL], dtype=float)
-    if len(pos) + len(neg) != len(samples):
-        raise ValueError("every sample must be labeled GOAL or NO_GOAL")
-    return _checked(pos, neg)
-
-
-def _checked(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split_scores(scores: np.ndarray, goal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scores of the GOAL rows and of the others."""
+    scores = np.asarray(scores, dtype=float)
+    goal = np.asarray(goal)
+    if goal.dtype != bool or goal.shape != scores.shape or scores.ndim != 1:
+        raise ValueError(f"goal must be a bool GOAL mask of the 1-D scores' shape "
+                         f"{scores.shape}, got {goal.dtype} of shape {goal.shape}")
+    pos, neg = scores[goal], scores[~goal]
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both classes must be present")
-    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
+    if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     return pos, neg
 
 
-def roc_curve(samples: Sequence[ScoredSample]) -> RocCurve:
+def roc_curve(scores: np.ndarray, goal: np.ndarray) -> RocCurve:
     """ROC curve swept over all distinct score thresholds, AUC by trapezoid."""
-    pos, neg = _split_scores(samples)
+    pos, neg = _split_scores(scores, goal)
     pos_sorted = np.sort(pos)
     neg_sorted = np.sort(neg)
     thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
@@ -80,13 +74,10 @@ def roc_curve(samples: Sequence[ScoredSample]) -> RocCurve:
     return RocCurve(points=points, auc=auc)
 
 
-def auc_rank(samples: Sequence[ScoredSample]) -> float:
+def auc_rank(scores: np.ndarray, goal: np.ndarray) -> float:
     """Mann-Whitney AUC: fraction of (positive, negative) pairs ranked
     correctly, ties counted 1/2."""
-    return _mann_whitney_auc(*_split_scores(samples))
-
-
-def _mann_whitney_auc(pos: np.ndarray, neg: np.ndarray) -> float:
+    pos, neg = _split_scores(scores, goal)
     pooled = np.sort(np.concatenate([pos, neg]))
     lo = np.searchsorted(pooled, pos, "left")
     hi = np.searchsorted(pooled, pos, "right")
@@ -94,9 +85,9 @@ def _mann_whitney_auc(pos: np.ndarray, neg: np.ndarray) -> float:
     return float((rank_sum - len(pos) * (len(pos) + 1) / 2) / (len(pos) * len(neg)))
 
 
-def ks2_curve(samples: Sequence[ScoredSample]) -> Ks2Curve:
+def ks2_curve(scores: np.ndarray, goal: np.ndarray) -> Ks2Curve:
     """Two-sample Kolmogorov-Smirnov curve and statistic."""
-    pos, neg = _split_scores(samples)
+    pos, neg = _split_scores(scores, goal)
     thresholds = np.unique(np.concatenate([pos, neg]))
     cdf_pos = np.searchsorted(np.sort(pos), thresholds, side="right") / len(pos)
     cdf_neg = np.searchsorted(np.sort(neg), thresholds, side="right") / len(neg)
@@ -111,12 +102,6 @@ def ks2_curve(samples: Sequence[ScoredSample]) -> Ks2Curve:
     )
 
 
-def scored_samples(scores: Sequence[float], labels: Sequence[Label]) -> list[ScoredSample]:
-    if len(scores) != len(labels):
-        raise ValueError("scores and labels must have matching lengths")
-    return [ScoredSample(float(s), l) for s, l in zip(scores, labels)]
-
-
 def feature_relevance(matrix: np.ndarray, goal: np.ndarray) -> dict[str, float]:
     """Folded single-variable AUC per column of a feature_matrix, with goal
     the rows' GOAL mask: each feature plays classifier by itself, and
@@ -125,6 +110,6 @@ def feature_relevance(matrix: np.ndarray, goal: np.ndarray) -> dict[str, float]:
         raise ValueError("need at least two scenes")
     relevance: dict[str, float] = {}
     for name, column in zip(FEATURE_NAMES, matrix.T):
-        auc = _mann_whitney_auc(*_checked(column[goal], column[~goal]))
+        auc = auc_rank(column, goal)
         relevance[name] = max(auc, 1.0 - auc)
     return relevance

@@ -16,7 +16,7 @@ The two outputs are folded into a single score in [0, 1] via
     score = (node1 - node2) / 4 + 0.5
 
 so the ideal GOAL response (+1, -1) maps to 1.0 and the ideal NO_GOAL
-response (-1, +1) maps to 0.0.
+response (-1, +1) maps to 0.0; these two responses are train's targets.
 
 One layer pass serves one row (forward, the policy), a batch (score_batch,
 eval, the epoch MSE) and backprop, and gives a row the same bits in each.
@@ -44,26 +44,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenes import Label
-
 MODEL_FORMAT = "goalshot-mlp"
 MODEL_VERSION = 1
 
 GOAL_TARGET = (1.0, -1.0)
 NO_GOAL_TARGET = (-1.0, 1.0)
-
-
-def targets_from_labels(labels: Sequence[Label]) -> np.ndarray:
-    """(n, 2) training targets for a label sequence."""
-    targets = np.empty((len(labels), 2))
-    for i, label in enumerate(labels):
-        if label is Label.GOAL:
-            targets[i] = GOAL_TARGET
-        elif label is Label.NO_GOAL:
-            targets[i] = NO_GOAL_TARGET
-        else:
-            raise ValueError(f"unlabeled example at index {i}")
-    return targets
 
 
 @dataclass(eq=False)
@@ -314,11 +299,21 @@ def _dataset_mse(params: MlpParams, x_normalized: np.ndarray,
     return float(np.mean((out - targets) ** 2))
 
 
-def train(train_features: np.ndarray, train_labels: Sequence[Label],
-          val_features: np.ndarray, val_labels: Sequence[Label],
+def _targets(goal: np.ndarray, n: int) -> np.ndarray:
+    """(n, 2) training targets of a bool GOAL mask of n rows."""
+    goal = np.asarray(goal)
+    if goal.dtype != bool or goal.shape != (n,):
+        raise ValueError(f"labels must be a bool GOAL mask of one entry per feature row "
+                         f"({n}), got {goal.dtype} of shape {goal.shape}")
+    return np.where(goal[:, None], GOAL_TARGET, NO_GOAL_TARGET)
+
+
+def train(train_features: np.ndarray, train_goal: np.ndarray,
+          val_features: np.ndarray, val_goal: np.ndarray,
           config: TrainConfig = TrainConfig()) -> tuple[MlpParams, TrainReport]:
     """Train a tanh MLP with online backprop and early stopping.
 
+    The labels are the rows' bool GOAL masks, such as SceneTable.goal.
     Deterministic for a given config.seed. The caller is expected to pass
     a class-balanced training set (see scenes.balance_by_replication).
     """
@@ -330,10 +325,8 @@ def train(train_features: np.ndarray, train_labels: Sequence[Label],
         raise ValueError("validation set must be a non-empty 2D array")
     if xv.shape[1] != x.shape[1]:
         raise ValueError("train and validation feature widths differ")
-    targets = targets_from_labels(train_labels)
-    val_targets = targets_from_labels(val_labels)
-    if len(targets) != len(x) or len(val_targets) != len(xv):
-        raise ValueError("labels and features must have matching lengths")
+    targets = _targets(train_goal, len(x))
+    val_targets = _targets(val_goal, len(xv))
 
     mean = x.mean(axis=0)
     std = x.std(axis=0)

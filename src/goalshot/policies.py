@@ -23,11 +23,13 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-# p_goal, forward and extract_features stay bound for perfbench/tracing.py.
+# p_goal, forward and extract_features stay bound for perfbench/tracing.py,
+# which spans the scorer as mlp.score_batch: the MLP policy calls it there.
+from . import mlp
 from .aim import (AimConfig, HorizonError, _aim_chances, _aim_points, _ball_half,
                   p_goal, within_horizon)  # noqa: F401
 from .geometry import FieldConfig, Vec2
-from .mlp import MlpParams, forward, score_batch  # noqa: F401
+from .mlp import MlpParams, forward  # noqa: F401
 from .scenes import KickScene, Label, angle_at, extract_features, features_by_target  # noqa: F401
 
 
@@ -129,7 +131,7 @@ def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
     def rank(survivors: tuple) -> list[float]:
         row = features_by_target(scene, field)
         rows = [row(target.y, line) for target, _, line in survivors]
-        return score_batch(model, np.array(rows)).tolist()
+        return mlp.score_batch(model, np.array(rows)).tolist()
     return _two_stage(scene, field, aim_config, policy_config, rank,
                       policy_config.score_threshold)
 

@@ -11,7 +11,9 @@ The dataset layer (split, balance, features, statistics) takes a
 `SceneTable`: time as Python ints, the twelve scalar columns in float64,
 the defenders as an (n, 10, 2) array with a count per row, and a GOAL
 mask. `SceneTable.load` reads it from CSV, each value the float its cell
-parses to; `from_scenes` builds it from labeled KickScenes.
+parses to; `from_scenes` builds it from labeled KickScenes. Past these
+two the label is the GOAL mask: training and the metrics take it, and
+`SceneTable.scenes()` maps it back to `Label`.
 `scene_features` is the one feature kernel, for table rows and KickScenes;
 its row takes the aim point's shot line (geometry.shot_line), which the
 MLP policy reuses from stage one.
@@ -92,16 +94,6 @@ FEATURE_NAMES: tuple[str, ...] = (
     "def2_distance_to_goal_center",
     "def3_distance_to_ball",
 )
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    values: np.ndarray
-    names: tuple[str, ...] = FEATURE_NAMES
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (len(self.names),):
-            raise ValueError(f"expected {len(self.names)} features, got {self.values.shape}")
 
 
 def angle_at(origin: Vec2, a: Vec2, b: Vec2) -> float:
@@ -186,8 +178,9 @@ def features_by_target(scene: KickScene,
     return scene_features(_scalars(scene), [(d.x, d.y) for d in scene.defenders], field)
 
 
-def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
-    """Canonical 22-feature view of a scene.
+def extract_features(scene: KickScene, field: FieldConfig) -> np.ndarray:
+    """Canonical 22-feature view of a scene, a float64 (22,) array in
+    FEATURE_NAMES order.
 
     Derived angles/offsets are measured against the shooting line (ball to
     target). Features of absent defenders are imputed with "no threat"
@@ -196,7 +189,7 @@ def extract_features(scene: KickScene, field: FieldConfig) -> FeatureVector:
     ball, target = scene.ball, scene.target
     row = features_by_target(scene, field)(target.y,
                                            shot_line(target.x - ball.x, target.y - ball.y))
-    return FeatureVector(np.array(row, dtype=float))
+    return np.array(row, dtype=float)
 
 
 def feature_matrix(table: SceneTable, field: FieldConfig) -> np.ndarray:
@@ -296,10 +289,6 @@ class SceneTable:
         """The rows at index, in its order (repeats allowed)."""
         return SceneTable(*(getattr(self, f.name)[index] for f in fields(self)))
 
-    @property
-    def labels(self) -> list[Label]:
-        return [Label.GOAL if goal else Label.NO_GOAL for goal in self.goal.tolist()]
-
     def rows(self) -> Iterator[tuple[list[float], list[list[float]]]]:
         """Each row's values and its [x, y] defenders, as Python floats, one
         row at a time."""
@@ -331,9 +320,10 @@ class SceneTable:
     def scenes(self) -> list[KickScene]:
         """Each row as a KickScene."""
         return [KickScene(time, Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay), body, Vec2(kx, ky),
-                          tuple(Vec2(x, y) for x, y in defenders), power, Vec2(tx, ty), label)
+                          tuple(Vec2(x, y) for x, y in defenders), power, Vec2(tx, ty),
+                          Label.GOAL if goal else Label.NO_GOAL)
                 for time, ((bx, by, vx, vy, ax, ay, body, kx, ky, power, tx, ty), defenders),
-                label in zip(self.time.tolist(), self.rows(), self.labels)]
+                goal in zip(self.time.tolist(), self.rows(), self.goal.tolist())]
 
     @classmethod
     def load(cls, path: str | Path, field: FieldConfig = FieldConfig(),

@@ -25,8 +25,7 @@ from goalshot.config import RunConfig
 from goalshot.dynamics import BallState, DynamicsConfig, step, travel_range
 from goalshot.experiment import run_experiment
 from goalshot.geometry import Ray, Vec2, signed_offset
-from goalshot.metrics import (auc_rank, feature_relevance, ks2_curve,
-                              roc_curve, scored_samples)
+from goalshot.metrics import auc_rank, feature_relevance, ks2_curve, roc_curve
 from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig,
                           forward, gradient, load_model, save_model, score,
                           score_batch, train)
@@ -68,8 +67,8 @@ def trained(dataset):
     split = split_dataset(SceneTable.from_scenes(dataset), SEED)
     balanced = balance_by_replication(split.train, SEED)
     params, report = train(
-        feature_matrix(balanced, CFG.field), balanced.labels,
-        feature_matrix(split.validation, CFG.field), split.validation.labels,
+        feature_matrix(balanced, CFG.field), balanced.goal,
+        feature_matrix(split.validation, CFG.field), split.validation.goal,
         TRAIN_CONFIG)
     _timings["train"] = time.perf_counter() - start
     return params, split, report
@@ -287,18 +286,18 @@ def test_07_training_protocol():
 
         rng = np.random.default_rng(SEED)
         x = rng.uniform(-1, 1, (60, 4))
-        labels = [Label.GOAL if row.sum() > 0 else Label.NO_GOAL for row in x]
+        goal = np.array([row.sum() > 0 for row in x])
         vx = rng.uniform(-1, 1, (30, 4))
-        vlabels = [Label.GOAL if row.sum() > 0 else Label.NO_GOAL for row in vx]
+        vgoal = np.array([row.sum() > 0 for row in vx])
         config = TrainConfig(max_epochs=4, patience=10 ** 9, seed=SEED)
-        _, report = train(x, labels, vx, vlabels, config)
+        _, report = train(x, goal, vx, vgoal, config)
         assert report.stop_reason is StopReason.MAX_EPOCHS
         assert report.epochs_run == 4
         assert len(report.train_mse_history) == 4
         assert len(report.validation_mse_history) == 4
 
-        run_a = train(x, labels, vx, vlabels, TrainConfig(max_epochs=10, seed=3))
-        run_b = train(x, labels, vx, vlabels, TrainConfig(max_epochs=10, seed=3))
+        run_a = train(x, goal, vx, vgoal, TrainConfig(max_epochs=10, seed=3))
+        run_b = train(x, goal, vx, vgoal, TrainConfig(max_epochs=10, seed=3))
         assert run_a[1].validation_mse_history == run_b[1].validation_mse_history
         for wa, wb in zip(run_a[0].weights, run_b[0].weights):
             np.testing.assert_array_equal(wa, wb)
@@ -309,9 +308,8 @@ def test_08_learning_capability(dataset, trained):
                    "on held-out scenes"):
         params, split, report = trained
         scores = score_batch(params, feature_matrix(split.test, CFG.field))
-        samples = scored_samples(scores, split.test.labels)
-        auc = auc_rank(samples)
-        ks2 = ks2_curve(samples).ks2
+        auc = auc_rank(scores, split.test.goal)
+        ks2 = ks2_curve(scores, split.test.goal).ks2
         print(f"      held-out AUC {auc:.3f}, KS2 {ks2:.3f}, "
               f"{report.epochs_run} epochs", end=" ")
         assert auc >= 0.85
@@ -334,26 +332,23 @@ def test_09_metric_oracles():
                 labels[0] = Label.GOAL
             if not any(l is Label.NO_GOAL for l in labels):
                 labels[-1] = Label.NO_GOAL
-            samples = scored_samples(scores, labels)
-            assert math.isclose(roc_curve(samples).auc, auc_rank(samples),
+            goal = np.array([l is Label.GOAL for l in labels])
+            assert math.isclose(roc_curve(scores, goal).auc, auc_rank(scores, goal),
                                 abs_tol=1e-9)
-            pos = sorted(s.score for s in samples if s.label is Label.GOAL)
-            neg = sorted(s.score for s in samples if s.label is Label.NO_GOAL)
+            pos = sorted(scores[goal].tolist())
+            neg = sorted(scores[~goal].tolist())
             brute = max(
                 abs(sum(1 for s in pos if s <= t) / len(pos)
                     - sum(1 for s in neg if s <= t) / len(neg))
                 for t in set(scores.tolist()))
-            assert math.isclose(ks2_curve(samples).ks2, brute, abs_tol=1e-12)
+            assert math.isclose(ks2_curve(scores, goal).ks2, brute, abs_tol=1e-12)
 
-        separated = scored_samples([0.9, 0.8, 0.2, 0.1],
-                                   [Label.GOAL, Label.GOAL,
-                                    Label.NO_GOAL, Label.NO_GOAL])
-        assert roc_curve(separated).auc == 1.0
-        assert ks2_curve(separated).ks2 == 1.0
-        identical = scored_samples([0.3, 0.7, 0.3, 0.7],
-                                   [Label.GOAL, Label.GOAL,
-                                    Label.NO_GOAL, Label.NO_GOAL])
-        assert ks2_curve(identical).ks2 == 0.0
+        two_goals = np.array([True, True, False, False])
+        separated = np.array([0.9, 0.8, 0.2, 0.1])
+        assert roc_curve(separated, two_goals).auc == 1.0
+        assert ks2_curve(separated, two_goals).ks2 == 1.0
+        identical = np.array([0.3, 0.7, 0.3, 0.7])
+        assert ks2_curve(identical, two_goals).ks2 == 0.0
 
 
 def test_10_feature_relevance_pattern():
@@ -364,13 +359,11 @@ def test_10_feature_relevance_pattern():
         goals = [s for s in scenes if s.label is Label.GOAL][:1000]
         no_goals = [s for s in scenes if s.label is Label.NO_GOAL][:1000]
         assert len(goals) == 1000 and len(no_goals) == 1000
-        balanced = goals + no_goals
-        labels = [s.label for s in balanced]
+        table = SceneTable.from_scenes(goals + no_goals)
 
         rng = np.random.default_rng(SEED)
-        noise_auc = auc_rank(scored_samples(rng.random(len(balanced)), labels))
+        noise_auc = auc_rank(rng.random(len(table)), table.goal)
         folded_noise = max(noise_auc, 1.0 - noise_auc)
-        table = SceneTable.from_scenes(balanced)
         relevance = feature_relevance(feature_matrix(table, CFG.field), table.goal)
         print(f"      noise {folded_noise:.3f}, keeper angle "
               f"{relevance['angle_ball_keeper_destiny']:.3f}", end=" ")
@@ -395,7 +388,7 @@ def test_11_decision_engine(trained):
                 if pg < policy_config.p_goal_threshold:
                     continue
                 features = extract_features(replace(scene, target=target), CFG.field)
-                s = score(*forward(params, features.values))
+                s = score(*forward(params, features))
                 if s > policy_config.score_threshold:
                     candidates.append((target, s, pg))
             if not candidates:

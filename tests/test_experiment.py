@@ -183,8 +183,8 @@ def policies():
     scenes = generate_synthetic_scenes(800, CFG.gen, CFG.dynamics, field, seed=21)
     split = split_dataset(SceneTable.from_scenes(scenes), seed=21)
     balanced = balance_by_replication(split.train, seed=21)
-    model, _ = train(feature_matrix(balanced, field), balanced.labels,
-                     feature_matrix(split.validation, field), split.validation.labels,
+    model, _ = train(feature_matrix(balanced, field), balanced.goal,
+                     feature_matrix(split.validation, field), split.validation.goal,
                      TrainConfig(max_epochs=10, seed=21))
     return {"mlp": MlpPolicy(model, field, CFG.aim, CFG.policy),
             "lda": LdaPolicy(lda_train(scenes, field), field, CFG.aim, CFG.policy),

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scene, random_scene
-from goalshot.metrics import (Ks2Curve, ScoredSample, auc_rank, feature_relevance,
-                              ks2_curve, roc_curve, scored_samples)
+from goalshot.metrics import Ks2Curve, auc_rank, feature_relevance, ks2_curve, roc_curve
 from goalshot.scenes import FEATURE_NAMES, Label, SceneTable, feature_matrix
 
 
@@ -19,8 +18,9 @@ def relevance_of(scenes, field):
 
 
 def samples_from(pos_scores, neg_scores):
-    return ([ScoredSample(float(s), Label.GOAL) for s in pos_scores]
-            + [ScoredSample(float(s), Label.NO_GOAL) for s in neg_scores])
+    """(scores, goal): the GOAL scores, then the NO_GOAL ones."""
+    scores = np.array([*pos_scores, *neg_scores], dtype=float)
+    return scores, np.arange(len(scores)) < len(pos_scores)
 
 
 def random_tied_samples(rng, n=60):
@@ -33,12 +33,12 @@ def random_tied_samples(rng, n=60):
         labels[0] = Label.GOAL
     if not any(l is Label.NO_GOAL for l in labels):
         labels[-1] = Label.NO_GOAL
-    return scored_samples(scores, labels)
+    return scores, np.array([l is Label.GOAL for l in labels])
 
 
-def brute_force_ks2(samples):
-    pos = sorted(s.score for s in samples if s.label is Label.GOAL)
-    neg = sorted(s.score for s in samples if s.label is Label.NO_GOAL)
+def brute_force_ks2(scores, goal):
+    pos = sorted(scores[goal].tolist())
+    neg = sorted(scores[~goal].tolist())
     best, best_t = -1.0, None
     for t in sorted(set(pos + neg)):
         cdf_p = sum(1 for s in pos if s <= t) / len(pos)
@@ -51,20 +51,20 @@ def brute_force_ks2(samples):
 
 class TestRocCurve:
     def test_perfect_separation(self):
-        curve = roc_curve(samples_from([0.8, 0.9, 0.7], [0.1, 0.2]))
+        curve = roc_curve(*samples_from([0.8, 0.9, 0.7], [0.1, 0.2]))
         assert curve.auc == 1.0
         assert curve.points[0] == (0.0, 0.0)
         assert curve.points[-1] == (1.0, 1.0)
 
     def test_all_scores_identical(self):
-        curve = roc_curve(samples_from([0.5, 0.5], [0.5, 0.5, 0.5]))
+        curve = roc_curve(*samples_from([0.5, 0.5], [0.5, 0.5, 0.5]))
         assert math.isclose(curve.auc, 0.5, abs_tol=1e-15)
         assert curve.points == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_curve_monotone(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            curve = roc_curve(random_tied_samples(rng))
+            curve = roc_curve(*random_tied_samples(rng))
             xs = [p[0] for p in curve.points]
             ys = [p[1] for p in curve.points]
             assert xs[0] == ys[0] == 0.0 and xs[-1] == ys[-1] == 1.0
@@ -75,34 +75,32 @@ class TestRocCurve:
         rng = np.random.default_rng(5)
         for _ in range(50):
             samples = random_tied_samples(rng)
-            assert math.isclose(roc_curve(samples).auc, auc_rank(samples),
+            assert math.isclose(roc_curve(*samples).auc, auc_rank(*samples),
                                 abs_tol=1e-9)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            roc_curve(samples_from([1.0], []))
+            roc_curve(*samples_from([1.0], []))
 
 
 class TestAucRank:
     def test_hand_examples(self):
-        assert auc_rank(samples_from([2, 3], [1])) == 1.0
-        assert auc_rank(samples_from([1], [1])) == 0.5
-        assert auc_rank(samples_from([1, 3], [2])) == 0.5
+        assert auc_rank(*samples_from([2, 3], [1])) == 1.0
+        assert auc_rank(*samples_from([1], [1])) == 0.5
+        assert auc_rank(*samples_from([1, 3], [2])) == 0.5
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            samples = random_tied_samples(rng)
-            transformed = [ScoredSample(math.exp(3.0 * s.score), s.label)
-                           for s in samples]
-            assert math.isclose(auc_rank(samples), auc_rank(transformed),
+            scores, goal = random_tied_samples(rng)
+            transformed = np.array([math.exp(3.0 * s) for s in scores.tolist()])
+            assert math.isclose(auc_rank(scores, goal), auc_rank(transformed, goal),
                                 abs_tol=1e-12)
 
     def test_sign_flip_complements(self):
         rng = np.random.default_rng(9)
-        samples = random_tied_samples(rng)
-        flipped = [ScoredSample(-s.score, s.label) for s in samples]
-        assert math.isclose(auc_rank(flipped), 1.0 - auc_rank(samples),
+        scores, goal = random_tied_samples(rng)
+        assert math.isclose(auc_rank(-scores, goal), 1.0 - auc_rank(scores, goal),
                             abs_tol=1e-12)
 
     def test_equals_rankdata_formula(self):
@@ -125,8 +123,20 @@ class TestAucRank:
             draw = draws[i % len(draws)]
             cases.append((draw(n_pos), draw(n_neg)))
         for pos, neg in cases:
-            assert auc_rank(samples_from(pos, neg)) == reference(
+            assert auc_rank(*samples_from(pos, neg)) == reference(
                 np.asarray(pos, dtype=float), np.asarray(neg, dtype=float))
+
+
+@pytest.mark.parametrize("metric", [roc_curve, ks2_curve, auc_rank])
+@pytest.mark.parametrize("goal", [
+    [Label.GOAL, Label.NO_GOAL, Label.GOAL],
+    np.array([[True], [False], [True]]),
+    np.array([True, False]),
+    np.array([1, 0, 1]),
+], ids=["labels", "2d", "short", "ints"])
+def test_goal_must_be_a_bool_mask(metric, goal):
+    with pytest.raises(ValueError, match="bool GOAL mask"):
+        metric(np.array([0.9, 0.2, 0.4]), goal)
 
 
 def test_import_loads_no_scipy():
@@ -141,15 +151,15 @@ def test_import_loads_no_scipy():
 
 class TestKs2Curve:
     def test_identical_multisets_give_zero(self):
-        curve = ks2_curve(samples_from([0.1, 0.5, 0.9], [0.9, 0.1, 0.5]))
+        curve = ks2_curve(*samples_from([0.1, 0.5, 0.9], [0.9, 0.1, 0.5]))
         assert curve.ks2 == 0.0
 
     def test_disjoint_supports_give_one(self):
-        curve = ks2_curve(samples_from([0.8, 0.9], [0.1, 0.2]))
+        curve = ks2_curve(*samples_from([0.8, 0.9], [0.1, 0.2]))
         assert curve.ks2 == 1.0
 
     def test_hand_example(self):
-        curve = ks2_curve(samples_from([0.2, 0.8], [0.4]))
+        curve = ks2_curve(*samples_from([0.2, 0.8], [0.4]))
         assert math.isclose(curve.ks2, 0.5, abs_tol=1e-15)
         assert curve.ks2_threshold == 0.2  # smallest score attaining the max
 
@@ -157,30 +167,29 @@ class TestKs2Curve:
         rng = np.random.default_rng(11)
         for _ in range(50):
             samples = random_tied_samples(rng)
-            curve = ks2_curve(samples)
-            expected, expected_t = brute_force_ks2(samples)
+            curve = ks2_curve(*samples)
+            expected, expected_t = brute_force_ks2(*samples)
             assert math.isclose(curve.ks2, expected, abs_tol=1e-12)
             assert math.isclose(curve.ks2_threshold, expected_t, abs_tol=1e-15)
 
     def test_cdfs_monotone(self):
         rng = np.random.default_rng(13)
-        curve = ks2_curve(random_tied_samples(rng))
+        curve = ks2_curve(*random_tied_samples(rng))
         assert np.all(np.diff(curve.cdf_positive) >= 0)
         assert np.all(np.diff(curve.cdf_negative) >= 0)
         assert curve.cdf_positive[-1] == curve.cdf_negative[-1] == 1.0
 
     def test_invariance_and_sign_flip(self):
         rng = np.random.default_rng(15)
-        samples = random_tied_samples(rng)
-        base = ks2_curve(samples).ks2
-        transformed = [ScoredSample(s.score ** 3, s.label) for s in samples]
-        assert math.isclose(ks2_curve(transformed).ks2, base, abs_tol=1e-12)
-        flipped = [ScoredSample(-s.score, s.label) for s in samples]
-        assert math.isclose(ks2_curve(flipped).ks2, base, abs_tol=1e-12)
+        scores, goal = random_tied_samples(rng)
+        base = ks2_curve(scores, goal).ks2
+        transformed = np.array([s ** 3 for s in scores.tolist()])
+        assert math.isclose(ks2_curve(transformed, goal).ks2, base, abs_tol=1e-12)
+        assert math.isclose(ks2_curve(-scores, goal).ks2, base, abs_tol=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            ks2_curve(samples_from([], [0.4]))
+            ks2_curve(*samples_from([], [0.4]))
 
 
 class TestFeatureRelevance:
@@ -207,8 +216,8 @@ class TestFeatureRelevance:
         assert all(0.5 <= v <= 1.0 for v in relevance.values())
 
     def test_equals_auc_rank_per_column(self, field):
-        """The GOAL-mask split gives every feature the bits of auc_rank over
-        that column's ScoredSamples, ties and duplicated rows included."""
+        """Every feature gets the folded bits of auc_rank over its column,
+        ties and duplicated rows included."""
         rng = np.random.default_rng(17)
         scenes = [random_scene(rng, field, label=Label.GOAL if rng.random() < 0.4
                                else Label.NO_GOAL) for _ in range(150)]
@@ -217,7 +226,7 @@ class TestFeatureRelevance:
         relevance = feature_relevance(matrix, table.goal)
         assert list(relevance) == list(FEATURE_NAMES)
         for name, column in zip(FEATURE_NAMES, matrix.T):
-            auc = auc_rank(scored_samples(column, table.labels))
+            auc = auc_rank(column, table.goal)
             assert relevance[name] == max(auc, 1.0 - auc)
 
     def test_single_class_rejected(self, field):

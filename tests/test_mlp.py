@@ -1,16 +1,28 @@
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goalshot.metrics import auc_rank, scored_samples
+import goalshot.mlp
+from goalshot.metrics import auc_rank
 from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig, _Backprop,
-                          forward, gradient, load_model, save_model,
-                          score, score_batch, targets_from_labels, train)
+                          _targets, forward, gradient, load_model, save_model,
+                          score, score_batch, train)
 from goalshot.scenes import Label
 from oracles import example_mse
+
+
+def test_loads_without_the_package(monkeypatch):
+    """mlp imports no other goalshot module: its file runs as a module of
+    its own, where a relative import would fail."""
+    spec = importlib.util.spec_from_file_location("standalone_mlp", goalshot.mlp.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
 
 
 def zero_params(layer_sizes=(3, 4, 2)):
@@ -215,7 +227,7 @@ class TestGradient:
         params.norm_std[:] = rng.uniform(0.5, 3.0, sizes[0])
         raw = rng.normal(0.0, 4.0, (len(goals), sizes[0]))
         xn = (raw - params.norm_mean) / params.norm_std
-        targets = targets_from_labels([Label.GOAL if g else Label.NO_GOAL for g in goals])
+        targets = _targets(np.array(goals), len(goals))
         kernel = _Backprop(params)
         for raw_row, row, column, target in zip(raw, list(xn), list(xn[:, :, None]), targets):
             grads = gradient(params, raw_row, target)
@@ -262,26 +274,27 @@ class TestEarlyStopping:
 
 
 def _toy_separable(rng, n):
-    """2D points labeled by the sign of x + y with a margin."""
-    xs, labels = [], []
+    """2D points labeled by the sign of x + y with a margin, and their GOAL
+    mask."""
+    xs, goal = [], []
     while len(xs) < n:
         p = rng.uniform(-2, 2, 2)
         margin = p[0] + p[1]
         if abs(margin) < 0.3:
             continue
         xs.append(p)
-        labels.append(Label.GOAL if margin > 0 else Label.NO_GOAL)
-    return np.array(xs), labels
+        goal.append(margin > 0)
+    return np.array(xs), np.array(goal)
 
 
 class TestTrain:
     def test_deterministic(self):
         rng = np.random.default_rng(19)
-        x, labels = _toy_separable(rng, 80)
-        vx, vlabels = _toy_separable(rng, 40)
+        x, goal = _toy_separable(rng, 80)
+        vx, vgoal = _toy_separable(rng, 40)
         config = TrainConfig(max_epochs=12, seed=4)
-        params_a, report_a = train(x, labels, vx, vlabels, config)
-        params_b, report_b = train(x, labels, vx, vlabels, config)
+        params_a, report_a = train(x, goal, vx, vgoal, config)
+        params_b, report_b = train(x, goal, vx, vgoal, config)
         assert report_a.validation_mse_history == report_b.validation_mse_history
         assert report_a.train_mse_history == report_b.train_mse_history
         for wa, wb in zip(params_a.weights, params_b.weights):
@@ -289,10 +302,10 @@ class TestTrain:
 
     def test_max_epochs_path(self):
         rng = np.random.default_rng(23)
-        x, labels = _toy_separable(rng, 60)
-        vx, vlabels = _toy_separable(rng, 30)
+        x, goal = _toy_separable(rng, 60)
+        vx, vgoal = _toy_separable(rng, 30)
         config = TrainConfig(max_epochs=3, patience=10 ** 9, seed=1)
-        _, report = train(x, labels, vx, vlabels, config)
+        _, report = train(x, goal, vx, vgoal, config)
         assert report.stop_reason is StopReason.MAX_EPOCHS
         assert report.epochs_run == 3
         assert len(report.train_mse_history) == 3
@@ -301,13 +314,13 @@ class TestTrain:
 
     def test_learns_separable_toy_data(self):
         rng = np.random.default_rng(29)
-        x, labels = _toy_separable(rng, 400)
-        vx, vlabels = _toy_separable(rng, 200)
-        tx, tlabels = _toy_separable(rng, 200)
+        x, goal = _toy_separable(rng, 400)
+        vx, vgoal = _toy_separable(rng, 200)
+        tx, tgoal = _toy_separable(rng, 200)
         config = TrainConfig(max_epochs=400, patience=20, learning_rate=0.01, seed=2)
-        params, report = train(x, labels, vx, vlabels, config)
+        params, report = train(x, goal, vx, vgoal, config)
         assert params.layer_sizes == (2, 5, 2)
-        auc = auc_rank(scored_samples(score_batch(params, tx), tlabels))
+        auc = auc_rank(score_batch(params, tx), tgoal)
         assert auc >= 0.99
 
     def test_returns_the_best_epoch(self):
@@ -316,30 +329,40 @@ class TestTrain:
         rng = np.random.default_rng(37)
         x, _ = _toy_separable(rng, 60)
         vx, _ = _toy_separable(rng, 30)
-        labels = [Label.GOAL if g else Label.NO_GOAL for g in rng.random(60) < 0.5]
-        vlabels = [Label.GOAL if g else Label.NO_GOAL for g in rng.random(30) < 0.5]
+        goal = rng.random(60) < 0.5
+        vgoal = rng.random(30) < 0.5
         config = TrainConfig(max_epochs=50, patience=2, learning_rate=0.05, seed=3)
-        params, report = train(x, labels, vx, vlabels, config)
+        params, report = train(x, goal, vx, vgoal, config)
         assert report.stop_reason is StopReason.EARLY_STOP
         assert report.best_epoch < report.epochs_run
         out = np.array([forward(params, row) for row in vx])
-        val_mse = float(np.mean((out - targets_from_labels(vlabels)) ** 2))
+        val_mse = float(np.mean((out - _targets(vgoal, len(vx))) ** 2))
         assert val_mse == report.validation_mse_history[report.best_epoch - 1]
 
     def test_empty_sets_rejected(self):
         x = np.zeros((4, 2))
-        labels = [Label.GOAL, Label.NO_GOAL, Label.GOAL, Label.NO_GOAL]
+        goal, no_rows = np.array([True, False, True, False]), np.zeros(0, dtype=bool)
         with pytest.raises(ValueError):
-            train(np.zeros((0, 2)), [], x, labels, TrainConfig(max_epochs=1))
+            train(np.zeros((0, 2)), no_rows, x, goal, TrainConfig(max_epochs=1))
         with pytest.raises(ValueError):
-            train(x, labels, np.zeros((0, 2)), [], TrainConfig(max_epochs=1))
+            train(x, goal, np.zeros((0, 2)), no_rows, TrainConfig(max_epochs=1))
 
-    def test_unlabeled_example_rejected(self):
-        with pytest.raises(ValueError):
-            targets_from_labels([Label.GOAL, None])
+    @pytest.mark.parametrize("bad", [
+        [Label.GOAL, Label.NO_GOAL, Label.GOAL, Label.NO_GOAL],
+        [Label.GOAL, None, Label.GOAL, Label.NO_GOAL],
+        np.array([[True], [False], [True], [False]]),
+        np.array([True, False, True]),
+        np.array([1, 0, 1, 0]),
+    ], ids=["labels", "unlabeled", "2d", "short", "ints"])
+    def test_labels_must_be_a_goal_mask(self, bad):
+        x, goal = np.zeros((4, 2)), np.array([True, False, True, False])
+        with pytest.raises(ValueError, match="bool GOAL mask"):
+            train(x, bad, x, goal, TrainConfig(max_epochs=1))
+        with pytest.raises(ValueError, match="bool GOAL mask"):
+            train(x, goal, x, bad, TrainConfig(max_epochs=1))
 
     def test_target_encoding(self):
-        targets = targets_from_labels([Label.GOAL, Label.NO_GOAL])
+        targets = _targets(np.array([True, False]), 2)
         np.testing.assert_array_equal(targets, [[1.0, -1.0], [-1.0, 1.0]])
 
 

@@ -28,8 +28,8 @@ def trained_model():
     scenes = generate_synthetic_scenes(1200, CFG.gen, CFG.dynamics, CFG.field, seed=2)
     split = split_dataset(SceneTable.from_scenes(scenes), seed=2)
     balanced = balance_by_replication(split.train, seed=2)
-    params, _ = train(feature_matrix(balanced, CFG.field), balanced.labels,
-                      feature_matrix(split.validation, CFG.field), split.validation.labels,
+    params, _ = train(feature_matrix(balanced, CFG.field), balanced.goal,
+                      feature_matrix(split.validation, CFG.field), split.validation.goal,
                       TrainConfig(max_epochs=40, patience=8, seed=2))
     return params
 
@@ -42,7 +42,7 @@ def brute_force_mlp_decision(scene, model, field, aim_config, policy_config):
         if pg < policy_config.p_goal_threshold:
             continue
         features = extract_features(replace(scene, target=target), field)
-        s = score(*forward(model, features.values))
+        s = score(*forward(model, features))
         if s > policy_config.score_threshold:
             candidates.append((target, s, pg))
     if not candidates:

@@ -62,27 +62,27 @@ class TestExtractFeatures:
     def test_names_and_length(self, field):
         fv = extract_features(make_scene(), field)
         assert len(FEATURE_NAMES) == 22
-        assert fv.values.shape == (22,)
-        assert np.all(np.isfinite(fv.values))
+        assert fv.shape == (22,)
+        assert np.all(np.isfinite(fv))
 
     def test_keeper_on_shot_line_gives_zero_angle(self, field):
         scene = make_scene(ball=Vec2(30.0, 2.0), target=Vec2(52.5, 2.0),
                            keeper=Vec2(45.0, 2.0))
         fv = extract_features(scene, field)
         idx = FEATURE_NAMES.index("angle_ball_keeper_destiny")
-        assert abs(fv.values[idx]) < 1e-12
+        assert abs(fv[idx]) < 1e-12
         idx = FEATURE_NAMES.index("keeper_abs_offset_from_shot_line")
-        assert abs(fv.values[idx]) < 1e-12
+        assert abs(fv[idx]) < 1e-12
 
     def test_vision_angle_ten_meters_out(self, field):
         scene = make_scene(attacker=Vec2(42.5, 0.0))
         fv = extract_features(scene, field)
         idx = FEATURE_NAMES.index("angle_attacker_vision")
-        assert math.isclose(fv.values[idx], 2.0 * math.atan(7.01 / 10.0), abs_tol=1e-12)
+        assert math.isclose(fv[idx], 2.0 * math.atan(7.01 / 10.0), abs_tol=1e-12)
 
     def test_no_defenders_uses_sentinels(self, field):
         fv = extract_features(make_scene(defenders=()), field)
-        by_name = dict(zip(FEATURE_NAMES, fv.values))
+        by_name = dict(zip(FEATURE_NAMES, fv))
         assert by_name["filtered_defender_count"] == 0.0
         assert by_name["def1_distance_to_ball"] == field.field_length
         assert by_name["def1_abs_offset_from_shot_line"] == field.penalty_area_width
@@ -97,8 +97,8 @@ class TestExtractFeatures:
         # random_scene bodies lie anywhere in +-3 rad of the shot.
         drawn = [random_scene(rng, field) for _ in range(2000)]
         for scene in generated + drawn:
-            expected = (flip * extract_features(scene, field).values).tolist()
-            assert extract_features(mirror_scene(scene), field).values.tolist() == expected
+            expected = (flip * extract_features(scene, field)).tolist()
+            assert extract_features(mirror_scene(scene), field).tolist() == expected
 
 
 class TestFilterDefenders:
@@ -300,10 +300,10 @@ class TestSceneTable:
         assert times == loaded.time.tolist() == [s.time for s in scenes]
         assert all(type(t) is int for t in times)
         assert len(table) == len(scenes) and table.scenes() == scenes
-        assert table.labels == [s.label for s in scenes]
+        assert table.goal.tolist() == [s.label is Label.GOAL for s in scenes]
         assert (_outcome(lambda: _hex_rows(feature_matrix(table, CFG.field)))
                 == _outcome(lambda: _hex_rows(np.array(
-                    [extract_features(s, CFG.field).values for s in scenes]).reshape(-1, 22))))
+                    [extract_features(s, CFG.field) for s in scenes]).reshape(-1, 22))))
 
     def test_from_scenes_rejects_an_unlabeled_scene(self):
         with pytest.raises(ValueError, match="every scene must be labeled"):
@@ -324,7 +324,7 @@ class TestSceneTable:
             balanced = balance_by_replication(split.train, seed)
         except ValueError as exc:
             assert str(exc) == "both classes must be present to balance"
-            assert len(set(split.train.labels)) == 1
+            assert len(set(split.train.goal.tolist())) == 1
             return
         assert 2 * int(balanced.goal.sum()) == len(balanced)
         assert balanced.scenes()[:len(split.train)] == split.train.scenes()

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scene
+import goalshot.mlp
 import goalshot.policies
 from goalshot.aim import AimConfig, HorizonError, ShotQuery, p_goal, sigma, within_horizon
 from goalshot.geometry import FieldConfig, Vec2
@@ -69,7 +70,7 @@ def ranked(scene, monkeypatch):
     """Each survivor of the scene's ball, with the feature row the MLP
     policy scores for it and the value the LDA policy ranks it by."""
     rows, values = [], []
-    score_batch, two_stage = goalshot.policies.score_batch, goalshot.policies._two_stage
+    score_batch, two_stage = goalshot.mlp.score_batch, goalshot.policies._two_stage
 
     def spy_score_batch(model, features):
         rows.extend(features.tolist())
@@ -81,7 +82,7 @@ def ranked(scene, monkeypatch):
             values.extend(rank(survivors))
         return two_stage(scene, field, aim_config, policy_config, rank, bar)
 
-    monkeypatch.setattr(goalshot.policies, "score_batch", spy_score_batch)
+    monkeypatch.setattr(goalshot.mlp, "score_batch", spy_score_batch)
     monkeypatch.setattr(goalshot.policies, "_two_stage", spy_two_stage)
     mlp = mlp_policy_decide(scene, MODEL, FIELD, AIM, POLICY)
     lda = lda_policy_decide(scene, LDA, FIELD, AIM, POLICY)
@@ -103,7 +104,7 @@ def check_scene(scene, monkeypatch):
     for (target, pg, _), row, value in zip(survivors, rows, values):
         expected = p_goal(ShotQuery(scene.ball, target), FIELD, AIM).p_goal
         assert float.hex(pg) == float.hex(expected)
-        assert hexes(row) == hexes(extract_features(replace(scene, target=target), FIELD).values)
+        assert hexes(row) == hexes(extract_features(replace(scene, target=target), FIELD))
         angle = angle_at(scene.ball, scene.keeper, target)
         assert float.hex(value) == float.hex(LDA.discriminant(distance, angle))
 

@@ -112,7 +112,7 @@ def assert_matches_reference(scene, aim_config):
         expected = reference_features(replace(scene, target=target), FIELD)
         line = shot_line(target.x - scene.ball.x, target.y - scene.ball.y)
         assert row(target.y, line) == expected
-        assert extract_features(replace(scene, target=target), FIELD).values.tolist() == expected
+        assert extract_features(replace(scene, target=target), FIELD).tolist() == expected
         query = ShotQuery(scene.ball, target)
         expected = outcome(reference_tails, query, FIELD, aim_config)
         result = outcome(p_goal, query, FIELD, aim_config)

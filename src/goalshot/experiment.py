@@ -6,13 +6,15 @@ from the (experiment seed, game, shot) triple, so two policies, or two
 runs, see exactly the same world and differ only through their decisions.
 The two sides of a shot share its seed, so a kick both policies take at the
 same target has one outcome, simulated once. Per-game goal totals decide
-win/loss/draw.
+win/loss/draw. The per-game counts stay Python ints until one (4, games)
+array reduces them to the means and stds, and each episode-log line is
+written as the text json.dumps gives for its record.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -86,25 +88,33 @@ def run_episode(policy: Policy, scene: KickScene, keeper: KeeperModel,
                     defender_catch_radius)
 
 
-def _aggregate(kicks_per_game: list[int], goals_per_game: list[int],
-               opponent_goals: list[int]) -> MatchStats:
-    kicks = np.array(kicks_per_game)
-    goals = np.array(goals_per_game)
-    opponent = np.array(opponent_goals)
-    total_kicks = int(kicks.sum())
-    total_goals = int(goals.sum())
-    return MatchStats(
-        kicks=total_kicks,
-        kicks_mean_per_game=float(kicks.mean()),
-        kicks_std=float(kicks.std()),
-        goals=total_goals,
-        goals_mean_per_game=float(goals.mean()),
-        goals_std=float(goals.std()),
-        effectiveness=total_goals / total_kicks if total_kicks else None,
-        wins=int(np.sum(goals > opponent)),
-        losses=int(np.sum(goals < opponent)),
-        draws=int(np.sum(goals == opponent)),
-    )
+def _aggregate(kicks: tuple[list[int], list[int]],
+               goals: tuple[list[int], list[int]]) -> tuple[MatchStats, MatchStats]:
+    """Both sides' stats from their per-game kicks and goals: one (4, games)
+    array gives every per-game mean and std; totals and results are int sums."""
+    counts = np.array([*kicks, *goals])
+    means, stds = counts.mean(axis=1).tolist(), counts.std(axis=1).tolist()
+    pair = []
+    for side, other in ((0, 1), (1, 0)):
+        total_kicks, total_goals = sum(kicks[side]), sum(goals[side])
+        pairs = list(zip(goals[side], goals[other]))
+        pair.append(MatchStats(
+            kicks=total_kicks,
+            kicks_mean_per_game=means[side],
+            kicks_std=stds[side],
+            goals=total_goals,
+            goals_mean_per_game=means[2 + side],
+            goals_std=stds[2 + side],
+            effectiveness=total_goals / total_kicks if total_kicks else None,
+            wins=sum(own > their for own, their in pairs),
+            losses=sum(own < their for own, their in pairs),
+            draws=sum(own == their for own, their in pairs),
+        ))
+    return pair[0], pair[1]
+
+
+# json.dumps of each result's value, as the episode log writes it
+_RESULT_JSON = {result: json.dumps(result.value) for result in ShotResult}
 
 
 def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
@@ -122,9 +132,16 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
     when their decisions agree (the same action and target) the second
     side reuses the first side's outcome instead of simulating the same
     kick again. With episode_log set, one JSON line is written per
-    episode, side a first.
+    episode, side a first, byte-equal to json.dumps of the record (game,
+    shot, policy name or policy_<side>, kicked, result, steps).
     """
     check_experiment_size(games, shots_per_game)
+    policies = (policy_a, policy_b)
+    # Each side's log text from after the shot number to the kick flag, its
+    # policy name encoded once, as json.dumps encodes it.
+    prefixes = [] if episode_log is None else [
+        f', "policy": {json.dumps(getattr(policy, "name", f"policy_{side}"))}, "kicked": '
+        for side, policy in enumerate(policies)]
     kicks: tuple[list[int], list[int]] = ([], [])
     goals: tuple[list[int], list[int]] = ([], [])
     for game in range(games):
@@ -137,7 +154,7 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
         for shot, scene in enumerate(scenes):
             episode_seed = np.random.SeedSequence([seed, game, shot, _EPISODE_STREAM])
             outcomes: dict[tuple, EpisodeOutcome] = {}
-            for side, policy in enumerate((policy_a, policy_b)):
+            for side, policy in enumerate(policies):
                 decision = policy.decide(scene)
                 key = (decision.action, decision.target)
                 outcome = outcomes.get(key)
@@ -145,23 +162,19 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
                     outcome = outcomes[key] = _resolve(
                         decision, scene, keeper, dynamics, field, episode_seed,
                         defender_catch_radius)
-                game_kicks[side] += int(outcome.kicked)
-                game_goals[side] += int(outcome.result is ShotResult.GOAL)
+                game_kicks[side] += outcome.kicked
+                game_goals[side] += outcome.result is ShotResult.GOAL
                 if episode_log is not None:
-                    episode_log.write(json.dumps({
-                        "game": game,
-                        "shot": shot,
-                        "policy": getattr(policy, "name", f"policy_{side}"),
-                        "kicked": outcome.kicked,
-                        "result": outcome.result.value,
-                        "steps": outcome.steps,
-                    }) + "\n")
+                    # the text json.dumps gives for the episode's record
+                    episode_log.write(
+                        f'{{"game": {game}, "shot": {shot}{prefixes[side]}'
+                        f'{"true" if outcome.kicked else "false"}, '
+                        f'"result": {_RESULT_JSON[outcome.result]}, '
+                        f'"steps": {outcome.steps}}}\n')
         for side in (0, 1):
             kicks[side].append(game_kicks[side])
             goals[side].append(game_goals[side])
-    stats_a = _aggregate(kicks[0], goals[0], goals[1])
-    stats_b = _aggregate(kicks[1], goals[1], goals[0])
-    return stats_a, stats_b
+    return _aggregate(kicks, goals)
 
 
 _REPORT_ROWS: tuple[tuple[str, str], ...] = (
@@ -194,6 +207,9 @@ def check_report_format(format: str) -> None:
         raise ValueError(f"unknown report format {format!r}; use text, csv or json")
 
 
+_STATS_FIELDS = tuple(f.name for f in fields(MatchStats))
+
+
 def report(stats_pair: tuple[MatchStats, MatchStats], format: str,
            names: Sequence[str] = ("policy_a", "policy_b")) -> str:
     """Render the ten aggregate rows as 'text', 'csv' or 'json'."""
@@ -202,8 +218,8 @@ def report(stats_pair: tuple[MatchStats, MatchStats], format: str,
     if format == "json":
         return json.dumps({
             "policies": [
-                {"name": names[0], "stats": asdict(stats_a)},
-                {"name": names[1], "stats": asdict(stats_b)},
+                {"name": name, "stats": {field: getattr(stats, field) for field in _STATS_FIELDS}}
+                for name, stats in zip(names, stats_pair)
             ]
         }, indent=1)
     if format == "csv":

@@ -6,18 +6,21 @@ probability clears p_goal_threshold, each kept with its shot line (the
 target relative to the ball, its distance and unit direction). Stage two
 ranks the survivors from those lines (the MLP policy by neural score, the
 LDA baseline by a two-variable linear discriminant) and kicks at the best
-one if it clears the ranker's bar. The terms that depend only on the scene
-are computed once per decision, and stage one, which depends only on the
-ball and the configs, is kept for the last ball, so a second policy
-deciding on the same scene (as in a paired experiment) reuses it. The
-naive reference has no stages; it always shoots at the goal center.
+one if it clears the ranker's bar; only the MLP's decision keeps its rank as
+neural_score. The terms that depend only on the scene are computed once per
+decision: the MLP's survivor rows are one array, the scene's base row with
+each survivor's target columns set in one assignment. Stage one, which
+depends only on the ball and the configs, is kept for the last ball, so a
+second policy deciding on the same scene (as in a paired experiment)
+reuses it. The naive reference has no stages; it always shoots at the goal
+center.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Protocol, Sequence
 
@@ -30,7 +33,8 @@ from .aim import (AimConfig, HorizonError, _aim_chances, _aim_points, _ball_half
                   p_goal, within_horizon)  # noqa: F401
 from .geometry import FieldConfig, Vec2
 from .mlp import MlpParams, forward  # noqa: F401
-from .scenes import KickScene, Label, angle_at, extract_features, features_by_target  # noqa: F401
+from .scenes import (KickScene, Label, angle_at, features_by_target, set_target_columns,
+                     extract_features)  # noqa: F401
 
 
 class Action(enum.Enum):
@@ -108,10 +112,12 @@ def _stage_one(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
 
 def _two_stage(scene: KickScene, field: FieldConfig, aim_config: AimConfig,
                policy_config: PolicyConfig,
-               rank: Callable[[tuple], list[float]], bar: float) -> KickDecision:
+               rank: Callable[[tuple], list[float]], bar: float,
+               keep_score: bool) -> KickDecision:
     """Kick at the stage-one survivor with the largest rank above bar, kept
-    as neural_score; ties go to the target nearest the goal center, then to
-    the smaller lateral coordinate. rank values every survivor at once."""
+    as neural_score when keep_score is set; ties go to the target nearest
+    the goal center, then to the smaller lateral coordinate. rank values
+    every survivor at once."""
     survivors = _stage_one(scene.ball, field, aim_config, policy_config)
     if survivors is None:
         return _OUT_OF_RANGE
@@ -121,7 +127,8 @@ def _two_stage(scene: KickScene, field: FieldConfig, aim_config: AimConfig,
     if not candidates:
         return _NO_KICK
     target, value, pg = min(candidates, key=lambda c: (-c[1], abs(c[0].y), c[0].y))
-    return KickDecision(Action.KICK, target=target, neural_score=value, p_goal=pg)
+    return KickDecision(Action.KICK, target=target,
+                        neural_score=value if keep_score else None, p_goal=pg)
 
 
 def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
@@ -129,11 +136,13 @@ def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
                       policy_config: PolicyConfig) -> KickDecision:
     """Two-stage decision: analytic p_goal filter, then best neural score."""
     def rank(survivors: tuple) -> list[float]:
-        row = features_by_target(scene, field)
-        rows = [row(target.y, line) for target, _, line in survivors]
-        return mlp.score_batch(model, np.array(rows)).tolist()
+        base, terms = features_by_target(scene, field)
+        rows = np.empty((len(survivors), len(base)))
+        rows[:] = base
+        set_target_columns(rows, (terms(target.y, line) for target, _, line in survivors))
+        return mlp.score_batch(model, rows).tolist()
     return _two_stage(scene, field, aim_config, policy_config, rank,
-                      policy_config.score_threshold)
+                      policy_config.score_threshold, True)
 
 
 def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
@@ -174,10 +183,7 @@ def lda_policy_decide(scene: KickScene, model: LdaModel, field: FieldConfig,
         return [model.discriminant(distance, math.atan2(abs(kdx * dy - kdy * dx),
                                                         kdx * dx + kdy * dy))
                 for _, _, (dx, dy, _, _, _) in survivors]
-    decision = _two_stage(scene, field, aim_config, policy_config, rank, 0.0)
-    if decision.neural_score is not None:
-        decision = replace(decision, neural_score=None)
-    return decision
+    return _two_stage(scene, field, aim_config, policy_config, rank, 0.0, False)
 
 
 def naive_center_policy(scene: KickScene, field: FieldConfig,

@@ -14,15 +14,18 @@ mask. `SceneTable.load` reads it from CSV, each value the float its cell
 parses to; `from_scenes` builds it from labeled KickScenes. Past these
 two the label is the GOAL mask: training and the metrics take it, and
 `SceneTable.scenes()` maps it back to `Label`.
-`scene_features` is the one feature kernel, for table rows and KickScenes;
-its row takes the aim point's shot line (geometry.shot_line), which the
-MLP policy reuses from stage one.
+`scene_features` is the one feature kernel, for table rows and KickScenes.
+It gives a scene's base row and, for an aim point's shot line
+(geometry.shot_line, which the MLP policy reuses from stage one), the
+values of the seven TARGET_COLUMNS; `extract_features`, `feature_matrix`
+and the MLP policy's survivor rows set those columns in the base rows.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
@@ -124,13 +127,21 @@ def filter_defenders(scene: KickScene, field: FieldConfig) -> list[Vec2]:
                                                 [(d.x, d.y) for d in scene.defenders], field)]
 
 
+# The FEATURE_NAMES columns that depend on the aim point: the keeper's
+# offset from the shot line and its angle, the attacker's body-to-shot
+# angle, the distance to the target, its lateral, and the two defender offsets.
+TARGET_COLUMNS: tuple[int, ...] = (5, 6, 8, 9, 13, 16, 19)
+_TARGET_INDEX = np.array(TARGET_COLUMNS)
+
+
 def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]],
-                   field: FieldConfig) -> Callable[[float, tuple], list[float]]:
+                   field: FieldConfig
+                   ) -> tuple[list[float], Callable[[float, tuple], tuple[float, ...]]]:
     """The feature kernel, on plain floats: a scene's SCALAR_COLUMNS values
-    and its (x, y) defenders. Computes the features that do not depend on
-    the aim point once, and returns the function that builds the row of
-    extract_features for an aim point from its y and its shot line
-    shot_line(target_x - ball_x, target_y - ball_y)."""
+    and its (x, y) defenders. Returns the scene's base row, the 22 features
+    of extract_features with NaN in the TARGET_COLUMNS, and the function
+    that gives those columns' values for an aim point from its y and its
+    shot line shot_line(target_x - ball_x, target_y - ball_y)."""
     bx, by, _, _, ax, ay, body_angle, kx, ky, kick_power = values[:10]
     left, right, center = field.post_left, field.post_right, field.goal_center
     d_post_left = math.hypot(left.x - bx, left.y - by)
@@ -147,33 +158,32 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
         near.append((d_ball, x - bx, y - by, math.hypot(center.x - x, center.y - y)))
     near += [(field.field_length, None, None, field.field_length)] * (3 - len(near))
     # Two threats give three features each, the third its distance to the ball.
-    no_offset, third, count = field.penalty_area_width, near.pop()[0], float(len(threats))
-    head = [bx, by, kx, ky, keeper_distance]
+    (d1, x1, y1, g1), (d2, x2, y2, g2), (third, _, _, _) = near
+    no_offset = field.penalty_area_width
     # angle_at(attacker, post_left, post_right): 0.0 where opening_angle raises
     ux, uy, vx, vy = left.x - ax, left.y - ay, right.x - ax, right.y - ay
     vision = (math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
               if all(map(math.isfinite, (ux, uy, vx, vy)))
               and math.hypot(ux, uy) >= 1e-12 and math.hypot(vx, vy) >= 1e-12 else 0.0)
-    posts = [min(d_post_left, d_post_right), max(d_post_left, d_post_right), kick_power]
+    nan = math.nan
+    base = [bx, by, kx, ky, keeper_distance, nan, nan, vision, nan, nan,
+            min(d_post_left, d_post_right), max(d_post_left, d_post_right), kick_power,
+            nan, float(len(threats)), d1, nan, g1, d2, nan, g2, third]
 
-    def row(target_y: float, line: tuple) -> list[float]:
+    def terms(target_y: float, line: tuple) -> tuple[float, ...]:
         dx, dy, distance, ux, uy = line
         # angle_at(ball, keeper, target), 0.0 when the keeper is on the ball
         keeper_angle = (0.0 if keeper_distance < 1e-12
                         else math.atan2(abs(kdx * dy - kdy * dx), kdx * dx + kdy * dy))
-        body_to_shot = abs(math.remainder(body_angle - math.atan2(dy, dx), math.tau))
-        values = [*head, abs(ux * kdy - uy * kdx), keeper_angle, vision, body_to_shot,
-                  distance, *posts, target_y, count]
-        for d_ball, to_x, to_y, d_goal in near:
-            values += (d_ball, no_offset if to_x is None else abs(ux * to_y - uy * to_x),
-                       d_goal)
-        values.append(third)
-        return values
-    return row
+        return (abs(ux * kdy - uy * kdx), keeper_angle,
+                abs(math.remainder(body_angle - math.atan2(dy, dx), math.tau)), distance,
+                target_y, no_offset if x1 is None else abs(ux * y1 - uy * x1),
+                no_offset if x2 is None else abs(ux * y2 - uy * x2))
+    return base, terms
 
 
-def features_by_target(scene: KickScene,
-                       field: FieldConfig) -> Callable[[float, tuple], list[float]]:
+def features_by_target(scene: KickScene, field: FieldConfig
+                       ) -> tuple[list[float], Callable[[float, tuple], tuple[float, ...]]]:
     """scene_features of a KickScene."""
     return scene_features(_scalars(scene), [(d.x, d.y) for d in scene.defenders], field)
 
@@ -187,18 +197,34 @@ def extract_features(scene: KickScene, field: FieldConfig) -> np.ndarray:
     extremes: field_length for distances, penalty_area_width for offsets.
     """
     ball, target = scene.ball, scene.target
-    row = features_by_target(scene, field)(target.y,
-                                           shot_line(target.x - ball.x, target.y - ball.y))
-    return np.array(row, dtype=float)
+    base, terms = features_by_target(scene, field)
+    row = np.array(base)
+    row[_TARGET_INDEX] = terms(target.y, shot_line(target.x - ball.x, target.y - ball.y))
+    return row
+
+
+def set_target_columns(rows: np.ndarray, targets: Iterable[tuple[float, ...]]) -> np.ndarray:
+    """rows, an (n, 22) array, with the TARGET_COLUMNS of each row set from
+    its tuple of scene_features target terms, in one assignment."""
+    n = len(rows)
+    rows[:, _TARGET_INDEX] = np.fromiter(itertools.chain.from_iterable(targets), float,
+                                         n * len(TARGET_COLUMNS)).reshape(n, len(TARGET_COLUMNS))
+    return rows
 
 
 def feature_matrix(table: SceneTable, field: FieldConfig) -> np.ndarray:
     """(n, 22) matrix of the table's features, bit-equal to extract_features
-    of each row's scene."""
-    return np.array([scene_features(values, defenders, field)(
-                         values[11], shot_line(values[10] - values[0], values[11] - values[1]))
-                     for values, defenders in table.rows()],
-                    dtype=float).reshape(len(table), len(FEATURE_NAMES))
+    of each row's scene: the base rows, then the target columns."""
+    bases, targets = [], []
+    for values, defenders in table.rows():
+        base, terms = scene_features(values, defenders, field)
+        bases.append(base)
+        targets.append(terms(values[11], shot_line(values[10] - values[0],
+                                                   values[11] - values[1])))
+    n = len(table)
+    return set_target_columns(np.fromiter(itertools.chain.from_iterable(bases), float,
+                                          n * len(FEATURE_NAMES)).reshape(n, len(FEATURE_NAMES)),
+                              targets)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from goalshot.aim import AimConfig, ShotQuery, p_goal
+from goalshot.experiment import MatchStats
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.mlp import MlpParams, forward
 from goalshot.scenes import KickScene
@@ -46,4 +47,26 @@ def mirror_scene(scene: KickScene) -> KickScene:
         keeper=flip(scene.keeper),
         defenders=tuple(flip(d) for d in scene.defenders),
         target=flip(scene.target),
+    )
+
+
+def aggregate(kicks_per_game: list[int], goals_per_game: list[int],
+              opponent_goals: list[int]) -> MatchStats:
+    """One side's stats, each per-game list reduced as its own array."""
+    kicks = np.array(kicks_per_game)
+    goals = np.array(goals_per_game)
+    opponent = np.array(opponent_goals)
+    total_kicks = int(kicks.sum())
+    total_goals = int(goals.sum())
+    return MatchStats(
+        kicks=total_kicks,
+        kicks_mean_per_game=float(kicks.mean()),
+        kicks_std=float(kicks.std()),
+        goals=total_goals,
+        goals_mean_per_game=float(goals.mean()),
+        goals_std=float(goals.std()),
+        effectiveness=total_goals / total_kicks if total_kicks else None,
+        wins=int(np.sum(goals > opponent)),
+        losses=int(np.sum(goals < opponent)),
+        draws=int(np.sum(goals == opponent)),
     )

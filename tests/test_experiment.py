@@ -1,9 +1,12 @@
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scene
 import goalshot.experiment
@@ -19,6 +22,7 @@ from goalshot.policies import (Action, KickDecision, LdaPolicy, MlpPolicy,
                                NaiveCenterPolicy, PolicyConfig, lda_train)
 from goalshot.scenes import (SceneTable, balance_by_replication, feature_matrix,
                              generate_synthetic_scenes, split_dataset)
+from oracles import aggregate
 
 CFG = RunConfig()
 NOISELESS = DynamicsConfig(noise_coefficient=0.0)
@@ -216,7 +220,6 @@ def reference_experiment(policy_a, policy_b, games, shots, seed, episode_log):
         for side in (0, 1):
             per_side[side][0].append(counts[side][0])
             per_side[side][1].append(counts[side][1])
-    aggregate = goalshot.experiment._aggregate
     return (aggregate(*per_side[0], per_side[1][1]),
             aggregate(*per_side[1], per_side[0][1]))
 
@@ -278,6 +281,73 @@ class TestSharedResolution:
         stats_ba = run_experiment(policies["lda"], policies["mlp"], *args)
         assert stats_ba == stats_ab[::-1]
         assert stats_ab[0] != stats_ab[1]
+
+
+@st.composite
+def per_game_counts(draw):
+    """Both sides' per-game kicks and goals (goals <= kicks <= shots) over
+    1-300 games; a side kicks in no game now and then."""
+    games, shots = draw(st.integers(1, 300)), draw(st.integers(1, 20))
+    kicks = tuple([0] * games if draw(st.integers(0, 4)) == 0 else
+                  draw(st.lists(st.integers(0, shots), min_size=games, max_size=games))
+                  for _ in range(2))
+    goals = tuple([draw(st.integers(0, k)) for k in side] for side in kicks)
+    return kicks, goals
+
+
+class TestAggregate:
+    @settings(max_examples=300, deadline=None)
+    @given(counts=per_game_counts())
+    def test_equals_the_per_list_reference(self, counts):
+        kicks, goals = counts
+        stats = goalshot.experiment._aggregate(kicks, goals)
+        expected = (aggregate(kicks[0], goals[0], goals[1]),
+                    aggregate(kicks[1], goals[1], goals[0]))
+        for got, want in zip(stats, expected):
+            for field_ in fields(MatchStats):
+                value, reference = getattr(got, field_.name), getattr(want, field_.name)
+                assert type(value) is type(reference), field_.name
+                if isinstance(reference, float):
+                    assert float.hex(value) == float.hex(reference), field_.name
+                else:
+                    assert value == reference, field_.name
+            assert (got.effectiveness is None) == (got.kicks == 0)
+
+
+class Renamed:
+    """A policy under another name, or under none (name None)."""
+
+    def __init__(self, policy, name):
+        self.policy = policy
+        if name is not None:
+            self.name = name
+
+    def decide(self, scene):
+        return self.policy.decide(scene)
+
+
+@pytest.mark.parametrize("names", [('say "hi"', "back\\slash"), ("tab\there", "caf\u00e9"),
+                                   (None, "lda"), ("mlp", None)])
+def test_episode_log_lines_are_json_dumps_of_the_record(field, names):
+    games, shots = 3, 6
+    policies = (Renamed(NaiveCenterPolicy(field, CFG.aim, PolicyConfig()), names[0]),
+                Renamed(FixedPolicy(KickDecision(Action.NO_KICK)), names[1]))
+    log = io.StringIO()
+    run_experiment(*policies, games, shots, CFG.keeper, CFG.gen, CFG.dynamics, field,
+                   seed=11, episode_log=log)
+    lines = log.getvalue().splitlines(keepends=True)
+    assert len(lines) == 2 * games * shots
+    results = set()
+    for i, line in enumerate(lines):
+        side = i % 2
+        entry = json.loads(line)
+        record = {"game": i // (2 * shots), "shot": i // 2 % shots,
+                  "policy": f"policy_{side}" if names[side] is None else names[side],
+                  "kicked": entry["kicked"], "result": entry["result"],
+                  "steps": entry["steps"]}
+        assert line == json.dumps(record) + "\n"
+        results.add(record["result"])
+    assert {"GOAL", "NO_KICK"} <= results
 
 
 ZERO_KICK_STATS = MatchStats(kicks=0, kicks_mean_per_game=0.0, kicks_std=0.0,

@@ -20,8 +20,8 @@ from goalshot.aim import (GOAL_LINE_TOLERANCE, AimConfig, ShotQuery, discretize_
                           p_goal, sigma)
 from goalshot.geometry import FieldConfig, Ray, Vec2, shot_line, signed_offset
 from goalshot.policies import PolicyConfig, stage_one_survivors
-from goalshot.scenes import (Label, SceneTable, angle_at, extract_features, feature_matrix,
-                             features_by_target, filter_defenders)
+from goalshot.scenes import (TARGET_COLUMNS, Label, SceneTable, angle_at, extract_features,
+                             feature_matrix, features_by_target, filter_defenders)
 from oracles import gaussian_cdf, p_miss_left, p_miss_right
 
 FIELD = FieldConfig()
@@ -105,9 +105,22 @@ def sample_scene(rng):
                       attacker_body_angle=rng.uniform(-10.0, 10.0))
 
 
+def row_by_target(scene, field):
+    """The row builder of features_by_target's two parts: the base row with
+    an aim point's TARGET_COLUMNS set."""
+    base, terms = features_by_target(scene, field)
+
+    def row(target_y, line):
+        values = list(base)
+        for column, value in zip(TARGET_COLUMNS, terms(target_y, line)):
+            values[column] = value
+        return values
+    return row
+
+
 def assert_matches_reference(scene, aim_config):
     targets = discretize_targets(FIELD, aim_config)
-    row = features_by_target(scene, FIELD)
+    row = row_by_target(scene, FIELD)
     for target in targets + [scene.target]:
         expected = reference_features(replace(scene, target=target), FIELD)
         line = shot_line(target.x - scene.ball.x, target.y - scene.ball.y)
@@ -175,7 +188,7 @@ def test_feature_errors_match_reference(scene, target):
     scene = replace(scene, target=target)
     expected = outcome(reference_features, scene, FIELD)
     assert isinstance(expected[0], type)
-    assert outcome(lambda: features_by_target(scene, FIELD)(
+    assert outcome(lambda: row_by_target(scene, FIELD)(
         target.y, shot_line(target.x - scene.ball.x, target.y - scene.ball.y))) == expected
     assert outcome(extract_features, scene, FIELD) == expected
 

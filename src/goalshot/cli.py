@@ -144,7 +144,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         Path(args.roc_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.ks2_out:
         lines = ["threshold,cdf_positive,cdf_negative,gap"]
-        for t, cp, cn in zip(ks.thresholds, ks.cdf_positive, ks.cdf_negative):
+        for t, cp, cn in zip(ks.thresholds.tolist(), ks.cdf_positive.tolist(),
+                             ks.cdf_negative.tolist()):
             lines.append(f"{t!r},{cp!r},{cn!r},{abs(cp - cn)!r}")
         Path(args.ks2_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0

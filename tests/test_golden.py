@@ -41,7 +41,7 @@ DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd
 EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
 STATS_SHA256 = "821ec09178eef386d3304fb33befe7badd2f3e0052e18447d392b88556a9efd1"
 ROC_SHA256 = "a4d47726de13a8ed762b4c90ff5489f71a6f23574badef8188ca47cb659de172"
-KS2_SHA256 = "ef8e5cc553cafabe602907d3313c426313e4a2395dd49cdc9f2b88ac75f728eb"
+KS2_SHA256 = "1b1e8694f976a5acc6274d16eed03f2ded0ab84657debd885d387061e20b4e46"
 
 
 def _build() -> str:
@@ -124,6 +124,23 @@ def test_eval_curve_files(pipeline):
          "--roc-out", str(roc), "--ks2-out", str(ks2))
     assert _sha256(roc) == ROC_SHA256, BUILD
     assert _sha256(ks2) == KS2_SHA256, BUILD
+
+
+def test_eval_curve_files_hold_numbers(pipeline):
+    """Every cell under the header of both curve files parses as a float."""
+    work, data, model = pipeline
+    roc, ks2 = work / "roc_cells.csv", work / "ks2_cells.csv"
+    _run("eval", "--model", str(model), "--data", str(data),
+         "--roc-out", str(roc), "--ks2-out", str(ks2))
+    for path, header in ((roc, "fpr,tpr"), (ks2, "threshold,cdf_positive,cdf_negative,gap")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == header
+        assert len(lines) > 1
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == len(header.split(","))
+            for cell in cells:
+                float(cell)
 
 
 def test_stats_stdout(pipeline, capsys):

@@ -12,7 +12,7 @@ from .dynamics import (BallState, CrossingOutcome, DynamicsConfig, kick,
                        rollout_to_goal_line, step, travel_range)
 from .experiment import (EpisodeOutcome, MatchStats, report, run_episode,
                          run_experiment)
-from .geometry import FieldConfig, Ray, Vec2, opening_angle, signed_offset
+from .geometry import FieldConfig, Vec2, opening_angle
 from .keeper import KeeperModel, ShotResult, simulate_shot
 from .metrics import (Ks2Curve, RocCurve, auc_rank, feature_relevance,
                       ks2_curve, roc_curve)

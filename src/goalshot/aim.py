@@ -128,8 +128,8 @@ def _aim_chances(ball_half: tuple, targets: Sequence[Vec2]) -> list[tuple]:
     for target in targets:
         line = shot_line(target.x - bx, target.y - by)
         ux, uy = line[3], line[4]
-        # Phi(z) = 0.5 * (1 + erf(z / sqrt 2)) of -signed_offset(Ray.toward(ball,
-        # target), post_left) / sigma_l and of +signed_offset(..., post_right) / sigma_r
+        # Phi(z) = 0.5 * (1 + erf(z / sqrt 2)) of -S_l / sigma_l and of +S_r / sigma_r,
+        # each S the cross product of the shot direction and the post's offset
         left = 0.5 * (1.0 + erf(-(ux * left_y - uy * left_x) / sigma_l / sqrt2))
         right = 0.5 * (1.0 + erf((ux * right_y - uy * right_x) / sigma_r / sqrt2))
         chances.append((target, line, left, right, 1.0 - left - right))

@@ -69,23 +69,6 @@ class Vec2:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """Half-line with a unit direction (|direction| = 1 within 1e-9)."""
-
-    origin: Vec2
-    direction: Vec2
-
-    def __post_init__(self) -> None:
-        if abs(self.direction.norm() - 1.0) > 1e-9:
-            raise ValueError("Ray direction must be a unit vector")
-
-    @classmethod
-    def toward(cls, origin: Vec2, point: Vec2) -> Ray:
-        """Ray from origin through a distinct point."""
-        return cls(origin, Vec2(*shot_line(point.x - origin.x, point.y - origin.y)[3:]))
-
-
-@dataclass(frozen=True)
 class FieldConfig:
     """Pitch dimensions in meters.
 
@@ -154,8 +137,8 @@ def difference(a: Vec2, b: Vec2) -> tuple[float, float]:
 
 def shot_line(dx: float, dy: float) -> tuple[float, float, float, float, float]:
     """(dx, dy, n, dx / n, dy / n) for the vector (dx, dy) of length n, with
-    the checks of a Ray along it: finite, nonzero, and of unit length after.
-    Of a target relative to the ball, the line Ray.toward(ball, target)."""
+    the checks of a line along it: finite, nonzero, and of unit length after.
+    Of a target relative to the ball, the shooting line."""
     n = math.hypot(dx, dy)
     if not n < math.inf:  # a component is not finite, or the length overflows
         _require_finite("Vec2 component", dx, dy)
@@ -166,10 +149,3 @@ def shot_line(dx: float, dy: float) -> tuple[float, float, float, float, float]:
         raise ValueError("Ray direction must be a unit vector")
     return dx, dy, n, ux, uy
 
-
-def signed_offset(line: Ray, point: Vec2) -> float:
-    """Perpendicular distance from point to the infinite line through `line`.
-
-    Positive when the point lies to the left of the direction of travel.
-    """
-    return line.direction.cross(point - line.origin)

@@ -80,15 +80,6 @@ class MlpParams:
         if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("weights, biases and normalization must be finite")
 
-    def copy(self) -> MlpParams:
-        return MlpParams(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            norm_mean=self.norm_mean.copy(),
-            norm_std=self.norm_std.copy(),
-        )
-
 
 def init_params(layer_sizes: Sequence[int], norm_mean: np.ndarray,
                 norm_std: np.ndarray, rng: np.random.Generator,
@@ -111,19 +102,14 @@ def _normalize(params: MlpParams, features: np.ndarray) -> np.ndarray:
     return (x - params.norm_mean) / params.norm_std
 
 
-def _activations(params: MlpParams, x: np.ndarray,
-                 out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
-    """The normalized input and every layer's output, for a row or a batch.
-
-    With out, one preallocated buffer per layer, the outputs are written
-    there and nothing is allocated but the returned list."""
+def _activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """The normalized input and every layer's output, for a row or a batch."""
     activations = [x]
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for w, b in zip(params.weights, params.biases):
         # einsum sums a row's products in one order for any batch and any CPU,
         # so a batch row is bit-equal to the 1-row call; the BLAS gemv and
         # gemm behind matmul are not, and their kernels differ per core.
-        z = np.einsum("...j,jk->...k", activations[-1], w,
-                      out=None if out is None else out[layer])
+        z = np.einsum("...j,jk->...k", activations[-1], w)
         z += b
         activations.append(np.tanh(z, out=z))
     return activations
@@ -157,12 +143,17 @@ class MlpGradients:
 class _Backprop:
     """Online backprop on one flat parameter buffer.
 
-    theta holds each layer's weight matrix and then its bias vector, layer
-    after layer, and params.weights and params.biases are reshaped views into
-    it; grad has the same layout. The layer outputs and the tanh slopes go
-    into buffers made once, so a step allocates no array. Every product and
-    sum is the float operation that np.outer and w - lr * g per array make,
-    so the buffers do not change the bits.
+    theta holds each layer as one (fan_in + 1, fan_out) block [W; b], layer
+    after layer, and params.weights and params.biases are the views
+    block[:-1] and block[-1]; grad has the same layout. Every layer input
+    ends with a fixed 1.0: the caller appends it to the normalized row, and
+    each hidden slot of the activations buffer ends with it. So one einsum
+    against a block gives x.W + b, and one product of a layer's input column
+    and its delta writes the weight and the bias gradients (1.0 * delta is
+    delta). A layer of one unit is the exception: einsum sums a single
+    output's terms in SIMD lanes, so it adds b apart, as x.W + b always did.
+    The buffers and the per-layer tuples are made once, so a step allocates
+    no array and builds no list.
     """
 
     def __init__(self, params: MlpParams) -> None:
@@ -170,44 +161,56 @@ class _Backprop:
         self.theta = np.concatenate([a.ravel() for layer in zip(params.weights, params.biases)
                                      for a in layer])
         self.grad = np.empty_like(self.theta)
-        self.params = MlpParams(sizes, *self._views(sizes, self.theta),
-                                params.norm_mean, params.norm_std)
-        self.grad_weights, self.grad_biases = self._views(sizes, self.grad)
-        self.outputs = [np.empty(n) for n in sizes[1:]]
-        self.output_columns = [a[:, None] for a in self.outputs]
-        self.slopes = [np.empty(n) for n in sizes[1:]]
-
-    @staticmethod
-    def _views(sizes: tuple[int, ...],
-               buffer: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        weights, biases, start = [], [], 0
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            weights.append(buffer[start:start + fan_in * fan_out].reshape(fan_in, fan_out))
-            start += fan_in * fan_out
-            biases.append(buffer[start:start + fan_out])
-            start += fan_out
-        return weights, biases
+        self.params = MlpParams(sizes, *_views(sizes, self.theta), params.norm_mean,
+                                params.norm_std)
+        blocks, grad_blocks = _blocks(sizes, self.theta), _blocks(sizes, self.grad)
+        # Layer l writes outputs[l]; a hidden layer's slot goes on with a 1.0.
+        self.activations = np.ones(sum(sizes[1:]) + len(sizes) - 2)
+        self.slopes = np.empty_like(self.activations)
+        outputs, slopes, inputs, start = [], [], [None], 0
+        for n in sizes[1:]:
+            outputs.append(self.activations[start:start + n])
+            slopes.append(self.slopes[start:start + n])
+            inputs.append(self.activations[start:start + n + 1])
+            start += n + 1
+        deltas = [np.empty(n) for n in sizes[1:]]
+        top = len(blocks) - 1
+        self.mse_scale = 2.0 / sizes[-1]
+        self.output, self.output_delta = outputs[top], deltas[top]
+        # None for the input: the row of each step.
+        self.layers = tuple((a, block, None if len(z) > 1 else block[-1], z)
+                            for a, block, z in zip(inputs, blocks, outputs))
+        self.down = tuple((deltas[layer], slopes[layer], inputs[layer][:, None],
+                           grad_blocks[layer], blocks[layer][:-1], deltas[layer - 1])
+                          for layer in range(top, 0, -1))
+        self.bottom = (deltas[0], slopes[0], grad_blocks[0])
 
     def backprop(self, x: np.ndarray, x_column: np.ndarray, target: np.ndarray) -> None:
-        """The gradient of the per-example MSE at the normalized row x (x_column
-        is x as an (n, 1) view) into grad."""
-        _activations(self.params, x, self.outputs)
-        out = self.outputs[-1]
-        # d/d_out of mean((out - t)^2), then back through tanh at each layer;
-        # each layer's delta is its bias gradient.
-        delta = self.grad_biases[-1]
-        np.subtract(out, target, out=delta)
-        np.multiply(2.0 / out.size, delta, out=delta)
-        for layer in reversed(range(len(self.outputs))):
-            a, slope, delta = self.outputs[layer], self.slopes[layer], self.grad_biases[layer]
-            np.multiply(a, a, out=slope)
-            np.subtract(1.0, slope, out=slope)
+        """The gradient of the per-example MSE at the normalized row x, which
+        ends with 1.0 (x_column is x as an (n, 1) view), into grad."""
+        for a, block, bias, z in self.layers:
+            if a is None:
+                a = x
+            if bias is None:
+                # einsum sums j in order: its last term, 1.0 * b, gives z = x.W; z += b.
+                np.einsum("...j,jk->...k", a, block, out=z)
+            else:
+                np.einsum("...j,jk->...k", a[:-1], block[:-1], out=z)
+                z += bias
+            np.tanh(z, z)
+        np.multiply(self.activations, self.activations, out=self.slopes)
+        np.subtract(1.0, self.slopes, out=self.slopes)
+        # d/d_out of mean((out - t)^2), then back through tanh at each layer.
+        delta = self.output_delta
+        np.subtract(self.output, target, out=delta)
+        np.multiply(self.mse_scale, delta, out=delta)
+        for delta, slope, column, grad_block, weights, below in self.down:
             np.multiply(delta, slope, out=delta)
-            column = self.output_columns[layer - 1] if layer else x_column
-            np.multiply(column, delta, out=self.grad_weights[layer])
-            if layer:
-                np.einsum("k,jk->j", delta, self.params.weights[layer],
-                          out=self.grad_biases[layer - 1])
+            np.multiply(column, delta, out=grad_block)
+            np.einsum("k,jk->j", delta, weights, out=below)
+        delta, slope, grad_block = self.bottom
+        np.multiply(delta, slope, out=delta)
+        np.multiply(x_column, delta, out=grad_block)
 
     def step(self, x: np.ndarray, x_column: np.ndarray, target: np.ndarray,
              learning_rate: float) -> None:
@@ -215,6 +218,24 @@ class _Backprop:
         self.backprop(x, x_column, target)
         np.multiply(learning_rate, self.grad, out=self.grad)
         np.subtract(self.theta, self.grad, out=self.theta)
+
+
+def _blocks(sizes: tuple[int, ...], buffer: np.ndarray) -> list[np.ndarray]:
+    """Each layer's (fan_in + 1, fan_out) block [W; b], a view into buffer."""
+    blocks, start = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        end = start + (fan_in + 1) * fan_out
+        blocks.append(buffer[start:end].reshape(fan_in + 1, fan_out))
+        start = end
+    return blocks
+
+
+def _views(sizes: tuple[int, ...],
+           buffer: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The weight matrices and the bias vectors in buffer, block[:-1] and
+    block[-1] of each layer's block."""
+    blocks = _blocks(sizes, buffer)
+    return [b[:-1] for b in blocks], [b[-1] for b in blocks]
 
 
 def gradient(params: MlpParams, features: np.ndarray,
@@ -225,10 +246,10 @@ def gradient(params: MlpParams, features: np.ndarray,
         raise ValueError(f"target must have {params.layer_sizes[-1]} components")
     if np.any(np.abs(t) > 1.0):
         raise ValueError("target components must be in [-1, 1]")
-    x = _normalize(params, features)
+    x = np.append(_normalize(params, features), 1.0)
     kernel = _Backprop(params)
     kernel.backprop(x, x[:, None], t)
-    return MlpGradients(kernel.grad_weights, kernel.grad_biases)
+    return MlpGradients(*_views(params.layer_sizes, kernel.grad))
 
 
 class StopReason(enum.Enum):
@@ -255,6 +276,10 @@ class TrainConfig:
     hidden_size: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "init_half_range"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.max_epochs < 1 or self.patience < 1 or self.hidden_size < 1:
@@ -332,15 +357,17 @@ def train(train_features: np.ndarray, train_goal: np.ndarray,
     std = x.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
     rng = np.random.default_rng(config.seed)
-    kernel = _Backprop(init_params((x.shape[1], config.hidden_size, 2), mean, std, rng,
-                                   config.init_half_range))
+    sizes = (x.shape[1], config.hidden_size, 2)
+    kernel = _Backprop(init_params(sizes, mean, std, rng, config.init_half_range))
     params = kernel.params
 
     xn = (x - mean) / std
     xvn = (xv - mean) / std
-    rows, columns, row_targets = list(xn), list(xn[:, :, None]), list(targets)
+    # The kernel's rows end with the 1.0 that its [W; b] blocks multiply b by.
+    xn1 = np.hstack([xn, np.ones((len(xn), 1))])
+    rows, columns, row_targets = list(xn1), list(xn1[:, :, None]), list(targets)
     stopper = EarlyStopping(config.patience)
-    best_params = params.copy()
+    best_theta = kernel.theta.copy()
     train_history: list[float] = []
     val_history: list[float] = []
     stop_reason = StopReason.MAX_EPOCHS
@@ -351,7 +378,7 @@ def train(train_features: np.ndarray, train_goal: np.ndarray,
         val_mse = _dataset_mse(params, xvn, val_targets)
         val_history.append(val_mse)
         if stopper.update(val_mse):
-            best_params = params.copy()
+            np.copyto(best_theta, kernel.theta)
         if stopper.should_stop:
             stop_reason = StopReason.EARLY_STOP
             break
@@ -362,7 +389,7 @@ def train(train_features: np.ndarray, train_goal: np.ndarray,
         validation_mse_history=val_history,
         stop_reason=stop_reason,
     )
-    return best_params, report
+    return MlpParams(sizes, *_views(sizes, best_theta), mean, std), report
 
 
 def save_model(params: MlpParams, path: str | Path) -> None:

@@ -148,8 +148,8 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
     d_post_right = math.hypot(right.x - bx, right.y - by)
     threats = _threats(ax, bx, by, defenders, field)
     keeper_distance = math.hypot(bx - kx, by - ky)
-    # The points relative to the ball as (x, y) pairs, as signed_offset(line,
-    # p) takes them, raising as geometry.difference does on an overflow.
+    # The keeper and the threats relative to the ball, raising as
+    # geometry.difference does on an overflow.
     kdx, kdy = kx - bx, ky - by
     _require_finite("Vec2 component", kdx, kdy)
     near = []
@@ -212,19 +212,77 @@ def set_target_columns(rows: np.ndarray, targets: Iterable[tuple[float, ...]]) -
     return rows
 
 
+def _mapped(fn: Callable[[float, float], float],
+            *pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """fn(a, b) over each pair of equal-length float columns (a, b), the
+    math function itself in one map over the joined columns."""
+    firsts = np.concatenate([a for a, _ in pairs]).tolist()
+    seconds = np.concatenate([b for _, b in pairs]).tolist()
+    out = np.fromiter(map(fn, firsts, seconds), float, len(firsts))
+    parts, start = [], 0
+    for a, _ in pairs:
+        parts.append(out[start:start + len(a)])
+        start += len(a)
+    return parts
+
+
 def feature_matrix(table: SceneTable, field: FieldConfig) -> np.ndarray:
     """(n, 22) matrix of the table's features, bit-equal to extract_features
-    of each row's scene: the base rows, then the target columns."""
-    bases, targets = [], []
-    for values, defenders in table.rows():
-        base, terms = scene_features(values, defenders, field)
-        bases.append(base)
-        targets.append(terms(values[11], shot_line(values[10] - values[0],
-                                                   values[11] - values[1])))
-    n = len(table)
-    return set_target_columns(np.fromiter(itertools.chain.from_iterable(bases), float,
-                                          n * len(FEATURE_NAMES)).reshape(n, len(FEATURE_NAMES)),
-                              targets)
+    of each row's scene. It runs scene_features' float steps column by
+    column: numpy does the + - * /, abs, min, max and where, and math.hypot,
+    math.atan2 and math.remainder are mapped over the columns, since numpy's
+    hypot and arctan2 round differently. Where a row fails a check of
+    scene_features or shot_line, the first such row runs them and raises."""
+    bx, by, _, _, ax, ay, body, kx, ky, power, tx, ty = table.values.T
+    dfx, dfy = table.defenders[:, :, 0], table.defenders[:, :, 1]
+    left, right, center = field.post_left, field.post_right, field.goal_center
+    with np.errstate(all="ignore"):  # an overflow raises below, as in the row kernel
+        # The _threats filter; the NaN after a row's defenders fails it.
+        threat = ((ax[:, None] <= dfx) & (dfx <= field.goal_line_x)
+                  & (np.abs(dfy) <= field.penalty_area_width / 2))
+        row, x, y = np.nonzero(threat)[0], dfx[threat], dfy[threat]
+        kdx, kdy, dx, dy = kx - bx, ky - by, tx - bx, ty - by
+        ux, uy, vx, vy = left.x - ax, left.y - ay, right.x - ax, right.y - ay
+        (d_left, d_right, keeper_distance, distance, u_length, v_length, to_ball,
+         to_center) = _mapped(math.hypot, (left.x - bx, left.y - by), (right.x - bx, right.y - by),
+                              (bx - kx, by - ky), (dx, dy), (ux, uy), (vx, vy),
+                              (bx[row] - x, by[row] - y), (center.x - x, center.y - y))
+        sx, sy = dx / distance, dy / distance
+        vision, keeper_angle, direction = _mapped(
+            math.atan2, (np.abs(ux * vy - uy * vx), ux * vx + uy * vy),
+            (np.abs(kdx * dy - kdy * dx), kdx * dx + kdy * dy), (dy, dx))
+        (wrapped,) = _mapped(math.remainder, (body - direction, np.full(len(body), math.tau)))
+        # The three threats nearest the ball, stably; NaN sorts after any distance.
+        per_slot = np.full((4, *threat.shape), math.nan)
+        per_slot[:, threat] = to_ball, to_center, x - bx[row], y - by[row]
+        order = np.argsort(per_slot[0], axis=1, kind="stable")[:, :3]
+        near_ball, near_center, near_x, near_y = per_slot[:, np.arange(len(order))[:, None], order]
+        count = threat.sum(axis=1)
+        present = np.arange(3) < count[:, None]
+        # shot_line raises where its length is not finite or below 1e-12; for
+        # any other length its unit check holds within a few ulps.
+        bad = (~(np.isfinite(kdx) & np.isfinite(kdy))
+               | (present & ~(np.isfinite(near_x) & np.isfinite(near_y))).any(axis=1)
+               | ~((1e-12 <= distance) & (distance < math.inf)))
+        if bad.any():
+            i = int(bad.argmax())
+            values = table.values[i].tolist()
+            scene_features(values, table.defenders[i, :table.defender_count[i]].tolist(), field)
+            shot_line(values[10] - values[0], values[11] - values[1])
+        ball_distance = np.where(present, near_ball, field.field_length)
+        center_distance = np.where(present, near_center, field.field_length)
+        offset = np.where(present[:, :2], np.abs(sx[:, None] * near_y[:, :2]
+                                                 - sy[:, None] * near_x[:, :2]),
+                          field.penalty_area_width)
+        vision_ok = (np.isfinite(ux) & np.isfinite(uy) & np.isfinite(vx) & np.isfinite(vy)
+                     & (u_length >= 1e-12) & (v_length >= 1e-12))
+        return np.array([  # the 22 columns, then (n, 22) in C order
+            bx, by, kx, ky, keeper_distance, np.abs(sx * kdy - sy * kdx),
+            np.where(keeper_distance < 1e-12, 0.0, keeper_angle), np.where(vision_ok, vision, 0.0),
+            np.abs(wrapped), distance, np.minimum(d_left, d_right), np.maximum(d_left, d_right),
+            power, ty, count.astype(float), ball_distance[:, 0], offset[:, 0],
+            center_distance[:, 0], ball_distance[:, 1], offset[:, 1], center_distance[:, 1],
+            ball_distance[:, 2]]).T.copy()
 
 
 # ---------------------------------------------------------------------------

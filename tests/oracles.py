@@ -1,16 +1,43 @@
 """Reference functions that only the tests call."""
 
+from __future__ import annotations
+
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from goalshot.aim import AimConfig, ShotQuery, p_goal
 from goalshot.experiment import MatchStats
-from goalshot.geometry import FieldConfig, Vec2
+from goalshot.geometry import FieldConfig, Vec2, shot_line
 from goalshot.mlp import MlpParams, forward
 from goalshot.scenes import KickScene
+
+
+@dataclass(frozen=True)
+class Ray:
+    """Half-line with a unit direction (|direction| = 1 within 1e-9)."""
+
+    origin: Vec2
+    direction: Vec2
+
+    def __post_init__(self) -> None:
+        if abs(self.direction.norm() - 1.0) > 1e-9:
+            raise ValueError("Ray direction must be a unit vector")
+
+    @classmethod
+    def toward(cls, origin: Vec2, point: Vec2) -> Ray:
+        """Ray from origin through a distinct point."""
+        return cls(origin, Vec2(*shot_line(point.x - origin.x, point.y - origin.y)[3:]))
+
+
+def signed_offset(line: Ray, point: Vec2) -> float:
+    """Perpendicular distance from point to the infinite line through `line`.
+
+    Positive when the point lies to the left of the direction of travel.
+    """
+    return line.direction.cross(point - line.origin)
 
 
 def gaussian_cdf(z: float) -> float:

@@ -24,7 +24,7 @@ from goalshot.aim import AimConfig, ShotQuery, discretize_targets, p_goal, sigma
 from goalshot.config import RunConfig
 from goalshot.dynamics import BallState, DynamicsConfig, step, travel_range
 from goalshot.experiment import run_experiment
-from goalshot.geometry import Ray, Vec2, signed_offset
+from goalshot.geometry import Vec2
 from goalshot.metrics import auc_rank, feature_relevance, ks2_curve, roc_curve
 from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig,
                           forward, gradient, load_model, save_model, score,
@@ -34,7 +34,7 @@ from goalshot.policies import (Action, LdaPolicy, MlpPolicy, PolicyConfig,
 from goalshot.scenes import (Label, SceneTable, balance_by_replication, extract_features,
                              feature_matrix, generate_synthetic_scenes,
                              load_scenes, save_scenes, split_dataset)
-from oracles import example_mse
+from oracles import Ray, example_mse, signed_offset
 
 CFG = RunConfig()
 SEED = 0

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from goalshot.aim import (AimConfig, ShotQuery, _aim_points, _check_target,
                           discretize_targets, p_goal, sigma, within_horizon)
-from goalshot.geometry import FieldConfig, Ray, Vec2, signed_offset
-from oracles import p_miss_left, p_miss_right
+from goalshot.geometry import FieldConfig, Vec2
+from oracles import Ray, p_miss_left, p_miss_right, signed_offset
 
 AIM = AimConfig()
 

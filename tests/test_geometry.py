@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from goalshot.geometry import FieldConfig, Ray, Vec2, opening_angle, signed_offset
+from goalshot.geometry import FieldConfig, Vec2, opening_angle
 from goalshot.scenes import angle_at
+from oracles import Ray, signed_offset
 
 
 class TestVec2:

@@ -213,7 +213,7 @@ class TestGradient:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
-           sizes=st.sampled_from([(22, 5, 2), (3, 4, 2), (22, 8, 5, 2)]),
+           sizes=st.sampled_from([(22, 5, 2), (3, 4, 2), (22, 8, 5, 2), (3, 1, 2), (1, 1, 2)]),
            goals=st.lists(st.booleans(), min_size=1, max_size=12),
            learning_rate=st.sampled_from([1e-3, 0.01, 0.3]))
     def test_kernel_steps_match_the_oracle(self, seed, sizes, goals, learning_rate):
@@ -227,14 +227,16 @@ class TestGradient:
         params.norm_std[:] = rng.uniform(0.5, 3.0, sizes[0])
         raw = rng.normal(0.0, 4.0, (len(goals), sizes[0]))
         xn = (raw - params.norm_mean) / params.norm_std
+        xn1 = np.hstack([xn, np.ones((len(goals), 1))])
         targets = _targets(np.array(goals), len(goals))
         kernel = _Backprop(params)
-        for raw_row, row, column, target in zip(raw, list(xn), list(xn[:, :, None]), targets):
+        for raw_row, row, row1, column, target in zip(raw, list(xn), list(xn1),
+                                                      list(xn1[:, :, None]), targets):
             grads = gradient(params, raw_row, target)
             oracle_w, oracle_b = oracle_gradient(params, row, target)
             for got, want in zip(grads.weights + grads.biases, oracle_w + oracle_b):
                 np.testing.assert_array_equal(got, want)
-            kernel.step(row, column, target, learning_rate)
+            kernel.step(row1, column, target, learning_rate)
             oracle_step(params, row, target, learning_rate)
             for got, want in zip(kernel.params.weights + kernel.params.biases,
                                  params.weights + params.biases):
@@ -360,6 +362,14 @@ class TestTrain:
             train(x, bad, x, goal, TrainConfig(max_epochs=1))
         with pytest.raises(ValueError, match="bool GOAL mask"):
             train(x, goal, x, bad, TrainConfig(max_epochs=1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["learning_rate", "init_half_range"])
+    def test_non_finite_config_rejected(self, name, value):
+        """A NaN learning rate used to train on NaN weights to max_epochs and
+        return the initial weights; such a config now fails when built."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            TrainConfig(**{name: value})
 
     def test_target_encoding(self):
         targets = _targets(np.array([True, False]), 2)

@@ -281,6 +281,40 @@ def _hex_rows(matrix):
     return [[float.hex(v) for v in row] for row in matrix.tolist()]
 
 
+def _row_by_row(scenes):
+    """The hex feature rows of extract_features on each scene in turn, or
+    the first scene's error."""
+    return _outcome(lambda: _hex_rows(np.array(
+        [extract_features(s, CFG.field) for s in scenes]).reshape(-1, 22)))
+
+
+# Rows at the edge of the feature kernel's checks, with the error each
+# raises (None: the row is valid).
+_EDGE_SCENES = {
+    "ball on the target": (make_scene(ball=Vec2(52.5, 1.0), target=Vec2(52.5, 1.0)),
+                           "cannot normalize a zero-length vector"),
+    "keeper offset overflows": (make_scene(keeper=Vec2(-1e308, 0.0), ball=Vec2(1e308, 0.0)),
+                                "Vec2 component must be finite, got -inf"),
+    "defender offset overflows": (make_scene(ball=Vec2(1.7e308, 0.0),
+                                             attacker=Vec2(-1.7e308, 0.0),
+                                             defenders=(Vec2(-1.7e308, 0.0),)),
+                                  "Vec2 component must be finite, got -inf"),
+    "shot length overflows": (make_scene(ball=Vec2(-1.7e308, -1.7e308)),
+                              "Ray direction must be a unit vector"),
+    # Only the three threats nearest the ball are offset-checked.
+    "fourth threat offset overflows": (make_scene(
+        ball=Vec2(1.7e308, 0.0), attacker=Vec2(-1.7e308, 0.0),
+        defenders=(Vec2(-1.7e308, 0.0), Vec2(50.0, 1.0), Vec2(51.0, 2.0), Vec2(49.0, -1.0))),
+        None),
+    # A threat whose distance to the ball overflows still sorts before the
+    # defender outside the band that is listed first.
+    "threat distance overflows": (make_scene(ball=Vec2(0.0, 1.7e308),
+                                             attacker=Vec2(-1.7e308, 0.0),
+                                             defenders=(Vec2(40.0, 30.0), Vec2(-1.7e308, 0.0))),
+                                  None),
+}
+
+
 class TestSceneTable:
     @settings(max_examples=150, deadline=None)
     @given(scenes=st.lists(_TABLE_SCENES, max_size=12))
@@ -308,6 +342,29 @@ class TestSceneTable:
     def test_from_scenes_rejects_an_unlabeled_scene(self):
         with pytest.raises(ValueError, match="every scene must be labeled"):
             SceneTable.from_scenes([make_scene(label=Label.GOAL), make_scene()])
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("edge", list(_EDGE_SCENES))
+    def test_feature_matrix_on_an_edge_row(self, edge, position):
+        """A table with one edge row, first, in the middle or last, gives the
+        rows or the error (type and message) of extract_features row by row."""
+        scene, error = _EDGE_SCENES[edge]
+        rng = np.random.default_rng(position)
+        scenes = [random_scene(rng, label=Label.GOAL) for _ in range(6)]
+        scenes.insert(position, replace(scene, label=Label.NO_GOAL))
+        expected = _row_by_row(scenes)
+        assert (expected == (ValueError, error)) if error else isinstance(expected, list)
+        assert _outcome(lambda: _hex_rows(feature_matrix(SceneTable.from_scenes(scenes),
+                                                         CFG.field))) == expected
+
+    def test_feature_matrix_raises_the_first_bad_row(self):
+        bad = [replace(_EDGE_SCENES[edge][0], label=Label.GOAL)
+               for edge in ("ball on the target", "keeper offset overflows")]
+        good = make_scene(label=Label.GOAL)
+        for scenes in ([good, *bad], [good, *bad[::-1]]):
+            expected = _row_by_row(scenes[1:2])
+            assert _row_by_row(scenes) == expected
+            assert _outcome(feature_matrix, SceneTable.from_scenes(scenes), CFG.field) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(scenes=st.lists(_TABLE_SCENES, min_size=4, max_size=12),

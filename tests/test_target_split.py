@@ -18,11 +18,11 @@ import pytest
 from conftest import make_scene
 from goalshot.aim import (GOAL_LINE_TOLERANCE, AimConfig, ShotQuery, discretize_targets,
                           p_goal, sigma)
-from goalshot.geometry import FieldConfig, Ray, Vec2, shot_line, signed_offset
+from goalshot.geometry import FieldConfig, Vec2, shot_line
 from goalshot.policies import PolicyConfig, stage_one_survivors
 from goalshot.scenes import (TARGET_COLUMNS, Label, SceneTable, angle_at, extract_features,
                              feature_matrix, features_by_target, filter_defenders)
-from oracles import gaussian_cdf, p_miss_left, p_miss_right
+from oracles import Ray, gaussian_cdf, p_miss_left, p_miss_right, signed_offset
 
 FIELD = FieldConfig()
 AIM_CONFIGS = (AimConfig(), AimConfig(target_count=1), AimConfig(target_inset=0.0))

@@ -18,19 +18,26 @@ The two outputs are folded into a single score in [0, 1] via
 so the ideal GOAL response (+1, -1) maps to 1.0 and the ideal NO_GOAL
 response (-1, +1) maps to 0.0; these two responses are train's targets.
 
-One layer pass serves one row (forward, the policy), a batch (score_batch,
-eval, the epoch MSE) and backprop, and gives a row the same bits in each.
+One layer pass serves one row (forward, the policy) and a batch
+(score_batch, eval, the epoch MSE), and gives a row the same bits in each.
 No product goes through BLAS, so the bits do not depend on the kernels
 OpenBLAS picks for the CPU; numpy's tanh kernel still varies with the SIMD
 extensions found, so trained models are reproducible on x86-64 CPUs with
 AVX2 for one numpy build.
 
-One backprop kernel serves train and gradient(). It keeps all weights and
-biases in one flat float64 buffer, of which the trained MlpParams' weights
-and biases are reshaped views, and writes the gradient into a second flat
-buffer of the same layout; an update is one w - learning_rate * g over the
-whole buffer. Its layer outputs and deltas live in buffers made once per
-training run, so an example step allocates no array.
+One backprop kernel serves train and gradient(). It keeps each layer as one
+(fan_in + 1, fan_out) block [W; b] of a flat float64 buffer, of which the
+trained MlpParams' weights and biases are views (block[:-1], block[-1]),
+and writes the gradient into a second flat buffer of the same layout; an
+update is one w - learning_rate * g over the whole buffer. Every layer
+input ends with a fixed 1.0, so one einsum per layer gives x.W + b and one
+product of the input column and the delta writes both gradients. The bits
+are those of the layer pass and of textbook backprop: einsum sums a
+layer's inputs in order, so its last term, 1.0 * b, is added where z += b
+added it, and 1.0 * delta is delta. A layer of one unit adds b apart,
+because einsum's single-output path sums in SIMD lanes. The layer outputs
+and deltas live in buffers made once per training run, so an example step
+allocates no array.
 """
 
 from __future__ import annotations

@@ -14,11 +14,15 @@ mask. `SceneTable.load` reads it from CSV, each value the float its cell
 parses to; `from_scenes` builds it from labeled KickScenes. Past these
 two the label is the GOAL mask: training and the metrics take it, and
 `SceneTable.scenes()` maps it back to `Label`.
-`scene_features` is the one feature kernel, for table rows and KickScenes.
-It gives a scene's base row and, for an aim point's shot line
+`scene_features` is the feature kernel of a scene on plain floats. It
+gives the scene's base row and, for an aim point's shot line
 (geometry.shot_line, which the MLP policy reuses from stage one), the
-values of the seven TARGET_COLUMNS; `extract_features`, `feature_matrix`
-and the MLP policy's survivor rows set those columns in the base rows.
+values of the seven TARGET_COLUMNS; `extract_features` and the MLP
+policy's survivor rows set those columns in the base rows.
+`feature_matrix` makes the kernel's float steps column by column over a
+table: numpy does the + - * /, abs, min, max and where, and the math
+functions are mapped over the columns. A row the kernel rejects is run
+through it, so it raises the kernel's own error.
 """
 
 from __future__ import annotations
@@ -214,8 +218,9 @@ def set_target_columns(rows: np.ndarray, targets: Iterable[tuple[float, ...]]) -
 
 def _mapped(fn: Callable[[float, float], float],
             *pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
-    """fn(a, b) over each pair of equal-length float columns (a, b), the
-    math function itself in one map over the joined columns."""
+    """fn(a, b) over each pair (a, b) of equal-length float columns, as one
+    array per pair: a single map of the math function over the joined
+    columns, so a pair adds no call of its own."""
     firsts = np.concatenate([a for a, _ in pairs]).tolist()
     seconds = np.concatenate([b for _, b in pairs]).tolist()
     out = np.fromiter(map(fn, firsts, seconds), float, len(firsts))
@@ -228,15 +233,15 @@ def _mapped(fn: Callable[[float, float], float],
 
 def feature_matrix(table: SceneTable, field: FieldConfig) -> np.ndarray:
     """(n, 22) matrix of the table's features, bit-equal to extract_features
-    of each row's scene. It runs scene_features' float steps column by
-    column: numpy does the + - * /, abs, min, max and where, and math.hypot,
-    math.atan2 and math.remainder are mapped over the columns, since numpy's
-    hypot and arctan2 round differently. Where a row fails a check of
-    scene_features or shot_line, the first such row runs them and raises."""
+    of each row's scene: scene_features' float steps column by column, with
+    math.hypot, math.atan2 and math.remainder mapped (numpy's hypot and
+    arctan2 round differently). Where rows fail a check of scene_features or
+    shot_line, the first of them runs both and raises."""
     bx, by, _, _, ax, ay, body, kx, ky, power, tx, ty = table.values.T
     dfx, dfy = table.defenders[:, :, 0], table.defenders[:, :, 1]
     left, right, center = field.post_left, field.post_right, field.goal_center
-    with np.errstate(all="ignore"):  # an overflow raises below, as in the row kernel
+    # Python floats overflow without a warning; the row kernel's checks raise below.
+    with np.errstate(all="ignore"):
         # The _threats filter; the NaN after a row's defenders fails it.
         threat = ((ax[:, None] <= dfx) & (dfx <= field.goal_line_x)
                   & (np.abs(dfy) <= field.penalty_area_width / 2))

@@ -7,21 +7,33 @@ with r_max = noise_coefficient * |v + a|, so the disturbance scales with
 how fast the ball travels. The displacement is capped at max_speed, which
 keeps |velocity| <= max_speed after every step.
 
-`step`, `rollout_to_goal_line` and `keeper.simulate_shot` all step through
-`_advance` on plain floats; `Vec2` and `BallState` stay at the boundary.
-`kick` and `keeper.simulate_shot` take the impulse from `kick_components`.
-The loops add the acceleration to the first step only: skipping `step`'s
-later v + 0.0 at most flips the sign of a zero that no result depends on.
-A noise range that overflows turns the ball's position to NaN. Every
-comparison on NaN is false, so the crossing test is the first that passes;
-`_goal_line_lateral` checks there, once per run, that the position is finite.
+One step loop on plain floats, `_fly`, runs `step`, `rollout_to_goal_line`
+and `keeper.simulate_shot`. It adds the acceleration to the first step
+only (skipping v + 0.0 at most flips the sign of a zero that no result
+depends on) and takes one |v| per step, the stop test's speed, which is
+the next step's noise base. A noise range that overflows turns the
+position to NaN, which fails every comparison, so the crossing test checks
+once per flight that the position is finite; `step` checks it itself.
 
-`_advance` calls only `rng.random()`, so a rollout may take a
-`BlockUniforms`, which hands out the same values drawn a block at a time.
-`aim-table`'s Monte-Carlo column uses it. `keeper.simulate_shot` and the
-scene generator keep scalar draws: their uniforms interleave with
-`standard_normal` and `integers` draws from the same generator, so drawing
-ahead would change the stream.
+A shot's catchers are the keeper and the defenders. The loop skips one
+that lies more than its radius outside the box of the points
+`_segment_distance` can return, which never changes a result:
+
+- `_segment_distance(q, a, b)` measures from q to c = a + ab * t, with
+  ab = b - a rounded and t in [0, 1]. Rounding is monotone, so each
+  coordinate of c lies between that of a and that of b' = a + ab, as
+  computed. The box spans a and b' exactly, so it needs no margin and no
+  bound on coordinate size (c can overshoot b itself by a few ulps).
+- For a catcher left of the box whose computed lo_x - qx exceeds its
+  radius, c_x >= lo_x, so by monotone rounding the computed x term
+  |c_x - qx| is at least as large. math.hypot(a, b) >= |a|, so the
+  distance exceeds the radius, or is NaN after an overflow. The other
+  three sides are symmetric.
+- A skip draws no random number, and any catch ends the flight at that
+  step, so which catcher catches does not matter.
+
+The ball's noise comes from `rng.random()` alone, so a rollout may take a
+`BlockUniforms` (`aim-table --mc-rollouts`).
 """
 
 from __future__ import annotations
@@ -38,6 +50,10 @@ from .geometry import FieldConfig, Vec2, _require_finite
 STOP_SPEED = 1e-3
 # Uniforms a BlockUniforms draws from its generator at a time.
 UNIFORM_BLOCK = 256
+# How a flight ends in `_fly`; running out of steps counts as stopped.
+_CROSSED, _CAUGHT, _STOPPED = "crossed", "caught", "stopped"
+_LEFT_RANGE = ("the ball left the finite range at ({!r}, {!r}): "
+               "the noise range noise_coefficient * speed overflows")
 
 
 @dataclass(frozen=True)
@@ -93,7 +109,8 @@ class BlockUniforms:
     Drawn as rng.random(UNIFORM_BLOCK).tolist(), Python floats bit-equal to
     the scalar draws, and handed out by a C-level iterator, far cheaper per
     value than a Generator.random call. The generator ends up to a block
-    ahead of the last value used, so nothing else may draw from it.
+    ahead of the last value used, so nothing else may draw from it: a shot,
+    whose uniforms interleave with other draws, keeps scalar draws.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
@@ -101,43 +118,102 @@ class BlockUniforms:
         self.random = chain.from_iterable(blocks).__next__
 
 
-def _advance(px, py, bx, by, config: DynamicsConfig, rng) -> tuple[float, float, float, float]:
-    """One step from (px, py) with b = velocity + acceleration: new position, velocity."""
-    r_max = config.noise_coefficient * math.hypot(bx, by)
-    if r_max > 0.0:
-        if rng is None:
-            raise ValueError("rng is required when noise_coefficient > 0")
-        # The values of rng.uniform(-r_max, r_max, 2), by numpy's own formula.
-        bx += -r_max + (r_max - -r_max) * rng.random()
-        by += -r_max + (r_max - -r_max) * rng.random()
-    u_norm = math.hypot(bx, by)
-    if u_norm > config.max_speed:
-        scale = config.max_speed / u_norm
-        bx, by = bx * scale, by * scale
-    return px + bx, py + by, config.decay * bx, config.decay * by
+def _segment_distance(qx, qy, ax, ay, bx, by) -> float:
+    """Distance from the point q to the segment a-b."""
+    abx, aby = bx - ax, by - ay
+    length_sq = abx * abx + aby * aby
+    if length_sq < 1e-18:
+        return math.hypot(ax - qx, ay - qy)
+    t = max(0.0, min(1.0, ((qx - ax) * abx + (qy - ay) * aby) / length_sq))
+    return math.hypot(ax + abx * t - qx, ay + aby * t - qy)
 
 
-def _goal_line_lateral(x0, y0, x1, y1, line_x) -> float | None:
-    """Interpolated y where the step (x0, y0) -> (x1, y1) reaches x = line_x, else None.
-
-    Raises ValueError if (x1, y1) is not finite (module docstring).
-    """
-    if x1 < line_x:
-        return None
-    if not (math.isfinite(x1) and math.isfinite(y1)):
-        raise ValueError(f"the ball left the finite range at ({x1!r}, {y1!r}): "
-                         "the noise range noise_coefficient * speed overflows")
-    return y0 + (line_x - x0) / (x1 - x0) * (y1 - y0)
+def _fly(px, py, vx, vy, config: DynamicsConfig, line_x, rng, max_steps,
+         keeper=None, defenders=()):
+    """Step the ball from (px, py), with (vx, vy) = v + a, until it crosses
+    x = line_x, is caught or stops. `keeper` is None or (x, y, catch_radius,
+    max_speed, reaction_delay, positioning_noise), `defenders` (x, y, radius)
+    triples. Returns (end, steps, crossing lateral or None, (px, py, vx, vy))."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
+    noise, top_speed, decay = config.noise_coefficient, config.max_speed, config.decay
+    hypot, isfinite = math.hypot, math.isfinite
+    speed = hypot(vx, vy)
+    if rng is None and noise * speed > 0.0:  # no draw now, none later: speeds only decay
+        raise ValueError("rng is required when noise_coefficient > 0")
+    random = None if rng is None else rng.random
+    pursue_after = max_steps  # no step is later: nobody pursues
+    if keeper is not None:
+        kx, ky, k_radius, k_speed, k_delay, k_noise = keeper
+        pursue_after = k_delay if k_speed > 0 else max_steps
+        normal = rng.standard_normal if k_noise > 0 else None
+    for n in range(1, max_steps + 1):
+        x0, y0 = px, py
+        r_max = noise * speed
+        if r_max > 0.0:
+            # The values of rng.uniform(-r_max, r_max, 2), by numpy's own formula.
+            low, width = -r_max, r_max - -r_max
+            vx += low + width * random()
+            vy += low + width * random()
+            speed = hypot(vx, vy)
+        if speed > top_speed:
+            scale = top_speed / speed
+            vx, vy = vx * scale, vy * scale
+        px, py = px + vx, py + vy
+        vx, vy = decay * vx, decay * vy
+        ex, ey = px, py
+        crossed = not px < line_x  # also for NaN (module docstring)
+        if crossed:
+            if not (isfinite(px) and isfinite(py)):
+                raise ValueError(_LEFT_RANGE.format(px, py))
+            # Clip the path at the line: catches count only before it.
+            ex, ey = line_x, y0 + (line_x - x0) / (px - x0) * (py - y0)
+        if keeper is not None:
+            # The box of the points _segment_distance can return (module docstring).
+            bx, by = x0 + (ex - x0), y0 + (ey - y0)
+            lo_x, hi_x = (x0, bx) if x0 <= bx else (bx, x0)
+            lo_y, hi_y = (y0, by) if y0 <= by else (by, y0)
+            for qx, qy, radius in ((kx, ky, k_radius), *defenders):
+                if (lo_x - qx > radius or qx - hi_x > radius
+                        or lo_y - qy > radius or qy - hi_y > radius):
+                    continue
+                if _segment_distance(qx, qy, x0, y0, ex, ey) <= radius:
+                    return _CAUGHT, n, None, (px, py, vx, vy)
+        if crossed:
+            return _CROSSED, n, ey, (px, py, vx, vy)
+        speed = hypot(vx, vy)
+        if speed < STOP_SPEED:
+            return _STOPPED, n, None, (px, py, vx, vy)
+        if n > pursue_after:
+            # The keeper heads for the closest point to itself on the ball's travel ray.
+            dx, dy = vx * (1.0 / speed), vy * (1.0 / speed)
+            t = (kx - px) * dx + (ky - py) * dy
+            if not t > 0.0:  # max(0.0, t)
+                t = 0.0
+            aim_x, aim_y = px + dx * t, py + dy * t
+            if k_noise > 0:
+                # The values of rng.normal(0, noise, 2), by numpy's own formula.
+                aim_x += 0.0 + k_noise * normal()
+                aim_y += 0.0 + k_noise * normal()
+            gx, gy = aim_x - kx, aim_y - ky
+            reach = hypot(gx, gy)
+            if reach > k_speed:
+                if not isfinite(reach):
+                    raise ValueError(f"positioning_noise {k_noise!r} "
+                                     "moves the keeper's aim point out of float range")
+                scale = k_speed / reach
+                gx, gy = gx * scale, gy * scale
+            kx, ky = kx + gx, ky + gy
+    return _STOPPED, max_steps, None, (px, py, vx, vy)
 
 
 def step(state: BallState, config: DynamicsConfig,
          rng: np.random.Generator | None) -> BallState:
-    """Advance the ball one simulation step.
-
-    `rng` may be None only when the config has zero noise.
-    """
+    """Advance the ball one simulation step; `rng` may be None only without noise."""
     p, v, a = state.position, state.velocity, state.acceleration
-    px, py, vx, vy = _advance(p.x, p.y, v.x + a.x, v.y + a.y, config, rng)
+    px, py, vx, vy = _fly(p.x, p.y, v.x + a.x, v.y + a.y, config, math.inf, rng, 1)[3]
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValueError(_LEFT_RANGE.format(px, py))
     return BallState(Vec2(px, py), Vec2(vx, vy), Vec2(0.0, 0.0))
 
 
@@ -168,25 +244,17 @@ def rollout_to_goal_line(state: BallState, config: DynamicsConfig,
                          max_steps: int = 10_000) -> CrossingOutcome:
     """Step the ball until it crosses the goal line or comes to rest.
 
-    The lateral coordinate at the crossing is linearly interpolated inside
-    the crossing step. A ball that never reaches the line (speed drops
-    below STOP_SPEED, or max_steps elapses) reports crossed=False. Raises
-    ValueError if the ball's position overflows. `rng` supplies the noise
-    through `random()` alone, so a `BlockUniforms` gives the same outcome.
+    The lateral at the crossing is linearly interpolated inside the crossing
+    step. A ball that stops (below STOP_SPEED) or runs out of max_steps
+    reports crossed=False. Raises ValueError if max_steps < 1 or the ball's
+    position overflows. A `BlockUniforms` as `rng` gives the same outcome.
     """
     if state.position.x >= field.goal_line_x:
         raise ValueError("ball must start before the goal line")
     p, v, a = state.position, state.velocity, state.acceleration
-    px, py, vx, vy = p.x, p.y, v.x + a.x, v.y + a.y
-    for n in range(1, max_steps + 1):
-        x0, y0 = px, py
-        px, py, vx, vy = _advance(px, py, vx, vy, config, rng)
-        lateral = _goal_line_lateral(x0, y0, px, py, field.goal_line_x)
-        if lateral is not None:
-            return CrossingOutcome(True, lateral, n)
-        if math.hypot(vx, vy) < STOP_SPEED:
-            return CrossingOutcome(False, None, n)
-    return CrossingOutcome(False, None, max_steps)
+    end, steps, lateral, _ = _fly(p.x, p.y, v.x + a.x, v.y + a.y, config,
+                                  field.goal_line_x, rng, max_steps)
+    return CrossingOutcome(end == _CROSSED, lateral, steps)
 
 
 def travel_range(initial_speed: float, decay: float) -> float:

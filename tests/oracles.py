@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from goalshot.aim import AimConfig, ShotQuery, p_goal
+from goalshot.dynamics import BallState, DynamicsConfig
 from goalshot.experiment import MatchStats
 from goalshot.geometry import FieldConfig, Vec2, shot_line
 from goalshot.mlp import MlpParams, forward
@@ -30,6 +31,23 @@ class Ray:
     def toward(cls, origin: Vec2, point: Vec2) -> Ray:
         """Ray from origin through a distinct point."""
         return cls(origin, Vec2(*shot_line(point.x - origin.x, point.y - origin.y)[3:]))
+
+
+def textbook_step(state: BallState, config: DynamicsConfig,
+                  rng: np.random.Generator | None) -> BallState:
+    """One ball step on `BallState` and `Vec2`, with the float operations of
+    the simulator's integrator in the same order."""
+    u = state.velocity + state.acceleration
+    r_max = config.noise_coefficient * u.norm()
+    if r_max > 0.0:
+        if rng is None:
+            raise ValueError("rng is required when noise_coefficient > 0")
+        # The values of rng.uniform(-r_max, r_max, 2), by numpy's own formula.
+        u = Vec2(u.x + (-r_max + (r_max - -r_max) * rng.random()),
+                 u.y + (-r_max + (r_max - -r_max) * rng.random()))
+    if u.norm() > config.max_speed:
+        u = u * (config.max_speed / u.norm())
+    return BallState(state.position + u, u * config.decay, Vec2(0.0, 0.0))
 
 
 def signed_offset(line: Ray, point: Vec2) -> float:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import goalshot.cli as cli
+import goalshot.scenes
 from goalshot.aim import discretize_targets
 from goalshot.cli import main
 from goalshot.config import RunConfig, load_run_config, scalar_fields
@@ -572,6 +573,31 @@ def test_entry_points_exit_codes(launcher, grid, code):
                                  "with --y-half 36.0\n")
     else:
         assert result.stdout.startswith("ball_x,ball_y,target_y,")
+
+
+class TestSimulationCallSites:
+    """The CLI reaches the simulation core through the names that
+    perfbench's `dynamics.*` and `keeper.*` spans wrap in the calling
+    modules, once per rollout and once per labeled scene."""
+
+    def test_aim_table_calls_the_rollout_once_per_rollout(self, tmp_path, monkeypatch):
+        calls = []
+        rollout = cli.rollout_to_goal_line
+        monkeypatch.setattr(cli, "rollout_to_goal_line",
+                            lambda *args, **kwargs: calls.append(args) or rollout(*args, **kwargs))
+        assert main(["aim-table", "--distance-count", "2", "--y-count", "3",
+                     "--mc-rollouts", "4", "--out", str(tmp_path / "aim.csv")]) == 0
+        config = RunConfig()
+        cells = 2 * 3 * len(discretize_targets(config.field, config.aim))
+        assert len(calls) == cells * 4
+
+    def test_gen_data_calls_the_shot_once_per_scene(self, tmp_path, monkeypatch):
+        calls = []
+        shot = goalshot.scenes.simulate_shot
+        monkeypatch.setattr(goalshot.scenes, "simulate_shot",
+                            lambda *args, **kwargs: calls.append(args) or shot(*args, **kwargs))
+        assert main(["gen-data", "--n", "7", "--out", str(tmp_path / "scenes.csv")]) == 0
+        assert len(calls) == 7
 
 
 class TestParser:

@@ -92,6 +92,15 @@ class TestSimulateShot:
             Vec2(50.0, 3.0), (), keeper, NOISELESS, field, rng)
         assert result is ShotResult.CAUGHT
 
+    @pytest.mark.parametrize("max_steps", (0, -3))
+    def test_max_steps_below_one_rejected(self, field, max_steps):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"max_steps must be >= 1, got {max_steps}$"):
+            simulate_shot(Vec2(30.0, 0.0), Vec2(0.0, 0.0), Vec2(52.5, 2.0), 100.0,
+                          Vec2(51.5, -5.0), (), CFG.keeper, CFG.dynamics, field, rng,
+                          max_steps=max_steps)
+        assert rng.random() == np.random.default_rng(0).random()
+
 
 class TestRunEpisode:
     def test_no_kick_policy(self, field):

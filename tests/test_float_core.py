@@ -1,11 +1,12 @@
 """The float simulation core against a Vec2 reference.
 
-`rollout_to_goal_line` and `simulate_shot` step the ball on plain floats.
-The reference loops below step it through the public `step` and resolve
-the shot with `Vec2` arithmetic, performing the same float operations in
-the same order, and measure every player's distance, where `simulate_shot`
-skips the players out of reach. Results, step counts and the generator
-state afterwards must match exactly, including the sign of a zero lateral.
+`step`, `rollout_to_goal_line` and `simulate_shot` run one step loop on
+plain floats. The reference loops below step the ball through
+`oracles.textbook_step` and resolve the shot with `Vec2` arithmetic,
+performing the same float operations in the same order, and measure every
+player's distance, where the loop skips the players out of reach. Results,
+step counts and the generator state afterwards must match exactly,
+including the sign of a zero lateral.
 """
 
 import math
@@ -19,6 +20,7 @@ from goalshot.dynamics import (STOP_SPEED, BallState, BlockUniforms, CrossingOut
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.keeper import KeeperModel, ShotResult, simulate_shot
 from goalshot.scenes import GeneratorConfig
+from oracles import textbook_step
 
 FIELD = FieldConfig()
 CONFIGS = (DynamicsConfig(), DynamicsConfig(noise_coefficient=0.0),
@@ -29,7 +31,7 @@ def reference_rollout(state, config, field, rng, max_steps=10_000):
     current = state
     for n in range(1, max_steps + 1):
         prev = current.position
-        current = step(current, config, rng)
+        current = textbook_step(current, config, rng)
         pos = current.position
         if pos.x >= field.goal_line_x:
             t = (field.goal_line_x - prev.x) / (pos.x - prev.x)
@@ -55,7 +57,7 @@ def reference_shot(ball, ball_velocity, target, power, keeper, defenders,
     state = BallState(state.position, ball_velocity, state.acceleration)
     for n in range(1, max_steps + 1):
         prev = state.position
-        state = step(state, config, rng)
+        state = textbook_step(state, config, rng)
         pos = state.position
         crossed = pos.x >= field.goal_line_x
         if crossed:
@@ -94,13 +96,29 @@ def _signed(rng, low, high):
     return -0.0 if u < 0.1 else 0.0 if u < 0.2 else rng.uniform(low, high)
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_rollout_matches_step_reference(config):
+def _ball_states():
+    """300 seeds, each with a ball before the goal line, some of its
+    components signed zeros."""
     cases = np.random.default_rng(8)
     for seed in range(300):
         ball = Vec2(cases.uniform(20.0, 52.0), _signed(cases, -10.0, 10.0))
-        state = BallState(ball, Vec2(_signed(cases, -0.5, 1.0), _signed(cases, -0.5, 0.5)),
-                          Vec2(_signed(cases, 0.0, 3.0), _signed(cases, -1.0, 1.0)))
+        yield seed, BallState(ball, Vec2(_signed(cases, -0.5, 1.0), _signed(cases, -0.5, 0.5)),
+                              Vec2(_signed(cases, 0.0, 3.0), _signed(cases, -1.0, 1.0)))
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_step_matches_textbook_step(config):
+    for seed, state in _ball_states():
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = step(state, config, got_rng)
+        expected = textbook_step(state, config, ref_rng)
+        assert repr(got) == repr(expected)
+        assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_rollout_matches_step_reference(config):
+    for seed, state in _ball_states():
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = rollout_to_goal_line(state, config, FIELD, got_rng)
         expected = reference_rollout(state, config, FIELD, ref_rng)
@@ -152,8 +170,8 @@ BOUNDARY_SHOTS = (
 def _first_path(ball, velocity, target, power, config, seed):
     """The start, the clipped end and the unclipped end of the first step."""
     state = kick(BallState.at_rest(ball), power, (target - ball).angle(), config)
-    end = step(BallState(ball, velocity, state.acceleration), config,
-               np.random.default_rng(seed)).position
+    end = textbook_step(BallState(ball, velocity, state.acceleration), config,
+                        np.random.default_rng(seed)).position
     if end.x < FIELD.goal_line_x:
         return ball, end, end
     t = (FIELD.goal_line_x - ball.x) / (end.x - ball.x)
@@ -223,8 +241,9 @@ def test_configs_reject_non_finite_values(make, message):
 
 # A noise range that overflows turns the ball's position to NaN, on which
 # every comparison is false: the shot used to end WIDE after one step and the
-# rollout crossed at a NaN lateral. With 1e308, r_max itself overflows; with
-# 5e307 on a full-power kick, r_max is finite but the width 2 * r_max is not.
+# rollout crossed at a NaN lateral, and `step` failed in Vec2 with a message
+# of its own. With 1e308, r_max itself overflows; with 5e307 on a full-power
+# kick, r_max is finite but the width 2 * r_max is not.
 @pytest.mark.parametrize("noise", (1e308, 5e307))
 def test_ball_leaving_the_finite_range_fails(noise):
     config = DynamicsConfig(noise_coefficient=noise)
@@ -232,6 +251,8 @@ def test_ball_leaving_the_finite_range_fails(noise):
     assert math.isinf(r_max) == (noise == 1e308) and math.isinf(2 * r_max)
     ball, target = Vec2(32.5, 0.0), Vec2(FIELD.goal_line_x, 0.0)
     state = kick(BallState.at_rest(ball), 100.0, 0.0, config)
+    with pytest.raises(ValueError, match="the ball left the finite range"):
+        step(state, config, np.random.default_rng(1))
     for rng in (np.random.default_rng(1), BlockUniforms(np.random.default_rng(1))):
         with pytest.raises(ValueError, match="the ball left the finite range"):
             rollout_to_goal_line(state, config, FIELD, rng)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import goalshot.cli as cli
+import goalshot.experiment
 import goalshot.scenes
 from goalshot.aim import discretize_targets
 from goalshot.cli import main
@@ -598,6 +599,34 @@ class TestSimulationCallSites:
                             lambda *args, **kwargs: calls.append(args) or shot(*args, **kwargs))
         assert main(["gen-data", "--n", "7", "--out", str(tmp_path / "scenes.csv")]) == 0
         assert len(calls) == 7
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        return calls
+
+    def test_gen_data_generates_and_saves_once(self, tmp_path, monkeypatch):
+        generated = self._count(monkeypatch, cli, "generate_synthetic_scenes")
+        saved = self._count(monkeypatch, cli, "save_scenes")
+        assert main(["gen-data", "--n", "7", "--out", str(tmp_path / "scenes.csv")]) == 0
+        assert (len(generated), len(saved)) == (1, 1)
+
+    def test_compare_generates_each_game_through_the_experiment(self, tmp_path, monkeypatch):
+        generated = self._count(monkeypatch, goalshot.experiment, "generate_synthetic_scenes")
+        assert main(["compare", "--policy-a", "center", "--policy-b", "center",
+                     "--games", "3", "--shots", "2", "--out", str(tmp_path / "r.txt")]) == 0
+        assert len(generated) == 3
+
+    def test_compare_with_data_loads_it_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "scenes.csv"
+        assert main(["gen-data", "--n", "20", "--out", str(data)]) == 0
+        loaded = self._count(monkeypatch, cli, "load_scenes")
+        assert main(["compare", "--policy-a", "lda", "--policy-b", "center", "--data", str(data),
+                     "--games", "1", "--shots", "2", "--out", str(tmp_path / "r.txt")]) == 0
+        assert len(loaded) == 1
 
 
 class TestParser:

@@ -36,6 +36,7 @@ GEN_DATA_SHA256 = "b60aa2ef55b59e3952833ae0f47df82724de1929481ba1ecfa3db43ec6ec2
 MODEL_SHA256 = "857d85948a4437b83077eb05d64ac041f86d5e6d1d4f70098016d4d2336b2178"
 AIM_TABLE_SHA256 = "48cf079f68e6c2e270d8489a89544365018b9ceafecafc43d7ae2d65d1e79e8a"
 COMPARE_SHA256 = "78e008f5d2e6cda4b80e20e09a26ac91110be19cf5eb6e7a2641aabacd1540b9"
+COMPARE_GENERATED_SHA256 = "cceb40850b2c424858dd652c3339dc63b7a1b711267dc5529449e122dc639d6f"
 EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62aa6360"
 DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd2c95"
 EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
@@ -162,6 +163,16 @@ def test_compare_report_and_episode_log(pipeline):
          "--format", "json", "--out", str(report), "--episode-log", str(log))
     assert _sha256(report) == COMPARE_SHA256, BUILD
     assert _sha256(log) == EPISODE_LOG_SHA256, BUILD
+
+
+def test_compare_lda_fitted_on_generated_scenes(pipeline):
+    """compare without --data fits its lda on 300 scenes generated from the
+    run seed."""
+    work, _, model = pipeline
+    report = work / "compare_generated.json"
+    _run("compare", "--model", str(model), "--games", "5", "--lda-train-scenes", "300",
+         "--format", "json", "--out", str(report))
+    assert _sha256(report) == COMPARE_GENERATED_SHA256, BUILD
 
 
 def test_policy_decisions(pipeline):

@@ -60,9 +60,12 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
     """Kick the ball at the target and resolve the episode.
 
     Returns the outcome and the number of steps simulated. Deterministic
-    for a given rng state. Raises ValueError if max_steps < 1, or if the
-    ball's position or the keeper's blurred aim point overflows.
+    for a given rng state. Raises ValueError if the ball starts on or past
+    the goal line, if max_steps < 1, or if the ball's position or the
+    keeper's blurred aim point overflows.
     """
+    if ball.x >= field.goal_line_x:
+        raise ValueError("ball must start before the goal line")
     ax, ay = kick_components(power, math.atan2(target.y - ball.y, target.x - ball.x), dynamics)
     keeper = (keeper_start.x, keeper_start.y, keeper_model.catch_radius, keeper_model.max_speed,
               keeper_model.reaction_delay, keeper_model.positioning_noise)

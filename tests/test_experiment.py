@@ -102,6 +102,16 @@ class TestSimulateShot:
         assert rng.random() == np.random.default_rng(0).random()
 
 
+    # At rest on the line the ball never moves; behind it, kicked back toward
+    # the goal, its first step would count as a crossing.
+    @pytest.mark.parametrize("ball_x, power", ((52.5, 0.0), (53.0, 50.0)))
+    def test_ball_on_or_past_the_goal_line_rejected(self, field, ball_x, power):
+        with pytest.raises(ValueError, match="^ball must start before the goal line$"):
+            simulate_shot(Vec2(ball_x, 0.0), Vec2(0.0, 0.0), Vec2(52.5, 3.0), power,
+                          Vec2(51.0, 5.0), (), KeeperModel(), DynamicsConfig(), field,
+                          np.random.default_rng(0))
+
+
 class TestRunEpisode:
     def test_no_kick_policy(self, field):
         policy = FixedPolicy(KickDecision(Action.NO_KICK))

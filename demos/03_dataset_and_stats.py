@@ -1,21 +1,20 @@
 """Synthetic labeled scenes and single-variable screening.
 
-Each generated scene is a shot situation whose GOAL/NO_GOAL label comes
-from actually simulating the kick against the keeper and defenders. The
-screening step treats every feature as a one-variable classifier and
+The generator returns one scene table: each row is a shot situation whose
+GOAL/NO_GOAL label comes from actually simulating the kick against the
+keeper and defenders. The screening step treats every feature as a one-variable classifier and
 reports its folded AUC: geometry around the keeper should rank near the
 top, while a genuinely uninformative variable sits near 0.5.
 """
 
 import numpy as np
 
-from goalshot import (SceneTable, auc_rank, feature_matrix, feature_relevance,
+from goalshot import (auc_rank, feature_matrix, feature_relevance,
                       generate_synthetic_scenes, univariate_stats)
 from goalshot.config import RunConfig
 
 cfg = RunConfig()
-table = SceneTable.from_scenes(
-    generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=5))
+table = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=5)
 print(f"generated {len(table)} scenes, goal fraction {table.goal.mean():.3f}")
 
 print()

@@ -1,23 +1,24 @@
 """Training the scorer: split, balance, online backprop, early stopping.
 
-The 22-5-2 tanh network trains one example at a time at a constant
-learning rate. After every epoch the validation MSE is checked against the
-best seen so far; a run of non-improving epochs stops training and the
-best epoch's weights win. The trained model (with its input normalization)
+The generator's scene table is split 50/25/25 and the training part
+balanced by replication. The 22-5-2 tanh network trains one example at a
+time at a constant learning rate. After every epoch the validation MSE is
+checked against the best seen so far; a run of non-improving epochs stops
+training and the best epoch's weights win. The trained model (with its input normalization)
 round-trips through a JSON file.
 """
 
 import tempfile
 from pathlib import Path
 
-from goalshot import (SceneTable, TrainConfig, balance_by_replication, feature_matrix,
+from goalshot import (TrainConfig, balance_by_replication, feature_matrix,
                       forward, generate_synthetic_scenes, load_model, save_model,
                       score, split_dataset, train)
 from goalshot.config import RunConfig
 
 cfg = RunConfig()
-scenes = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=3)
-split = split_dataset(SceneTable.from_scenes(scenes), seed=3)
+table = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=3)
+split = split_dataset(table, seed=3)
 balanced = balance_by_replication(split.train, seed=3)
 goals = int(balanced.goal.sum())
 print(f"train {len(split.train)} -> balanced {len(balanced)} "

@@ -1,18 +1,19 @@
 """Evaluating the trained scorer with ROC/AUC and the two-sample KS gap.
 
-Scores from the held-out test set are swept over every threshold to build
-the ROC curve; the KS2 statistic is the largest vertical gap between the
-two classes' score CDFs. Both are threshold-free views of separability.
+The scorer trains on the generator's scene table. Scores from the table's
+held-out test rows are swept over every threshold to build the ROC curve;
+the KS2 statistic is the largest vertical gap between the two classes'
+score CDFs. Both are threshold-free views of separability.
 """
 
-from goalshot import (SceneTable, TrainConfig, auc_rank, balance_by_replication,
+from goalshot import (TrainConfig, auc_rank, balance_by_replication,
                       feature_matrix, generate_synthetic_scenes, ks2_curve,
                       roc_curve, score_batch, split_dataset, train)
 from goalshot.config import RunConfig
 
 cfg = RunConfig()
-scenes = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=4)
-split = split_dataset(SceneTable.from_scenes(scenes), seed=4)
+table = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=4)
+split = split_dataset(table, seed=4)
 balanced = balance_by_replication(split.train, seed=4)
 params, _ = train(
     feature_matrix(balanced, cfg.field), balanced.goal,

@@ -4,18 +4,19 @@ Three shot policies face the identical stream of scenes and noise: the
 two-stage neural policy (analytic filter, then best network score), the
 two-variable linear baseline, and a naive always-shoot-center reference.
 Only the decisions differ, so the score gaps are attributable to the
-policies alone.
+policies alone. Both learned policies fit on the training rows of one
+generated scene table; the linear fit takes them as KickScene views.
 """
 
 from goalshot import (LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig,
-                      SceneTable, TrainConfig, balance_by_replication, feature_matrix,
+                      TrainConfig, balance_by_replication, feature_matrix,
                       generate_synthetic_scenes, lda_train, report,
                       run_experiment, split_dataset, train)
 from goalshot.config import RunConfig
 
 cfg = RunConfig()
-scenes = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=6)
-split = split_dataset(SceneTable.from_scenes(scenes), seed=6)
+table = generate_synthetic_scenes(3000, cfg.gen, cfg.dynamics, cfg.field, seed=6)
+split = split_dataset(table, seed=6)
 balanced = balance_by_replication(split.train, seed=6)
 params, _ = train(
     feature_matrix(balanced, cfg.field), balanced.goal,

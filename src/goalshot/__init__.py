@@ -10,8 +10,7 @@ harness around them.
 from .aim import AimConfig, AimResult, ShotQuery, discretize_targets, p_goal, sigma
 from .dynamics import (BallState, CrossingOutcome, DynamicsConfig, kick,
                        rollout_to_goal_line, step, travel_range)
-from .experiment import (EpisodeOutcome, MatchStats, report, run_episode,
-                         run_experiment)
+from .experiment import EpisodeOutcome, MatchStats, report, run_experiment
 from .geometry import FieldConfig, Vec2, opening_angle
 from .keeper import KeeperModel, ShotResult, simulate_shot
 from .metrics import (Ks2Curve, RocCurve, auc_rank, feature_relevance,
@@ -24,7 +23,7 @@ from .policies import (Action, KickDecision, LdaModel, LdaPolicy, MlpPolicy,
 from .scenes import (FEATURE_NAMES, DatasetSplit, GeneratorConfig,
                      KickScene, Label, SceneTable, UnivariateReport,
                      balance_by_replication, extract_features, feature_matrix,
-                     filter_defenders, generate_synthetic_scenes, load_scenes,
-                     save_scenes, split_dataset, univariate_stats)
+                     generate_synthetic_scenes, load_scenes, save_scenes,
+                     split_dataset, univariate_stats)
 
 __version__ = "0.1.0"

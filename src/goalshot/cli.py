@@ -34,7 +34,7 @@ from .experiment import check_experiment_size, check_report_format, report, run_
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
-from .scenes import (Label, SceneTable, balance_by_replication, feature_matrix,
+from .scenes import (SceneTable, balance_by_replication, feature_matrix,
                      generate_synthetic_scenes, load_scenes, save_scenes,
                      split_dataset, univariate_stats)
 
@@ -74,12 +74,11 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    scenes = generate_synthetic_scenes(args.n, config.gen, config.dynamics,
-                                       config.field, config.seed)
-    save_scenes(scenes, args.out)
-    goals = sum(1 for s in scenes if s.label is Label.GOAL)
-    print(f"wrote {len(scenes)} scenes to {args.out} "
-          f"(goal fraction {goals / len(scenes):.3f}, seed {config.seed})")
+    table = generate_synthetic_scenes(args.n, config.gen, config.dynamics,
+                                      config.field, config.seed)
+    save_scenes(table, args.out)
+    print(f"wrote {len(table)} scenes to {args.out} "
+          f"(goal fraction {int(table.goal.sum()) / len(table):.3f}, seed {config.seed})")
     return 0
 
 
@@ -165,7 +164,7 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig):
                 [config.seed, 3]).generate_state(1)[0])
             scenes = generate_synthetic_scenes(args.lda_train_scenes, config.gen,
                                                config.dynamics, config.field,
-                                               lda_seed)
+                                               lda_seed).scenes()
         return LdaPolicy(lda_train(scenes, config.field), config.field,
                          config.aim, config.policy)
     return NaiveCenterPolicy(config.field, config.aim, config.policy)

@@ -28,7 +28,7 @@ from .scenes import GeneratorConfig, KickScene, generate_synthetic_scenes
 
 __all__ = [
     "KeeperModel", "ShotResult", "EpisodeOutcome", "MatchStats", "check_report_format",
-    "run_episode", "run_experiment", "report", "stats_pair_from_json",
+    "run_experiment", "report", "stats_pair_from_json",
 ]
 
 # Entropy tags keeping scene-generation and episode noise streams apart.
@@ -64,11 +64,10 @@ _NO_KICK_OUTCOME = EpisodeOutcome(kicked=False, result=ShotResult.NO_KICK, steps
 
 
 def _resolve(decision: KickDecision, scene: KickScene, keeper: KeeperModel,
-             dynamics: DynamicsConfig, field: FieldConfig,
-             seed: np.random.SeedSequence | np.random.Generator,
+             dynamics: DynamicsConfig, field: FieldConfig, seed: np.random.SeedSequence,
              defender_catch_radius: float) -> EpisodeOutcome:
     """Simulate the decision's kick, if any; the noise generator is built
-    from seed only for a kick (a Generator is used as it is)."""
+    from seed only for a kick."""
     if decision.action is not Action.KICK:
         return _NO_KICK_OUTCOME
     result, steps = simulate_shot(
@@ -76,16 +75,6 @@ def _resolve(decision: KickDecision, scene: KickScene, keeper: KeeperModel,
         scene.keeper, scene.defenders, keeper, dynamics, field,
         np.random.default_rng(seed), defender_catch_radius)
     return EpisodeOutcome(kicked=True, result=result, steps=steps)
-
-
-def run_episode(policy: Policy, scene: KickScene, keeper: KeeperModel,
-                dynamics: DynamicsConfig, field: FieldConfig,
-                rng: np.random.Generator,
-                defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS,
-                ) -> EpisodeOutcome:
-    """Let the policy decide on the scene and resolve any kick it takes."""
-    return _resolve(policy.decide(scene), scene, keeper, dynamics, field, rng,
-                    defender_catch_radius)
 
 
 def _aggregate(kicks: tuple[list[int], list[int]],
@@ -148,7 +137,7 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
         scene_seed = int(np.random.SeedSequence(
             [seed, game, _SCENE_STREAM]).generate_state(1)[0])
         scenes = generate_synthetic_scenes(shots_per_game, gen_config, dynamics,
-                                           field, scene_seed)
+                                           field, scene_seed).scenes()
         game_kicks = [0, 0]
         game_goals = [0, 0]
         for shot, scene in enumerate(scenes):

@@ -7,13 +7,15 @@ outcome. Scenes are persisted as CSV (one scene per row, see CSV_HEADER)
 and turned into the canonical 22-value feature vector consumed by the
 neural scorer.
 
-The dataset layer (split, balance, features, statistics) takes a
-`SceneTable`: time as Python ints, the twelve scalar columns in float64,
-the defenders as an (n, 10, 2) array with a count per row, and a GOAL
-mask. `SceneTable.load` reads it from CSV, each value the float its cell
-parses to; `from_scenes` builds it from labeled KickScenes. Past these
-two the label is the GOAL mask: training and the metrics take it, and
-`SceneTable.scenes()` maps it back to `Label`.
+A batch of scenes is a `SceneTable`: time as Python ints, the twelve
+scalar columns in float64, the defenders as an (n, 10, 2) array with a
+count per row, and a GOAL mask. `SceneTable.load` reads one from CSV, each
+value the float its cell parses to, `generate_synthetic_scenes` draws one
+and `save_scenes` writes one; the dataset layer (split, balance, features,
+statistics) takes one. Past the table the label is the GOAL mask: training
+and the metrics take it. A `KickScene` is the one-scene view that a policy
+decides on; `SceneTable.scenes()` gives the rows as KickScenes, the mask
+mapped back to `Label`.
 `scene_features` is the feature kernel of a scene on plain floats. It
 gives the scene's base row and, for an aim point's shot line
 (geometry.shot_line, which the MLP policy reuses from stage one), the
@@ -53,8 +55,9 @@ class Label(enum.Enum):
 
 @dataclass(frozen=True)
 class KickScene:
-    """One labeled shot situation. `label` is None for scenes still to be
-    resolved (e.g. fed to a policy rather than a trainer)."""
+    """One shot situation, the one-scene view that a policy decides on
+    (SceneTable.scenes() gives a table's rows as KickScenes). `label` is
+    None for scenes still to be resolved."""
 
     time: int
     ball: Vec2
@@ -122,13 +125,6 @@ def _threats(attacker_x: float, ball_x: float, ball_y: float,
             if attacker_x <= x <= field.goal_line_x and abs(y) <= half_band]
     kept.sort(key=itemgetter(0))
     return kept
-
-
-def filter_defenders(scene: KickScene, field: FieldConfig) -> list[Vec2]:
-    """Defenders that can threaten the shot (see _threats), nearest the ball
-    first. The keeper is never included (it is not part of scene.defenders)."""
-    return [Vec2(x, y) for _, x, y in _threats(scene.attacker.x, scene.ball.x, scene.ball.y,
-                                                [(d.x, d.y) for d in scene.defenders], field)]
 
 
 # The FEATURE_NAMES columns that depend on the aim point: the keeper's
@@ -312,17 +308,15 @@ def _scalars(scene: KickScene) -> list[float]:
             scene.keeper.x, scene.keeper.y, scene.kick_power, scene.target.x, scene.target.y]
 
 
-def save_scenes(scenes: Sequence[KickScene], path: str | Path) -> None:
-    """Write scenes as UTF-8 CSV. Every scene must carry a label."""
+def save_scenes(table: SceneTable, path: str | Path) -> None:
+    """Write the table as UTF-8 CSV, row i scene i. Each float is written
+    as its repr, so SceneTable.load reads back the same bits."""
+    labels = [Label.GOAL.value if g else Label.NO_GOAL.value for g in table.goal.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for idx, scene in enumerate(scenes):
-            if scene.label is None:
-                raise ValueError(f"scene {idx} has no label; cannot be saved")
-            row = [str(scene.time), *map(repr, _scalars(scene)), scene.label.value]
-            for d in scene.defenders:
-                row += (repr(d.x), repr(d.y))
+        for time, (values, defenders), label in zip(table.time.tolist(), table.rows(), labels):
+            row = [str(time), *map(repr, values), label, *map(repr, defenders)]
             writer.writerow(row + [""] * (len(CSV_HEADER) - len(row)))
 
 
@@ -378,16 +372,18 @@ class SceneTable:
         """The rows at index, in its order (repeats allowed)."""
         return SceneTable(*(getattr(self, f.name)[index] for f in fields(self)))
 
-    def rows(self) -> Iterator[tuple[list[float], list[list[float]]]]:
-        """Each row's values and its [x, y] defenders, as Python floats, one
-        row at a time."""
-        for values, defenders, n in zip(self.values, self.defenders,
-                                        self.defender_count.tolist()):
-            yield values.tolist(), defenders[:n].tolist()
+    def rows(self) -> Iterator[tuple[list[float], list[float]]]:
+        """Each row's values and the x, y of each of its defenders in turn,
+        as Python floats."""
+        flat_defenders = self.defenders.reshape(len(self), 2 * MAX_DEFENDERS)
+        for values, defenders, n in zip(self.values.tolist(), flat_defenders.tolist(),
+                                        (2 * self.defender_count).tolist()):
+            yield values, defenders[:n]
 
     @classmethod
     def _of_rows(cls, times: list[int], rows: list[list[float]], goal: list[bool]) -> SceneTable:
-        """The table of rows of the SCALAR_COLUMNS values, then x, y per defender."""
+        """The table of rows of the SCALAR_COLUMNS values, then x, y per
+        defender: the one table builder, for the CSV and the generator."""
         data = np.full((len(rows), 12 + 2 * MAX_DEFENDERS), math.nan)
         for i, row in enumerate(rows):
             data[i, :len(row)] = row
@@ -396,20 +392,10 @@ class SceneTable:
                    np.array([(len(row) - 12) // 2 for row in rows], dtype=np.intp),
                    np.array(goal, dtype=bool))
 
-    @classmethod
-    def from_scenes(cls, scenes: Sequence[KickScene]) -> SceneTable:
-        """The table of labeled scenes, row i scene i."""
-        if any(s.label is None for s in scenes):
-            raise ValueError("every scene must be labeled")
-        return cls._of_rows([s.time for s in scenes],
-                            [_scalars(s) + [c for d in s.defenders for c in (d.x, d.y)]
-                             for s in scenes],
-                            [s.label is Label.GOAL for s in scenes])
-
     def scenes(self) -> list[KickScene]:
         """Each row as a KickScene."""
         return [KickScene(time, Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay), body, Vec2(kx, ky),
-                          tuple(Vec2(x, y) for x, y in defenders), power, Vec2(tx, ty),
+                          tuple(map(Vec2, defenders[::2], defenders[1::2])), power, Vec2(tx, ty),
                           Label.GOAL if goal else Label.NO_GOAL)
                 for time, ((bx, by, vx, vy, ax, ay, body, kx, ky, power, tx, ty), defenders),
                 goal in zip(self.time.tolist(), self.rows(), self.goal.tolist())]
@@ -617,13 +603,14 @@ class GeneratorConfig:
 
 def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
                               dynamics: DynamicsConfig, field: FieldConfig,
-                              seed: int) -> list[KickScene]:
-    """Sample n labeled scenes; deterministic per seed.
+                              seed: int) -> SceneTable:
+    """Sample n labeled scenes as a table; deterministic per seed.
 
     The label is ground truth: the configured shot is simulated with the
     ball dynamics and the keeper/defender interception model, and any
     non-goal outcome (caught, intercepted, wide, dead ball) becomes
-    NO_GOAL.
+    NO_GOAL. The scenes are drawn on plain floats; a Vec2 is built only
+    for the shot simulation.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -648,43 +635,34 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
     depth_min, depth_max = float(g.keeper_depth_min), float(g.keeper_depth_max)
     power_min, power_max = float(g.kick_power_min), float(g.kick_power_max)
     target_half = half_goal - g.target_margin
-    scenes: list[KickScene] = []
+    goal_x, half_width = field.goal_line_x, field.field_width / 2
+    times, rows, goal = [], [], []
     for _ in range(n):
-        ball = Vec2(uniform(x_min, x_max), uniform(-y_half, y_half))
-        target = Vec2(field.goal_line_x, uniform(-target_half, target_half))
-        shot_angle = (target - ball).angle()
-        attacker = ball - Vec2.from_angle(shot_angle, 0.7)
+        bx, by = uniform(x_min, x_max), uniform(-y_half, y_half)
+        ty = uniform(-target_half, target_half)
+        shot_angle = math.atan2(ty - by, goal_x - bx)
         body_angle = shot_angle + uniform(-g.body_angle_spread, g.body_angle_spread)
 
         depth = uniform(depth_min, depth_max)
-        keeper_x = field.goal_line_x - depth
-        on_line = ball.y * depth / (field.goal_line_x - ball.x)
+        on_line = by * depth / (goal_x - bx)
         keeper_y = on_line + uniform(-g.keeper_lateral_spread, g.keeper_lateral_spread)
-        keeper = Vec2(keeper_x, min(max(keeper_y, -half_goal), half_goal))
+        kx, ky = goal_x - depth, min(max(keeper_y, -half_goal), half_goal)
 
         defenders = []
         for _ in range(int(rng.integers(0, g.max_defenders + 1))):
-            dx = uniform(min(ball.x + 0.5, field.goal_line_x - 1.0), field.goal_line_x - 0.5)
-            dy = ball.y + uniform(-8.0, 8.0)
-            defenders.append(Vec2(dx, min(max(dy, -field.field_width / 2),
-                                          field.field_width / 2)))
+            dx = uniform(min(bx + 0.5, goal_x - 1.0), goal_x - 0.5)
+            dy = by + uniform(-8.0, 8.0)
+            defenders.append(Vec2(dx, min(max(dy, -half_width), half_width)))
 
-        ball_velocity = Vec2.from_angle(uniform(-math.pi, math.pi),
-                                        uniform(0.0, g.dribble_speed_max))
+        heading, speed = uniform(-math.pi, math.pi), uniform(0.0, g.dribble_speed_max)
+        vx, vy = math.cos(heading) * speed, math.sin(heading) * speed
         power = uniform(power_min, power_max)
-        result, _ = simulate_shot(ball, ball_velocity, target, power, keeper,
-                                  defenders, g.keeper, dynamics, field, rng,
+        result, _ = simulate_shot(Vec2(bx, by), Vec2(vx, vy), Vec2(goal_x, ty), power,
+                                  Vec2(kx, ky), defenders, g.keeper, dynamics, field, rng,
                                   g.defender_catch_radius)
-        scenes.append(KickScene(
-            time=int(rng.integers(0, 6000)),
-            ball=ball,
-            ball_velocity=ball_velocity,
-            attacker=attacker,
-            attacker_body_angle=body_angle,
-            keeper=keeper,
-            defenders=tuple(defenders),
-            kick_power=power,
-            target=target,
-            label=Label.GOAL if result is ShotResult.GOAL else Label.NO_GOAL,
-        ))
-    return scenes
+        times.append(int(rng.integers(0, 6000)))
+        rows.append([bx, by, vx, vy, bx - math.cos(shot_angle) * 0.7,
+                     by - math.sin(shot_angle) * 0.7, body_angle, kx, ky, power, goal_x, ty,
+                     *(c for d in defenders for c in (d.x, d.y))])
+        goal.append(result is ShotResult.GOAL)
+    return SceneTable._of_rows(times, rows, goal)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import Phase, settings
 
 from goalshot.geometry import FieldConfig, Vec2
-from goalshot.scenes import KickScene
+from goalshot.scenes import KickScene, Label, SceneTable, _scalars
 
 # A failing property test is reported with its shrunk example but without
 # the explain phase, which re-runs the example once per drawn value: on a
@@ -55,3 +55,13 @@ def random_scene(rng, field=FieldConfig(), label=None):
         time=int(rng.integers(0, 6000)),
         label=label,
     )
+
+
+def from_scenes(scenes):
+    """The SceneTable of labeled hand-made scenes, row i scene i."""
+    if any(s.label is None for s in scenes):
+        raise ValueError("every scene must be labeled")
+    return SceneTable._of_rows([s.time for s in scenes],
+                               [_scalars(s) + [c for d in s.defenders for c in (d.x, d.y)]
+                                for s in scenes],
+                               [s.label is Label.GOAL for s in scenes])

@@ -10,10 +10,13 @@ import numpy as np
 
 from goalshot.aim import AimConfig, ShotQuery, p_goal
 from goalshot.dynamics import BallState, DynamicsConfig
-from goalshot.experiment import MatchStats
+from goalshot.experiment import EpisodeOutcome, MatchStats
 from goalshot.geometry import FieldConfig, Vec2, shot_line
+from goalshot.keeper import (DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult,
+                             simulate_shot)
 from goalshot.mlp import MlpParams, forward
-from goalshot.scenes import KickScene
+from goalshot.policies import Action
+from goalshot.scenes import KickScene, _threats
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,27 @@ def mirror_scene(scene: KickScene) -> KickScene:
         defenders=tuple(flip(d) for d in scene.defenders),
         target=flip(scene.target),
     )
+
+
+def filter_defenders(scene: KickScene, field: FieldConfig) -> list[Vec2]:
+    """The defenders the feature kernel counts as threats (scenes._threats),
+    nearest the ball first. The keeper is never included (it is not part of
+    scene.defenders)."""
+    return [Vec2(x, y) for _, x, y in _threats(scene.attacker.x, scene.ball.x, scene.ball.y,
+                                                [(d.x, d.y) for d in scene.defenders], field)]
+
+
+def run_episode(policy, scene: KickScene, keeper: KeeperModel, dynamics: DynamicsConfig,
+                field: FieldConfig, rng: np.random.Generator,
+                defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS) -> EpisodeOutcome:
+    """Let the policy decide on the scene and resolve any kick it takes."""
+    decision = policy.decide(scene)
+    if decision.action is not Action.KICK:
+        return EpisodeOutcome(kicked=False, result=ShotResult.NO_KICK, steps=0)
+    result, steps = simulate_shot(scene.ball, scene.ball_velocity, decision.target,
+                                  scene.kick_power, scene.keeper, scene.defenders, keeper,
+                                  dynamics, field, rng, defender_catch_radius)
+    return EpisodeOutcome(kicked=True, result=result, steps=steps)
 
 
 def aggregate(kicks_per_game: list[int], goals_per_game: list[int],

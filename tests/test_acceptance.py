@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_scene, random_scene
+from conftest import from_scenes, make_scene, random_scene
 from goalshot.aim import AimConfig, ShotQuery, discretize_targets, p_goal, sigma
 from goalshot.config import RunConfig
 from goalshot.dynamics import BallState, DynamicsConfig, step, travel_range
@@ -31,7 +31,7 @@ from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig,
                           score_batch, train)
 from goalshot.policies import (Action, LdaPolicy, MlpPolicy, PolicyConfig,
                                lda_train, mlp_policy_decide)
-from goalshot.scenes import (Label, SceneTable, balance_by_replication, extract_features,
+from goalshot.scenes import (Label, balance_by_replication, extract_features,
                              feature_matrix, generate_synthetic_scenes,
                              load_scenes, save_scenes, split_dataset)
 from oracles import Ray, example_mse, signed_offset
@@ -64,7 +64,7 @@ def dataset():
 @pytest.fixture(scope="module")
 def trained(dataset):
     start = time.perf_counter()
-    split = split_dataset(SceneTable.from_scenes(dataset), SEED)
+    split = split_dataset(dataset, SEED)
     balanced = balance_by_replication(split.train, SEED)
     params, report = train(
         feature_matrix(balanced, CFG.field), balanced.goal,
@@ -356,10 +356,10 @@ def test_10_feature_relevance_pattern():
                    ">= 0.70 folded AUC"):
         scenes = generate_synthetic_scenes(4000, CFG.gen, CFG.dynamics,
                                            CFG.field, SEED + 1)
-        goals = [s for s in scenes if s.label is Label.GOAL][:1000]
-        no_goals = [s for s in scenes if s.label is Label.NO_GOAL][:1000]
+        goals = np.flatnonzero(scenes.goal)[:1000]
+        no_goals = np.flatnonzero(~scenes.goal)[:1000]
         assert len(goals) == 1000 and len(no_goals) == 1000
-        table = SceneTable.from_scenes(goals + no_goals)
+        table = scenes.take(np.concatenate([goals, no_goals]))
 
         rng = np.random.default_rng(SEED)
         noise_auc = auc_rank(rng.random(len(table)), table.goal)
@@ -377,7 +377,7 @@ def test_11_decision_engine(trained):
         params, _, _ = trained
         policy_config = PolicyConfig()
         scenes = generate_synthetic_scenes(1000, CFG.gen, CFG.dynamics,
-                                           CFG.field, SEED + 2)
+                                           CFG.field, SEED + 2).scenes()
         kicks = 0
         for scene in scenes:
             decision = mlp_policy_decide(scene, params, CFG.field, CFG.aim,
@@ -461,7 +461,7 @@ def test_13_file_round_trips(tmp_path):
                                else Label.NO_GOAL)
                   for _ in range(50)]
         scene_path = tmp_path / "scenes.csv"
-        save_scenes(scenes, scene_path)
+        save_scenes(from_scenes(scenes), scene_path)
         assert load_scenes(scene_path, CFG.field) == scenes
 
         broken = tmp_path / "broken.csv"

@@ -13,16 +13,15 @@ import goalshot.experiment
 from goalshot.config import RunConfig
 from goalshot.dynamics import DynamicsConfig
 from goalshot.experiment import (EpisodeOutcome, MatchStats, ShotResult, report,
-                                 run_episode, run_experiment,
-                                 stats_pair_from_json)
+                                 run_experiment, stats_pair_from_json)
 from goalshot.geometry import Vec2
 from goalshot.keeper import KeeperModel, simulate_shot
 from goalshot.mlp import TrainConfig, train
 from goalshot.policies import (Action, KickDecision, LdaPolicy, MlpPolicy,
                                NaiveCenterPolicy, PolicyConfig, lda_train)
-from goalshot.scenes import (SceneTable, balance_by_replication, feature_matrix,
+from goalshot.scenes import (balance_by_replication, feature_matrix,
                              generate_synthetic_scenes, split_dataset)
-from oracles import aggregate
+from oracles import aggregate, run_episode
 
 CFG = RunConfig()
 NOISELESS = DynamicsConfig(noise_coefficient=0.0)
@@ -203,14 +202,14 @@ def policies():
     """mlp, lda and center policies; the mlp is trained briefly, so it and
     the lda often, but not always, kick at the same target."""
     field = CFG.field
-    scenes = generate_synthetic_scenes(800, CFG.gen, CFG.dynamics, field, seed=21)
-    split = split_dataset(SceneTable.from_scenes(scenes), seed=21)
+    table = generate_synthetic_scenes(800, CFG.gen, CFG.dynamics, field, seed=21)
+    split = split_dataset(table, seed=21)
     balanced = balance_by_replication(split.train, seed=21)
     model, _ = train(feature_matrix(balanced, field), balanced.goal,
                      feature_matrix(split.validation, field), split.validation.goal,
                      TrainConfig(max_epochs=10, seed=21))
     return {"mlp": MlpPolicy(model, field, CFG.aim, CFG.policy),
-            "lda": LdaPolicy(lda_train(scenes, field), field, CFG.aim, CFG.policy),
+            "lda": LdaPolicy(lda_train(table.scenes(), field), field, CFG.aim, CFG.policy),
             "center": NaiveCenterPolicy(field, CFG.aim, CFG.policy)}
 
 
@@ -222,7 +221,7 @@ def reference_experiment(policy_a, policy_b, games, shots, seed, episode_log):
         scene_seed = int(np.random.SeedSequence(
             [seed, game, goalshot.experiment._SCENE_STREAM]).generate_state(1)[0])
         scenes = generate_synthetic_scenes(shots, CFG.gen, CFG.dynamics, CFG.field,
-                                           scene_seed)
+                                           scene_seed).scenes()
         counts = [[0, 0], [0, 0]]
         for shot, scene in enumerate(scenes):
             for side, policy in enumerate((policy_a, policy_b)):

@@ -184,7 +184,7 @@ def test_policy_decisions(pipeline):
     config = RunConfig()
     field, aim, policy = config.field, config.aim, config.policy
     scenes = generate_synthetic_scenes(400, replace(config.gen, x_min=5.0),
-                                       config.dynamics, field, seed=11)
+                                       config.dynamics, field, seed=11).scenes()
     policies = (MlpPolicy(load_model(model), field, aim, policy),
                 LdaPolicy(lda_train(load_scenes(data, field), field), field, aim, policy),
                 NaiveCenterPolicy(field, aim, policy))

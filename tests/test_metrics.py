@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_scene, random_scene
+from conftest import from_scenes, make_scene, random_scene
 from goalshot.metrics import Ks2Curve, auc_rank, feature_relevance, ks2_curve, roc_curve
-from goalshot.scenes import FEATURE_NAMES, Label, SceneTable, feature_matrix
+from goalshot.scenes import FEATURE_NAMES, Label, feature_matrix
 
 
 def relevance_of(scenes, field):
-    table = SceneTable.from_scenes(scenes)
+    table = from_scenes(scenes)
     return feature_relevance(feature_matrix(table, field), table.goal)
 
 
@@ -221,7 +221,7 @@ class TestFeatureRelevance:
         rng = np.random.default_rng(17)
         scenes = [random_scene(rng, field, label=Label.GOAL if rng.random() < 0.4
                                else Label.NO_GOAL) for _ in range(150)]
-        table = SceneTable.from_scenes(scenes + scenes[:40])
+        table = from_scenes(scenes + scenes[:40])
         matrix = feature_matrix(table, field)
         relevance = feature_relevance(matrix, table.goal)
         assert list(relevance) == list(FEATURE_NAMES)

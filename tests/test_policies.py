@@ -14,7 +14,7 @@ from goalshot.policies import (Action, KickDecision, LdaModel, LdaPolicy,
                                MlpPolicy, NaiveCenterPolicy, PolicyConfig,
                                lda_policy_decide, lda_train, mlp_policy_decide,
                                naive_center_policy, stage_one_survivors)
-from goalshot.scenes import (Label, SceneTable, angle_at, balance_by_replication,
+from goalshot.scenes import (Label, angle_at, balance_by_replication,
                              extract_features, feature_matrix,
                              generate_synthetic_scenes, split_dataset)
 from oracles import mirror_scene
@@ -25,8 +25,8 @@ POLICY = PolicyConfig()
 
 @pytest.fixture(scope="module")
 def trained_model():
-    scenes = generate_synthetic_scenes(1200, CFG.gen, CFG.dynamics, CFG.field, seed=2)
-    split = split_dataset(SceneTable.from_scenes(scenes), seed=2)
+    table = generate_synthetic_scenes(1200, CFG.gen, CFG.dynamics, CFG.field, seed=2)
+    split = split_dataset(table, seed=2)
     balanced = balance_by_replication(split.train, seed=2)
     params, _ = train(feature_matrix(balanced, CFG.field), balanced.goal,
                       feature_matrix(split.validation, CFG.field), split.validation.goal,
@@ -79,7 +79,7 @@ def brute_force_lda_decision(scene, model, field, aim_config, policy_config):
 @pytest.fixture(scope="module")
 def lda_model():
     return lda_train(generate_synthetic_scenes(600, CFG.gen, CFG.dynamics, CFG.field,
-                                               seed=4), CFG.field)
+                                               seed=4).scenes(), CFG.field)
 
 
 class TestMlpPolicy:
@@ -97,7 +97,7 @@ class TestMlpPolicy:
         assert decision.out_of_range
 
     def test_matches_brute_force_on_random_scenes(self, field, trained_model):
-        scenes = generate_synthetic_scenes(300, CFG.gen, CFG.dynamics, field, seed=8)
+        scenes = generate_synthetic_scenes(300, CFG.gen, CFG.dynamics, field, seed=8).scenes()
         kicks = 0
         for scene in scenes:
             decision = mlp_policy_decide(scene, trained_model, field, CFG.aim, POLICY)
@@ -112,7 +112,7 @@ class TestMlpPolicy:
         assert kicks > 0  # the comparison exercised real kicks
 
     def test_kick_honors_thresholds(self, field, trained_model):
-        scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=9)
+        scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=9).scenes()
         for scene in scenes:
             decision = mlp_policy_decide(scene, trained_model, field, CFG.aim, POLICY)
             if decision.action is Action.KICK:
@@ -120,7 +120,7 @@ class TestMlpPolicy:
                 assert decision.neural_score > POLICY.score_threshold
 
     def test_raising_score_threshold_never_creates_kicks(self, field, trained_model):
-        scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=10)
+        scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=10).scenes()
         strict = PolicyConfig(score_threshold=0.75)
         for scene in scenes:
             loose_action = mlp_policy_decide(scene, trained_model, field, CFG.aim,
@@ -229,7 +229,7 @@ class TestLdaPolicy:
         assert decision.target.y == min(ys)
 
     def test_stage_one_shared_with_mlp_policy(self, field, trained_model):
-        scenes = generate_synthetic_scenes(50, CFG.gen, CFG.dynamics, field, seed=12)
+        scenes = generate_synthetic_scenes(50, CFG.gen, CFG.dynamics, field, seed=12).scenes()
         lda = LdaModel(0.1, 1.0, -0.5)
         for scene in scenes:
             survivors = {(t.x, t.y) for t, _, _ in
@@ -242,7 +242,7 @@ class TestLdaPolicy:
                     assert (decision.target.x, decision.target.y) in survivors
 
     def test_matches_brute_force_on_random_scenes(self, field, lda_model):
-        scenes = generate_synthetic_scenes(300, CFG.gen, CFG.dynamics, field, seed=14)
+        scenes = generate_synthetic_scenes(300, CFG.gen, CFG.dynamics, field, seed=14).scenes()
         actions = set()
         for scene in scenes:
             decision = lda_policy_decide(scene, lda_model, field, CFG.aim, POLICY)
@@ -259,7 +259,7 @@ class TestLdaPolicy:
         # MLP decisions are not mirror-symmetric and are not tested: the
         # network sees the signed lateral features.
         scenes = generate_synthetic_scenes(300, replace(CFG.gen, x_min=5.0), CFG.dynamics,
-                                           field, seed=16)
+                                           field, seed=16).scenes()
         kicks = 0
         for scene in scenes:
             decision = lda_policy_decide(scene, lda_model, field, CFG.aim, POLICY)
@@ -282,7 +282,7 @@ class TestThresholdMonotonicity:
                                                           trained_model, lda_model):
         decide, model = {"mlp": (mlp_policy_decide, trained_model),
                          "lda": (lda_policy_decide, lda_model)}[kind]
-        scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=15)
+        scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=15).scenes()
         strict = PolicyConfig(p_goal_threshold=0.9)
         dropped = 0
         for scene in scenes:
@@ -317,7 +317,7 @@ class TestNaiveCenterPolicy:
 def test_decisions_build_no_vec2(trained_model, lda_model, monkeypatch):
     field = FieldConfig()
     gen = replace(CFG.gen, x_min=5.0)  # from near the goal to beyond the horizon
-    scenes = generate_synthetic_scenes(240, gen, CFG.dynamics, field, seed=13)
+    scenes = generate_synthetic_scenes(240, gen, CFG.dynamics, field, seed=13).scenes()
     policies = (MlpPolicy(trained_model, field, CFG.aim, POLICY),
                 LdaPolicy(lda_model, field, CFG.aim, POLICY))
     for policy in policies:  # warm-up: aim points and posts are built once
@@ -352,7 +352,7 @@ class TestStageOneMemo:
         field = FieldConfig()
         policies = (MlpPolicy(trained_model, field, CFG.aim, POLICY),
                     LdaPolicy(lda_model, field, CFG.aim, POLICY))
-        scenes = generate_synthetic_scenes(40, CFG.gen, CFG.dynamics, field, seed=18)
+        scenes = generate_synthetic_scenes(40, CFG.gen, CFG.dynamics, field, seed=18).scenes()
         for a, b in zip(scenes, scenes[1:]):
             warm = [self._decide(policies, s) for s in (a, b, a)]
             assert warm == [self._cold(policies, s) for s in (a, b, a)]

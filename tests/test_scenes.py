@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scene, random_scene
+from conftest import from_scenes, make_scene, random_scene
 from goalshot.config import RunConfig
 from goalshot.dynamics import DynamicsConfig
 from goalshot.geometry import Vec2
 from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, MAX_DEFENDERS, GeneratorConfig,
                              KickScene, Label, SceneTable, balance_by_replication,
-                             extract_features, feature_matrix, filter_defenders,
-                             generate_synthetic_scenes, load_scenes,
-                             save_scenes, split_dataset, univariate_stats)
-from oracles import mirror_scene
+                             extract_features, feature_matrix, generate_synthetic_scenes,
+                             load_scenes, save_scenes, split_dataset, univariate_stats)
+from oracles import filter_defenders, mirror_scene
 
 CFG = RunConfig()
 
@@ -92,7 +91,7 @@ class TestExtractFeatures:
         signed = {"ball_y", "keeper_y", "target_lateral"}
         flip = np.array([-1.0 if name in signed else 1.0 for name in FEATURE_NAMES])
         generated = generate_synthetic_scenes(300, replace(CFG.gen, x_min=5.0),
-                                              CFG.dynamics, field, seed=16)
+                                              CFG.dynamics, field, seed=16).scenes()
         rng = np.random.default_rng(3)
         # random_scene bodies lie anywhere in +-3 rad of the shot.
         drawn = [random_scene(rng, field) for _ in range(2000)]
@@ -143,14 +142,14 @@ class TestCsvRoundTrip:
                                label=Label.GOAL if rng.random() < 0.5 else Label.NO_GOAL)
                   for _ in range(100)]
         path = tmp_path / "scenes.csv"
-        save_scenes(scenes, path)
+        save_scenes(from_scenes(scenes), path)
         assert load_scenes(path, field) == scenes
 
     @settings(max_examples=100, deadline=None)
     @given(scenes=st.lists(_LOADABLE_SCENES, max_size=4))
     def test_round_trip_arbitrary_finite_scenes(self, scenes, tmp_path_factory):
         path = tmp_path_factory.mktemp("round_trip") / "scenes.csv"
-        save_scenes(scenes, path)
+        save_scenes(from_scenes(scenes), path)
         loaded = load_scenes(path)
         assert loaded == scenes
         assert repr(loaded) == repr(scenes)  # also the sign of each zero
@@ -160,14 +159,10 @@ class TestCsvRoundTrip:
         path.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
         assert load_scenes(path, field) == []
 
-    def test_unlabeled_scene_cannot_be_saved(self, tmp_path):
-        with pytest.raises(ValueError, match="label"):
-            save_scenes([make_scene(label=None)], tmp_path / "x.csv")
-
     def test_bad_number_names_line_and_column(self, field, tmp_path):
         scenes = [make_scene(label=Label.GOAL)]
         path = tmp_path / "bad.csv"
-        save_scenes(scenes, path)
+        save_scenes(from_scenes(scenes), path)
         text = path.read_text(encoding="utf-8").replace("85.0", "eighty")
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="line 2, column 'kick_power'"):
@@ -175,7 +170,7 @@ class TestCsvRoundTrip:
 
     def test_bad_label_rejected(self, field, tmp_path):
         path = tmp_path / "bad.csv"
-        save_scenes([make_scene(label=Label.GOAL)], path)
+        save_scenes(from_scenes([make_scene(label=Label.GOAL)]), path)
         path.write_text(path.read_text(encoding="utf-8").replace("GOAL", "MAYBE"),
                         encoding="utf-8")
         with pytest.raises(ValueError, match="label"):
@@ -183,7 +178,7 @@ class TestCsvRoundTrip:
 
     def test_out_of_bounds_ball_rejected(self, field, tmp_path):
         path = tmp_path / "oob.csv"
-        save_scenes([make_scene(ball=Vec2(32.5, 0.0), label=Label.GOAL)], path)
+        save_scenes(from_scenes([make_scene(ball=Vec2(32.5, 0.0), label=Label.GOAL)]), path)
         path.write_text(path.read_text(encoding="utf-8").replace("32.5", "90.0"),
                         encoding="utf-8")
         with pytest.raises(ValueError, match="bounds"):
@@ -197,7 +192,7 @@ class TestCsvRoundTrip:
     ])
     def test_row_geometry_rejected(self, field, tmp_path, column, value, message):
         path = tmp_path / "geometry.csv"
-        save_scenes([make_scene(label=Label.GOAL)] * 2, path)
+        save_scenes(from_scenes([make_scene(label=Label.GOAL)] * 2), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         cells = lines[2].split(",")
         cells[CSV_HEADER.index(column)] = value
@@ -207,7 +202,8 @@ class TestCsvRoundTrip:
 
     def test_half_defender_rejected(self, field, tmp_path):
         path = tmp_path / "half.csv"
-        save_scenes([make_scene(defenders=(Vec2(40.0, 1.0),), label=Label.GOAL)], path)
+        save_scenes(from_scenes([make_scene(defenders=(Vec2(40.0, 1.0),), label=Label.GOAL)]),
+                    path)
         lines = path.read_text(encoding="utf-8").splitlines()
         cells = lines[1].split(",")
         cells[CSV_HEADER.index("def1_y")] = ""
@@ -224,7 +220,7 @@ class TestCsvRoundTrip:
     def test_first_bad_line_is_reported(self, field, tmp_path):
         """A range error on line 3 is reported before a non-number on line 4."""
         path = tmp_path / "order.csv"
-        save_scenes([make_scene(label=Label.GOAL)] * 3, path)
+        save_scenes(from_scenes([make_scene(label=Label.GOAL)] * 3), path)
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = lines[2].replace("32.5", "90.0", 1)
         lines[3] = lines[3].replace("85.0", "eighty")
@@ -252,8 +248,8 @@ class TestCsvRoundTrip:
     ])
     def test_row_errors_keep_their_text(self, field, tmp_path, changes, message):
         path = tmp_path / "row.csv"
-        save_scenes([make_scene(defenders=(Vec2(40.0, 1.0), Vec2(41.0, -1.0)),
-                                label=Label.GOAL)], path)
+        save_scenes(from_scenes([make_scene(defenders=(Vec2(40.0, 1.0), Vec2(41.0, -1.0)),
+                                            label=Label.GOAL)]), path)
         header, row = path.read_text(encoding="utf-8").splitlines()
         cells = row.split(",")
         for column, value in changes.items():
@@ -323,8 +319,9 @@ class TestSceneTable:
         reads back from save_scenes; its feature rows have the bits of
         extract_features of each scene."""
         path = tmp_path_factory.mktemp("table") / "scenes.csv"
-        save_scenes(scenes, path)
-        table, loaded = SceneTable.from_scenes(scenes), SceneTable.load(path)
+        table = from_scenes(scenes)
+        save_scenes(table, path)
+        loaded = SceneTable.load(path)
         for name in ("values", "defenders", "defender_count", "goal"):
             mine, theirs = getattr(table, name), getattr(loaded, name)
             assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
@@ -341,7 +338,7 @@ class TestSceneTable:
 
     def test_from_scenes_rejects_an_unlabeled_scene(self):
         with pytest.raises(ValueError, match="every scene must be labeled"):
-            SceneTable.from_scenes([make_scene(label=Label.GOAL), make_scene()])
+            from_scenes([make_scene(label=Label.GOAL), make_scene()])
 
     @pytest.mark.parametrize("position", [0, 3, 6])
     @pytest.mark.parametrize("edge", list(_EDGE_SCENES))
@@ -354,7 +351,7 @@ class TestSceneTable:
         scenes.insert(position, replace(scene, label=Label.NO_GOAL))
         expected = _row_by_row(scenes)
         assert (expected == (ValueError, error)) if error else isinstance(expected, list)
-        assert _outcome(lambda: _hex_rows(feature_matrix(SceneTable.from_scenes(scenes),
+        assert _outcome(lambda: _hex_rows(feature_matrix(from_scenes(scenes),
                                                          CFG.field))) == expected
 
     def test_feature_matrix_raises_the_first_bad_row(self):
@@ -364,7 +361,7 @@ class TestSceneTable:
         for scenes in ([good, *bad], [good, *bad[::-1]]):
             expected = _row_by_row(scenes[1:2])
             assert _row_by_row(scenes) == expected
-            assert _outcome(feature_matrix, SceneTable.from_scenes(scenes), CFG.field) == expected
+            assert _outcome(feature_matrix, from_scenes(scenes), CFG.field) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(scenes=st.lists(_TABLE_SCENES, min_size=4, max_size=12),
@@ -372,7 +369,7 @@ class TestSceneTable:
     def test_split_and_balance_pick_whole_rows(self, scenes, seed):
         """Each part of a split, and a balanced train part, holds rows of the
         table whole: the scenes at the picked positions."""
-        table = SceneTable.from_scenes(scenes)
+        table = from_scenes(scenes)
         split = split_dataset(table, seed)
         order = np.random.default_rng(seed).permutation(len(scenes))
         assert ([s for part in (split.train, split.validation, split.test)
@@ -390,7 +387,7 @@ class TestSceneTable:
 
 class TestSplitDataset:
     def _scenes(self, n):
-        return SceneTable.from_scenes([make_scene(time=i, label=Label.GOAL) for i in range(n)])
+        return from_scenes([make_scene(time=i, label=Label.GOAL) for i in range(n)])
 
     def test_eight_scenes(self):
         split = split_dataset(self._scenes(8), seed=1)
@@ -410,7 +407,7 @@ class TestSplitDataset:
         assert sorted(ids) == list(range(101))
 
     def test_reference_sizes_for_large_dataset(self):
-        scenes = SceneTable.from_scenes([make_scene(label=Label.GOAL)] * 10691)
+        scenes = from_scenes([make_scene(label=Label.GOAL)] * 10691)
         split = split_dataset(scenes, seed=0)
         assert (len(split.train), len(split.validation), len(split.test)) == \
             (5346, 2673, 2672)
@@ -422,7 +419,7 @@ class TestSplitDataset:
 
 class TestBalanceByReplication:
     def _mixed(self, n_goal, n_no_goal):
-        return SceneTable.from_scenes(
+        return from_scenes(
             [make_scene(time=i, label=Label.GOAL) for i in range(n_goal)]
             + [make_scene(time=1000 + i, label=Label.NO_GOAL) for i in range(n_no_goal)])
 
@@ -465,7 +462,7 @@ class TestUnivariateStats:
     def test_known_power_distribution(self, field):
         scenes = [make_scene(kick_power=float(i), label=Label.GOAL)
                   for i in range(1, 101)]
-        report = univariate_stats(feature_matrix(SceneTable.from_scenes(scenes), field))
+        report = univariate_stats(feature_matrix(from_scenes(scenes), field))
         stats = report.per_feature["kick_power"]
         assert math.isclose(stats.mean, 50.5, abs_tol=1e-12)
         assert math.isclose(stats.median, 50.5, abs_tol=1e-12)
@@ -475,21 +472,20 @@ class TestUnivariateStats:
         assert stats.missing_fraction == 0.0
 
     def test_constant_feature(self, field):
-        table = SceneTable.from_scenes([make_scene(label=Label.GOAL) for _ in range(10)])
+        table = from_scenes([make_scene(label=Label.GOAL) for _ in range(10)])
         stats = univariate_stats(feature_matrix(table, field)).per_feature["ball_x"]
         assert stats.std == 0.0
         assert stats.percentile_1 == stats.median == stats.percentile_99
 
     def test_percentile_ordering(self, field):
         rng = np.random.default_rng(13)
-        table = SceneTable.from_scenes([random_scene(rng, field, label=Label.GOAL)
-                                        for _ in range(60)])
+        table = from_scenes([random_scene(rng, field, label=Label.GOAL) for _ in range(60)])
         for stats in univariate_stats(feature_matrix(table, field)).per_feature.values():
             assert stats.percentile_1 <= stats.median <= stats.percentile_99
 
     def test_empty_rejected(self, field):
         with pytest.raises(ValueError):
-            univariate_stats(feature_matrix(SceneTable.from_scenes([]), field))
+            univariate_stats(feature_matrix(from_scenes([]), field))
 
 
 class TestGenerator:
@@ -508,19 +504,19 @@ class TestGenerator:
     def test_deterministic_per_seed(self):
         a = generate_synthetic_scenes(40, CFG.gen, CFG.dynamics, CFG.field, seed=9)
         b = generate_synthetic_scenes(40, CFG.gen, CFG.dynamics, CFG.field, seed=9)
-        assert a == b
+        assert a.scenes() == b.scenes()
 
     def test_scene_validity(self, field):
         scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=4)
-        for s in scenes:
+        for s in scenes.scenes():
             assert field.contains(s.ball)
             assert s.label in (Label.GOAL, Label.NO_GOAL)
             assert len(s.defenders) <= CFG.gen.max_defenders
             assert abs(s.target.y) <= field.goal_width / 2 - CFG.gen.target_margin
 
     def test_class_mix_in_band(self, field):
-        scenes = generate_synthetic_scenes(4000, CFG.gen, CFG.dynamics, field, seed=21)
-        frac = sum(1 for s in scenes if s.label is Label.GOAL) / len(scenes)
+        table = generate_synthetic_scenes(4000, CFG.gen, CFG.dynamics, field, seed=21)
+        frac = sum(1 for s in table.scenes() if s.label is Label.GOAL) / len(table)
         assert 0.3 <= frac <= 0.7
 
 
@@ -535,10 +531,10 @@ class TestKickSceneValidation:
 
     def test_feature_matrix_shape(self, field):
         scenes = [make_scene(label=Label.GOAL), make_scene(kick_power=50.0, label=Label.GOAL)]
-        assert feature_matrix(SceneTable.from_scenes(scenes), field).shape == (2, 22)
+        assert feature_matrix(from_scenes(scenes), field).shape == (2, 22)
 
     def test_feature_matrix_of_no_rows(self, field, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
-        for table in (SceneTable.from_scenes([]), SceneTable.load(path, field)):
+        for table in (from_scenes([]), SceneTable.load(path, field)):
             assert feature_matrix(table, field).shape == (0, 22)

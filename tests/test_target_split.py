@@ -15,14 +15,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_scene
+from conftest import from_scenes, make_scene
 from goalshot.aim import (GOAL_LINE_TOLERANCE, AimConfig, ShotQuery, discretize_targets,
                           p_goal, sigma)
 from goalshot.geometry import FieldConfig, Vec2, shot_line
 from goalshot.policies import PolicyConfig, stage_one_survivors
-from goalshot.scenes import (TARGET_COLUMNS, Label, SceneTable, angle_at, extract_features,
-                             feature_matrix, features_by_target, filter_defenders)
-from oracles import Ray, gaussian_cdf, p_miss_left, p_miss_right, signed_offset
+from goalshot.scenes import (TARGET_COLUMNS, Label, angle_at, extract_features,
+                             feature_matrix, features_by_target)
+from oracles import (Ray, filter_defenders, gaussian_cdf, p_miss_left, p_miss_right,
+                     signed_offset)
 
 FIELD = FieldConfig()
 AIM_CONFIGS = (AimConfig(), AimConfig(target_count=1), AimConfig(target_inset=0.0))
@@ -158,7 +159,7 @@ def test_matches_reference_on_seeded_scenes(aim_config):
         else:
             with pytest.raises(ValueError, match="sigma horizon"):
                 stage_one_survivors(scene.ball, FIELD, aim_config, PolicyConfig())
-    table = SceneTable.from_scenes([replace(s, label=Label.GOAL) for s in scenes])
+    table = from_scenes([replace(s, label=Label.GOAL) for s in scenes])
     assert feature_matrix(table, FIELD).tolist() == [reference_features(s, FIELD)
                                                      for s in scenes]
 

@@ -374,11 +374,11 @@ class SceneTable:
 
     def rows(self) -> Iterator[tuple[list[float], list[float]]]:
         """Each row's values and the x, y of each of its defenders in turn,
-        as Python floats."""
+        as Python floats converted one row at a time."""
         flat_defenders = self.defenders.reshape(len(self), 2 * MAX_DEFENDERS)
-        for values, defenders, n in zip(self.values.tolist(), flat_defenders.tolist(),
+        for values, defenders, n in zip(self.values, flat_defenders,
                                         (2 * self.defender_count).tolist()):
-            yield values, defenders[:n]
+            yield values.tolist(), defenders[:n].tolist()
 
     @classmethod
     def _of_rows(cls, times: list[int], rows: list[list[float]], goal: list[bool]) -> SceneTable:

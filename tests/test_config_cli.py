@@ -579,7 +579,9 @@ def test_entry_points_exit_codes(launcher, grid, code):
 class TestSimulationCallSites:
     """The CLI reaches the simulation core through the names that
     perfbench's `dynamics.*` and `keeper.*` spans wrap in the calling
-    modules, once per rollout and once per labeled scene."""
+    modules, once per rollout and once per labeled scene, and the scene
+    generator, writer and reader through the names its `scenes.*` spans
+    wrap."""
 
     def test_aim_table_calls_the_rollout_once_per_rollout(self, tmp_path, monkeypatch):
         calls = []

@@ -48,7 +48,7 @@ def _with_flags(config, args: argparse.Namespace):
         if value is None:
             continue
         flag = "--" + key.replace("_", "-")
-        if not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{flag}: non-finite value {value!r}")
         try:
             config = replace(config, **{key: value})

@@ -4,7 +4,7 @@ The config file has one section per component, lowercase keys matching the
 dataclass field names:
 
     [run]       seed
-    [field]     field_length, field_width, goal_width, goal_line_x, ...
+    [field]     field_length, field_width, goal_width, penalty_area_width
     [dynamics]  decay, noise_coefficient, max_speed, kick_power_rate, max_power
     [aim]       sigma_coefficient, sigma_horizon, target_count, target_inset
     [train]     learning_rate, max_epochs, patience, init_half_range, seed, ...
@@ -98,7 +98,7 @@ def _parse_section(cls, section: str, items: dict[str, str]):
         except ValueError:
             raise ValueError(
                 f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from None
-        if not math.isfinite(kwargs[key]):
+        if kind is float and not math.isfinite(kwargs[key]):
             raise ValueError(f"[{section}] {key}: non-finite value {raw!r}")
     try:
         return cls(**kwargs)

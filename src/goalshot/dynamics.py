@@ -48,6 +48,8 @@ from .geometry import FieldConfig, Vec2, _require_finite
 
 # A rolling ball below this speed (m/step) is considered at rest.
 STOP_SPEED = 1e-3
+# Steps after which a rollout or a shot that has not ended counts as stopped.
+MAX_STEPS = 10_000
 # Uniforms a BlockUniforms draws from its generator at a time.
 UNIFORM_BLOCK = 256
 # How a flight ends in `_fly`; running out of steps counts as stopped.
@@ -134,8 +136,6 @@ def _fly(px, py, vx, vy, config: DynamicsConfig, line_x, rng, max_steps,
     x = line_x, is caught or stops. `keeper` is None or (x, y, catch_radius,
     max_speed, reaction_delay, positioning_noise), `defenders` (x, y, radius)
     triples. Returns (end, steps, crossing lateral or None, (px, py, vx, vy))."""
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
     noise, top_speed, decay = config.noise_coefficient, config.max_speed, config.decay
     hypot, isfinite = math.hypot, math.isfinite
     speed = hypot(vx, vy)
@@ -146,6 +146,8 @@ def _fly(px, py, vx, vy, config: DynamicsConfig, line_x, rng, max_steps,
     if keeper is not None:
         kx, ky, k_radius, k_speed, k_delay, k_noise = keeper
         pursue_after = k_delay if k_speed > 0 else max_steps
+        if rng is None and k_noise > 0:
+            raise ValueError("rng is required when positioning_noise > 0")
         normal = rng.standard_normal if k_noise > 0 else None
     for n in range(1, max_steps + 1):
         x0, y0 = px, py
@@ -240,20 +242,19 @@ def kick(state: BallState, power: float, direction: float,
 
 def rollout_to_goal_line(state: BallState, config: DynamicsConfig,
                          field: FieldConfig,
-                         rng: np.random.Generator | BlockUniforms | None,
-                         max_steps: int = 10_000) -> CrossingOutcome:
+                         rng: np.random.Generator | BlockUniforms | None) -> CrossingOutcome:
     """Step the ball until it crosses the goal line or comes to rest.
 
     The lateral at the crossing is linearly interpolated inside the crossing
-    step. A ball that stops (below STOP_SPEED) or runs out of max_steps
-    reports crossed=False. Raises ValueError if max_steps < 1 or the ball's
-    position overflows. A `BlockUniforms` as `rng` gives the same outcome.
+    step. A ball that stops (below STOP_SPEED) or runs MAX_STEPS steps reports
+    crossed=False. Raises ValueError if the ball's position overflows. A
+    `BlockUniforms` as `rng` gives the same outcome.
     """
     if state.position.x >= field.goal_line_x:
         raise ValueError("ball must start before the goal line")
     p, v, a = state.position, state.velocity, state.acceleration
     end, steps, lateral, _ = _fly(p.x, p.y, v.x + a.x, v.y + a.y, config,
-                                  field.goal_line_x, rng, max_steps)
+                                  field.goal_line_x, rng, MAX_STEPS)
     return CrossingOutcome(end == _CROSSED, lateral, steps)
 
 

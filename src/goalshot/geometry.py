@@ -73,31 +73,30 @@ class FieldConfig:
     """Pitch dimensions in meters.
 
     Defaults follow the standard simulated-soccer pitch (105 x 68 field,
-    14.02 m goal, 16.5 x 40.32 m penalty area); all values are configurable
+    14.02 m goal, 40.32 m wide penalty area); all values are configurable
     and none of them is inherent to the model.
     """
 
     field_length: float = 105.0
     field_width: float = 68.0
     goal_width: float = 14.02
-    goal_line_x: float = 52.5
-    penalty_area_depth: float = 16.5
     penalty_area_width: float = 40.32
 
     def __post_init__(self) -> None:
-        for name in ("field_length", "field_width", "goal_width",
-                     "goal_line_x", "penalty_area_depth", "penalty_area_width"):
+        for name in ("field_length", "field_width", "goal_width", "penalty_area_width"):
             value = getattr(self, name)
             _require_finite(name, value)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.goal_width >= self.field_width:
             raise ValueError("goal_width must be smaller than field_width")
-        if abs(self.goal_line_x - self.field_length / 2) > 1e-9:
-            raise ValueError("goal_line_x must equal field_length / 2")
 
     # Built on first access and kept in the instance __dict__, which the
     # field-based eq, hash and repr never read.
+    @cached_property
+    def goal_line_x(self) -> float:
+        return self.field_length / 2
+
     @cached_property
     def goal_center(self) -> Vec2:
         return Vec2(self.goal_line_x, 0.0)

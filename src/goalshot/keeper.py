@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import _CROSSED, DynamicsConfig, _fly, kick_components
+from .dynamics import _CROSSED, MAX_STEPS, DynamicsConfig, _fly, kick_components
 from .geometry import FieldConfig, Vec2, _require_finite
 
 DEFAULT_DEFENDER_CATCH_RADIUS = 1.0
@@ -54,15 +54,16 @@ class KeeperModel:
 def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
                   keeper_start: Vec2, defenders: Sequence[Vec2],
                   keeper_model: KeeperModel, dynamics: DynamicsConfig,
-                  field: FieldConfig, rng: np.random.Generator,
-                  defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS,
-                  max_steps: int = 10_000) -> tuple[ShotResult, int]:
+                  field: FieldConfig, rng: np.random.Generator | None,
+                  defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS
+                  ) -> tuple[ShotResult, int]:
     """Kick the ball at the target and resolve the episode.
 
-    Returns the outcome and the number of steps simulated. Deterministic
-    for a given rng state. Raises ValueError if the ball starts on or past
-    the goal line, if max_steps < 1, or if the ball's position or the
-    keeper's blurred aim point overflows.
+    Returns the outcome and the number of steps simulated, at most MAX_STEPS.
+    Deterministic for a given rng state. Raises ValueError if the ball
+    starts on or past the goal line, if rng is None and the ball or the
+    keeper has noise, or if the ball's position or the keeper's blurred aim
+    point overflows.
     """
     if ball.x >= field.goal_line_x:
         raise ValueError("ball must start before the goal line")
@@ -70,7 +71,7 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
     keeper = (keeper_start.x, keeper_start.y, keeper_model.catch_radius, keeper_model.max_speed,
               keeper_model.reaction_delay, keeper_model.positioning_noise)
     end, steps, lateral, _ = _fly(ball.x, ball.y, ball_velocity.x + ax, ball_velocity.y + ay,
-                                  dynamics, field.goal_line_x, rng, max_steps, keeper,
+                                  dynamics, field.goal_line_x, rng, MAX_STEPS, keeper,
                                   [(d.x, d.y, defender_catch_radius) for d in defenders])
     if end != _CROSSED:
         return ShotResult.CAUGHT, steps

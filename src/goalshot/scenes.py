@@ -43,7 +43,7 @@ import numpy as np
 from .aim import GOAL_LINE_TOLERANCE
 from .dynamics import DynamicsConfig
 from .geometry import FieldConfig, Vec2, _require_finite, opening_angle, shot_line
-from .keeper import KeeperModel, ShotResult, simulate_shot
+from .keeper import DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult, simulate_shot
 
 MAX_DEFENDERS = 10
 
@@ -565,7 +565,7 @@ class GeneratorConfig:
     keeper_depth_max: float = 4.0
     keeper_lateral_spread: float = 5.0
     max_defenders: int = 5
-    defender_catch_radius: float = 1.0
+    defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS
     kick_power_min: float = 70.0
     kick_power_max: float = 100.0
     target_margin: float = 1.5
@@ -622,6 +622,9 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
         raise ValueError("ball sampling region leaves the field")
     if g.target_margin >= half_goal:
         raise ValueError("target_margin leaves no goal mouth to aim at")
+    if g.kick_power_max > dynamics.max_power:
+        raise ValueError(f"[gen] kick_power_max {g.kick_power_max!r} exceeds "
+                         f"[dynamics] max_power {dynamics.max_power!r}")
 
     rng = np.random.default_rng(seed)
     random = rng.random

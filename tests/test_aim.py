@@ -215,8 +215,7 @@ class TestDiscretizeTargets:
                                                target_count, sigma_coefficient,
                                                sigma_horizon):
         # Stage one skips p_goal's target checks, so its aim points must pass them.
-        field = FieldConfig(field_length=field_length, goal_line_x=field_length / 2,
-                            goal_width=goal_width)
+        field = FieldConfig(field_length=field_length, goal_width=goal_width)
         config = AimConfig(sigma_coefficient=sigma_coefficient,
                            sigma_horizon=sigma_horizon, target_count=target_count,
                            target_inset=inset_share * goal_width / 2)

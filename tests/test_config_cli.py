@@ -17,11 +17,11 @@ from goalshot.cli import main
 from goalshot.config import RunConfig, load_run_config, scalar_fields
 from goalshot.dynamics import BallState, kick, rollout_to_goal_line
 from goalshot.experiment import stats_pair_from_json
-from goalshot.geometry import Vec2
+from goalshot.geometry import FieldConfig, Vec2
 from goalshot.keeper import KeeperModel
 from goalshot.mlp import TrainConfig
 from goalshot.policies import PolicyConfig
-from goalshot.scenes import CSV_HEADER, load_scenes
+from goalshot.scenes import CSV_HEADER, SceneTable, load_scenes
 
 
 CONFIG_TEXT = """
@@ -45,6 +45,10 @@ max_epochs = 25
 [eval_keeper]
 max_speed = 0.9
 """
+
+
+# A 401-digit integer, past the largest float.
+_HUGE = "1" + "0" * 400
 
 
 class TestConfigFile:
@@ -71,10 +75,24 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        for section, key in (("dynamics", "friction"), ("train", "compare_to_previous")):
+        # The goal line follows field_length, and nothing reads a penalty area depth.
+        for section, key in (("dynamics", "friction"), ("train", "compare_to_previous"),
+                             ("field", "goal_line_x"), ("field", "penalty_area_depth")):
             path.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"unknown key '{key}' in section \\[{section}\\]"):
                 load_run_config(path)
+
+    @pytest.mark.parametrize("flags,ini", [(["--seed", _HUGE], ""),
+                                           ([], f"[run]\nseed = {_HUGE}\n")],
+                             ids=["flag", "file"])
+    def test_huge_seed_accepted(self, flags, ini, tmp_path, capsys):
+        # An int too large for a float is finite: only the class's own checks apply.
+        path = tmp_path / "run.ini"
+        path.write_text(ini, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["gen-data", "--n", "5", "--config", str(path), "--out", str(out),
+                     *flags]) == 0
+        assert capsys.readouterr().out.endswith(f", seed {_HUGE})\n")
 
     def test_aim_p_goal_threshold_rejected(self, tmp_path):
         # The stage-one threshold lives in [policy]; [aim] has no such key.
@@ -144,6 +162,10 @@ class TestConfigFile:
         ("eval_keeper", "max_speed", "-1", "KeeperModel parameters must be non-negative"),
         ("policy", "p_goal_threshold", "2", "p_goal_threshold must be in (0, 1)"),
         ("aim", "target_count", "0", "target_count must be >= 1"),
+        pytest.param("gen", "max_defenders", _HUGE, "max_defenders must be in [0, 10]",
+                     id="gen-max_defenders-huge"),
+        ("gen", "kick_power_max", "150",
+         "kick_power_max 150.0 exceeds [dynamics] max_power 100.0"),
     ])
     def test_rejected_value_names_its_section(self, section, key, raw, message,
                                               tmp_path, capsys):
@@ -313,6 +335,15 @@ class TestGenData:
         assert capsys.readouterr().err == ("error: positioning_noise 1e+308 moves the "
                                            "keeper's aim point out of float range\n")
         assert not out.exists()
+
+    def test_field_length_alone_moves_the_goal_line(self, tmp_path):
+        path = tmp_path / "field.ini"
+        path.write_text("[field]\nfield_length = 100\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", "--n", "50", "--config", str(path), "--out", str(out)]) == 0
+        table = SceneTable.load(out, FieldConfig(field_length=100.0))
+        assert len(table) == 50
+        assert {scene.target.x for scene in table.scenes()} == {50.0}
 
     def test_unwritable_path_fails(self, tmp_path):
         out = tmp_path / "missing-dir" / "x.csv"

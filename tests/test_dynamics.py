@@ -107,12 +107,6 @@ class TestRollout:
             rollout_to_goal_line(BallState.at_rest(Vec2(52.5, 0.0)),
                                  NOISELESS, field, None)
 
-    @pytest.mark.parametrize("max_steps", (0, -5))
-    def test_max_steps_below_one_rejected(self, field, max_steps):
-        state = kick(BallState.at_rest(Vec2(30.0, 0.0)), 100.0, 0.0, NOISELESS)
-        with pytest.raises(ValueError, match=f"max_steps must be >= 1, got {max_steps}$"):
-            rollout_to_goal_line(state, NOISELESS, field, None, max_steps)
-
     def test_lateral_spread_grows_with_distance(self, field):
         config = DynamicsConfig()
         spreads = []

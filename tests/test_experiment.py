@@ -91,14 +91,14 @@ class TestSimulateShot:
             Vec2(50.0, 3.0), (), keeper, NOISELESS, field, rng)
         assert result is ShotResult.CAUGHT
 
-    @pytest.mark.parametrize("max_steps", (0, -3))
-    def test_max_steps_below_one_rejected(self, field, max_steps):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match=f"max_steps must be >= 1, got {max_steps}$"):
-            simulate_shot(Vec2(30.0, 0.0), Vec2(0.0, 0.0), Vec2(52.5, 2.0), 100.0,
-                          Vec2(51.5, -5.0), (), CFG.keeper, CFG.dynamics, field, rng,
-                          max_steps=max_steps)
-        assert rng.random() == np.random.default_rng(0).random()
+    def test_keeper_noise_without_rng_rejected(self, field):
+        # The ball has no noise, so only the keeper's positioning noise needs draws.
+        shot = (Vec2(30.0, 0.0), Vec2(0.0, 0.0), Vec2(52.5, 2.0), 100.0, Vec2(51.5, -5.0), ())
+        with pytest.raises(ValueError, match="^rng is required when positioning_noise > 0$"):
+            simulate_shot(*shot, KeeperModel(), NOISELESS, field, None)
+        quiet = KeeperModel(positioning_noise=0.0)
+        assert (simulate_shot(*shot, quiet, NOISELESS, field, None)
+                == simulate_shot(*shot, quiet, NOISELESS, field, np.random.default_rng(0)))
 
 
     # At rest on the line the ball never moves; behind it, kicked back toward

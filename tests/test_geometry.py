@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -67,8 +67,6 @@ class TestFieldConfig:
         with pytest.raises(ValueError):
             FieldConfig(goal_width=70.0)  # wider than the field
         with pytest.raises(ValueError):
-            FieldConfig(goal_line_x=50.0)  # not half the length
-        with pytest.raises(ValueError):
             FieldConfig(field_width=-68.0)
 
     def test_posts_read_once_keep_eq_hash_and_repr(self):
@@ -83,11 +81,16 @@ class TestFieldConfig:
     def test_replace_gives_new_posts(self):
         field = FieldConfig()
         assert field.post_left == Vec2(52.5, 7.01)
-        narrow = replace(field, goal_width=10.0, field_length=100.0, goal_line_x=50.0)
+        narrow = replace(field, goal_width=10.0, field_length=100.0)
         assert narrow.post_left == Vec2(50.0, 5.0)
         assert narrow.post_right == Vec2(50.0, -5.0)
         assert narrow.goal_center == Vec2(50.0, 0.0)
         assert field.post_left == Vec2(52.5, 7.01)
+
+    def test_goal_line_is_half_the_length(self):
+        assert [f.name for f in fields(FieldConfig)] == [
+            "field_length", "field_width", "goal_width", "penalty_area_width"]
+        assert FieldConfig(field_length=100.0).goal_line_x == 50.0
 
     def test_contains(self, field):
         assert field.contains(Vec2(0.0, 0.0))

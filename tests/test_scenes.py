@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goalshot.scenes
 from conftest import from_scenes, make_scene, random_scene
 from goalshot.config import RunConfig
 from goalshot.dynamics import DynamicsConfig
@@ -500,6 +501,20 @@ class TestGenerator:
             generate_synthetic_scenes(
                 5, GeneratorConfig(x_min=50.0, x_max=60.0), CFG.dynamics,
                 CFG.field, seed=0)
+
+    @pytest.mark.parametrize("kick_power_max,max_power", [(100.5, 100.0), (100.0, 60.0)])
+    def test_kick_power_above_max_power_rejected_before_any_shot(
+            self, kick_power_max, max_power, monkeypatch):
+        def no_shot(*args, **kwargs):
+            raise AssertionError("a shot was simulated")
+        monkeypatch.setattr(goalshot.scenes, "simulate_shot", no_shot)
+        gen = replace(CFG.gen, kick_power_max=kick_power_max)
+        dynamics = replace(CFG.dynamics, max_power=max_power)
+        message = (f"[gen] kick_power_max {kick_power_max!r} exceeds "
+                   f"[dynamics] max_power {max_power!r}")
+        with pytest.raises(ValueError) as error:
+            generate_synthetic_scenes(5, gen, dynamics, CFG.field, seed=0)
+        assert str(error.value) == message
 
     def test_deterministic_per_seed(self):
         a = generate_synthetic_scenes(40, CFG.gen, CFG.dynamics, CFG.field, seed=9)

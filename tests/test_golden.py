@@ -38,6 +38,8 @@ AIM_TABLE_SHA256 = "48cf079f68e6c2e270d8489a89544365018b9ceafecafc43d7ae2d65d1e7
 COMPARE_SHA256 = "78e008f5d2e6cda4b80e20e09a26ac91110be19cf5eb6e7a2641aabacd1540b9"
 COMPARE_GENERATED_SHA256 = "cceb40850b2c424858dd652c3339dc63b7a1b711267dc5529449e122dc639d6f"
 EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62aa6360"
+COMPARE_CENTER_SHA256 = "cb266696212e4d81fdd9715cdad1b5928366441b674ac1d67eda9083d2c94293"
+EPISODE_LOG_CENTER_SHA256 = "429c0e746796b34506b18e76fd89b88514584eacf59743c7708bf9cfe8f43fde"
 DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd2c95"
 EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
 STATS_SHA256 = "821ec09178eef386d3304fb33befe7badd2f3e0052e18447d392b88556a9efd1"
@@ -163,6 +165,16 @@ def test_compare_report_and_episode_log(pipeline):
          "--format", "json", "--out", str(report), "--episode-log", str(log))
     assert _sha256(report) == COMPARE_SHA256, BUILD
     assert _sha256(log) == EPISODE_LOG_SHA256, BUILD
+
+
+def test_compare_center_against_mlp(pipeline):
+    """The center reference as side a, against the mlp policy."""
+    work, _, model = pipeline
+    report, log = work / "compare_center.json", work / "episodes_center.jsonl"
+    _run("compare", "--policy-a", "center", "--policy-b", "mlp", "--model", str(model),
+         "--games", "10", "--format", "json", "--out", str(report), "--episode-log", str(log))
+    assert _sha256(report) == COMPARE_CENTER_SHA256, BUILD
+    assert _sha256(log) == EPISODE_LOG_CENTER_SHA256, BUILD
 
 
 def test_compare_lda_fitted_on_generated_scenes(pipeline):

@@ -200,6 +200,10 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
         raise ValueError("--distance-count and --y-count must be >= 1")
     if args.mc_rollouts < 0:
         raise ValueError("--mc-rollouts must be >= 0")
+    max_power = config.dynamics.max_power
+    if args.mc_rollouts and not 0.0 <= args.mc_power <= max_power:
+        raise ValueError(f"--mc-power must be in [0, {max_power!r}] ([dynamics] max_power), "
+                         f"got {args.mc_power!r}")
     field, aim_config = config.field, config.aim
     # The grid is a rectangle: its corners are on the pitch when all of it is.
     for distance in (args.min_distance, args.max_distance):

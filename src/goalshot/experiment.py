@@ -4,16 +4,23 @@ A "game" is a bundle of shot episodes. In an experiment both policies face
 the identical seeded stream of scenes, and each episode seeds its noise
 from the (experiment seed, game, shot) triple, so two policies, or two
 runs, see exactly the same world and differ only through their decisions.
-The two sides of a shot share its seed, so a kick both policies take at the
-same target has one outcome, simulated once. Per-game goal totals decide
-win/loss/draw. The per-game counts stay Python ints until one (4, games)
-array reduces them to the means and stds, and each episode-log line is
-written as the text json.dumps gives for its record.
+Decisions never depend on outcomes, so each policy decides all of a game's
+scenes in one decide_all batch before any shot is resolved: the MLP scores
+the game's survivor rows in one call, and the second policy reuses the
+stage one the first computed for the game's balls (policies._stage_one,
+keyed on the tuple of balls). An error in a decision therefore raises
+before the game's first episode-log line. The two sides of a shot share its
+seed, so a kick both policies take at the same target has one outcome,
+simulated once. Per-game goal totals decide win/loss/draw. The per-game
+counts stay Python ints until one (4, games) array reduces them to the
+means and stds. Each episode-log line, and the JSON report, is written as
+the text json.dumps gives for its record, from f-strings.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import IO, Callable, Sequence
 
@@ -115,14 +122,16 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
                    ) -> tuple[MatchStats, MatchStats]:
     """Paired experiment: both policies face the same scenes and noise.
 
-    Episode seeds come from a splittable scheme, so episodes are mutually
-    independent and could be resolved in any order; results are reduced in
-    (game, shot) order. Both sides of a shot draw from the same seed, so
-    when their decisions agree (the same action and target) the second
-    side reuses the first side's outcome instead of simulating the same
-    kick again. With episode_log set, one JSON line is written per
-    episode, side a first, byte-equal to json.dumps of the record (game,
-    shot, policy name or policy_<side>, kicked, result, steps).
+    Each policy decides a game's scenes in one decide_all call before any
+    of them is resolved. Episode seeds come from a splittable scheme, so
+    episodes are mutually independent and could be resolved in any order;
+    results are reduced in (game, shot) order. Both sides of a shot draw
+    from the same seed, so when their decisions agree (the same action and
+    target) the second side reuses the first side's outcome instead of
+    simulating the same kick again. With episode_log set, one JSON line is
+    written per episode, side a first, byte-equal to json.dumps of the
+    record (game, shot, policy name or policy_<side>, kicked, result,
+    steps).
     """
     check_experiment_size(games, shots_per_game)
     policies = (policy_a, policy_b)
@@ -138,13 +147,13 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
             [seed, game, _SCENE_STREAM]).generate_state(1)[0])
         scenes = generate_synthetic_scenes(shots_per_game, gen_config, dynamics,
                                            field, scene_seed).scenes()
+        decisions = zip(*(policy.decide_all(scenes) for policy in policies), strict=True)
         game_kicks = [0, 0]
         game_goals = [0, 0]
-        for shot, scene in enumerate(scenes):
+        for shot, (scene, pair) in enumerate(zip(scenes, decisions, strict=True)):
             episode_seed = np.random.SeedSequence([seed, game, shot, _EPISODE_STREAM])
             outcomes: dict[tuple, EpisodeOutcome] = {}
-            for side, policy in enumerate(policies):
-                decision = policy.decide(scene)
+            for side, decision in enumerate(pair):
                 key = (decision.action, decision.target)
                 outcome = outcomes.get(key)
                 if outcome is None:
@@ -197,6 +206,16 @@ def check_report_format(format: str) -> None:
 
 
 _STATS_FIELDS = tuple(f.name for f in fields(MatchStats))
+# The stats object of a JSON report with its values left to fill, as
+# json.dumps(..., indent=1) lays it out four levels deep.
+_STATS_JSON = ",\n".join(f'    "{field}": {{}}' for field in _STATS_FIELDS)
+
+
+def _json_number(value: float | int | None) -> str:
+    """value as json.dumps writes it: repr of an int or a finite float."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value)
 
 
 def report(stats_pair: tuple[MatchStats, MatchStats], format: str,
@@ -205,12 +224,12 @@ def report(stats_pair: tuple[MatchStats, MatchStats], format: str,
     check_report_format(format)
     stats_a, stats_b = stats_pair
     if format == "json":
-        return json.dumps({
-            "policies": [
-                {"name": name, "stats": {field: getattr(stats, field) for field in _STATS_FIELDS}}
-                for name, stats in zip(names, stats_pair)
-            ]
-        }, indent=1)
+        # json.dumps(doc, indent=1) of {"policies": [{"name": ..., "stats": {...}}, ...]}
+        return ('{\n "policies": [\n' + ",\n".join(
+            f'  {{\n   "name": {json.dumps(name)},\n   "stats": {{\n'
+            + _STATS_JSON.format(*[_json_number(getattr(stats, field))
+                                   for field in _STATS_FIELDS])
+            + "\n   }\n  }" for name, stats in zip(names, stats_pair)) + "\n ]\n}")
     if format == "csv":
         lines = [f"metric,{names[0]},{names[1]}"]
         for attr, _ in _REPORT_ROWS:

@@ -1,19 +1,24 @@
-"""Shot policies behind one decide() interface.
+"""Shot policies behind one decide_all() interface.
 
-The thresholded policies run one two-stage routine. Stage one discretizes
-the goal into aim points and keeps those whose analytic goal-entry
-probability clears p_goal_threshold, each kept with its shot line (the
-target relative to the ball, its distance and unit direction). Stage two
-ranks the survivors from those lines (the MLP policy by neural score, the
-LDA baseline by a two-variable linear discriminant) and kicks at the best
-one if it clears the ranker's bar; only the MLP's decision keeps its rank as
-neural_score. The terms that depend only on the scene are computed once per
-decision: the MLP's survivor rows are one array, the scene's base row with
-each survivor's target columns set in one assignment. Stage one, which
-depends only on the ball and the configs, is kept for the last ball, so a
-second policy deciding on the same scene (as in a paired experiment)
-reuses it. The naive reference has no stages; it always shoots at the goal
-center.
+A policy decides a batch of scenes at once, as the scenes of one game:
+decisions never depend on outcomes. The thresholded policies run one
+two-stage routine. Stage one discretizes the goal into aim points and keeps
+those whose analytic goal-entry probability clears p_goal_threshold, each
+kept with its shot line (the target relative to the ball, its distance and
+unit direction). Stage two ranks the survivors from those lines (the MLP
+policy by neural score, the LDA baseline by a two-variable linear
+discriminant) and kicks at the best one if it clears the ranker's bar; only
+the MLP's decision keeps its rank as neural_score. The MLP stacks every
+survivor row of the batch, each scene's base row with that survivor's
+target columns, into one array and scores it in one score_batch call; a
+batch with no survivor makes no call. Stage one, which depends only on the
+ball and the configs, runs once per ball and is kept for the last batch,
+keyed on its tuple of balls, so a second policy deciding the same scenes
+(as in a paired experiment) reuses it. A scene that fails a check raises
+for its whole batch, before any decision is returned, so an experiment
+raises before the game's first episode-log line. Deciding one scene is the
+batch of one. The naive reference has no stages; it always shoots at the
+goal center.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .aim import (AimConfig, HorizonError, _aim_chances, _aim_points, _ball_half
                   p_goal, within_horizon)  # noqa: F401
 from .geometry import FieldConfig, Vec2
 from .mlp import MlpParams, forward  # noqa: F401
-from .scenes import (KickScene, Label, angle_at, features_by_target, set_target_columns,
-                     extract_features)  # noqa: F401
+from .scenes import (FEATURE_NAMES, KickScene, Label, angle_at, features_by_target,
+                     set_target_columns, extract_features)  # noqa: F401
 
 
 class Action(enum.Enum):
@@ -99,50 +104,85 @@ def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
 
 
 @lru_cache(maxsize=1)
-def _stage_one(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
-               policy_config: PolicyConfig) -> tuple[tuple[Vec2, float, tuple], ...] | None:
-    """The horizon gate and stage one of a ball: None beyond the horizon,
-    else the survivors. Every argument is a frozen value, so the entry of
-    the last ball serves any later call with equal arguments."""
-    try:
-        return tuple(stage_one_survivors(ball, field, aim_config, policy_config))
-    except HorizonError:
-        return None
+def _stage_one(balls: tuple[Vec2, ...], field: FieldConfig, aim_config: AimConfig,
+               policy_config: PolicyConfig) -> tuple[tuple | None, ...]:
+    """The horizon gate and stage one of each ball of a batch: None beyond
+    the horizon, else the survivors. Every argument is a frozen value, so
+    the entry of the last batch serves any later call with equal arguments."""
+    stage_ones = []
+    for ball in balls:
+        try:
+            stage_ones.append(tuple(stage_one_survivors(ball, field, aim_config,
+                                                        policy_config)))
+        except HorizonError:
+            stage_ones.append(None)
+    return tuple(stage_ones)
 
 
-def _two_stage(scene: KickScene, field: FieldConfig, aim_config: AimConfig,
+def _two_stage(scenes: Sequence[KickScene], field: FieldConfig, aim_config: AimConfig,
                policy_config: PolicyConfig,
-               rank: Callable[[tuple], list[float]], bar: float,
-               keep_score: bool) -> KickDecision:
-    """Kick at the stage-one survivor with the largest rank above bar, kept
-    as neural_score when keep_score is set; ties go to the target nearest
-    the goal center, then to the smaller lateral coordinate. rank values
-    every survivor at once."""
-    survivors = _stage_one(scene.ball, field, aim_config, policy_config)
-    if survivors is None:
-        return _OUT_OF_RANGE
-    values = rank(survivors) if survivors else []
-    candidates = [(target, value, pg) for (target, pg, _), value in zip(survivors, values)
-                  if value > bar]
-    if not candidates:
-        return _NO_KICK
-    target, value, pg = min(candidates, key=lambda c: (-c[1], abs(c[0].y), c[0].y))
-    return KickDecision(Action.KICK, target=target,
-                        neural_score=value if keep_score else None, p_goal=pg)
+               rank: Callable[[Sequence[KickScene], tuple], list[float]], bar: float,
+               keep_score: bool) -> list[KickDecision]:
+    """Per scene, kick at the stage-one survivor with the largest rank above
+    bar, kept as neural_score when keep_score is set; ties go to the target
+    nearest the goal center, then to the smaller lateral coordinate.
+    rank(scenes, stage_ones) values the survivors of every scene that has
+    any, in one flat list, scene after scene; it is not called when none has."""
+    stage_ones = _stage_one(tuple([scene.ball for scene in scenes]), field, aim_config,
+                            policy_config)
+    values = rank(scenes, stage_ones) if any(stage_ones) else []
+    decisions = []
+    start = 0
+    for survivors in stage_ones:
+        if not survivors:
+            decisions.append(_NO_KICK if survivors is not None else _OUT_OF_RANGE)
+            continue
+        end = start + len(survivors)
+        ranks = values[start:end]
+        start = end
+        top = max(ranks)
+        if top != top:  # max stays on a leading NaN, which clears no bar
+            top = max(filter(bar.__lt__, ranks), default=bar)
+        if not top > bar:
+            decisions.append(_NO_KICK)
+            continue
+        best = ranks.index(top)
+        if ranks.count(top) > 1:
+            best = min((i for i, value in enumerate(ranks) if value == top),
+                       key=lambda i: (abs(survivors[i][0].y), survivors[i][0].y))
+        target, pg, _ = survivors[best]
+        decisions.append(KickDecision(Action.KICK, target=target,
+                                      neural_score=top if keep_score else None, p_goal=pg))
+    return decisions
+
+
+def mlp_policy_decide_all(scenes: Sequence[KickScene], model: MlpParams, field: FieldConfig,
+                          aim_config: AimConfig,
+                          policy_config: PolicyConfig) -> list[KickDecision]:
+    """Two-stage decisions: analytic p_goal filter, then best neural score,
+    with every survivor row of the batch scored in one call. score_batch
+    gives each row the bits of a one-row call, so each decision is the one
+    its scene gets alone."""
+    def rank(scenes: Sequence[KickScene], stage_ones: tuple) -> list[float]:
+        rows = np.empty((sum(map(len, filter(None, stage_ones))), len(FEATURE_NAMES)))
+        targets = []
+        start = 0
+        for scene, survivors in zip(scenes, stage_ones):
+            if survivors:
+                base, terms = features_by_target(scene, field)
+                rows[start:start + len(survivors)] = base
+                start += len(survivors)
+                targets += [terms(target.y, line) for target, _, line in survivors]
+        return mlp.score_batch(model, set_target_columns(rows, targets)).tolist()
+    return _two_stage(scenes, field, aim_config, policy_config, rank,
+                      policy_config.score_threshold, True)
 
 
 def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
-    """Two-stage decision: analytic p_goal filter, then best neural score."""
-    def rank(survivors: tuple) -> list[float]:
-        base, terms = features_by_target(scene, field)
-        rows = np.empty((len(survivors), len(base)))
-        rows[:] = base
-        set_target_columns(rows, (terms(target.y, line) for target, _, line in survivors))
-        return mlp.score_batch(model, rows).tolist()
-    return _two_stage(scene, field, aim_config, policy_config, rank,
-                      policy_config.score_threshold, True)
+    """mlp_policy_decide_all of the one scene."""
+    return mlp_policy_decide_all((scene,), model, field, aim_config, policy_config)[0]
 
 
 def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
@@ -167,23 +207,39 @@ def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
                     bias=float(w[2]))
 
 
+def lda_policy_decide_all(scenes: Sequence[KickScene], model: LdaModel, field: FieldConfig,
+                          aim_config: AimConfig,
+                          policy_config: PolicyConfig) -> list[KickDecision]:
+    """Same two stages, ranked by the discriminant with bar 0; no neural score."""
+    def rank(scenes: Sequence[KickScene], stage_ones: tuple) -> list[float]:
+        weight_angle, bias, atan2 = model.weight_angle, model.bias, math.atan2
+        values = []
+        for scene, survivors in zip(scenes, stage_ones):
+            if not survivors:
+                continue
+            ball, keeper = scene.ball, scene.keeper
+            distance = keeper.distance_to(ball)
+            kdx, kdy = keeper.x - ball.x, keeper.y - ball.y
+            # angle_at(ball, keeper, target) from the target's line, which is
+            # finite and not degenerate: 0.0 where the keeper's offset is not
+            # finite or its length (distance) is below opening_angle's 1e-12
+            if not (math.isfinite(kdx) and math.isfinite(kdy)) or distance < 1e-12:
+                values += [model.discriminant(distance, 0.0)] * len(survivors)
+            else:
+                # model.discriminant(distance, angle), its distance term once per scene
+                near = model.weight_distance * distance
+                values += [near + weight_angle * atan2(abs(kdx * dy - kdy * dx),
+                                                       kdx * dx + kdy * dy) + bias
+                           for _, _, (dx, dy, _, _, _) in survivors]
+        return values
+    return _two_stage(scenes, field, aim_config, policy_config, rank, 0.0, False)
+
+
 def lda_policy_decide(scene: KickScene, model: LdaModel, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
-    """Same two stages, ranked by the discriminant with bar 0; no neural score."""
-    def rank(survivors: tuple) -> list[float]:
-        ball, keeper = scene.ball, scene.keeper
-        distance = keeper.distance_to(ball)
-        kdx, kdy = keeper.x - ball.x, keeper.y - ball.y
-        # angle_at(ball, keeper, target) from the target's line, which is
-        # finite and not degenerate: 0.0 where the keeper's offset is not
-        # finite or its length (distance) is below opening_angle's 1e-12
-        if not (math.isfinite(kdx) and math.isfinite(kdy)) or distance < 1e-12:
-            return [model.discriminant(distance, 0.0)] * len(survivors)
-        return [model.discriminant(distance, math.atan2(abs(kdx * dy - kdy * dx),
-                                                        kdx * dx + kdy * dy))
-                for _, _, (dx, dy, _, _, _) in survivors]
-    return _two_stage(scene, field, aim_config, policy_config, rank, 0.0, False)
+    """lda_policy_decide_all of the one scene."""
+    return lda_policy_decide_all((scene,), model, field, aim_config, policy_config)[0]
 
 
 def naive_center_policy(scene: KickScene, field: FieldConfig,
@@ -196,9 +252,12 @@ def naive_center_policy(scene: KickScene, field: FieldConfig,
 
 
 class Policy(Protocol):
+    """A named policy deciding a batch of scenes: one decision per scene, in
+    order."""
+
     name: str
 
-    def decide(self, scene: KickScene) -> KickDecision: ...
+    def decide_all(self, scenes: Sequence[KickScene]) -> list[KickDecision]: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +272,10 @@ class MlpPolicy:
         return mlp_policy_decide(scene, self.model, self.field, self.aim_config,
                                  self.policy_config)
 
+    def decide_all(self, scenes: Sequence[KickScene]) -> list[KickDecision]:
+        return mlp_policy_decide_all(scenes, self.model, self.field, self.aim_config,
+                                     self.policy_config)
+
 
 @dataclass(frozen=True, eq=False)
 class LdaPolicy:
@@ -226,6 +289,10 @@ class LdaPolicy:
         return lda_policy_decide(scene, self.model, self.field, self.aim_config,
                                  self.policy_config)
 
+    def decide_all(self, scenes: Sequence[KickScene]) -> list[KickDecision]:
+        return lda_policy_decide_all(scenes, self.model, self.field, self.aim_config,
+                                     self.policy_config)
+
 
 @dataclass(frozen=True, eq=False)
 class NaiveCenterPolicy:
@@ -237,3 +304,6 @@ class NaiveCenterPolicy:
     def decide(self, scene: KickScene) -> KickDecision:
         return naive_center_policy(scene, self.field, self.aim_config,
                                    self.policy_config)
+
+    def decide_all(self, scenes: Sequence[KickScene]) -> list[KickDecision]:
+        return [self.decide(scene) for scene in scenes]

@@ -110,7 +110,7 @@ def run_episode(policy, scene: KickScene, keeper: KeeperModel, dynamics: Dynamic
                 field: FieldConfig, rng: np.random.Generator,
                 defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS) -> EpisodeOutcome:
     """Let the policy decide on the scene and resolve any kick it takes."""
-    decision = policy.decide(scene)
+    decision, = policy.decide_all([scene])
     if decision.action is not Action.KICK:
         return EpisodeOutcome(kicked=False, result=ShotResult.NO_KICK, steps=0)
     result, steps = simulate_shot(scene.ball, scene.ball_velocity, decision.target,

@@ -552,7 +552,28 @@ class TestAimTable:
                      "--mc-rollouts", "3", "--mc-power", "500"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: power must be in [0, 100.0], got 500.0\n"
+        assert captured.err == ("error: --mc-power must be in [0, 100.0] ([dynamics] max_power), "
+                                "got 500.0\n")
+
+    @pytest.mark.parametrize("power,ini,bound", [
+        ("150", "", "100.0"), ("nan", "", "100.0"), ("-1", "", "100.0"),
+        ("100", "[dynamics]\nmax_power = 60\n", "60.0")])
+    def test_monte_carlo_power_rejected_before_any_rollout(self, power, ini, bound, tmp_path,
+                                                           monkeypatch, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(ini, encoding="utf-8")
+        monkeypatch.setattr(cli, "p_goal", lambda *args: pytest.fail("grid computed"))
+        assert main(["aim-table", "--config", str(config), "--distance-count", "1",
+                     "--y-count", "1", "--mc-rollouts", "3", "--mc-power", power]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --mc-power must be in [0, {bound}] ([dynamics] "
+                                f"max_power), got {float(power)!r}\n")
+
+    def test_monte_carlo_power_unused_without_rollouts(self, capsys):
+        assert main(["aim-table", "--distance-count", "1", "--y-count", "1",
+                     "--mc-power", "150"]) == 0
+        assert capsys.readouterr().out.startswith("ball_x,ball_y,target_y,")
 
     @pytest.mark.parametrize("flags", [
         ["--distance-count", "1", "--y-count", "1", "--mc-rollouts", "-3"],

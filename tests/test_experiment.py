@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import make_scene
 import goalshot.experiment
+import goalshot.mlp
+import goalshot.policies
 from goalshot.config import RunConfig
 from goalshot.dynamics import DynamicsConfig
 from goalshot.experiment import (EpisodeOutcome, MatchStats, ShotResult, report,
@@ -17,8 +19,9 @@ from goalshot.experiment import (EpisodeOutcome, MatchStats, ShotResult, report,
 from goalshot.geometry import Vec2
 from goalshot.keeper import KeeperModel, simulate_shot
 from goalshot.mlp import TrainConfig, train
+from goalshot.aim import within_horizon
 from goalshot.policies import (Action, KickDecision, LdaPolicy, MlpPolicy,
-                               NaiveCenterPolicy, PolicyConfig, lda_train)
+                               NaiveCenterPolicy, PolicyConfig, lda_train, stage_one_survivors)
 from goalshot.scenes import (balance_by_replication, feature_matrix,
                              generate_synthetic_scenes, split_dataset)
 from oracles import aggregate, run_episode
@@ -37,8 +40,8 @@ class FixedPolicy:
     def __init__(self, decision):
         self.decision = decision
 
-    def decide(self, scene):
-        return self.decision
+    def decide_all(self, scenes):
+        return [self.decision] * len(scenes)
 
 
 class TestSimulateShot:
@@ -301,6 +304,53 @@ class TestSharedResolution:
         assert stats_ab[0] != stats_ab[1]
 
 
+class TestDecisionCallSites:
+    """A paired game reaches stage one and the scorer through the names
+    perfbench's tracer wraps: stage one once per ball, shared by both
+    policies, and the scorer once for every survivor row of the game."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("x_min,seed", [(CFG.gen.x_min, 3), (5.0, 5)])
+    def test_one_game_scores_once_and_runs_stage_one_once_per_ball(self, policies, x_min,
+                                                                   seed, monkeypatch):
+        gen, shots = replace(CFG.gen, x_min=x_min), 10
+        scene_seed = int(np.random.SeedSequence([seed, 0, goalshot.experiment._SCENE_STREAM])
+                         .generate_state(1)[0])
+        balls = [s.ball for s in generate_synthetic_scenes(shots, gen, CFG.dynamics, CFG.field,
+                                                           scene_seed).scenes()]
+        in_range = [b for b in balls if within_horizon(b, CFG.field, CFG.aim)]
+        survivors = sum(len(stage_one_survivors(b, CFG.field, CFG.aim, CFG.policy))
+                        for b in in_range)
+        assert survivors > 0 and (x_min == CFG.gen.x_min or len(in_range) < shots)
+        goalshot.policies._stage_one.cache_clear()
+        scored = self._count(monkeypatch, goalshot.mlp, "score_batch")
+        stage_one = self._count(monkeypatch, goalshot.policies, "stage_one_survivors")
+        run_experiment(policies["mlp"], policies["lda"], 1, shots, CFG.keeper, gen,
+                       CFG.dynamics, CFG.field, seed)
+        assert [len(rows) for _, rows in scored] == [survivors]
+        assert [ball for ball, *_ in stage_one] == balls
+
+    def test_policies_decide_through_the_module_functions(self, policies, monkeypatch):
+        scenes = generate_synthetic_scenes(4, CFG.gen, CFG.dynamics, CFG.field, 7).scenes()
+        batched = {name: self._count(monkeypatch, goalshot.policies, f"{name}_policy_decide_all")
+                   for name in ("mlp", "lda")}
+        single = {name: self._count(monkeypatch, goalshot.policies, f"{name}_policy_decide")
+                  for name in ("mlp", "lda")}
+        for name in ("mlp", "lda"):
+            policies[name].decide_all(scenes)
+            policies[name].decide(scenes[0])
+            # decide is the batch of its one scene
+            assert [len(args[0]) for args in batched[name]] == [4, 1]
+            assert [args[0] for args in single[name]] == [scenes[0]]
+
+
 @st.composite
 def per_game_counts(draw):
     """Both sides' per-game kicks and goals (goals <= kicks <= shots) over
@@ -340,8 +390,8 @@ class Renamed:
         if name is not None:
             self.name = name
 
-    def decide(self, scene):
-        return self.policy.decide(scene)
+    def decide_all(self, scenes):
+        return self.policy.decide_all(scenes)
 
 
 @pytest.mark.parametrize("names", [('say "hi"', "back\\slash"), ("tab\there", "caf\u00e9"),
@@ -375,6 +425,10 @@ SOME_STATS = MatchStats(kicks=7, kicks_mean_per_game=3.5, kicks_std=0.5,
                         goals=3, goals_mean_per_game=1.5, goals_std=0.5,
                         effectiveness=3 / 7, wins=2, losses=0, draws=0)
 
+NON_FINITE_STATS = MatchStats(kicks=3, kicks_mean_per_game=math.inf, kicks_std=math.nan,
+                              goals=1, goals_mean_per_game=-math.inf, goals_std=0.1 + 0.2,
+                              effectiveness=1 / 3, wins=True, losses=0, draws=10**30)
+
 
 class TestReport:
     def test_text_renders_na_for_zero_kicks(self):
@@ -382,6 +436,16 @@ class TestReport:
         assert "n/a" in text
         assert "Effectiveness" in text
         assert len(text.splitlines()) == 11  # header + ten metric rows
+
+    @pytest.mark.parametrize("names", [("mlp", "lda"), ('say "hi"', "back\\slash"),
+                                       ("tab\there", "caf\u00e9 \u2028 \x00")])
+    @pytest.mark.parametrize("pair", [(SOME_STATS, ZERO_KICK_STATS), (ZERO_KICK_STATS, SOME_STATS),
+                                      (NON_FINITE_STATS, SOME_STATS)])
+    def test_json_is_json_dumps_of_the_document(self, pair, names):
+        doc = {"policies": [{"name": name, "stats": {f.name: getattr(stats, f.name)
+                                                      for f in fields(MatchStats)}}
+                            for name, stats in zip(names, pair)]}
+        assert report(pair, "json", names=names) == json.dumps(doc, indent=1)
 
     def test_json_round_trip(self):
         text = report((SOME_STATS, ZERO_KICK_STATS), "json", names=("x", "y"))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import make_scene
+import goalshot.mlp
 import goalshot.policies
-from goalshot.aim import ShotQuery, discretize_targets, p_goal
+from goalshot.aim import ShotQuery, discretize_targets, p_goal, within_horizon
 from goalshot.config import RunConfig
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.mlp import TrainConfig, forward, score, train
@@ -228,6 +229,25 @@ class TestLdaPolicy:
         decision = lda_policy_decide(scene, model, field, aim, policy)
         assert decision.target.y == min(ys)
 
+    def test_nan_discriminant_never_clears_the_bar(self, field):
+        # An infinite angle weight gives NaN (inf * 0.0) for the first
+        # survivor, whose target the keeper stands in line with, and +inf
+        # for every other survivor: the kick goes to the one of those
+        # nearest the goal center. A NaN distance weight makes every value NaN.
+        ball = Vec2(40.0, 0.0)
+        first = stage_one_survivors(ball, field, CFG.aim, POLICY)[0][0]
+        keeper = Vec2(ball.x + (first.x - ball.x) / 2, ball.y + (first.y - ball.y) / 2)
+        scene = make_scene(ball=ball, attacker=Vec2(39.3, 0.0), keeper=keeper)
+        assert angle_at(ball, keeper, first) == 0.0
+        survivors = stage_one_survivors(ball, field, CFG.aim, POLICY)[1:]
+        target, pg, _ = min(survivors, key=lambda s: (abs(s[0].y), s[0].y))
+        decision = lda_policy_decide(scene, LdaModel(0.0, math.inf, 0.0), field, CFG.aim,
+                                     POLICY)
+        assert decision == KickDecision(Action.KICK, target=target, p_goal=pg)
+        assert decision.target != first
+        assert lda_policy_decide(scene, LdaModel(math.nan, 1.0, 0.0), field, CFG.aim,
+                                 POLICY) == KickDecision(Action.NO_KICK)
+
     def test_stage_one_shared_with_mlp_policy(self, field, trained_model):
         scenes = generate_synthetic_scenes(50, CFG.gen, CFG.dynamics, field, seed=12).scenes()
         lda = LdaModel(0.1, 1.0, -0.5)
@@ -337,6 +357,58 @@ def test_decisions_build_no_vec2(trained_model, lda_model, monkeypatch):
         assert any(d.out_of_range for d in decisions)
 
 
+class TestDecideAll:
+    """decide_all of a batch is decide of each of its scenes, bit for bit.
+    The scenes run from near the goal to beyond the sigma horizon, so a
+    batch holds out-of-range scenes, in-range scenes without a stage-one
+    survivor and scenes with survivors."""
+
+    @pytest.fixture(scope="class")
+    def batches(self, trained_model, lda_model):
+        field = FieldConfig()
+        gen = replace(CFG.gen, x_min=5.0)
+        scenes = generate_synthetic_scenes(240, gen, CFG.dynamics, field, seed=13).scenes()
+        out = [s for s in scenes if not within_horizon(s.ball, field, CFG.aim)]
+        ranged = [s for s in scenes if within_horizon(s.ball, field, CFG.aim)]
+        none = [s for s in ranged if not stage_one_survivors(s.ball, field, CFG.aim, POLICY)]
+        some = [s for s in ranged if stage_one_survivors(s.ball, field, CFG.aim, POLICY)]
+        assert min(len(out), len(none), len(some)) >= 3
+        policies = {"mlp": MlpPolicy(trained_model, field, CFG.aim, POLICY),
+                    "lda": LdaPolicy(lda_model, field, CFG.aim, POLICY),
+                    "center": NaiveCenterPolicy(field, CFG.aim, POLICY)}
+        return policies, {
+            "all": scenes,
+            "one": some[:1],
+            "one_out_of_range": out[:1],
+            "no_survivor": [out[0], none[0], none[1], out[1], none[2]],
+            "some_survivors": [none[0], some[0], out[0], some[1], some[2], none[1], out[1]],
+        }
+
+    @pytest.mark.parametrize("batch", ["all", "one", "one_out_of_range", "no_survivor",
+                                       "some_survivors"])
+    @pytest.mark.parametrize("name", ["mlp", "lda", "center"])
+    def test_equals_decide_of_each_scene(self, batches, name, batch):
+        policy, scenes = batches[0][name], batches[1][batch]
+        goalshot.policies._stage_one.cache_clear()
+        decisions = policy.decide_all(scenes)
+        assert repr(decisions) == repr([policy.decide(scene) for scene in scenes])
+        assert repr(decisions) == repr(policy.decide_all(tuple(scenes)))
+
+    def test_no_survivor_batch_scores_nothing(self, batches, monkeypatch):
+        policies, scenes = batches
+        calls = []
+        monkeypatch.setattr(goalshot.mlp, "score_batch",
+                            lambda *args: calls.append(args) or pytest.fail("scored"))
+        decisions = policies["mlp"].decide_all(scenes["no_survivor"])
+        assert calls == []
+        assert [d.out_of_range for d in decisions] == [True, False, False, True, False]
+        assert {d.action for d in decisions} == {Action.NO_KICK}
+
+    def test_empty_batch(self, batches):
+        for policy in batches[0].values():
+            assert policy.decide_all([]) == []
+
+
 class TestStageOneMemo:
     """_stage_one keeps the last ball's stage one; a hit must give the bits
     a fresh computation gives."""
@@ -378,8 +450,8 @@ class TestStageOneMemo:
         tight = MlpPolicy(trained_model, field, CFG.aim, strict)
         goalshot.policies._stage_one.cache_clear()
         loose.decide(scene)
-        assert goalshot.policies._stage_one(scene.ball, field, CFG.aim, strict) == \
-            tuple(stage_one_survivors(scene.ball, field, CFG.aim, strict))
+        assert goalshot.policies._stage_one((scene.ball,), field, CFG.aim, strict) == \
+            (tuple(stage_one_survivors(scene.ball, field, CFG.aim, strict)),)
         assert len(stage_one_survivors(scene.ball, field, CFG.aim, strict)) < \
             len(stage_one_survivors(scene.ball, field, CFG.aim, POLICY))
         loose.decide(scene)

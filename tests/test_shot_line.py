@@ -76,11 +76,12 @@ def ranked(scene, monkeypatch):
         rows.extend(features.tolist())
         return score_batch(model, features)
 
-    def spy_two_stage(scene, field, aim_config, policy_config, rank, bar, keep_score):
-        survivors = goalshot.policies._stage_one(scene.ball, field, aim_config, policy_config)
-        if bar == 0.0 and survivors:  # the LDA policy's rank
-            values.extend(rank(survivors))
-        return two_stage(scene, field, aim_config, policy_config, rank, bar, keep_score)
+    def spy_two_stage(scenes, field, aim_config, policy_config, rank, bar, keep_score):
+        stage_ones = goalshot.policies._stage_one(tuple(scene.ball for scene in scenes),
+                                                  field, aim_config, policy_config)
+        if bar == 0.0 and any(stage_ones):  # the LDA policy's rank
+            values.extend(rank(scenes, stage_ones))
+        return two_stage(scenes, field, aim_config, policy_config, rank, bar, keep_score)
 
     monkeypatch.setattr(goalshot.mlp, "score_batch", spy_score_batch)
     monkeypatch.setattr(goalshot.policies, "_two_stage", spy_two_stage)

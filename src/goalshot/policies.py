@@ -218,8 +218,8 @@ def lda_policy_decide_all(scenes: Sequence[KickScene], model: LdaModel, field: F
             if not survivors:
                 continue
             ball, keeper = scene.ball, scene.keeper
-            distance = keeper.distance_to(ball)
             kdx, kdy = keeper.x - ball.x, keeper.y - ball.y
+            distance = math.hypot(kdx, kdy)  # keeper.distance_to(ball)
             # angle_at(ball, keeper, target) from the target's line, which is
             # finite and not degenerate: 0.0 where the keeper's offset is not
             # finite or its length (distance) is below opening_angle's 1e-12

@@ -12,6 +12,7 @@ from conftest import make_scene
 import goalshot.experiment
 import goalshot.mlp
 import goalshot.policies
+from goalshot.aim import within_horizon
 from goalshot.config import RunConfig
 from goalshot.dynamics import DynamicsConfig
 from goalshot.experiment import (EpisodeOutcome, MatchStats, ShotResult, report,
@@ -19,7 +20,6 @@ from goalshot.experiment import (EpisodeOutcome, MatchStats, ShotResult, report,
 from goalshot.geometry import Vec2
 from goalshot.keeper import KeeperModel, simulate_shot
 from goalshot.mlp import TrainConfig, train
-from goalshot.aim import within_horizon
 from goalshot.policies import (Action, KickDecision, LdaPolicy, MlpPolicy,
                                NaiveCenterPolicy, PolicyConfig, lda_train, stage_one_survivors)
 from goalshot.scenes import (balance_by_replication, feature_matrix,

@@ -329,7 +329,7 @@ class TestDecisionCallSites:
         survivors = sum(len(stage_one_survivors(b, CFG.field, CFG.aim, CFG.policy))
                         for b in in_range)
         assert survivors > 0 and (x_min == CFG.gen.x_min or len(in_range) < shots)
-        goalshot.policies._stage_one.cache_clear()
+        goalshot.policies._stage_one_memo.clear()
         scored = self._count(monkeypatch, goalshot.mlp, "score_batch")
         stage_one = self._count(monkeypatch, goalshot.policies, "stage_one_survivors")
         run_experiment(policies["mlp"], policies["lda"], 1, shots, CFG.keeper, gen,

@@ -389,7 +389,7 @@ class TestDecideAll:
     @pytest.mark.parametrize("name", ["mlp", "lda", "center"])
     def test_equals_decide_of_each_scene(self, batches, name, batch):
         policy, scenes = batches[0][name], batches[1][batch]
-        goalshot.policies._stage_one.cache_clear()
+        goalshot.policies._stage_one_memo.clear()
         decisions = policy.decide_all(scenes)
         assert repr(decisions) == repr([policy.decide(scene) for scene in scenes])
         assert repr(decisions) == repr(policy.decide_all(tuple(scenes)))
@@ -410,14 +410,14 @@ class TestDecideAll:
 
 
 class TestStageOneMemo:
-    """_stage_one keeps the last ball's stage one; a hit must give the bits
-    a fresh computation gives."""
+    """_stage_one keeps the last batch's stage ones; a hit must give the
+    bits a fresh computation gives."""
 
     def _decide(self, policies, scene):
         return [repr(policy.decide(scene)) for policy in policies]
 
     def _cold(self, policies, scene):
-        goalshot.policies._stage_one.cache_clear()
+        goalshot.policies._stage_one_memo.clear()
         return self._decide(policies, scene)
 
     def test_revisited_ball_matches_a_cold_cache(self, trained_model, lda_model):
@@ -448,7 +448,7 @@ class TestStageOneMemo:
         strict = PolicyConfig(p_goal_threshold=0.95)
         loose = MlpPolicy(trained_model, field, CFG.aim, POLICY)
         tight = MlpPolicy(trained_model, field, CFG.aim, strict)
-        goalshot.policies._stage_one.cache_clear()
+        goalshot.policies._stage_one_memo.clear()
         loose.decide(scene)
         assert goalshot.policies._stage_one((scene.ball,), field, CFG.aim, strict) == \
             (tuple(stage_one_survivors(scene.ball, field, CFG.aim, strict)),)

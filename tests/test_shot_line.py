@@ -9,6 +9,7 @@ of that target. Balls are drawn in range, beyond the sigma horizon, next to
 a post and with a signed-zero y; the keeper sits now and then on the ball.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -114,7 +115,7 @@ def check_scene(scene, monkeypatch):
 @given(scene=scenes())
 def test_survivor_lines_match_one_pass_functions(scene):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        goalshot.policies._stage_one.cache_clear()
+        goalshot.policies._stage_one_memo.clear()
         check_scene(scene, monkeypatch)
 
 
@@ -125,19 +126,21 @@ def test_survivor_lines_match_one_pass_functions(scene):
     make_scene(ball=Vec2(8.0, 0.0)),  # beyond the sigma horizon
 ])
 def test_survivor_lines_on_edge_cases(scene, monkeypatch):
-    goalshot.policies._stage_one.cache_clear()
+    goalshot.policies._stage_one_memo.clear()
     check_scene(scene, monkeypatch)
 
 
 def test_cached_stage_one_serves_the_other_signed_zero(monkeypatch):
     # Vec2(x, 0.0) == Vec2(x, -0.0), so the cached stage one of one ball
     # serves the other; the rows must still be those of the second ball.
-    goalshot.policies._stage_one.cache_clear()
+    goalshot.policies._stage_one_memo.clear()
     for y in (0.0, -0.0):
         scene = make_scene(ball=Vec2(40.0, y), keeper=Vec2(50.0, 1.0),
                            defenders=(Vec2(45.0, 2.0),))
         check_scene(scene, monkeypatch)
-    assert goalshot.policies._stage_one.cache_info().hits > 0
+    # the entry is still the +0.0 ball's: the -0.0 ball was served by it
+    (balls, *_), _ = goalshot.policies._stage_one_memo[0]
+    assert balls == (Vec2(40.0, 0.0),) and math.copysign(1.0, balls[0].y) == 1.0
 
 
 def test_horizon_error_is_the_value_error_sigma_raised():

@@ -105,7 +105,8 @@ def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
 # The last batch's stage ones, as [(key, stage ones)]: a one-entry cache
 # whose key is compared by equality, not hashed. A paired decision passes
 # the very config and ball objects of the call before it, which compare by
-# identity, while hashing the three configs costs ~0.6 us a call.
+# identity, where hashing would run the three configs' generated Python
+# __hash__ on every call.
 _stage_one_memo: list[tuple[tuple, tuple[tuple | None, ...]]] = []
 
 
@@ -115,9 +116,9 @@ def _stage_one(balls: tuple[Vec2, ...], field: FieldConfig, aim_config: AimConfi
     the horizon, else the survivors. Every argument is a frozen value, so
     the entry of the last batch serves any later call with equal arguments."""
     key = (balls, field, aim_config, policy_config)
-    for last_key, stage_ones in _stage_one_memo:
+    for last_key, last in _stage_one_memo:
         if last_key == key:
-            return stage_ones
+            return last
     stage_ones = []
     for ball in balls:
         try:

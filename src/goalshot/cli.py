@@ -29,7 +29,7 @@ import numpy as np
 from . import mlp
 from .aim import ShotQuery, discretize_targets, p_goal
 from .config import RunConfig, load_run_config, scalar_fields
-from .dynamics import BallState, BlockUniforms, kick, rollout_to_goal_line
+from .dynamics import BallState, BlockUniforms, kick_components, rollout_to_goal_line
 from .experiment import check_experiment_size, check_report_format, report, run_experiment
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve
@@ -219,6 +219,7 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
         # Safe to draw ahead: nothing else draws from this generator.
         uniforms = BlockUniforms(np.random.default_rng(config.seed))
     lines = [header]
+    at_rest, half_goal = Vec2(0.0, 0.0), field.goal_width / 2
     for distance in distances:
         for lateral in laterals:
             ball = Vec2(field.goal_line_x - float(distance), float(lateral))
@@ -228,13 +229,14 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
                         f"{result.p_right!r},{result.p_goal!r}")
                 if args.mc_rollouts:
                     goals = 0
-                    state = kick(BallState.at_rest(ball), args.mc_power,
-                                 (target - ball).angle(), config.dynamics)
+                    # The ball at rest, kicked at the target: kick(BallState.at_rest(ball), ...).
+                    kicked = kick_components(args.mc_power, math.atan2(
+                        target.y - ball.y, target.x - ball.x), config.dynamics)
+                    state = BallState(ball, at_rest, Vec2(*kicked))
                     for _ in range(args.mc_rollouts):
-                        outcome = rollout_to_goal_line(state, config.dynamics,
-                                                       field, uniforms)
-                        if (outcome.crossed
-                                and abs(outcome.lateral_at_goal_line) <= field.goal_width / 2):
+                        crossed, lateral_at_line, _ = rollout_to_goal_line(
+                            state, config.dynamics, field, uniforms)
+                        if crossed and abs(lateral_at_line) <= half_goal:
                             goals += 1
                     line += f",{goals / args.mc_rollouts!r}"
                 lines.append(line)

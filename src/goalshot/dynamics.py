@@ -33,7 +33,9 @@ that lies more than its radius outside the box of the points
   step, so which catcher catches does not matter.
 
 The ball's noise comes from `rng.random()` alone, so a rollout may take a
-`BlockUniforms` (`aim-table --mc-rollouts`).
+`BlockUniforms` (`aim-table --mc-rollouts`). A rollout's result, a
+`CrossingOutcome`, is a NamedTuple: read by field name, or unpacked as
+(crossed, lateral, steps), and built at a tuple's cost.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +95,7 @@ class BallState:
         return BallState(position, Vec2(0.0, 0.0), Vec2(0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class CrossingOutcome:
+class CrossingOutcome(NamedTuple):
     """Result of rolling a ball out toward the goal line.
 
     lateral_at_goal_line is only meaningful when crossed is True; it is the

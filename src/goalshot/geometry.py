@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 
 def _require_finite(label: str, *values: float) -> None:
@@ -28,6 +29,10 @@ class Vec2:
 
     def __post_init__(self) -> None:
         _require_finite("Vec2 component", self.x, self.y)
+
+    def __iter__(self) -> Iterator[float]:
+        """x, then y: a Vec2 unpacks like an (x, y) pair."""
+        return iter((self.x, self.y))
 
     def __add__(self, other: Vec2) -> Vec2:
         return Vec2(self.x + other.x, self.y + other.y)

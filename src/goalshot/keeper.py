@@ -9,7 +9,9 @@ before crossing the goal line; checking the whole segment rather than the
 endpoint keeps a fast ball from tunneling through a player's reach. A ball
 that dies en route also counts as caught: the keeper collects it.
 Otherwise the crossing lateral decides goal vs wide. The shot runs on the
-step loop of `dynamics`, keeper and defenders as plain floats.
+step loop of `dynamics`, keeper and defenders as plain floats. Its points
+are (x, y) pairs: a caller that holds floats passes tuples and builds no
+Vec2, and a Vec2 unpacks like a pair.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,6 +27,8 @@ from .dynamics import _CROSSED, MAX_STEPS, DynamicsConfig, _fly, kick_components
 from .geometry import FieldConfig, Vec2, _require_finite
 
 DEFAULT_DEFENDER_CATCH_RADIUS = 1.0
+# A point as simulate_shot reads it: anything that unpacks to x, y.
+Point = Vec2 | tuple[float, float]
 
 
 class ShotResult(enum.Enum):
@@ -51,13 +55,14 @@ class KeeperModel:
             raise ValueError("KeeperModel parameters must be non-negative")
 
 
-def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
-                  keeper_start: Vec2, defenders: Sequence[Vec2],
+def simulate_shot(ball: Point, ball_velocity: Point, target: Point, power: float,
+                  keeper_start: Point, defenders: Iterable[Point],
                   keeper_model: KeeperModel, dynamics: DynamicsConfig,
                   field: FieldConfig, rng: np.random.Generator | None,
                   defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS
                   ) -> tuple[ShotResult, int]:
-    """Kick the ball at the target and resolve the episode.
+    """Kick the ball at the target and resolve the episode. Each point is
+    read as an (x, y) pair: a Vec2 or a tuple of floats.
 
     Returns the outcome and the number of steps simulated, at most MAX_STEPS.
     Deterministic for a given rng state. Raises ValueError if the ball
@@ -65,14 +70,16 @@ def simulate_shot(ball: Vec2, ball_velocity: Vec2, target: Vec2, power: float,
     keeper has noise, or if the ball's position or the keeper's blurred aim
     point overflows.
     """
-    if ball.x >= field.goal_line_x:
+    bx, by = ball
+    if bx >= field.goal_line_x:
         raise ValueError("ball must start before the goal line")
-    ax, ay = kick_components(power, math.atan2(target.y - ball.y, target.x - ball.x), dynamics)
-    keeper = (keeper_start.x, keeper_start.y, keeper_model.catch_radius, keeper_model.max_speed,
+    (vx, vy), (tx, ty), (kx, ky) = ball_velocity, target, keeper_start
+    ax, ay = kick_components(power, math.atan2(ty - by, tx - bx), dynamics)
+    keeper = (kx, ky, keeper_model.catch_radius, keeper_model.max_speed,
               keeper_model.reaction_delay, keeper_model.positioning_noise)
-    end, steps, lateral, _ = _fly(ball.x, ball.y, ball_velocity.x + ax, ball_velocity.y + ay,
-                                  dynamics, field.goal_line_x, rng, MAX_STEPS, keeper,
-                                  [(d.x, d.y, defender_catch_radius) for d in defenders])
+    end, steps, lateral, _ = _fly(bx, by, vx + ax, vy + ay, dynamics, field.goal_line_x,
+                                  rng, MAX_STEPS, keeper,
+                                  [(x, y, defender_catch_radius) for x, y in defenders])
     if end != _CROSSED:
         return ShotResult.CAUGHT, steps
     return (ShotResult.GOAL if abs(lateral) <= field.goal_width / 2 else ShotResult.WIDE), steps

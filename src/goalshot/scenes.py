@@ -309,15 +309,18 @@ def _scalars(scene: KickScene) -> list[float]:
 
 
 def save_scenes(table: SceneTable, path: str | Path) -> None:
-    """Write the table as UTF-8 CSV, row i scene i. Each float is written
-    as its repr, so SceneTable.load reads back the same bits."""
+    """Write the table as UTF-8 CSV, row i scene i, in one write. Each float
+    is written as its repr, so SceneTable.load reads back the same bits. No
+    cell (an int, a float repr, a label) needs quoting, so a line is its
+    cells joined by commas and ended by \\r\\n: the bytes csv.writer writes."""
     labels = [Label.GOAL.value if g else Label.NO_GOAL.value for g in table.goal.tolist()]
+    lines = [",".join(CSV_HEADER)]
+    for time, (values, defenders), label in zip(table.time.tolist(), table.rows(), labels):
+        cells = ",".join([str(time), *map(repr, values), label, *map(repr, defenders)])
+        # the empty cells of the defenders not given
+        lines.append(cells + "," * (2 * MAX_DEFENDERS - len(defenders)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for time, (values, defenders), label in zip(table.time.tolist(), table.rows(), labels):
-            row = [str(time), *map(repr, values), label, *map(repr, defenders)]
-            writer.writerow(row + [""] * (len(CSV_HEADER) - len(row)))
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _parse_float(raw: str, line: int, column: str) -> float:
@@ -609,8 +612,8 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
     The label is ground truth: the configured shot is simulated with the
     ball dynamics and the keeper/defender interception model, and any
     non-goal outcome (caught, intercepted, wide, dead ball) becomes
-    NO_GOAL. The scenes are drawn on plain floats; a Vec2 is built only
-    for the shot simulation.
+    NO_GOAL. The scenes are drawn on plain floats and handed to the shot
+    simulation as (x, y) pairs, so no Vec2 is built.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -655,17 +658,17 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
         for _ in range(int(rng.integers(0, g.max_defenders + 1))):
             dx = uniform(min(bx + 0.5, goal_x - 1.0), goal_x - 0.5)
             dy = by + uniform(-8.0, 8.0)
-            defenders.append(Vec2(dx, min(max(dy, -half_width), half_width)))
+            defenders.append((dx, min(max(dy, -half_width), half_width)))
 
         heading, speed = uniform(-math.pi, math.pi), uniform(0.0, g.dribble_speed_max)
         vx, vy = math.cos(heading) * speed, math.sin(heading) * speed
         power = uniform(power_min, power_max)
-        result, _ = simulate_shot(Vec2(bx, by), Vec2(vx, vy), Vec2(goal_x, ty), power,
-                                  Vec2(kx, ky), defenders, g.keeper, dynamics, field, rng,
+        result, _ = simulate_shot((bx, by), (vx, vy), (goal_x, ty), power, (kx, ky),
+                                  defenders, g.keeper, dynamics, field, rng,
                                   g.defender_catch_radius)
         times.append(int(rng.integers(0, 6000)))
         rows.append([bx, by, vx, vy, bx - math.cos(shot_angle) * 0.7,
                      by - math.sin(shot_angle) * 0.7, body_angle, kx, ky, power, goal_x, ty,
-                     *(c for d in defenders for c in (d.x, d.y))])
+                     *itertools.chain.from_iterable(defenders)])
         goal.append(result is ShotResult.GOAL)
     return SceneTable._of_rows(times, rows, goal)

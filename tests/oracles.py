@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -16,7 +17,7 @@ from goalshot.keeper import (DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotRes
                              simulate_shot)
 from goalshot.mlp import MlpParams, forward
 from goalshot.policies import Action
-from goalshot.scenes import KickScene, _threats
+from goalshot.scenes import CSV_HEADER, KickScene, Label, SceneTable, _threats
 
 
 @dataclass(frozen=True)
@@ -139,3 +140,15 @@ def aggregate(kicks_per_game: list[int], goals_per_game: list[int],
         losses=int(np.sum(goals < opponent)),
         draws=int(np.sum(goals == opponent)),
     )
+
+
+def save_scenes_csv_writer(table: SceneTable, path) -> None:
+    """The scene CSV written row by row through csv.writer: the bytes
+    scenes.save_scenes must write."""
+    labels = [Label.GOAL.value if g else Label.NO_GOAL.value for g in table.goal.tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for time, (values, defenders), label in zip(table.time.tolist(), table.rows(), labels):
+            row = [str(time), *map(repr, values), label, *map(repr, defenders)]
+            writer.writerow(row + [""] * (len(CSV_HEADER) - len(row)))

@@ -147,6 +147,13 @@ def test_simulate_shot_matches_vec2_reference(config):
         expected = reference_shot(ball, velocity, target, power, keeper, defenders,
                                   model, config, FIELD, ref_rng)
         assert got == expected
+        # The same points as (x, y) tuples: the same shot, steps and draws.
+        pairs_rng = np.random.default_rng(seed)
+        pairs = simulate_shot((ball.x, ball.y), (velocity.x, velocity.y), (target.x, target.y),
+                              power, (keeper.x, keeper.y), [(d.x, d.y) for d in defenders],
+                              model, config, FIELD, pairs_rng)
+        assert pairs == got
+        assert pairs_rng.bit_generator.state == got_rng.bit_generator.state
         assert got_rng.random() == ref_rng.random()
 
 

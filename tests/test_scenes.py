@@ -15,7 +15,7 @@ from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, MAX_DEFENDERS, Generator
                              KickScene, Label, SceneTable, balance_by_replication,
                              extract_features, feature_matrix, generate_synthetic_scenes,
                              load_scenes, save_scenes, split_dataset, univariate_stats)
-from oracles import filter_defenders, mirror_scene
+from oracles import filter_defenders, mirror_scene, save_scenes_csv_writer
 
 CFG = RunConfig()
 
@@ -154,6 +154,22 @@ class TestCsvRoundTrip:
         loaded = load_scenes(path)
         assert loaded == scenes
         assert repr(loaded) == repr(scenes)  # also the sign of each zero
+
+    def test_bytes_equal_the_csv_writer(self, tmp_path):
+        """save_scenes joins its lines and writes them once; the bytes are
+        csv.writer's, on rows with no defender and with MAX_DEFENDERS, on
+        extreme finite values, a time above 2**63 and both labels."""
+        extremes = [-0.0, 5e-324, 1e-05, 1e16]
+        values = [extremes[i % 4] for i in range(12)]
+        rows = [values, values + extremes * (MAX_DEFENDERS // 2),
+                values[::-1] + [1e16, -0.0] * MAX_DEFENDERS]
+        times = [0, 2 ** 63 + 1, 3 ** 90]
+        for table in (SceneTable._of_rows(times, rows, [True, False, True]),
+                      SceneTable._of_rows([], [], [])):
+            got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+            save_scenes(table, got)
+            save_scenes_csv_writer(table, expected)
+            assert got.read_bytes() == expected.read_bytes()
 
     def test_header_only_file(self, field, tmp_path):
         path = tmp_path / "empty.csv"

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Sequence
 
 from .geometry import FieldConfig, Vec2, _require_finite, difference, shot_line
@@ -158,14 +157,26 @@ def discretize_targets(field: FieldConfig, config: AimConfig) -> list[Vec2]:
     return list(_aim_points(field, config))
 
 
-@lru_cache(maxsize=64)
+# The last (field, config) and its aim points: a one-entry memo compared
+# by equality, like policies._stage_one's, so a stage one per ball hashes
+# neither config through its generated Python __hash__.
+_aim_points_memo: list[tuple[tuple, tuple[Vec2, ...]]] = []
+
+
 def _aim_points(field: FieldConfig, config: AimConfig) -> tuple[Vec2, ...]:
-    """discretize_targets as a tuple, built once per (field, config)."""
+    """discretize_targets as a tuple, built once per (field, config) in a row."""
+    key = (field, config)
+    for last_key, last in _aim_points_memo:
+        if last_key == key:
+            return last
     half = field.goal_width / 2 - config.target_inset
     if half < 0.0:
         raise ValueError("target_inset exceeds the goal half-width")
     n = config.target_count
     if n == 1:
-        return (Vec2(field.goal_line_x, 0.0),)
-    step = 2.0 * half / (n - 1)
-    return tuple(Vec2(field.goal_line_x, -half + i * step) for i in range(n))
+        points = (Vec2(field.goal_line_x, 0.0),)
+    else:
+        step = 2.0 * half / (n - 1)
+        points = tuple(Vec2(field.goal_line_x, -half + i * step) for i in range(n))
+    _aim_points_memo[:] = [(key, points)]
+    return points

@@ -204,6 +204,15 @@ class TestDiscretizeTargets:
         targets.clear()
         assert len(discretize_targets(field, AIM)) == AIM.target_count
 
+    def test_aim_points_follow_the_config(self, field):
+        # One entry, compared by equality: equal configs share the points,
+        # a different config gets its own.
+        points = _aim_points(field, AIM)
+        assert _aim_points(FieldConfig(), AimConfig()) is points
+        assert len(_aim_points(field, AimConfig(target_count=3))) == 3
+        assert _aim_points(FieldConfig(goal_width=10.0), AIM) != points
+        assert _aim_points(field, AIM) == points
+
     @settings(max_examples=300, deadline=None)
     @given(goal_width=st.floats(min_value=0.5, max_value=60.0),
            field_length=st.floats(min_value=1.0, max_value=1000.0),

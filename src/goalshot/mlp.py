@@ -433,14 +433,13 @@ def load_model(path: str | Path) -> MlpParams:
         raise ValueError(f"malformed model file {path}: layer_sizes must be a list of "
                          f"integers, got {sizes!r}")
     try:
-        return MlpParams(
-            layer_sizes=tuple(doc["layer_sizes"]),
-            weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-            norm_mean=np.asarray(norm["mean"], dtype=float),
-            norm_std=np.asarray(norm["std"], dtype=float),
-        )
+        layer_sizes = tuple(doc["layer_sizes"])
+        # A non-numeric cell or a ragged row fails here, in numpy's words.
+        arrays = ([np.asarray(w, dtype=float) for w in doc["weights"]],
+                  [np.asarray(b, dtype=float) for b in doc["biases"]],
+                  np.asarray(norm["mean"], dtype=float), np.asarray(norm["std"], dtype=float))
     except KeyError as exc:
         raise ValueError(f"model file missing field {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from None
+    return MlpParams(layer_sizes, *arrays)

@@ -436,7 +436,9 @@ class TestPersistence:
         ("layer_sizes", 5), ("weights", None), ("biases", 3),
         # MlpParams would truncate or convert these; JSON integers only.
         ("layer_sizes", [3.9, 4, 2]), ("layer_sizes", [3.0, 4, 2]),
-        ("layer_sizes", ["3", "4", "2"]), ("layer_sizes", [3, True, 2])])
+        ("layer_sizes", ["3", "4", "2"]), ("layer_sizes", [3, True, 2]),
+        # numpy's own errors, which name no file: a non-numeric cell, a ragged row.
+        ("weights", [[["a"]]]), ("weights", [[[0.0, 0.0], [0.0]]])])
     def test_malformed_field_rejected(self, tmp_path, field, value):
         import json
         path = tmp_path / "model.json"

@@ -22,8 +22,8 @@ from .policies import (Action, KickDecision, LdaModel, LdaPolicy, MlpPolicy,
                        lda_train, mlp_policy_decide, naive_center_policy)
 from .scenes import (FEATURE_NAMES, DatasetSplit, GeneratorConfig,
                      KickScene, Label, SceneTable, UnivariateReport,
-                     balance_by_replication, extract_features, feature_matrix,
-                     generate_synthetic_scenes, load_scenes, save_scenes,
-                     split_dataset, univariate_stats)
+                     balance_by_replication, draw_scenes, extract_features,
+                     feature_matrix, generate_synthetic_scenes, load_scenes,
+                     save_scenes, split_dataset, univariate_stats)
 
 __version__ = "0.1.0"

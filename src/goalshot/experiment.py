@@ -4,6 +4,20 @@ A "game" is a bundle of shot episodes. In an experiment both policies face
 the identical seeded stream of scenes, and each episode seeds its noise
 from the (experiment seed, game, shot) triple, so two policies, or two
 runs, see exactly the same world and differ only through their decisions.
+
+The stream contract:
+
+- A game's scenes come from the scene stream alone, with label None:
+  scenes.draw_scenes, seeded with the first word of
+  SeedSequence([seed, game, _SCENE_STREAM]). No labelling shot is
+  simulated, so the labelling keeper (gen_config.keeper, [keeper]) plays
+  no part in a game; the keeper argument resolves the kicks.
+- Label noise is drawn only where a label is read: gen-data, and compare's
+  LDA fit without --data (scenes.generate_synthetic_scenes).
+- Both sides share an episode's noise (common random numbers): each
+  side's kick draws from a generator seeded with the same sequence.
+- The episode seed is SeedSequence([seed, game, shot, _EPISODE_STREAM]).
+
 Decisions never depend on outcomes, so each policy decides all of a game's
 scenes in one decide_all batch before any shot is resolved: the MLP scores
 the game's survivor rows in one call, and the second policy reuses the
@@ -31,7 +45,9 @@ from .geometry import FieldConfig
 from .keeper import (DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult,
                      simulate_shot)
 from .policies import Action, KickDecision, Policy
-from .scenes import GeneratorConfig, KickScene, generate_synthetic_scenes
+from .scenes import GeneratorConfig, KickScene, draw_scenes
+# Kept bound for perfbench/tracing.py, which spans it here; no game calls it.
+from .scenes import generate_synthetic_scenes  # noqa: F401
 
 __all__ = [
     "KeeperModel", "ShotResult", "EpisodeOutcome", "MatchStats", "check_report_format",
@@ -145,8 +161,7 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
     for game in range(games):
         scene_seed = int(np.random.SeedSequence(
             [seed, game, _SCENE_STREAM]).generate_state(1)[0])
-        scenes = generate_synthetic_scenes(shots_per_game, gen_config, dynamics,
-                                           field, scene_seed).scenes()
+        scenes = draw_scenes(shots_per_game, gen_config, dynamics, field, scene_seed)
         decisions = zip(*(policy.decide_all(scenes) for policy in policies), strict=True)
         game_kicks = [0, 0]
         game_goals = [0, 0]

@@ -11,11 +11,13 @@ A batch of scenes is a `SceneTable`: time as Python ints, the twelve
 scalar columns in float64, the defenders as an (n, 10, 2) array with a
 count per row, and a GOAL mask. `SceneTable.load` reads one from CSV, each
 value the float its cell parses to, `generate_synthetic_scenes` draws one
-and `save_scenes` writes one; the dataset layer (split, balance, features,
-statistics) takes one. Past the table the label is the GOAL mask: training
-and the metrics take it. A `KickScene` is the one-scene view that a policy
-decides on; `SceneTable.scenes()` gives the rows as KickScenes, the mask
-mapped back to `Label`.
+and labels each scene with a shot, and `save_scenes` writes one; the
+dataset layer (split, balance, features, statistics) takes one. Past the
+table the label is the GOAL mask: training and the metrics take it. A
+`KickScene` is the one-scene view that a policy decides on;
+`SceneTable.scenes()` gives the rows as KickScenes, the mask mapped back to
+`Label`. `draw_scenes` draws the generator's scenes as KickScenes that no
+shot has labelled (label None), for an experiment to resolve.
 `scene_features` is the feature kernel of a scene on plain floats. It
 gives the scene's base row and, for an aim point's shot line
 (geometry.shot_line, which the MLP policy reuses from stage one), the
@@ -556,9 +558,9 @@ class GeneratorConfig:
     """Sampling distributions for synthetic shot situations.
 
     Positions are sampled in an attack zone in front of the goal, the
-    keeper near the ball-goal line with lateral placement error, and each
-    scene is labeled by simulating the shot against `keeper` (plus static
-    defenders with `defender_catch_radius`).
+    keeper near the ball-goal line with lateral placement error.
+    generate_synthetic_scenes labels each scene by simulating the shot
+    against `keeper` (plus static defenders with `defender_catch_radius`).
     """
 
     x_min: float = 30.5
@@ -604,17 +606,14 @@ class GeneratorConfig:
                 raise ValueError(f"sampling range [{lo!r}, {hi!r}] is too wide")
 
 
-def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
-                              dynamics: DynamicsConfig, field: FieldConfig,
-                              seed: int) -> SceneTable:
-    """Sample n labeled scenes as a table; deterministic per seed.
-
-    The label is ground truth: the configured shot is simulated with the
-    ball dynamics and the keeper/defender interception model, and any
-    non-goal outcome (caught, intercepted, wide, dead ball) becomes
-    NO_GOAL. The scenes are drawn on plain floats and handed to the shot
-    simulation as (x, y) pairs, so no Vec2 is built.
-    """
+def _scene_draws(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
+                 field: FieldConfig, rng: np.random.Generator
+                 ) -> Iterator[tuple[list[float], list[tuple[float, float]]]]:
+    """The generator's kernel: check the sampling region against the field
+    and the dynamics, then draw n scenes from rng on plain floats, each as
+    its SCALAR_COLUMNS values and its (x, y) defenders. A scene is drawn
+    when the caller asks for it, so what the caller draws from rng between
+    two scenes (a labelling shot, then the time) comes in that order."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     g = gen_config
@@ -629,7 +628,6 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
         raise ValueError(f"[gen] kick_power_max {g.kick_power_max!r} exceeds "
                          f"[dynamics] max_power {dynamics.max_power!r}")
 
-    rng = np.random.default_rng(seed)
     random = rng.random
 
     def uniform(lo: float, hi: float) -> float:
@@ -642,7 +640,6 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
     power_min, power_max = float(g.kick_power_min), float(g.kick_power_max)
     target_half = half_goal - g.target_margin
     goal_x, half_width = field.goal_line_x, field.field_width / 2
-    times, rows, goal = [], [], []
     for _ in range(n):
         bx, by = uniform(x_min, x_max), uniform(-y_half, y_half)
         ty = uniform(-target_half, target_half)
@@ -663,12 +660,48 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
         heading, speed = uniform(-math.pi, math.pi), uniform(0.0, g.dribble_speed_max)
         vx, vy = math.cos(heading) * speed, math.sin(heading) * speed
         power = uniform(power_min, power_max)
-        result, _ = simulate_shot((bx, by), (vx, vy), (goal_x, ty), power, (kx, ky),
+        yield ([bx, by, vx, vy, bx - math.cos(shot_angle) * 0.7,
+                by - math.sin(shot_angle) * 0.7, body_angle, kx, ky, power, goal_x, ty],
+               defenders)
+
+
+def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
+                              dynamics: DynamicsConfig, field: FieldConfig,
+                              seed: int) -> SceneTable:
+    """Sample n labeled scenes as a table; deterministic per seed.
+
+    The label is ground truth: each scene's shot is simulated with the
+    ball dynamics and the keeper/defender interception model, drawing its
+    noise from the scene stream between the scene and its time, and any
+    non-goal outcome (caught, intercepted, wide, dead ball) becomes
+    NO_GOAL. The scenes are drawn on plain floats and handed to the shot
+    simulation as (x, y) pairs, so no Vec2 is built.
+    """
+    g = gen_config
+    rng = np.random.default_rng(seed)
+    times, rows, goal = [], [], []
+    for values, defenders in _scene_draws(n, g, dynamics, field, rng):
+        bx, by, vx, vy, _, _, _, kx, ky, power, tx, ty = values
+        result, _ = simulate_shot((bx, by), (vx, vy), (tx, ty), power, (kx, ky),
                                   defenders, g.keeper, dynamics, field, rng,
                                   g.defender_catch_radius)
         times.append(int(rng.integers(0, 6000)))
-        rows.append([bx, by, vx, vy, bx - math.cos(shot_angle) * 0.7,
-                     by - math.sin(shot_angle) * 0.7, body_angle, kx, ky, power, goal_x, ty,
-                     *itertools.chain.from_iterable(defenders)])
+        rows.append([*values, *itertools.chain.from_iterable(defenders)])
         goal.append(result is ShotResult.GOAL)
     return SceneTable._of_rows(times, rows, goal)
+
+
+def draw_scenes(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
+                field: FieldConfig, seed: int) -> list[KickScene]:
+    """n scenes still to be resolved (label None); deterministic per seed.
+
+    The scenes of generate_synthetic_scenes' kernel and checks, each with
+    its time drawn right after it: no shot is simulated, so no label noise
+    is drawn, and the scenes depend on the scene stream alone, not on
+    gen_config.keeper. For scenes that nothing labels: an experiment's."""
+    rng = np.random.default_rng(seed)
+    return [KickScene(int(rng.integers(0, 6000)), Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay),
+                      body, Vec2(kx, ky), tuple(Vec2(x, y) for x, y in defenders), power,
+                      Vec2(tx, ty))
+            for (bx, by, vx, vy, ax, ay, body, kx, ky, power, tx, ty), defenders
+            in _scene_draws(n, gen_config, dynamics, field, rng)]

@@ -669,7 +669,7 @@ class TestSimulationCallSites:
         assert (len(generated), len(saved)) == (1, 1)
 
     def test_compare_generates_each_game_through_the_experiment(self, tmp_path, monkeypatch):
-        generated = self._count(monkeypatch, goalshot.experiment, "generate_synthetic_scenes")
+        generated = self._count(monkeypatch, goalshot.experiment, "draw_scenes")
         assert main(["compare", "--policy-a", "center", "--policy-b", "center",
                      "--games", "3", "--shots", "2", "--out", str(tmp_path / "r.txt")]) == 0
         assert len(generated) == 3

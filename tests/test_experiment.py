@@ -22,7 +22,7 @@ from goalshot.keeper import KeeperModel, simulate_shot
 from goalshot.mlp import TrainConfig, train
 from goalshot.policies import (Action, KickDecision, LdaPolicy, MlpPolicy,
                                NaiveCenterPolicy, PolicyConfig, lda_train, stage_one_survivors)
-from goalshot.scenes import (balance_by_replication, feature_matrix,
+from goalshot.scenes import (balance_by_replication, draw_scenes, feature_matrix,
                              generate_synthetic_scenes, split_dataset)
 from oracles import aggregate, run_episode
 
@@ -223,8 +223,7 @@ def reference_experiment(policy_a, policy_b, games, shots, seed, episode_log):
     for game in range(games):
         scene_seed = int(np.random.SeedSequence(
             [seed, game, goalshot.experiment._SCENE_STREAM]).generate_state(1)[0])
-        scenes = generate_synthetic_scenes(shots, CFG.gen, CFG.dynamics, CFG.field,
-                                           scene_seed).scenes()
+        scenes = draw_scenes(shots, CFG.gen, CFG.dynamics, CFG.field, scene_seed)
         counts = [[0, 0], [0, 0]]
         for shot, scene in enumerate(scenes):
             for side, policy in enumerate((policy_a, policy_b)):
@@ -323,8 +322,7 @@ class TestDecisionCallSites:
         gen, shots = replace(CFG.gen, x_min=x_min), 10
         scene_seed = int(np.random.SeedSequence([seed, 0, goalshot.experiment._SCENE_STREAM])
                          .generate_state(1)[0])
-        balls = [s.ball for s in generate_synthetic_scenes(shots, gen, CFG.dynamics, CFG.field,
-                                                           scene_seed).scenes()]
+        balls = [s.ball for s in draw_scenes(shots, gen, CFG.dynamics, CFG.field, scene_seed)]
         in_range = [b for b in balls if within_horizon(b, CFG.field, CFG.aim)]
         survivors = sum(len(stage_one_survivors(b, CFG.field, CFG.aim, CFG.policy))
                         for b in in_range)

@@ -35,11 +35,11 @@ from goalshot.scenes import generate_synthetic_scenes, load_scenes
 GEN_DATA_SHA256 = "b60aa2ef55b59e3952833ae0f47df82724de1929481ba1ecfa3db43ec6ec2007"
 MODEL_SHA256 = "857d85948a4437b83077eb05d64ac041f86d5e6d1d4f70098016d4d2336b2178"
 AIM_TABLE_SHA256 = "48cf079f68e6c2e270d8489a89544365018b9ceafecafc43d7ae2d65d1e79e8a"
-COMPARE_SHA256 = "78e008f5d2e6cda4b80e20e09a26ac91110be19cf5eb6e7a2641aabacd1540b9"
-COMPARE_GENERATED_SHA256 = "cceb40850b2c424858dd652c3339dc63b7a1b711267dc5529449e122dc639d6f"
-EPISODE_LOG_SHA256 = "df26e167474ee3ff5b3c353f75d12f3bcf240e3f284e50191929774e62aa6360"
-COMPARE_CENTER_SHA256 = "cb266696212e4d81fdd9715cdad1b5928366441b674ac1d67eda9083d2c94293"
-EPISODE_LOG_CENTER_SHA256 = "429c0e746796b34506b18e76fd89b88514584eacf59743c7708bf9cfe8f43fde"
+COMPARE_SHA256 = "fa2e0b195ac1ce199509cad080137bbfa6ec153a147680ab7de54f82df08062b"
+COMPARE_GENERATED_SHA256 = "811291d80261f5a9f9c75abdc31058e474a4d0d615003a570c1b9688bd2ffaaf"
+EPISODE_LOG_SHA256 = "f63725edf3c8a7e356e7df5b1b43369f5e20832d1bf044aea03fef5eab698a50"
+COMPARE_CENTER_SHA256 = "9ea212538ec894a392479b2a6d8e0dce47be9a59067e835480ed4bc61312c714"
+EPISODE_LOG_CENTER_SHA256 = "b0573cbdef3d0fee1686a48a0e9cecb865b6c7f6faa7bb7cf31fff8b7967cac8"
 DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd2c95"
 EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
 STATS_SHA256 = "821ec09178eef386d3304fb33befe7badd2f3e0052e18447d392b88556a9efd1"

@@ -335,6 +335,15 @@ def _parse_float(raw: str, line: int, column: str) -> float:
     return value
 
 
+def _records(reader) -> Iterator[list[str]]:
+    """The rows of a csv.reader; a record it cannot parse (a cell over its
+    field size limit) raises ValueError naming the line it ends on."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
 def _checked_cells(line: int, row: list[str]) -> tuple[int, list[float]]:
     """The time and the floats of a CSV row (the scalar columns, then x, y of
     each defender given), checked cell by cell in column order. Raises naming
@@ -420,7 +429,7 @@ class SceneTable:
         half_mouth = field.goal_width / 2 + GOAL_LINE_TOLERANCE
         times, rows, goal = [], [], []
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = _records(csv.reader(fh))
             try:
                 header = next(reader)
             except StopIteration:

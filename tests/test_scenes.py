@@ -11,8 +11,9 @@ from conftest import from_scenes, make_scene, random_scene
 from goalshot.config import RunConfig
 from goalshot.dynamics import DynamicsConfig
 from goalshot.geometry import Vec2
+from goalshot.keeper import KeeperModel
 from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, MAX_DEFENDERS, GeneratorConfig,
-                             KickScene, Label, SceneTable, balance_by_replication,
+                             KickScene, Label, SceneTable, balance_by_replication, draw_scenes,
                              extract_features, feature_matrix, generate_synthetic_scenes,
                              load_scenes, save_scenes, split_dataset, univariate_stats)
 from oracles import filter_defenders, mirror_scene, save_scenes_csv_writer
@@ -227,6 +228,19 @@ class TestCsvRoundTrip:
         path.write_text(lines[0] + "\n" + ",".join(cells) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="def1"):
             load_scenes(path, field)
+
+    def test_cell_over_the_csv_field_limit_names_its_line(self, field, tmp_path):
+        """A cell longer than csv's field size limit fails as a ValueError
+        naming its line, not as csv.Error."""
+        path = tmp_path / "huge.csv"
+        save_scenes(from_scenes([make_scene(label=Label.GOAL)] * 2), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace("85.0", "8" * 131_073, 1)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for load in (SceneTable.load, load_scenes):
+            with pytest.raises(ValueError) as raised:
+                load(path, field)
+            assert str(raised.value) == "line 3: field larger than field limit (131072)"
 
     def test_wrong_header_rejected(self, field, tmp_path):
         path = tmp_path / "hdr.csv"
@@ -549,6 +563,45 @@ class TestGenerator:
         table = generate_synthetic_scenes(4000, CFG.gen, CFG.dynamics, field, seed=21)
         frac = sum(1 for s in table.scenes() if s.label is Label.GOAL) / len(table)
         assert 0.3 <= frac <= 0.7
+
+
+class TestDrawScenes:
+    """draw_scenes: the generator's scenes without their labelling shots."""
+
+    def test_without_label_noise_they_are_the_generators_scenes(self):
+        """Where the labelling shot draws no noise, the generator's stream
+        is the scenes' alone: draw_scenes gives its scenes, times included,
+        with label None."""
+        quiet = replace(CFG.gen, max_defenders=MAX_DEFENDERS,
+                        keeper=replace(CFG.keeper, positioning_noise=0.0))
+        dynamics = replace(CFG.dynamics, noise_coefficient=0.0)
+        labelled = generate_synthetic_scenes(60, quiet, dynamics, CFG.field, seed=3).scenes()
+        assert draw_scenes(60, quiet, dynamics, CFG.field, seed=3) == [
+            replace(scene, label=None) for scene in labelled]
+
+    def test_no_shot_and_no_part_for_the_keeper(self, monkeypatch):
+        def no_shot(*args, **kwargs):
+            raise AssertionError("a shot was simulated")
+        monkeypatch.setattr(goalshot.scenes, "simulate_shot", no_shot)
+        other = replace(CFG.gen, keeper=KeeperModel(max_speed=0.5, positioning_noise=1.0))
+        scenes = draw_scenes(40, CFG.gen, CFG.dynamics, CFG.field, seed=9)
+        assert scenes == draw_scenes(40, other, CFG.dynamics, CFG.field, seed=9)
+        assert scenes != draw_scenes(40, CFG.gen, CFG.dynamics, CFG.field, seed=10)
+        assert all(type(scene) is KickScene and scene.label is None for scene in scenes)
+        assert 0 < sum(map(len, (s.defenders for s in scenes))) <= 40 * CFG.gen.max_defenders
+
+    @pytest.mark.parametrize("n, gen, dynamics", [
+        (0, CFG.gen, CFG.dynamics),
+        (5, GeneratorConfig(x_min=50.0, x_max=60.0), CFG.dynamics),
+        (5, replace(CFG.gen, kick_power_max=100.5), CFG.dynamics),
+        (5, CFG.gen, replace(CFG.dynamics, max_power=60.0)),
+    ], ids=["zero-count", "region-past-the-goal-line", "power-above-max", "max-power-below"])
+    def test_rejects_what_the_generator_rejects(self, n, gen, dynamics):
+        with pytest.raises(ValueError) as generated:
+            generate_synthetic_scenes(n, gen, dynamics, CFG.field, seed=0)
+        with pytest.raises(ValueError) as drawn:
+            draw_scenes(n, gen, dynamics, CFG.field, seed=0)
+        assert str(drawn.value) == str(generated.value)
 
 
 class TestKickSceneValidation:

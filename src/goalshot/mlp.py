@@ -399,20 +399,28 @@ def train(train_features: np.ndarray, train_goal: np.ndarray,
     return MlpParams(sizes, *_views(sizes, best_theta), mean, std), report
 
 
+def _json_array(values: list, depth: int) -> str:
+    """json.dumps(values, indent=1) at nesting depth, for a non-empty nested
+    list of ints and finite floats: each number is its repr, as json.dumps
+    writes it."""
+    pad = "\n" + " " * (depth + 1)
+    items = ([_json_array(v, depth + 1) for v in values] if type(values[0]) is list
+             else map(repr, values))
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
 def save_model(params: MlpParams, path: str | Path) -> None:
-    """Versioned, self-describing JSON; floats round-trip exactly."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "layer_sizes": list(params.layer_sizes),
-        "normalization": {
-            "mean": params.norm_mean.tolist(),
-            "std": params.norm_std.tolist(),
-        },
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    """Versioned, self-describing JSON; floats round-trip exactly. The text
+    is json.dumps(doc, indent=1) of {format, version, layer_sizes,
+    normalization: {mean, std}, weights, biases}, written from reprs
+    (MlpParams holds only finite values)."""
+    text = (f'{{\n "format": {json.dumps(MODEL_FORMAT)},\n "version": {MODEL_VERSION},\n'
+            f' "layer_sizes": {_json_array(list(params.layer_sizes), 1)},\n'
+            f' "normalization": {{\n  "mean": {_json_array(params.norm_mean.tolist(), 2)},\n'
+            f'  "std": {_json_array(params.norm_std.tolist(), 2)}\n }},\n'
+            f' "weights": {_json_array([w.tolist() for w in params.weights], 1)},\n'
+            f' "biases": {_json_array([b.tolist() for b in params.biases], 1)}\n}}')
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_model(path: str | Path) -> MlpParams:

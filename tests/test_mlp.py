@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import sys
 
@@ -390,6 +391,25 @@ class TestPersistence:
         for a, b in zip(params.weights, loaded.weights):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(params.norm_mean, loaded.norm_mean)
+
+    @pytest.mark.parametrize("layer_sizes", [(22, 5, 2), (22, 1, 2), (3, 4, 2), (22, 8, 5, 2)])
+    def test_file_is_json_dumps_of_the_document(self, tmp_path, layer_sizes):
+        """The text written is json.dumps(doc, indent=1) of the model's
+        document, with -0.0, a subnormal and large and small magnitudes."""
+        rng = np.random.default_rng(len(layer_sizes) * 100 + layer_sizes[1])
+        params = random_params(rng, layer_sizes)
+        params.weights[0][0, 0], params.biases[-1][0] = -0.0, 5e-324
+        params.norm_mean += rng.uniform(-5, 5, layer_sizes[0]) * 1e17
+        params.norm_std += rng.uniform(0.1, 2.0, layer_sizes[0]) * 1e-7
+        path = tmp_path / "model.json"
+        save_model(params, path)
+        doc = {"format": goalshot.mlp.MODEL_FORMAT, "version": goalshot.mlp.MODEL_VERSION,
+               "layer_sizes": list(layer_sizes),
+               "normalization": {"mean": params.norm_mean.tolist(),
+                                 "std": params.norm_std.tolist()},
+               "weights": [w.tolist() for w in params.weights],
+               "biases": [b.tolist() for b in params.biases]}
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=1)
 
     def test_wrong_version_rejected(self, tmp_path):
         params = zero_params()

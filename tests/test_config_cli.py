@@ -362,6 +362,24 @@ class TestStats:
         assert "error:" in capsys.readouterr().err
 
 
+class TestSceneCsvErrors:
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["train", "--model-out", "MODEL"], ["eval", "--model", "MODEL"],
+        ["compare", "--policy-a", "lda", "--policy-b", "center"]])
+    def test_cell_over_the_csv_field_limit_fails_in_one_line(self, tmp_path, data_csv,
+                                                            model_file, command, capsys):
+        data = tmp_path / "huge.csv"
+        lines = data_csv.read_text(encoding="utf-8").splitlines()[:3]
+        cells = lines[2].split(",")
+        cells[CSV_HEADER.index("kick_power")] = "8" * 131_073
+        data.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n", encoding="utf-8")
+        model = str(tmp_path / "m.json") if command[0] == "train" else str(model_file)
+        argv = [model if arg == "MODEL" else arg for arg in command]
+        capsys.readouterr()
+        assert main([*argv, "--data", str(data)]) == 1
+        assert capsys.readouterr().err == "error: line 3: field larger than field limit (131072)\n"
+
+
 class TestTrainEval:
     def test_train_writes_model_and_report(self, tmp_path, data_csv):
         model = tmp_path / "m.json"
@@ -443,6 +461,26 @@ class TestCompare:
         entries = [json.loads(line) for line in log.read_text().splitlines()]
         assert len(entries) == 2 * 2 * 2
         assert {e["policy"] for e in entries} == {"mlp", "lda"}
+
+    def test_labelling_keeper_plays_no_part_with_an_eval_keeper(self, tmp_path, data_csv,
+                                                                model_file):
+        """With [eval_keeper] set and the lda fitted on --data, [keeper]
+        labels nothing a compare reads: two different labelling keepers give
+        one report and one episode log."""
+        outputs = []
+        for name, keeper in (("a", "max_speed = 0.1\npositioning_noise = 0.0"),
+                             ("b", "max_speed = 0.6\nreaction_delay = 0\ncatch_radius = 1.5")):
+            config = tmp_path / f"{name}.ini"
+            config.write_text(f"[keeper]\n{keeper}\n[eval_keeper]\nmax_speed = 0.3\n",
+                              encoding="utf-8")
+            report, log = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+            assert main(["compare", "--config", str(config), "--model", str(model_file),
+                         "--data", str(data_csv), "--games", "4", "--shots", "5",
+                         "--seed", "3", "--format", "json", "--out", str(report),
+                         "--episode-log", str(log)]) == 0
+            outputs.append((report.read_bytes(), log.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert sum(stats.kicks for stats in stats_pair_from_json(outputs[0][0].decode())) > 0
 
     def test_center_policy_available(self, tmp_path, data_csv, capsys):
         code = main(["compare", "--policy-a", "center", "--policy-b", "center",

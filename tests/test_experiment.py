@@ -303,6 +303,36 @@ class TestSharedResolution:
         assert stats_ab[0] != stats_ab[1]
 
 
+class Recording:
+    """A policy that records each batch of scenes it decides, then defers."""
+
+    def __init__(self, policy):
+        self.name, self.policy, self.batches = policy.name, policy, []
+
+    def decide_all(self, scenes):
+        self.batches.append(scenes)
+        return self.policy.decide_all(scenes)
+
+
+class TestSceneStream:
+    def test_games_run_no_labelling_flight(self, policies, monkeypatch):
+        """With the labelling shot made to raise, a 3-game mlp-vs-lda
+        experiment completes, and each game's scenes are draw_scenes' from
+        the game's scene seed: no label noise, label None."""
+        def no_label(*args, **kwargs):
+            raise AssertionError("a game scene was labelled")
+        monkeypatch.setattr(goalshot.scenes, "simulate_shot", no_label)
+        side_a, side_b = Recording(policies["mlp"]), Recording(policies["lda"])
+        stats = run_experiment(side_a, side_b, 3, 10, CFG.keeper, CFG.gen, CFG.dynamics,
+                               CFG.field, 31)
+        assert stats[0].kicks + stats[1].kicks > 0
+        expected = [draw_scenes(10, CFG.gen, CFG.dynamics, CFG.field, int(
+            np.random.SeedSequence([31, game, goalshot.experiment._SCENE_STREAM])
+            .generate_state(1)[0])) for game in range(3)]
+        assert side_a.batches == side_b.batches == expected
+        assert all(scene.label is None for scenes in expected for scene in scenes)
+
+
 class TestDecisionCallSites:
     """A paired game reaches stage one and the scorer through the names
     perfbench's tracer wraps: stage one once per ball, shared by both

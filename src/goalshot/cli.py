@@ -34,7 +34,7 @@ from .experiment import check_experiment_size, check_report_format, report, run_
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
-from .scenes import (SceneTable, balance_by_replication, feature_matrix,
+from .scenes import (FEATURE_NAMES, SceneTable, balance_by_replication, feature_matrix,
                      generate_synthetic_scenes, load_scenes, save_scenes,
                      split_dataset, univariate_stats)
 
@@ -70,6 +70,15 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _load_model(path: str) -> mlp.MlpParams:
+    """mlp.load_model, checked to take a scene row's features, before any other input."""
+    params = mlp.load_model(path)
+    if params.layer_sizes[0] != len(FEATURE_NAMES):
+        raise ValueError(f"model file {path}: input layer takes {params.layer_sizes[0]} "
+                         f"features, a scene gives {len(FEATURE_NAMES)}")
+    return params
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -129,7 +138,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    params = mlp.load_model(args.model)
+    params = _load_model(args.model)
     scenes = SceneTable.load(args.data, config.field, config.dynamics)
     if args.use_test_split:
         scenes = split_dataset(scenes, config.seed).test
@@ -154,7 +163,7 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig):
     if kind == "mlp":
         if not args.model:
             raise ValueError("--model is required for the mlp policy")
-        return MlpPolicy(mlp.load_model(args.model), config.field, config.aim,
+        return MlpPolicy(_load_model(args.model), config.field, config.aim,
                          config.policy)
     if kind == "lda":
         if args.data:

@@ -71,8 +71,8 @@ class MlpParams:
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError(f"invalid layer sizes {sizes}")
+        if len(sizes) < 2 or any(s < 1 for s in sizes) or sizes[-1] != 2:
+            raise ValueError(f"invalid layer sizes {sizes}: score folds 2 output nodes")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ValueError("one weight matrix and bias vector per layer required")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -442,12 +442,12 @@ def load_model(path: str | Path) -> MlpParams:
                          f"integers, got {sizes!r}")
     try:
         layer_sizes = tuple(doc["layer_sizes"])
-        # A non-numeric cell or a ragged row fails here, in numpy's words.
+        # numpy rejects a non-numeric cell or a ragged row, MlpParams a layout.
         arrays = ([np.asarray(w, dtype=float) for w in doc["weights"]],
                   [np.asarray(b, dtype=float) for b in doc["biases"]],
                   np.asarray(norm["mean"], dtype=float), np.asarray(norm["std"], dtype=float))
+        return MlpParams(layer_sizes, *arrays)
     except KeyError as exc:
         raise ValueError(f"model file missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from None
-    return MlpParams(layer_sizes, *arrays)

@@ -18,15 +18,13 @@ table the label is the GOAL mask: training and the metrics take it. A
 `SceneTable.scenes()` gives the rows as KickScenes, the mask mapped back to
 `Label`. `draw_scenes` draws the generator's scenes as KickScenes that no
 shot has labelled (label None), for an experiment to resolve.
-`scene_features` is the feature kernel of a scene on plain floats. It
-gives the scene's base row and, for an aim point's shot line
-(geometry.shot_line, which the MLP policy reuses from stage one), the
-values of the seven TARGET_COLUMNS; `extract_features` and the MLP
-policy's survivor rows set those columns in the base rows.
-`feature_matrix` makes the kernel's float steps column by column over a
-table: numpy does the + - * /, abs, min, max and where, and the math
-functions are mapped over the columns. A row the kernel rejects is run
-through it, so it raises the kernel's own error.
+`scene_features` is the one feature kernel, on plain floats: a scene's
+base row and, for an aim point's shot line (geometry.shot_line, which the
+MLP policy reuses from stage one), the values of the seven TARGET_COLUMNS.
+It builds every feature row: a scene's (`extract_features`), a survivor's
+(the MLP policy) and a table row's (`feature_matrix`, 9 to 17 us a row on
+a 2-core x86-64 VM), so a row has the same bits, and a bad row the same
+error, wherever it is built.
 """
 
 from __future__ import annotations
@@ -214,78 +212,18 @@ def set_target_columns(rows: np.ndarray, targets: Iterable[tuple[float, ...]]) -
     return rows
 
 
-def _mapped(fn: Callable[[float, float], float],
-            *pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
-    """fn(a, b) over each pair (a, b) of equal-length float columns, as one
-    array per pair: a single map of the math function over the joined
-    columns, so a pair adds no call of its own."""
-    firsts = np.concatenate([a for a, _ in pairs]).tolist()
-    seconds = np.concatenate([b for _, b in pairs]).tolist()
-    out = np.fromiter(map(fn, firsts, seconds), float, len(firsts))
-    parts, start = [], 0
-    for a, _ in pairs:
-        parts.append(out[start:start + len(a)])
-        start += len(a)
-    return parts
-
-
 def feature_matrix(table: SceneTable, field: FieldConfig) -> np.ndarray:
-    """(n, 22) matrix of the table's features, bit-equal to extract_features
-    of each row's scene: scene_features' float steps column by column, with
-    math.hypot, math.atan2 and math.remainder mapped (numpy's hypot and
-    arctan2 round differently). Where rows fail a check of scene_features or
-    shot_line, the first of them runs both and raises."""
-    bx, by, _, _, ax, ay, body, kx, ky, power, tx, ty = table.values.T
-    dfx, dfy = table.defenders[:, :, 0], table.defenders[:, :, 1]
-    left, right, center = field.post_left, field.post_right, field.goal_center
-    # Python floats overflow without a warning; the row kernel's checks raise below.
-    with np.errstate(all="ignore"):
-        # The _threats filter; the NaN after a row's defenders fails it.
-        threat = ((ax[:, None] <= dfx) & (dfx <= field.goal_line_x)
-                  & (np.abs(dfy) <= field.penalty_area_width / 2))
-        row, x, y = np.nonzero(threat)[0], dfx[threat], dfy[threat]
-        kdx, kdy, dx, dy = kx - bx, ky - by, tx - bx, ty - by
-        ux, uy, vx, vy = left.x - ax, left.y - ay, right.x - ax, right.y - ay
-        (d_left, d_right, keeper_distance, distance, u_length, v_length, to_ball,
-         to_center) = _mapped(math.hypot, (left.x - bx, left.y - by), (right.x - bx, right.y - by),
-                              (bx - kx, by - ky), (dx, dy), (ux, uy), (vx, vy),
-                              (bx[row] - x, by[row] - y), (center.x - x, center.y - y))
-        sx, sy = dx / distance, dy / distance
-        vision, keeper_angle, direction = _mapped(
-            math.atan2, (np.abs(ux * vy - uy * vx), ux * vx + uy * vy),
-            (np.abs(kdx * dy - kdy * dx), kdx * dx + kdy * dy), (dy, dx))
-        (wrapped,) = _mapped(math.remainder, (body - direction, np.full(len(body), math.tau)))
-        # The three threats nearest the ball, stably; NaN sorts after any distance.
-        per_slot = np.full((4, *threat.shape), math.nan)
-        per_slot[:, threat] = to_ball, to_center, x - bx[row], y - by[row]
-        order = np.argsort(per_slot[0], axis=1, kind="stable")[:, :3]
-        near_ball, near_center, near_x, near_y = per_slot[:, np.arange(len(order))[:, None], order]
-        count = threat.sum(axis=1)
-        present = np.arange(3) < count[:, None]
-        # shot_line raises where its length is not finite or below 1e-12; for
-        # any other length its unit check holds within a few ulps.
-        bad = (~(np.isfinite(kdx) & np.isfinite(kdy))
-               | (present & ~(np.isfinite(near_x) & np.isfinite(near_y))).any(axis=1)
-               | ~((1e-12 <= distance) & (distance < math.inf)))
-        if bad.any():
-            i = int(bad.argmax())
-            values = table.values[i].tolist()
-            scene_features(values, table.defenders[i, :table.defender_count[i]].tolist(), field)
-            shot_line(values[10] - values[0], values[11] - values[1])
-        ball_distance = np.where(present, near_ball, field.field_length)
-        center_distance = np.where(present, near_center, field.field_length)
-        offset = np.where(present[:, :2], np.abs(sx[:, None] * near_y[:, :2]
-                                                 - sy[:, None] * near_x[:, :2]),
-                          field.penalty_area_width)
-        vision_ok = (np.isfinite(ux) & np.isfinite(uy) & np.isfinite(vx) & np.isfinite(vy)
-                     & (u_length >= 1e-12) & (v_length >= 1e-12))
-        return np.array([  # the 22 columns, then (n, 22) in C order
-            bx, by, kx, ky, keeper_distance, np.abs(sx * kdy - sy * kdx),
-            np.where(keeper_distance < 1e-12, 0.0, keeper_angle), np.where(vision_ok, vision, 0.0),
-            np.abs(wrapped), distance, np.minimum(d_left, d_right), np.maximum(d_left, d_right),
-            power, ty, count.astype(float), ball_distance[:, 0], offset[:, 0],
-            center_distance[:, 0], ball_distance[:, 1], offset[:, 1], center_distance[:, 1],
-            ball_distance[:, 2]]).T.copy()
+    """(n, 22) matrix of the table's features: each row's scene_features
+    with its own target's terms, as extract_features gives them, so bit-equal
+    to it and raising its error at the first bad row."""
+    bases, targets = [], []
+    for values, defenders in table.rows():
+        base, terms = scene_features(values, zip(defenders[::2], defenders[1::2]), field)
+        bx, by, tx, ty = values[0], values[1], values[10], values[11]
+        bases.append(base)
+        targets.append(terms(ty, shot_line(tx - bx, ty - by)))
+    rows = np.array(bases, dtype=float).reshape(len(bases), len(FEATURE_NAMES))  # (0, 22) if empty
+    return set_target_columns(rows, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Shared fixtures and scene-building helpers."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import Phase, settings
 
 from goalshot.geometry import FieldConfig, Vec2
+from goalshot.mlp import save_model
 from goalshot.scenes import KickScene, Label, SceneTable, _scalars
 
 # A failing property test is reported with its shrunk example but without
@@ -65,3 +69,14 @@ def from_scenes(scenes):
                                [_scalars(s) + [c for d in s.defenders for c in (d.x, d.y)]
                                 for s in scenes],
                                [s.label is Label.GOAL for s in scenes])
+
+
+def write_model(path, layer_sizes):
+    """A model file of any layer sizes, written by save_model from plain
+    arrays, so that no MlpParams check refuses the layout."""
+    sizes = tuple(layer_sizes)
+    save_model(SimpleNamespace(
+        layer_sizes=sizes, norm_mean=np.zeros(sizes[0]), norm_std=np.ones(sizes[0]),
+        weights=[np.full((a, b), 0.1) for a, b in zip(sizes, sizes[1:])],
+        biases=[np.zeros(b) for b in sizes[1:]]), path)
+    return path

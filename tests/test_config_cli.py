@@ -12,6 +12,7 @@ import pytest
 import goalshot.cli as cli
 import goalshot.experiment
 import goalshot.scenes
+from conftest import write_model
 from goalshot.aim import discretize_targets
 from goalshot.cli import main
 from goalshot.config import RunConfig, load_run_config, scalar_fields
@@ -533,6 +534,35 @@ class TestCompare:
         monkeypatch.setattr(cli, "generate_synthetic_scenes", no_training_scenes)
         assert main(["compare", "--policy-a", "lda", *flags]) == 1
         assert message in capsys.readouterr().err
+
+
+class TestModelShape:
+    """A model file whose layers do not fit the 22 features and the two
+    scored nodes fails eval and compare in one line naming the file, before
+    the CSV is read, the lda is fitted or the episode log is opened."""
+
+    @pytest.mark.parametrize("layer_sizes", [(22, 5, 1), (22, 5, 3), (3, 4, 2)],
+                             ids=["22-5-1", "22-5-3", "3-4-2"])
+    @pytest.mark.parametrize("command", [
+        ["eval", "--data", "/no/such/file.csv"],
+        ["compare", "--policy-b", "lda", "--episode-log", "LOG"],
+        ["compare", "--policy-a", "center", "--policy-b", "mlp", "--episode-log", "LOG"]],
+        ids=["eval", "compare-mlp-lda", "compare-center-mlp"])
+    def test_rejected_at_load(self, tmp_path, layer_sizes, command, capsys, monkeypatch):
+        def no_training_scenes(*args, **kwargs):
+            raise AssertionError("the lda policy was built")
+
+        monkeypatch.setattr(cli, "generate_synthetic_scenes", no_training_scenes)
+        model = write_model(tmp_path / "model.json", layer_sizes)
+        log = tmp_path / "old.log"
+        log.write_bytes(b"an earlier run's log\n")
+        argv = [str(log) if arg == "LOG" else arg for arg in command]
+        capsys.readouterr()
+        assert main([*argv, "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(model) in err
+        assert log.read_bytes() == b"an earlier run's log\n"
 
 
 class TestAimTable:

@@ -2,13 +2,15 @@
 
 Each test runs commands through `goalshot.cli.main` in-process and pins
 the sha256 of the bytes they write, to a file or, for eval and stats, to
-stdout. A refactor that claims no behaviour
-change must leave every pin as it is; a deliberate behaviour change
-updates the pin in the same change and says why. The pins hold for one
-numpy build on x86-64 CPUs with AVX2. No product on the pinned paths goes
-through BLAS, so the kernels OpenBLAS picks for the CPU do not matter, but
-numpy's tanh kernel is chosen by the SIMD extensions found and rounds
-differently below AVX2 (other architectures are untested).
+stdout. The eval, stats and compare reports are also kept as text, which
+is compared first, so that a failing pin shows which numbers moved. A
+refactor that claims no behaviour change must leave every pin as it is
+(text and hash); a deliberate behaviour change updates the pin in the same
+change and says why. The pins hold for one numpy build on x86-64 CPUs with
+AVX2. No product on the pinned paths goes through BLAS, so the kernels
+OpenBLAS picks for the CPU do not matter, but numpy's tanh kernel is chosen
+by the SIMD extensions found and rounds differently below AVX2 (other
+architectures are untested).
 """
 
 import hashlib
@@ -45,6 +47,142 @@ EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
 STATS_SHA256 = "821ec09178eef386d3304fb33befe7badd2f3e0052e18447d392b88556a9efd1"
 ROC_SHA256 = "a4d47726de13a8ed762b4c90ff5489f71a6f23574badef8188ca47cb659de172"
 KS2_SHA256 = "1b1e8694f976a5acc6274d16eed03f2ded0ab84657debd885d387061e20b4e46"
+
+# The text behind EVAL, STATS, COMPARE, COMPARE_CENTER and COMPARE_GENERATED,
+# compared before the hash, so that a failing pin shows which numbers moved.
+EVAL_TEXT = "n=125 auc=0.797619 ks2=0.501553 ks2_threshold=0.446690\n"
+STATS_TEXT = """\
+500 scenes
+feature                                  mean        std     median         p1        p99  missing     auc
+----------------------------------------------------------------------------------------------------------
+ball_x                                38.1984     4.2934    38.3757    30.7052    45.2773    0.000   0.579
+ball_y                                 0.2437     8.5045     0.3176   -14.3184    14.7036    0.000   0.527
+keeper_x                              50.1352     0.9190    50.1327    48.5250    51.6606    0.000   0.515
+keeper_y                              -0.0475     3.4001     0.0909    -7.0100     6.7622    0.000   0.520
+keeper_distance_to_ball               14.1358     4.5079    14.0301     5.2787    22.7260    0.000   0.584
+keeper_abs_offset_from_shot_line       2.7340     1.9694     2.3831     0.0310     8.0162    0.000   0.778
+angle_ball_keeper_destiny              0.2157     0.1713     0.1894     0.0021     0.7343    0.000   0.808
+angle_attacker_vision                  0.7305     0.2173     0.6780     0.4510     1.3426    0.000   0.594
+attacker_body_to_shot_angle            0.1966     0.1137     0.1960     0.0108     0.3973    0.000   0.562
+ball_distance_to_target               16.8868     4.5566    17.0841     7.8188    26.1329    0.000   0.634
+ball_distance_to_near_post            14.9587     4.1312    14.8378     7.5291    22.1691    0.000   0.583
+ball_distance_to_far_post             20.7453     4.2181    21.1310    11.7663    28.9446    0.000   0.599
+kick_power                            84.5927     8.3688    84.1389    70.6285    99.5753    0.000   0.588
+target_lateral                         0.1937     3.1765     0.2865    -5.4260     5.4266    0.000   0.520
+filtered_defender_count                2.4360     1.6822     2.0000     0.0000     5.0000    0.000   0.606
+def1_distance_to_ball                 22.5667    36.9146     6.3526     1.2402   105.0000    0.000   0.595
+def1_abs_offset_from_shot_line         9.5845    13.9023     3.7576     0.0735    40.3200    0.000   0.670
+def1_distance_to_goal_center          28.4688    34.4235    14.4207     2.8924   105.0000    0.000   0.531
+def2_distance_to_ball                 41.5780    45.8249    10.8372     3.0451   105.0000    0.000   0.571
+def2_abs_offset_from_shot_line        16.7751    17.1356     6.4190     0.3184    40.3200    0.000   0.617
+def2_distance_to_goal_center          43.5830    44.4456    15.3567     3.2733   105.0000    0.000   0.573
+def3_distance_to_ball                 59.6658    47.4514   105.0000     4.3938   105.0000    0.000   0.571
+"""
+COMPARE_TEXT = """\
+{
+ "policies": [
+  {
+   "name": "mlp",
+   "stats": {
+    "kicks": 81,
+    "kicks_mean_per_game": 8.1,
+    "kicks_std": 0.9433981132056604,
+    "goals": 46,
+    "goals_mean_per_game": 4.6,
+    "goals_std": 1.42828568570857,
+    "effectiveness": 0.5679012345679012,
+    "wins": 3,
+    "losses": 5,
+    "draws": 2
+   }
+  },
+  {
+   "name": "lda",
+   "stats": {
+    "kicks": 91,
+    "kicks_mean_per_game": 9.1,
+    "kicks_std": 1.2206555615733703,
+    "goals": 50,
+    "goals_mean_per_game": 5.0,
+    "goals_std": 2.0,
+    "effectiveness": 0.5494505494505495,
+    "wins": 5,
+    "losses": 3,
+    "draws": 2
+   }
+  }
+ ]
+}"""
+COMPARE_CENTER_TEXT = """\
+{
+ "policies": [
+  {
+   "name": "center",
+   "stats": {
+    "kicks": 100,
+    "kicks_mean_per_game": 10.0,
+    "kicks_std": 0.0,
+    "goals": 33,
+    "goals_mean_per_game": 3.3,
+    "goals_std": 1.4866068747318506,
+    "effectiveness": 0.33,
+    "wins": 2,
+    "losses": 7,
+    "draws": 1
+   }
+  },
+  {
+   "name": "mlp",
+   "stats": {
+    "kicks": 81,
+    "kicks_mean_per_game": 8.1,
+    "kicks_std": 0.9433981132056604,
+    "goals": 46,
+    "goals_mean_per_game": 4.6,
+    "goals_std": 1.42828568570857,
+    "effectiveness": 0.5679012345679012,
+    "wins": 7,
+    "losses": 2,
+    "draws": 1
+   }
+  }
+ ]
+}"""
+COMPARE_GENERATED_TEXT = """\
+{
+ "policies": [
+  {
+   "name": "mlp",
+   "stats": {
+    "kicks": 41,
+    "kicks_mean_per_game": 8.2,
+    "kicks_std": 0.7483314773547882,
+    "goals": 24,
+    "goals_mean_per_game": 4.8,
+    "goals_std": 1.7204650534085253,
+    "effectiveness": 0.5853658536585366,
+    "wins": 2,
+    "losses": 2,
+    "draws": 1
+   }
+  },
+  {
+   "name": "lda",
+   "stats": {
+    "kicks": 45,
+    "kicks_mean_per_game": 9.0,
+    "kicks_std": 1.5491933384829668,
+    "goals": 25,
+    "goals_mean_per_game": 5.0,
+    "goals_std": 2.449489742783178,
+    "effectiveness": 0.5555555555555556,
+    "wins": 2,
+    "losses": 2,
+    "draws": 1
+   }
+  }
+ ]
+}"""
 
 
 def _build() -> str:
@@ -105,17 +243,21 @@ def test_trained_model_on_any_openblas_core(tmp_path):
         assert _sha256(model) == MODEL_SHA256, f"{BUILD}, OpenBLAS core {core}"
 
 
-def _stdout_sha256(capsys, *argv: str) -> str:
+def _stdout(capsys, *argv: str) -> str:
     capsys.readouterr()
     _run(*argv)
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return capsys.readouterr().out
+
+
+def _text_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_eval_test_split_stdout(pipeline, capsys):
     _, data, model = pipeline
-    digest = _stdout_sha256(capsys, "eval", "--model", str(model), "--data", str(data),
-                            "--use-test-split")
-    assert digest == EVAL_SHA256, BUILD
+    out = _stdout(capsys, "eval", "--model", str(model), "--data", str(data), "--use-test-split")
+    assert out == EVAL_TEXT, BUILD
+    assert _text_sha256(out) == EVAL_SHA256, BUILD
 
 
 def test_eval_curve_files(pipeline):
@@ -148,7 +290,9 @@ def test_eval_curve_files_hold_numbers(pipeline):
 
 def test_stats_stdout(pipeline, capsys):
     _, data, _ = pipeline
-    assert _stdout_sha256(capsys, "stats", "--data", str(data)) == STATS_SHA256, BUILD
+    out = _stdout(capsys, "stats", "--data", str(data))
+    assert out == STATS_TEXT, BUILD
+    assert _text_sha256(out) == STATS_SHA256, BUILD
 
 
 def test_aim_table_monte_carlo(tmp_path):
@@ -163,6 +307,7 @@ def test_compare_report_and_episode_log(pipeline):
     report, log = work / "compare.json", work / "episodes.jsonl"
     _run("compare", "--model", str(model), "--data", str(data), "--games", "10",
          "--format", "json", "--out", str(report), "--episode-log", str(log))
+    assert report.read_text(encoding="utf-8") == COMPARE_TEXT, BUILD
     assert _sha256(report) == COMPARE_SHA256, BUILD
     assert _sha256(log) == EPISODE_LOG_SHA256, BUILD
 
@@ -173,6 +318,7 @@ def test_compare_center_against_mlp(pipeline):
     report, log = work / "compare_center.json", work / "episodes_center.jsonl"
     _run("compare", "--policy-a", "center", "--policy-b", "mlp", "--model", str(model),
          "--games", "10", "--format", "json", "--out", str(report), "--episode-log", str(log))
+    assert report.read_text(encoding="utf-8") == COMPARE_CENTER_TEXT, BUILD
     assert _sha256(report) == COMPARE_CENTER_SHA256, BUILD
     assert _sha256(log) == EPISODE_LOG_CENTER_SHA256, BUILD
 
@@ -184,6 +330,7 @@ def test_compare_lda_fitted_on_generated_scenes(pipeline):
     report = work / "compare_generated.json"
     _run("compare", "--model", str(model), "--games", "5", "--lda-train-scenes", "300",
          "--format", "json", "--out", str(report))
+    assert report.read_text(encoding="utf-8") == COMPARE_GENERATED_TEXT, BUILD
     assert _sha256(report) == COMPARE_GENERATED_SHA256, BUILD
 
 

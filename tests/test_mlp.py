@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goalshot.mlp
+from conftest import write_model
 from goalshot.metrics import auc_rank
 from goalshot.mlp import (EarlyStopping, MlpParams, StopReason, TrainConfig, _Backprop,
                           _targets, forward, gradient, load_model, save_model,
@@ -468,6 +469,18 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="malformed model file .*model.json"):
             load_model(path)
+
+    @pytest.mark.parametrize("layer_sizes", [(22, 5, 1), (22, 5, 3), (3, 4, 1)])
+    def test_output_layer_of_other_than_two_nodes_rejected(self, tmp_path, layer_sizes):
+        """score and score_batch fold exactly two output nodes: a file with
+        one node would fail on an index, one with three would be scored
+        from its first two. The error names the file."""
+        path = write_model(tmp_path / "model.json", layer_sizes)
+        with pytest.raises(ValueError, match=r"malformed model file .*model.json: invalid "
+                                             r"layer sizes .*: score folds 2 output nodes"):
+            load_model(path)
+        with pytest.raises(ValueError, match="2 output nodes"):
+            zero_params(layer_sizes)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import goalshot.cli
 from goalshot.cli import main
 from goalshot.config import RunConfig
 from goalshot.mlp import load_model
@@ -47,6 +48,13 @@ EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
 STATS_SHA256 = "821ec09178eef386d3304fb33befe7badd2f3e0052e18447d392b88556a9efd1"
 ROC_SHA256 = "a4d47726de13a8ed762b4c90ff5489f71a6f23574badef8188ca47cb659de172"
 KS2_SHA256 = "1b1e8694f976a5acc6274d16eed03f2ded0ab84657debd885d387061e20b4e46"
+
+# repr of the LdaModel that compare fits: on the gen-data --n 5000 --seed 1
+# CSV given as --data, and on the 2000 scenes it generates at seed 0 without.
+LDA_CSV_REPR = ("LdaModel(weight_distance=-0.00015573239672848522, "
+                "weight_angle=2.4619687586831103, bias=-0.7697620674006245)")
+LDA_GENERATED_REPR = ("LdaModel(weight_distance=0.0031299612837033222, "
+                      "weight_angle=2.502683579238594, bias=-0.8377215857991392)")
 
 # The text behind EVAL, STATS, COMPARE, COMPARE_CENTER and COMPARE_GENERATED,
 # compared before the hash, so that a failing pin shows which numbers moved.
@@ -332,6 +340,28 @@ def test_compare_lda_fitted_on_generated_scenes(pipeline):
          "--format", "json", "--out", str(report))
     assert report.read_text(encoding="utf-8") == COMPARE_GENERATED_TEXT, BUILD
     assert _sha256(report) == COMPARE_GENERATED_SHA256, BUILD
+
+
+def _compare_lda_repr(monkeypatch, *argv: str) -> str:
+    """repr of the lda model that a one-shot compare of center against lda fits."""
+    fitted = []
+
+    def spy_lda_train(scenes, field):
+        fitted.append(lda_train(scenes, field))
+        return fitted[-1]
+
+    monkeypatch.setattr(goalshot.cli, "lda_train", spy_lda_train)
+    _run("compare", "--policy-a", "center", "--policy-b", "lda", "--games", "1",
+         "--shots", "1", *argv)
+    (model,) = fitted
+    return repr(model)
+
+
+def test_compare_lda_models(tmp_path, monkeypatch):
+    data = tmp_path / "scenes5000.csv"
+    _run("gen-data", "--n", "5000", "--seed", "1", "--out", str(data))
+    assert _compare_lda_repr(monkeypatch, "--data", str(data)) == LDA_CSV_REPR, BUILD
+    assert _compare_lda_repr(monkeypatch, "--seed", "0") == LDA_GENERATED_REPR, BUILD
 
 
 def test_policy_decisions(pipeline):

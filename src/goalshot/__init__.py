@@ -11,7 +11,7 @@ from .aim import AimConfig, AimResult, ShotQuery, discretize_targets, p_goal, si
 from .dynamics import (BallState, CrossingOutcome, DynamicsConfig, kick,
                        rollout_to_goal_line, step, travel_range)
 from .experiment import EpisodeOutcome, MatchStats, report, run_experiment
-from .geometry import FieldConfig, Vec2, opening_angle
+from .geometry import FieldConfig, Vec2
 from .keeper import KeeperModel, ShotResult, simulate_shot
 from .metrics import (Ks2Curve, RocCurve, auc_rank, feature_relevance,
                       ks2_curve, roc_curve)

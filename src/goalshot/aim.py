@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .geometry import FieldConfig, Vec2, _require_finite, difference, shot_line
+from .geometry import FieldConfig, Vec2, _require_finite, shot_line
 
 # How far an aim point may sit off the goal line or outside the mouth (m).
 GOAL_LINE_TOLERANCE = 1e-9
@@ -100,8 +100,10 @@ def _ball_half(ball: Vec2, field: FieldConfig, config: AimConfig) -> tuple:
     """The ball (x, y), then each post relative to it (x, y) and the sigma of
     its distance. Raises HorizonError beyond the horizon (where within_horizon
     is false), else ValueError for a ball on or past the goal line."""
-    left_x, left_y = difference(field.post_left, ball)
-    right_x, right_y = difference(field.post_right, ball)
+    left, right = field.post_left, field.post_right
+    left_x, left_y = left.x - ball.x, left.y - ball.y
+    right_x, right_y = right.x - ball.x, right.y - ball.y
+    _require_finite("Vec2 component", left_x, left_y, right_x, right_y)
     # hypot of the differences is ball.distance_to(post)
     sigma_l = sigma(math.hypot(left_x, left_y), config)
     sigma_r = sigma(math.hypot(right_x, right_y), config)

@@ -48,13 +48,6 @@ class Vec2:
     def __neg__(self) -> Vec2:
         return Vec2(-self.x, -self.y)
 
-    def dot(self, other: Vec2) -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: Vec2) -> float:
-        """Scalar z-component of the 3D cross product."""
-        return self.x * other.y - self.y * other.x
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -64,9 +57,6 @@ class Vec2:
     def angle(self) -> float:
         """Direction in radians from the +x axis."""
         return math.atan2(self.y, self.x)
-
-    def normalized(self) -> Vec2:
-        return Vec2(*shot_line(self.x, self.y)[3:])
 
     @staticmethod
     def from_angle(angle: float, length: float = 1.0) -> Vec2:
@@ -118,25 +108,6 @@ class FieldConfig:
     def contains(self, point: Vec2) -> bool:
         return (abs(point.x) <= self.field_length / 2
                 and abs(point.y) <= self.field_width / 2)
-
-
-def opening_angle(origin: Vec2, post_left: Vec2, post_right: Vec2) -> float:
-    """Unsigned angle in [0, pi] subtended at origin by the two posts.
-
-    Raises ValueError when origin coincides with either post.
-    """
-    ux, uy = difference(post_left, origin)
-    vx, vy = difference(post_right, origin)
-    if math.hypot(ux, uy) < 1e-12 or math.hypot(vx, vy) < 1e-12:
-        raise ValueError("origin coincides with a post")
-    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-
-
-def difference(a: Vec2, b: Vec2) -> tuple[float, float]:
-    """The components of a - b, with the finiteness check of that Vec2."""
-    dx, dy = a.x - b.x, a.y - b.y
-    _require_finite("Vec2 component", dx, dy)
-    return dx, dy
 
 
 def shot_line(dx: float, dy: float) -> tuple[float, float, float, float, float]:

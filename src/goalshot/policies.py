@@ -37,7 +37,7 @@ from .aim import (AimConfig, HorizonError, _aim_chances, _aim_points, _ball_half
                   p_goal, within_horizon)  # noqa: F401
 from .geometry import FieldConfig, Vec2
 from .mlp import MlpParams, forward  # noqa: F401
-from .scenes import (FEATURE_NAMES, KickScene, Label, angle_at, features_by_target,
+from .scenes import (FEATURE_NAMES, KickScene, Label, features_by_target,
                      set_target_columns, extract_features)  # noqa: F401
 
 
@@ -197,15 +197,36 @@ def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
     return mlp_policy_decide_all((scene,), model, field, aim_config, policy_config)[0]
 
 
+def _lda_inputs(ball: Vec2, keeper: Vec2, lines: Sequence[tuple]) -> tuple[float, list[float]]:
+    """The discriminant's two variables: the keeper's distance to the ball
+    and, per shot line, the angle at the ball between the keeper and the
+    line's target. A line is read only as its first two items (dx, dy), the
+    target relative to the ball, finite and at least 1e-12 long as a
+    geometry.shot_line is. The angles are 0.0 where the keeper's offset is
+    not finite or shorter than 1e-12."""
+    kdx, kdy = keeper.x - ball.x, keeper.y - ball.y
+    distance = math.hypot(kdx, kdy)
+    if not (math.isfinite(kdx) and math.isfinite(kdy)) or distance < 1e-12:
+        return distance, [0.0] * len(lines)
+    atan2 = math.atan2
+    return distance, [atan2(abs(kdx * line[1] - kdy * line[0]),
+                            kdx * line[0] + kdy * line[1]) for line in lines]
+
+
 def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
-    """Least-squares fit of the two-variable discriminant with labels +/-1."""
+    """Least-squares fit of the two-variable discriminant with labels +/-1,
+    each scene's angle taken at its own target."""
     rows = []
     targets = []
     for scene in scenes:
         if scene.label is None:
             raise ValueError("every scene must be labeled")
-        rows.append([scene.keeper.distance_to(scene.ball),
-                     angle_at(scene.ball, scene.keeper, scene.target), 1.0])
+        ball, target = scene.ball, scene.target
+        dx, dy = target.x - ball.x, target.y - ball.y
+        distance, (angle,) = _lda_inputs(ball, scene.keeper, [(dx, dy)])
+        if not (math.isfinite(dx) and math.isfinite(dy) and math.hypot(dx, dy) >= 1e-12):
+            angle = 0.0  # a target on the ball, or too far from it to subtract
+        rows.append([distance, angle, 1.0])
         targets.append(1.0 if scene.label is Label.GOAL else -1.0)
     y = np.array(targets)
     if np.all(y > 0) or np.all(y < 0):
@@ -224,25 +245,15 @@ def lda_policy_decide_all(scenes: Sequence[KickScene], model: LdaModel, field: F
                           policy_config: PolicyConfig) -> list[KickDecision]:
     """Same two stages, ranked by the discriminant with bar 0; no neural score."""
     def rank(scenes: Sequence[KickScene], stage_ones: tuple) -> list[float]:
-        weight_angle, bias, atan2 = model.weight_angle, model.bias, math.atan2
+        weight_angle, bias = model.weight_angle, model.bias
         values = []
         for scene, survivors in zip(scenes, stage_ones):
-            if not survivors:
-                continue
-            ball, keeper = scene.ball, scene.keeper
-            kdx, kdy = keeper.x - ball.x, keeper.y - ball.y
-            distance = math.hypot(kdx, kdy)  # keeper.distance_to(ball)
-            # angle_at(ball, keeper, target) from the target's line, which is
-            # finite and not degenerate: 0.0 where the keeper's offset is not
-            # finite or its length (distance) is below opening_angle's 1e-12
-            if not (math.isfinite(kdx) and math.isfinite(kdy)) or distance < 1e-12:
-                values += [model.discriminant(distance, 0.0)] * len(survivors)
-            else:
+            if survivors:
+                distance, angles = _lda_inputs(scene.ball, scene.keeper,
+                                               [line for _, _, line in survivors])
                 # model.discriminant(distance, angle), its distance term once per scene
                 near = model.weight_distance * distance
-                values += [near + weight_angle * atan2(abs(kdx * dy - kdy * dx),
-                                                       kdx * dx + kdy * dy) + bias
-                           for _, _, (dx, dy, _, _, _) in survivors]
+                values += [near + weight_angle * angle + bias for angle in angles]
         return values
     return _two_stage(scenes, field, aim_config, policy_config, rank, 0.0, False)
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .aim import GOAL_LINE_TOLERANCE
 from .dynamics import DynamicsConfig
-from .geometry import FieldConfig, Vec2, _require_finite, opening_angle, shot_line
+from .geometry import FieldConfig, Vec2, _require_finite, shot_line
 from .keeper import DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult, simulate_shot
 
 MAX_DEFENDERS = 10
@@ -106,14 +106,6 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
-def angle_at(origin: Vec2, a: Vec2, b: Vec2) -> float:
-    """Opening angle at origin, 0.0 when a vertex degenerates onto origin."""
-    try:
-        return opening_angle(origin, a, b)
-    except ValueError:
-        return 0.0
-
-
 def _threats(attacker_x: float, ball_x: float, ball_y: float,
              defenders: Iterable[Sequence[float]],
              field: FieldConfig) -> list[tuple[float, float, float]]:
@@ -148,8 +140,8 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
     d_post_right = math.hypot(right.x - bx, right.y - by)
     threats = _threats(ax, bx, by, defenders, field)
     keeper_distance = math.hypot(bx - kx, by - ky)
-    # The keeper and the threats relative to the ball, raising as
-    # geometry.difference does on an overflow.
+    # The keeper and the threats relative to the ball, raising as a Vec2 of
+    # the difference would on an overflow.
     kdx, kdy = kx - bx, ky - by
     _require_finite("Vec2 component", kdx, kdy)
     near = []
@@ -160,7 +152,7 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
     # Two threats give three features each, the third its distance to the ball.
     (d1, x1, y1, g1), (d2, x2, y2, g2), (third, _, _, _) = near
     no_offset = field.penalty_area_width
-    # angle_at(attacker, post_left, post_right): 0.0 where opening_angle raises
+    # The posts' angle at the attacker, 0.0 where an offset is not finite or below 1e-12
     ux, uy, vx, vy = left.x - ax, left.y - ay, right.x - ax, right.y - ay
     vision = (math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
               if all(map(math.isfinite, (ux, uy, vx, vy)))
@@ -172,7 +164,7 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
 
     def terms(target_y: float, line: tuple) -> tuple[float, ...]:
         dx, dy, distance, ux, uy = line
-        # angle_at(ball, keeper, target), 0.0 when the keeper is on the ball
+        # The keeper-to-target angle at the ball, 0.0 when the keeper is on the ball
         keeper_angle = (0.0 if keeper_distance < 1e-12
                         else math.atan2(abs(kdx * dy - kdy * dx), kdx * dx + kdy * dy))
         return (abs(ux * kdy - uy * kdx), keeper_angle,

@@ -12,7 +12,7 @@ import numpy as np
 from goalshot.aim import AimConfig, ShotQuery, p_goal
 from goalshot.dynamics import BallState, DynamicsConfig
 from goalshot.experiment import EpisodeOutcome, MatchStats
-from goalshot.geometry import FieldConfig, Vec2, shot_line
+from goalshot.geometry import FieldConfig, Vec2, _require_finite, shot_line
 from goalshot.keeper import (DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult,
                              simulate_shot)
 from goalshot.mlp import MlpParams, forward
@@ -37,6 +37,47 @@ class Ray:
         return cls(origin, Vec2(*shot_line(point.x - origin.x, point.y - origin.y)[3:]))
 
 
+def dot(a: Vec2, b: Vec2) -> float:
+    return a.x * b.x + a.y * b.y
+
+
+def cross(a: Vec2, b: Vec2) -> float:
+    """Scalar z-component of the 3D cross product."""
+    return a.x * b.y - a.y * b.x
+
+
+def normalized(v: Vec2) -> Vec2:
+    return Vec2(*shot_line(v.x, v.y)[3:])
+
+
+def difference(a: Vec2, b: Vec2) -> tuple[float, float]:
+    """The components of a - b, with the finiteness check of that Vec2."""
+    dx, dy = a.x - b.x, a.y - b.y
+    _require_finite("Vec2 component", dx, dy)
+    return dx, dy
+
+
+def opening_angle(origin: Vec2, post_left: Vec2, post_right: Vec2) -> float:
+    """Unsigned angle in [0, pi] subtended at origin by the two posts: the
+    reference for the inline angles of the feature kernel and the LDA.
+
+    Raises ValueError when origin coincides with either post.
+    """
+    ux, uy = difference(post_left, origin)
+    vx, vy = difference(post_right, origin)
+    if math.hypot(ux, uy) < 1e-12 or math.hypot(vx, vy) < 1e-12:
+        raise ValueError("origin coincides with a post")
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+
+def angle_at(origin: Vec2, a: Vec2, b: Vec2) -> float:
+    """Opening angle at origin, 0.0 when a vertex degenerates onto origin."""
+    try:
+        return opening_angle(origin, a, b)
+    except ValueError:
+        return 0.0
+
+
 def textbook_step(state: BallState, config: DynamicsConfig,
                   rng: np.random.Generator | None) -> BallState:
     """One ball step on `BallState` and `Vec2`, with the float operations of
@@ -59,7 +100,7 @@ def signed_offset(line: Ray, point: Vec2) -> float:
 
     Positive when the point lies to the left of the direction of travel.
     """
-    return line.direction.cross(point - line.origin)
+    return cross(line.direction, point - line.origin)
 
 
 def gaussian_cdf(z: float) -> float:

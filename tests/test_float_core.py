@@ -20,7 +20,7 @@ from goalshot.dynamics import (STOP_SPEED, BallState, BlockUniforms, CrossingOut
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.keeper import KeeperModel, ShotResult, simulate_shot
 from goalshot.scenes import GeneratorConfig
-from oracles import textbook_step
+from oracles import dot, normalized, textbook_step
 
 FIELD = FieldConfig()
 CONFIGS = (DynamicsConfig(), DynamicsConfig(noise_coefficient=0.0),
@@ -43,10 +43,10 @@ def reference_rollout(state, config, field, rng, max_steps=10_000):
 
 def _segment_distance(point, a, b):
     ab = b - a
-    length_sq = ab.dot(ab)
+    length_sq = dot(ab, ab)
     if length_sq < 1e-18:
         return point.distance_to(a)
-    t = max(0.0, min(1.0, (point - a).dot(ab) / length_sq))
+    t = max(0.0, min(1.0, dot(point - a, ab) / length_sq))
     return point.distance_to(a + ab * t)
 
 
@@ -79,7 +79,7 @@ def reference_shot(ball, ball_velocity, target, power, keeper, defenders,
             return ShotResult.CAUGHT, n
         if n > model.reaction_delay and model.max_speed > 0:
             direction = state.velocity * (1.0 / speed)
-            aim = pos + direction * max(0.0, (keeper - pos).dot(direction))
+            aim = pos + direction * max(0.0, dot(keeper - pos, direction))
             if model.positioning_noise > 0:
                 jitter = rng.normal(0.0, model.positioning_noise, 2)
                 aim = Vec2(aim.x + jitter[0], aim.y + jitter[1])
@@ -201,7 +201,7 @@ def _boundary_players(start, end, unclipped, radius):
         yield from _around(unclipped, axes)
     path = end - start
     if path.norm() > 0.0:
-        normal = Vec2(-path.y, path.x).normalized() * radius
+        normal = normalized(Vec2(-path.y, path.x)) * radius
         yield from _around(start + path * 0.5, ((normal.x, normal.y), (-normal.x, -normal.y)))
 
 

@@ -15,10 +15,9 @@ from goalshot.policies import (Action, KickDecision, LdaModel, LdaPolicy,
                                MlpPolicy, NaiveCenterPolicy, PolicyConfig,
                                lda_policy_decide, lda_train, mlp_policy_decide,
                                naive_center_policy, stage_one_survivors)
-from goalshot.scenes import (Label, angle_at, balance_by_replication,
-                             extract_features, feature_matrix,
-                             generate_synthetic_scenes, split_dataset)
-from oracles import mirror_scene
+from goalshot.scenes import (Label, balance_by_replication, extract_features,
+                             feature_matrix, generate_synthetic_scenes, split_dataset)
+from oracles import angle_at, mirror_scene
 
 CFG = RunConfig()
 POLICY = PolicyConfig()
@@ -179,6 +178,28 @@ class TestLdaTrain:
     def test_single_class_rejected(self, field):
         with pytest.raises(ValueError):
             lda_train([self._scene_with(3.0, 0.2, Label.GOAL)], field)
+
+    def test_fit_equals_the_angle_at_reference(self, field):
+        """The fit's inputs are the keeper's distance to the ball and the
+        oracle angle_at of the scene's own target, bit for bit, also where a
+        target or keeper is on the ball or 1e-13 from it, where the target
+        offset overflows and where only its length does."""
+        ball, keeper, far = Vec2(30.0, 0.0), Vec2(30.0, 3.0), Vec2(-1e308, 0.0)
+        edges = [make_scene(ball=ball, target=ball),
+                 make_scene(ball=ball, target=Vec2(30.0 + 1e-13, 0.0), keeper=keeper),
+                 make_scene(ball=ball, keeper=ball),
+                 make_scene(ball=ball, keeper=Vec2(30.0, 1e-13)),
+                 make_scene(ball=far, target=Vec2(1e308, 0.0), keeper=Vec2(-1e308, 3.0)),
+                 make_scene(ball=ball, target=Vec2(1.7e308, 1.7e308), keeper=keeper)]
+        scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=6).scenes()
+        scenes += [replace(scene, label=label) for scene in edges
+                   for label in (Label.GOAL, Label.NO_GOAL)]
+        x = np.array([[s.keeper.distance_to(s.ball), angle_at(s.ball, s.keeper, s.target), 1.0]
+                      for s in scenes])
+        y = np.array([1.0 if s.label is Label.GOAL else -1.0 for s in scenes])
+        w = np.linalg.solve(x.T @ x, x.T @ y)
+        assert np.isfinite(x).all() and x[-1, 1] == math.pi / 4
+        assert lda_train(scenes, field) == LdaModel(*w.tolist())
 
     def test_degenerate_features_rejected(self, field):
         scenes = [self._scene_with(3.0, 0.0, Label.GOAL),

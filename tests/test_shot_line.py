@@ -5,8 +5,10 @@ it: the MLP policy's feature rows and the LDA policy's keeper angles. For
 every survivor of a drawn ball, its p_goal, the feature row the MLP policy
 scores and the discriminant the LDA policy ranks by must be the bits of
 p_goal, extract_features and LdaModel.discriminant(distance, angle_at(...))
-of that target. Balls are drawn in range, beyond the sigma horizon, next to
-a post and with a signed-zero y; the keeper sits now and then on the ball.
+of that target; the discriminant is also that of the row's keeper distance
+and keeper angle (columns 4 and 6). Balls are drawn in range, beyond the
+sigma horizon, next to a post and with a signed-zero y; the keeper sits now
+and then on the ball.
 """
 
 import math
@@ -23,9 +25,12 @@ import goalshot.policies
 from goalshot.aim import AimConfig, HorizonError, ShotQuery, p_goal, sigma, within_horizon
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.mlp import init_params
-from goalshot.policies import (LdaModel, PolicyConfig, lda_policy_decide, mlp_policy_decide,
+from goalshot.config import RunConfig
+from goalshot.policies import (LdaModel, PolicyConfig, lda_policy_decide,
+                               lda_policy_decide_all, lda_train, mlp_policy_decide,
                                stage_one_survivors)
-from goalshot.scenes import FEATURE_NAMES, angle_at, extract_features
+from goalshot.scenes import FEATURE_NAMES, extract_features, generate_synthetic_scenes
+from oracles import angle_at
 
 FIELD = FieldConfig()
 AIM = AimConfig()
@@ -106,9 +111,12 @@ def check_scene(scene, monkeypatch):
     for (target, pg, _), row, value in zip(survivors, rows, values):
         expected = p_goal(ShotQuery(scene.ball, target), FIELD, AIM).p_goal
         assert float.hex(pg) == float.hex(expected)
-        assert hexes(row) == hexes(extract_features(replace(scene, target=target), FIELD))
+        features = extract_features(replace(scene, target=target), FIELD)
+        assert hexes(row) == hexes(features)
         angle = angle_at(scene.ball, scene.keeper, target)
         assert float.hex(value) == float.hex(LDA.discriminant(distance, angle))
+        # The LDA's inputs are the kernel's keeper distance and keeper angle.
+        assert float.hex(value) == float.hex(LDA.discriminant(features[4], features[6]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,6 +149,38 @@ def test_cached_stage_one_serves_the_other_signed_zero(monkeypatch):
     # the entry is still the +0.0 ball's: the -0.0 ball was served by it
     (balls, *_), _ = goalshot.policies._stage_one_memo[0]
     assert balls == (Vec2(40.0, 0.0),) and math.copysign(1.0, balls[0].y) == 1.0
+
+
+def test_fitted_rank_is_the_discriminant_of_the_kernel_columns(monkeypatch):
+    """Over one batch of generated scenes, some beyond the sigma horizon,
+    each value the LDA policy ranks a survivor by is the fitted model's
+    discriminant of extract_features columns 4 and 6, the keeper distance
+    and the keeper angle, with the scene retargeted at that survivor."""
+    config = RunConfig()
+    model = lda_train(generate_synthetic_scenes(300, config.gen, config.dynamics, FIELD,
+                                                seed=4).scenes(), FIELD)
+    scenes = generate_synthetic_scenes(60, replace(config.gen, x_min=5.0), config.dynamics,
+                                       FIELD, seed=5).scenes()
+    values, two_stage = [], goalshot.policies._two_stage
+
+    def spy_two_stage(*args):
+        *head, rank, bar, keep_score = args
+
+        def spy_rank(*rank_args):
+            ranked = rank(*rank_args)
+            values.extend(ranked)
+            return ranked
+        return two_stage(*head, spy_rank, bar, keep_score)
+
+    monkeypatch.setattr(goalshot.policies, "_two_stage", spy_two_stage)
+    lda_policy_decide_all(scenes, model, FIELD, AIM, config.policy)
+    expected = []
+    for scene in filter(lambda scene: within_horizon(scene.ball, FIELD, AIM), scenes):
+        for target, _, _ in stage_one_survivors(scene.ball, FIELD, AIM, config.policy):
+            features = extract_features(replace(scene, target=target), FIELD)
+            expected.append(model.discriminant(features[4], features[6]))
+    assert len(expected) > 100 and sum(within_horizon(s.ball, FIELD, AIM) for s in scenes) < 60
+    assert hexes(values) == hexes(expected)
 
 
 def test_horizon_error_is_the_value_error_sigma_raised():

@@ -30,7 +30,8 @@ from . import mlp
 from .aim import ShotQuery, discretize_targets, p_goal
 from .config import RunConfig, load_run_config, scalar_fields
 from .dynamics import BallState, BlockUniforms, kick_components, rollout_to_goal_line
-from .experiment import check_experiment_size, check_report_format, report, run_experiment
+from .experiment import (_LDA_SCENE_STREAM, check_experiment_size, check_report_format,
+                         report, run_experiment)
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
@@ -72,8 +73,10 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _load_model(path: str) -> mlp.MlpParams:
+def _load_model(path: str | None) -> mlp.MlpParams:
     """mlp.load_model, checked to take a scene row's features, before any other input."""
+    if not path:
+        raise ValueError("--model is required for the mlp policy")
     params = mlp.load_model(path)
     if params.layer_sizes[0] != len(FEATURE_NAMES):
         raise ValueError(f"model file {path}: input layer takes {params.layer_sizes[0]} "
@@ -159,18 +162,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig):
+def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig,
+                 model: mlp.MlpParams | None):
     if kind == "mlp":
-        if not args.model:
-            raise ValueError("--model is required for the mlp policy")
-        return MlpPolicy(_load_model(args.model), config.field, config.aim,
-                         config.policy)
+        return MlpPolicy(model, config.field, config.aim, config.policy)
     if kind == "lda":
         if args.data:
             scenes = load_scenes(args.data, config.field, config.dynamics)
         else:
             lda_seed = int(np.random.SeedSequence(
-                [config.seed, 3]).generate_state(1)[0])
+                [config.seed, _LDA_SCENE_STREAM]).generate_state(1)[0])
             scenes = generate_synthetic_scenes(args.lda_train_scenes, config.gen,
                                                config.dynamics, config.field,
                                                lda_seed).scenes()
@@ -188,8 +189,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if "lda" in (args.policy_a, args.policy_b) and not args.data and args.lda_train_scenes < 1:
         raise ValueError(f"--lda-train-scenes must be >= 1, got {args.lda_train_scenes}")
     config = _load_config(args)
-    policy_a = _make_policy(args.policy_a, args, config)
-    policy_b = _make_policy(args.policy_b, args, config)
+    # The model is checked before the lda reads or labels any scene.
+    model = _load_model(args.model) if "mlp" in (args.policy_a, args.policy_b) else None
+    policy_a = _make_policy(args.policy_a, args, config, model)
+    policy_b = _make_policy(args.policy_b, args, config, model)
     eval_keeper = config.eval_keeper or config.keeper
     log = open(args.episode_log, "w", encoding="utf-8") if args.episode_log else nullcontext()
     with log as log_handle:

@@ -13,7 +13,8 @@ The stream contract:
   simulated, so the labelling keeper (gen_config.keeper, [keeper]) plays
   no part in a game; the keeper argument resolves the kicks.
 - Label noise is drawn only where a label is read: gen-data, and compare's
-  LDA fit without --data (scenes.generate_synthetic_scenes).
+  LDA fit without --data (scenes.generate_synthetic_scenes, seeded with the
+  first word of SeedSequence([seed, _LDA_SCENE_STREAM])).
 - Both sides share an episode's noise (common random numbers): each
   side's kick draws from a generator seeded with the same sequence.
 - The episode seed is SeedSequence([seed, game, shot, _EPISODE_STREAM]).
@@ -54,9 +55,10 @@ __all__ = [
     "run_experiment", "report", "stats_pair_from_json",
 ]
 
-# Entropy tags keeping scene-generation and episode noise streams apart.
+# Entropy tags keeping apart the streams of game scenes, episodes and the lda fit.
 _SCENE_STREAM = 1
 _EPISODE_STREAM = 2
+_LDA_SCENE_STREAM = 3
 
 
 @dataclass(frozen=True)

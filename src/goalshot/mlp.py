@@ -424,18 +424,18 @@ def save_model(params: MlpParams, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MlpParams:
-    raw = Path(path).read_text(encoding="utf-8")
+    """The MlpParams of a save_model file; every rejection names the file."""
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a valid model file: {exc}") from None
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"not a valid model file {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError("not a recognized model file")
+        raise ValueError(f"not a recognized model file {path}")
     if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
+        raise ValueError(f"model file {path}: unsupported model version {doc.get('version')!r}")
     norm = doc.get("normalization")
     if not isinstance(norm, dict) or "mean" not in norm or "std" not in norm:
-        raise ValueError("model file missing its normalization block")
+        raise ValueError(f"model file {path} missing its normalization block")
     sizes = doc.get("layer_sizes", [])
     if not (isinstance(sizes, list) and all(type(n) is int for n in sizes)):
         raise ValueError(f"malformed model file {path}: layer_sizes must be a list of "
@@ -448,6 +448,6 @@ def load_model(path: str | Path) -> MlpParams:
                   np.asarray(norm["mean"], dtype=float), np.asarray(norm["std"], dtype=float))
         return MlpParams(layer_sizes, *arrays)
     except KeyError as exc:
-        raise ValueError(f"model file missing field {exc}") from None
+        raise ValueError(f"model file {path} missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from None

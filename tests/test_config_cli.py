@@ -536,6 +536,35 @@ class TestCompare:
         assert message in capsys.readouterr().err
 
 
+# eval and compare, the mlp on either side, each given a model file.
+_MODEL_COMMANDS = pytest.mark.parametrize("command", [
+    ["eval", "--data", "/no/such/file.csv"],
+    ["compare", "--policy-b", "lda", "--episode-log", "LOG"],
+    ["compare", "--policy-a", "center", "--policy-b", "mlp", "--episode-log", "LOG"],
+    ["compare", "--policy-a", "lda", "--policy-b", "mlp", "--episode-log", "LOG"],
+    ["compare", "--policy-a", "lda", "--policy-b", "mlp", "--data", "/no/such/file.csv"]],
+    ids=["eval", "compare-mlp-lda", "compare-center-mlp", "compare-lda-mlp",
+         "compare-lda-mlp-data"])
+
+
+def _rejects_model(model, command, tmp_path, capsys, monkeypatch):
+    """The command exits 1 with one error: line naming the model file, and
+    generates no scene for the lda and leaves an existing episode log as it was."""
+    def no_training_scenes(*args, **kwargs):
+        raise AssertionError("the lda policy was built")
+
+    monkeypatch.setattr(cli, "generate_synthetic_scenes", no_training_scenes)
+    log = tmp_path / "old.log"
+    log.write_bytes(b"an earlier run's log\n")
+    argv = [str(log) if arg == "LOG" else arg for arg in command]
+    capsys.readouterr()
+    assert main([*argv, "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(model) in err
+    assert log.read_bytes() == b"an earlier run's log\n"
+
+
 class TestModelShape:
     """A model file whose layers do not fit the 22 features and the two
     scored nodes fails eval and compare in one line naming the file, before
@@ -543,26 +572,25 @@ class TestModelShape:
 
     @pytest.mark.parametrize("layer_sizes", [(22, 5, 1), (22, 5, 3), (3, 4, 2)],
                              ids=["22-5-1", "22-5-3", "3-4-2"])
-    @pytest.mark.parametrize("command", [
-        ["eval", "--data", "/no/such/file.csv"],
-        ["compare", "--policy-b", "lda", "--episode-log", "LOG"],
-        ["compare", "--policy-a", "center", "--policy-b", "mlp", "--episode-log", "LOG"]],
-        ids=["eval", "compare-mlp-lda", "compare-center-mlp"])
+    @_MODEL_COMMANDS
     def test_rejected_at_load(self, tmp_path, layer_sizes, command, capsys, monkeypatch):
-        def no_training_scenes(*args, **kwargs):
-            raise AssertionError("the lda policy was built")
-
-        monkeypatch.setattr(cli, "generate_synthetic_scenes", no_training_scenes)
         model = write_model(tmp_path / "model.json", layer_sizes)
-        log = tmp_path / "old.log"
-        log.write_bytes(b"an earlier run's log\n")
-        argv = [str(log) if arg == "LOG" else arg for arg in command]
-        capsys.readouterr()
-        assert main([*argv, "--model", str(model)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(model) in err
-        assert log.read_bytes() == b"an earlier run's log\n"
+        _rejects_model(model, command, tmp_path, capsys, monkeypatch)
+
+
+class TestUnreadableModel:
+    """So does a model file that is cut short, not UTF-8 or of another
+    version."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:40].encode(), lambda text: b"\xff" + text.encode(),
+        lambda text: text.replace('"version": 1', '"version": 2').encode()],
+        ids=["truncated", "not-utf8", "version-2"])
+    @_MODEL_COMMANDS
+    def test_rejected_at_load(self, tmp_path, damage, command, capsys, monkeypatch):
+        model = write_model(tmp_path / "model.json", (22, 5, 2))
+        model.write_bytes(damage(model.read_text(encoding="utf-8")))
+        _rejects_model(model, command, tmp_path, capsys, monkeypatch)
 
 
 class TestAimTable:

@@ -439,6 +439,27 @@ class TestPersistence:
         with pytest.raises(ValueError, match="model file"):
             load_model(path)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:40].encode(), "not a valid model file"),
+        (lambda text: b"\xff" + text.encode(), "not a valid model file"),
+        (lambda text: b"[1, 2]", "not a recognized model file"),
+        (lambda text: text.replace('"goalshot', '"other').encode(),
+         "not a recognized model file"),
+        (lambda text: text.replace('"version": 1', '"version": 2').encode(),
+         "unsupported model version 2"),
+        (lambda text: text.replace('"normalization"', '"norm"').encode(),
+         "missing its normalization block"),
+        (lambda text: text.replace('"biases"', '"bias"').encode(), "missing field 'biases'")],
+        ids=["truncated", "not-utf8", "not-an-object", "format", "version", "normalization",
+             "field"])
+    def test_every_rejection_names_the_file(self, tmp_path, damage, message):
+        path = tmp_path / "model.json"
+        save_model(zero_params(), path)
+        path.write_bytes(damage(path.read_text(encoding="utf-8")))
+        with pytest.raises(ValueError, match=message) as error:
+            load_model(path)
+        assert str(path) in str(error.value)
+
     @pytest.mark.parametrize("field, value", [("weights", "NaN"), ("biases", "Infinity"),
                                               ("mean", "-Infinity"), ("std", "NaN")])
     def test_non_finite_values_rejected(self, tmp_path, field, value):

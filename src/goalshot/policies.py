@@ -26,7 +26,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -197,7 +198,7 @@ def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
     return mlp_policy_decide_all((scene,), model, field, aim_config, policy_config)[0]
 
 
-def _lda_inputs(ball: Vec2, keeper: Vec2, lines: Sequence[tuple]) -> tuple[float, list[float]]:
+def _lda_inputs(ball: Vec2, keeper: Vec2, lines: Iterable[tuple]) -> tuple[float, list[float]]:
     """The discriminant's two variables: the keeper's distance to the ball
     and, per shot line, the angle at the ball between the keeper and the
     line's target. A line is read only as its first two items (dx, dy), the
@@ -207,7 +208,7 @@ def _lda_inputs(ball: Vec2, keeper: Vec2, lines: Sequence[tuple]) -> tuple[float
     kdx, kdy = keeper.x - ball.x, keeper.y - ball.y
     distance = math.hypot(kdx, kdy)
     if not (math.isfinite(kdx) and math.isfinite(kdy)) or distance < 1e-12:
-        return distance, [0.0] * len(lines)
+        return distance, [0.0 for _ in lines]
     atan2 = math.atan2
     return distance, [atan2(abs(kdx * line[1] - kdy * line[0]),
                             kdx * line[0] + kdy * line[1]) for line in lines]
@@ -221,9 +222,8 @@ def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
     for scene in scenes:
         if scene.label is None:
             raise ValueError("every scene must be labeled")
-        ball, target = scene.ball, scene.target
-        dx, dy = target.x - ball.x, target.y - ball.y
-        distance, (angle,) = _lda_inputs(ball, scene.keeper, [(dx, dy)])
+        dx, dy = scene.target.x - scene.ball.x, scene.target.y - scene.ball.y
+        distance, (angle,) = _lda_inputs(scene.ball, scene.keeper, [(dx, dy)])
         if not (math.isfinite(dx) and math.isfinite(dy) and math.hypot(dx, dy) >= 1e-12):
             angle = 0.0  # a target on the ball, or too far from it to subtract
         rows.append([distance, angle, 1.0])
@@ -245,12 +245,12 @@ def lda_policy_decide_all(scenes: Sequence[KickScene], model: LdaModel, field: F
                           policy_config: PolicyConfig) -> list[KickDecision]:
     """Same two stages, ranked by the discriminant with bar 0; no neural score."""
     def rank(scenes: Sequence[KickScene], stage_ones: tuple) -> list[float]:
-        weight_angle, bias = model.weight_angle, model.bias
+        weight_angle, bias, shot_line_of = model.weight_angle, model.bias, itemgetter(2)
         values = []
         for scene, survivors in zip(scenes, stage_ones):
             if survivors:
                 distance, angles = _lda_inputs(scene.ball, scene.keeper,
-                                               [line for _, _, line in survivors])
+                                               map(shot_line_of, survivors))
                 # model.discriminant(distance, angle), its distance term once per scene
                 near = model.weight_distance * distance
                 values += [near + weight_angle * angle + bias for angle in angles]

@@ -427,7 +427,7 @@ def load_model(path: str | Path) -> MlpParams:
     """The MlpParams of a save_model file; every rejection names the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ValueError(f"not a valid model file {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a recognized model file {path}")

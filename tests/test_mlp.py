@@ -442,6 +442,7 @@ class TestPersistence:
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[:40].encode(), "not a valid model file"),
         (lambda text: b"\xff" + text.encode(), "not a valid model file"),
+        (lambda text: b"[" * 100_000 + b"]" * 100_000, "not a valid model file"),
         (lambda text: b"[1, 2]", "not a recognized model file"),
         (lambda text: text.replace('"goalshot', '"other').encode(),
          "not a recognized model file"),
@@ -450,8 +451,8 @@ class TestPersistence:
         (lambda text: text.replace('"normalization"', '"norm"').encode(),
          "missing its normalization block"),
         (lambda text: text.replace('"biases"', '"bias"').encode(), "missing field 'biases'")],
-        ids=["truncated", "not-utf8", "not-an-object", "format", "version", "normalization",
-             "field"])
+        ids=["truncated", "not-utf8", "nested", "not-an-object", "format", "version",
+             "normalization", "field"])
     def test_every_rejection_names_the_file(self, tmp_path, damage, message):
         path = tmp_path / "model.json"
         save_model(zero_params(), path)

@@ -33,7 +33,9 @@ that lies more than its radius outside the box of the points
   step, so which catcher catches does not matter.
 
 The ball's noise comes from `rng.random()` alone, so a rollout may take a
-`BlockUniforms` (`aim-table --mc-rollouts`). A rollout's result, a
+`BlockUniforms` (`aim-table --mc-rollouts`). A flight reads its noise only
+through `rng.random()` and `rng.standard_normal()`, so a shot may take any
+object with those two methods (`experiment.ShotNoise`). A rollout's result, a
 `CrossingOutcome`, is a NamedTuple: read by field name, or unpacked as
 (crossed, lateral, steps), and built at a tuple's cost.
 """
@@ -113,8 +115,10 @@ class BlockUniforms:
     Drawn as rng.random(UNIFORM_BLOCK).tolist(), Python floats bit-equal to
     the scalar draws, and handed out by a C-level iterator, far cheaper per
     value than a Generator.random call. The generator ends up to a block
-    ahead of the last value used, so nothing else may draw from it: a shot,
-    whose uniforms interleave with other draws, keeps scalar draws.
+    ahead of the last value used, so nothing else may draw from it: a
+    labelling shot, whose uniforms interleave with the scene draws, keeps
+    scalar draws. An experiment's kick reads its shot's values drawn up
+    front for the game (experiment.ShotNoise) the same way.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:

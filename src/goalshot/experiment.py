@@ -16,8 +16,18 @@ The stream contract:
   LDA fit without --data (scenes.generate_synthetic_scenes, seeded with the
   first word of SeedSequence([seed, _LDA_SCENE_STREAM])).
 - Both sides share an episode's noise (common random numbers): each
-  side's kick draws from a generator seeded with the same sequence.
-- The episode seed is SeedSequence([seed, game, shot, _EPISODE_STREAM]).
+  side's kick reads the same values, in the same order.
+- A game draws its episodes' noise up front, from one generator on
+  SeedSequence([seed, game, _GAME_NOISE_STREAM]): a (shots, 2 * HEAD_STEPS)
+  block of uniforms, then one of standard normals. Shot k's flight reads
+  row k of each, a row turned into floats only when a kick reads it. The
+  ball takes two uniforms per step and the pursuing keeper two normals, so
+  a row covers HEAD_STEPS steps of each.
+- A flight that reads past its row goes on in the shot's tail, drawn from
+  a generator on SeedSequence([seed, game, shot, _EPISODE_STREAM]), built
+  only then: 2 * HEAD_STEPS uniforms, then as many normals, at a time. So
+  the i-th value of each kind is the same whichever kind a flight runs out
+  of first, and both sides read identical values whatever their targets.
 
 Decisions never depend on outcomes, so each policy decides all of a game's
 scenes in one decide_all batch before any shot is resolved: the MLP scores
@@ -25,7 +35,7 @@ the game's survivor rows in one call, and the second policy reuses the
 stage one the first computed for the game's balls (policies._stage_one,
 keyed on the tuple of balls). An error in a decision therefore raises
 before the game's first episode-log line. The two sides of a shot share its
-seed, so a kick both policies take at the same target has one outcome,
+noise, so a kick both policies take at the same target has one outcome,
 simulated once. Per-game goal totals decide win/loss/draw. The per-game
 counts stay Python ints until one (4, games) array reduces them to the
 means and stds. Each episode-log line, and the JSON report, is written as
@@ -37,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain, count
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -55,10 +66,14 @@ __all__ = [
     "run_experiment", "report", "stats_pair_from_json",
 ]
 
-# Entropy tags keeping apart the streams of game scenes, episodes and the lda fit.
+# Entropy tags keeping apart the streams of game scenes, episode tails, the lda
+# fit and a game's episode noise.
 _SCENE_STREAM = 1
 _EPISODE_STREAM = 2
 _LDA_SCENE_STREAM = 3
+_GAME_NOISE_STREAM = 4
+# Flight steps whose noise a game draws up front for each of its shots.
+HEAD_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -88,17 +103,58 @@ class MatchStats:
 _NO_KICK_OUTCOME = EpisodeOutcome(kicked=False, result=ShotResult.NO_KICK, steps=0)
 
 
+class ShotNoise:
+    """One kick's noise, read as a flight reads a Generator: random() and
+    standard_normal() hand out the shot's row of the game's uniforms or
+    normals, then the shot's tail (module docstring). The tail generator is
+    built on the first value past the row."""
+
+    def __init__(self, uniforms: np.ndarray, normals: np.ndarray, tail_entropy: list[int]):
+        self._tail_entropy = tail_entropy
+        self._tail: list[tuple[list[float], list[float]]] = []
+        self.random = chain(uniforms.tolist(),
+                            chain.from_iterable(self._tail_blocks(0))).__next__
+        self.standard_normal = chain(normals.tolist(),
+                                     chain.from_iterable(self._tail_blocks(1))).__next__
+
+    def _tail_blocks(self, kind: int):
+        """The tail's blocks of one kind (0 uniforms, 1 normals), each pair
+        drawn when either kind first reads into it."""
+        for block in count():
+            if block == len(self._tail):
+                if not self._tail:
+                    self._rng = np.random.default_rng(np.random.SeedSequence(self._tail_entropy))
+                self._tail.append((self._rng.random(2 * HEAD_STEPS).tolist(),
+                                   self._rng.standard_normal(2 * HEAD_STEPS).tolist()))
+            yield self._tail[block][kind]
+
+
+class GameNoise:
+    """A game's episode noise, drawn up front (module docstring)."""
+
+    def __init__(self, seed: int, game: int, shots: int):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, game, _GAME_NOISE_STREAM]))
+        self.uniforms = rng.random((shots, 2 * HEAD_STEPS))
+        self.normals = rng.standard_normal((shots, 2 * HEAD_STEPS))
+        self._seed, self._game = seed, game
+
+    def shot(self, shot: int) -> ShotNoise:
+        """A fresh reader of the shot's noise, from its first value."""
+        return ShotNoise(self.uniforms[shot], self.normals[shot],
+                         [self._seed, self._game, shot, _EPISODE_STREAM])
+
+
 def _resolve(decision: KickDecision, scene: KickScene, keeper: KeeperModel,
-             dynamics: DynamicsConfig, field: FieldConfig, seed: np.random.SeedSequence,
+             dynamics: DynamicsConfig, field: FieldConfig, noise: GameNoise, shot: int,
              defender_catch_radius: float) -> EpisodeOutcome:
-    """Simulate the decision's kick, if any; the noise generator is built
-    from seed only for a kick."""
+    """Simulate the decision's kick, if any, on a reader of the shot's
+    noise; the reader is built only for a kick."""
     if decision.action is not Action.KICK:
         return _NO_KICK_OUTCOME
     result, steps = simulate_shot(
         scene.ball, scene.ball_velocity, decision.target, scene.kick_power,
         scene.keeper, scene.defenders, keeper, dynamics, field,
-        np.random.default_rng(seed), defender_catch_radius)
+        noise.shot(shot), defender_catch_radius)
     return EpisodeOutcome(kicked=True, result=result, steps=steps)
 
 
@@ -141,11 +197,11 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
     """Paired experiment: both policies face the same scenes and noise.
 
     Each policy decides a game's scenes in one decide_all call before any
-    of them is resolved. Episode seeds come from a splittable scheme, so
-    episodes are mutually independent and could be resolved in any order;
-    results are reduced in (game, shot) order. Both sides of a shot draw
-    from the same seed, so when their decisions agree (the same action and
-    target) the second side reuses the first side's outcome instead of
+    of them is resolved. Each shot reads its own row of the game's noise and
+    its own tail, so episodes are mutually independent and could be resolved
+    in any order; results are reduced in (game, shot) order. Both sides of a
+    shot read the same noise, so when their decisions agree (the same action
+    and target) the second side reuses the first side's outcome instead of
     simulating the same kick again. With episode_log set, one JSON line is
     written per episode, side a first, byte-equal to json.dumps of the
     record (game, shot, policy name or policy_<side>, kicked, result,
@@ -165,17 +221,17 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
             [seed, game, _SCENE_STREAM]).generate_state(1)[0])
         scenes = draw_scenes(shots_per_game, gen_config, dynamics, field, scene_seed)
         decisions = zip(*(policy.decide_all(scenes) for policy in policies), strict=True)
+        noise = GameNoise(seed, game, shots_per_game)
         game_kicks = [0, 0]
         game_goals = [0, 0]
         for shot, (scene, pair) in enumerate(zip(scenes, decisions, strict=True)):
-            episode_seed = np.random.SeedSequence([seed, game, shot, _EPISODE_STREAM])
             outcomes: dict[tuple, EpisodeOutcome] = {}
             for side, decision in enumerate(pair):
                 key = (decision.action, decision.target)
                 outcome = outcomes.get(key)
                 if outcome is None:
                     outcome = outcomes[key] = _resolve(
-                        decision, scene, keeper, dynamics, field, episode_seed,
+                        decision, scene, keeper, dynamics, field, noise, shot,
                         defender_catch_radius)
                 game_kicks[side] += outcome.kicked
                 game_goals[side] += outcome.result is ShotResult.GOAL

@@ -65,10 +65,11 @@ def simulate_shot(ball: Point, ball_velocity: Point, target: Point, power: float
     read as an (x, y) pair: a Vec2 or a tuple of floats.
 
     Returns the outcome and the number of steps simulated, at most MAX_STEPS.
-    Deterministic for a given rng state. Raises ValueError if the ball
-    starts on or past the goal line, if rng is None and the ball or the
-    keeper has noise, or if the ball's position or the keeper's blurred aim
-    point overflows.
+    Deterministic for a given rng state; rng may be anything with a
+    Generator's random() and standard_normal(), such as an experiment's
+    ShotNoise. Raises ValueError if the ball starts on or past the goal
+    line, if rng is None and the ball or the keeper has noise, or if the
+    ball's position or the keeper's blurred aim point overflows.
     """
     bx, by = ball
     if bx >= field.goal_line_x:

@@ -161,6 +161,38 @@ def run_episode(policy, scene: KickScene, keeper: KeeperModel, dynamics: Dynamic
     return EpisodeOutcome(kicked=True, result=result, steps=steps)
 
 
+class EpisodeStream:
+    """The values one kick reads, as the experiment's stream contract
+    states them, drawn plainly: the i-th value of a kind (0 uniforms,
+    1 normals) is the shot's head row at i < width, else value
+    (i - width) % width of that kind in tail pair (i - width) // width,
+    where the tail generator draws each pair's uniforms, then its normals."""
+
+    def __init__(self, uniforms: np.ndarray, normals: np.ndarray,
+                 tail_seed: np.random.SeedSequence):
+        self._head, self._width = (uniforms, normals), len(uniforms)
+        self._tail_rng = np.random.default_rng(tail_seed)
+        self._tail: list[tuple[np.ndarray, np.ndarray]] = []
+        self.reads = [0, 0]
+
+    def _value(self, kind: int) -> float:
+        i, width = self.reads[kind], self._width
+        self.reads[kind] += 1
+        if i < width:
+            return float(self._head[kind][i])
+        pair, i = divmod(i - width, width)
+        while len(self._tail) <= pair:
+            self._tail.append((self._tail_rng.random(width),
+                               self._tail_rng.standard_normal(width)))
+        return float(self._tail[pair][kind][i])
+
+    def random(self) -> float:
+        return self._value(0)
+
+    def standard_normal(self) -> float:
+        return self._value(1)
+
+
 def aggregate(kicks_per_game: list[int], goals_per_game: list[int],
               opponent_goals: list[int]) -> MatchStats:
     """One side's stats, each per-game list reduced as its own array."""

@@ -15,8 +15,8 @@ import goalshot.policies
 from goalshot.aim import within_horizon
 from goalshot.config import RunConfig
 from goalshot.dynamics import DynamicsConfig
-from goalshot.experiment import (EpisodeOutcome, MatchStats, ShotResult, report,
-                                 run_experiment, stats_pair_from_json)
+from goalshot.experiment import (HEAD_STEPS, EpisodeOutcome, MatchStats, ShotResult,
+                                 report, run_experiment, stats_pair_from_json)
 from goalshot.geometry import Vec2
 from goalshot.keeper import KeeperModel, simulate_shot
 from goalshot.mlp import TrainConfig, train
@@ -24,7 +24,7 @@ from goalshot.policies import (Action, KickDecision, LdaPolicy, MlpPolicy,
                                NaiveCenterPolicy, PolicyConfig, lda_train, stage_one_survivors)
 from goalshot.scenes import (balance_by_replication, draw_scenes, feature_matrix,
                              generate_synthetic_scenes, split_dataset)
-from oracles import aggregate, run_episode
+from oracles import EpisodeStream, aggregate, run_episode
 
 CFG = RunConfig()
 NOISELESS = DynamicsConfig(noise_coefficient=0.0)
@@ -216,19 +216,35 @@ def policies():
             "center": NaiveCenterPolicy(field, CFG.aim, CFG.policy)}
 
 
+def game_noise(seed, game, shots):
+    """A game's blocks of head uniforms and normals, as the stream contract
+    states them."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [seed, game, goalshot.experiment._GAME_NOISE_STREAM]))
+    return rng.random((shots, 2 * HEAD_STEPS)), rng.standard_normal((shots, 2 * HEAD_STEPS))
+
+
+def episode_stream(blocks, seed, game, shot):
+    """A fresh reader of the shot's noise: its rows of the game's blocks, then
+    its tail."""
+    uniforms, normals = blocks
+    return EpisodeStream(uniforms[shot], normals[shot], np.random.SeedSequence(
+        [seed, game, shot, goalshot.experiment._EPISODE_STREAM]))
+
+
 def reference_experiment(policy_a, policy_b, games, shots, seed, episode_log):
     """The loop run_experiment replaces: each side decides and resolves on
-    its own, with a fresh generator from the shot's seed."""
+    its own, with a fresh reader of the shot's noise."""
     per_side = ([], []), ([], [])  # (kicks, goals) per game, per side
     for game in range(games):
         scene_seed = int(np.random.SeedSequence(
             [seed, game, goalshot.experiment._SCENE_STREAM]).generate_state(1)[0])
         scenes = draw_scenes(shots, CFG.gen, CFG.dynamics, CFG.field, scene_seed)
+        blocks = game_noise(seed, game, shots)
         counts = [[0, 0], [0, 0]]
         for shot, scene in enumerate(scenes):
             for side, policy in enumerate((policy_a, policy_b)):
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    [seed, game, shot, goalshot.experiment._EPISODE_STREAM]))
+                rng = episode_stream(blocks, seed, game, shot)
                 outcome = run_episode(policy, scene, CFG.keeper, CFG.dynamics,
                                       CFG.field, rng, CFG.gen.defender_catch_radius)
                 counts[side][0] += int(outcome.kicked)
@@ -266,6 +282,28 @@ class TestSharedResolution:
         elif "center" not in (a, b):  # both branches ran: shared and split kicks
             assert max(kicks) < len(sims) < sum(kicks)
 
+    @staticmethod
+    def _count(monkeypatch):
+        """Record each kick's target and steps, and the entropy of each
+        generator built on a SeedSequence (the scene generator's is an int)."""
+        kicks, generators = [], []
+        simulate = goalshot.experiment.simulate_shot
+        default_rng = np.random.default_rng
+
+        def counted_simulate(*args, **kwargs):
+            result = simulate(*args, **kwargs)
+            kicks.append((args[2], result[1]))
+            return result
+
+        def counted_rng(seed=None):
+            if isinstance(seed, np.random.SeedSequence):
+                generators.append(tuple(seed.entropy))
+            return default_rng(seed)
+
+        monkeypatch.setattr(goalshot.experiment, "simulate_shot", counted_simulate)
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        return kicks, generators
+
     @pytest.mark.parametrize("targets, simulations", [
         ((Vec2(52.5, 1.0), Vec2(52.5, 1.0)), 1),
         ((Vec2(52.5, 1.0), Vec2(52.5, -2.0)), 2),
@@ -273,27 +311,106 @@ class TestSharedResolution:
     ])
     def test_one_simulation_and_generator_per_distinct_kick(self, monkeypatch, targets,
                                                             simulations):
-        sims, generators = [], []
-        simulate = goalshot.experiment.simulate_shot
-        default_rng = np.random.default_rng
-
-        def counted_simulate(*args, **kwargs):
-            sims.append(args[2])
-            return simulate(*args, **kwargs)
-
-        def counted_rng(seed=None):
-            if isinstance(seed, np.random.SeedSequence):  # not the scene generator's
-                generators.append(seed)
-            return default_rng(seed)
-
-        monkeypatch.setattr(goalshot.experiment, "simulate_shot", counted_simulate)
-        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        """One simulation per distinct kick; the game's noise comes from one
+        generator, and a flight within its head builds no other."""
+        kicks, generators = self._count(monkeypatch)
         a, b = (FixedPolicy(KickDecision(Action.NO_KICK) if t is None
                             else KickDecision(Action.KICK, target=t)) for t in targets)
         stats_a, stats_b = run_experiment(a, b, 1, 1, CFG.keeper, CFG.gen, CFG.dynamics,
                                           CFG.field, seed=4)
-        assert len(sims) == len(generators) == simulations
+        assert len(kicks) == simulations
+        assert all(steps <= HEAD_STEPS for _, steps in kicks)
+        assert generators == [(4, 0, goalshot.experiment._GAME_NOISE_STREAM)]
         assert stats_a.kicks == stats_b.kicks == int(targets[0] is not None)
+
+    def test_one_tail_generator_for_a_flight_past_its_head(self, monkeypatch):
+        """Slow kicks roll for more than HEAD_STEPS steps: the one flight of
+        the shot both sides take builds the shot's tail generator once, and
+        the shot nobody kicks builds nothing."""
+        kicks, generators = self._count(monkeypatch)
+        slow = replace(CFG.gen, kick_power_min=10.0, kick_power_max=15.0)
+
+        class KickFirst:
+            name = "kick_first"
+
+            def decide_all(self, scenes):
+                return [KickDecision(Action.KICK, target=Vec2(52.5, 1.0))] + [
+                    KickDecision(Action.NO_KICK)] * (len(scenes) - 1)
+
+        run_experiment(KickFirst(), KickFirst(), 1, 2, CFG.keeper, slow, CFG.dynamics,
+                       CFG.field, seed=4)
+        [(_, steps)] = kicks
+        assert steps > HEAD_STEPS
+        assert generators == [(4, 0, goalshot.experiment._GAME_NOISE_STREAM),
+                              (4, 0, 0, goalshot.experiment._EPISODE_STREAM)]
+
+    @pytest.mark.parametrize("gen", [CFG.gen, replace(CFG.gen, kick_power_min=10.0,
+                                                      kick_power_max=15.0)])
+    def test_both_sides_read_the_same_values_at_different_targets(self, monkeypatch, gen):
+        """Each kind of value a flight reads, uniforms and normals, is the
+        same sequence on both sides, whatever their targets and however long
+        they fly, and it is the shot's stream as the contract states it."""
+        simulate = goalshot.experiment.simulate_shot
+        reads = []
+
+        class Recorded:
+            def __init__(self, rng):
+                self.values = ([], [])
+                self.random = lambda: self._keep(0, rng.random())
+                self.standard_normal = lambda: self._keep(1, rng.standard_normal())
+
+            def _keep(self, kind, value):
+                self.values[kind].append(value)
+                return value
+
+        def recorded_simulate(*args):
+            reads.append(Recorded(args[9]))
+            return simulate(*args[:9], reads[-1], *args[10:])
+
+        monkeypatch.setattr(goalshot.experiment, "simulate_shot", recorded_simulate)
+        a, b = (FixedPolicy(KickDecision(Action.KICK, target=Vec2(52.5, y)))
+                for y in (2.5, -3.0))
+        run_experiment(a, b, 1, 4, CFG.keeper, gen, CFG.dynamics, CFG.field, seed=6)
+        assert len(reads) == 8
+        blocks = game_noise(6, 0, 4)
+        longest = 0
+        for shot in range(4):
+            side_a, side_b = reads[2 * shot].values, reads[2 * shot + 1].values
+            stream = episode_stream(blocks, 6, 0, shot)
+            for kind, draw in enumerate((stream.random, stream.standard_normal)):
+                n = max(len(side_a[kind]), len(side_b[kind]))
+                expected = [draw() for _ in range(n)]
+                assert side_a[kind] == expected[:len(side_a[kind])]
+                assert side_b[kind] == expected[:len(side_b[kind])]
+                longest = max(longest, min(len(side_a[kind]), len(side_b[kind])))
+        # Both sides read into the tail of some shot at the slow kicks.
+        assert (longest > 2 * HEAD_STEPS) == (gen.kick_power_max == 15.0)
+
+    def test_changing_one_shot_leaves_the_others_unchanged(self, policies):
+        """Each shot reads only its own noise: replacing one shot's decision
+        on one side moves no other episode's log line."""
+        base = policies["mlp"]
+
+        class OneShotChanged:
+            name = base.name
+
+            def decide_all(self, scenes):
+                decisions = base.decide_all(scenes)
+                kick = decisions[3].action is Action.KICK
+                decisions[3] = (KickDecision(Action.NO_KICK) if kick else
+                                KickDecision(Action.KICK, target=Vec2(52.5, 0.0)))
+                return decisions
+
+        logs = []
+        for side_a in (base, OneShotChanged()):
+            log = io.StringIO()
+            run_experiment(side_a, policies["lda"], 8, 10, CFG.keeper, CFG.gen,
+                           CFG.dynamics, CFG.field, 19, CFG.gen.defender_catch_radius,
+                           episode_log=log)
+            logs.append(log.getvalue().splitlines())
+        changed = [i for i, (old, new) in enumerate(zip(*logs)) if old != new]
+        # side a's line of shot 3 of each game, and nothing else
+        assert changed == [game * 20 + 2 * 3 for game in range(8)]
 
     def test_swapping_the_sides_swaps_the_stats(self, policies):
         args = 20, 10, CFG.keeper, CFG.gen, CFG.dynamics, CFG.field, 23

@@ -38,11 +38,11 @@ from goalshot.scenes import generate_synthetic_scenes, load_scenes
 GEN_DATA_SHA256 = "b60aa2ef55b59e3952833ae0f47df82724de1929481ba1ecfa3db43ec6ec2007"
 MODEL_SHA256 = "857d85948a4437b83077eb05d64ac041f86d5e6d1d4f70098016d4d2336b2178"
 AIM_TABLE_SHA256 = "48cf079f68e6c2e270d8489a89544365018b9ceafecafc43d7ae2d65d1e79e8a"
-COMPARE_SHA256 = "fa2e0b195ac1ce199509cad080137bbfa6ec153a147680ab7de54f82df08062b"
-COMPARE_GENERATED_SHA256 = "811291d80261f5a9f9c75abdc31058e474a4d0d615003a570c1b9688bd2ffaaf"
-EPISODE_LOG_SHA256 = "f63725edf3c8a7e356e7df5b1b43369f5e20832d1bf044aea03fef5eab698a50"
-COMPARE_CENTER_SHA256 = "9ea212538ec894a392479b2a6d8e0dce47be9a59067e835480ed4bc61312c714"
-EPISODE_LOG_CENTER_SHA256 = "b0573cbdef3d0fee1686a48a0e9cecb865b6c7f6faa7bb7cf31fff8b7967cac8"
+COMPARE_SHA256 = "067e2ad3dec7f261809854c15625a0c561c4fd65a70cf69ef7737b584c62cec1"
+COMPARE_GENERATED_SHA256 = "445513b6c09b2498b9568ca0beff67430178a84ee808b45f8eecba3b788d0002"
+EPISODE_LOG_SHA256 = "7373027eb5c0557db9c2f915728d3387870512335f540f6100569a22a597171a"
+COMPARE_CENTER_SHA256 = "95c0146de3c0543db19518f798346dc49bbfb9465444b17694b0f5e0d094a1b1"
+EPISODE_LOG_CENTER_SHA256 = "b8c94d5bc529bb78a2225b8db653d585b3fa3c444f01c11af95676104784aa97"
 DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd2c95"
 EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
 STATS_SHA256 = "821ec09178eef386d3304fb33befe7badd2f3e0052e18447d392b88556a9efd1"
@@ -97,10 +97,10 @@ COMPARE_TEXT = """\
     "kicks_std": 0.9433981132056604,
     "goals": 46,
     "goals_mean_per_game": 4.6,
-    "goals_std": 1.42828568570857,
+    "goals_std": 1.1135528725660042,
     "effectiveness": 0.5679012345679012,
-    "wins": 3,
-    "losses": 5,
+    "wins": 2,
+    "losses": 6,
     "draws": 2
    }
   },
@@ -110,12 +110,12 @@ COMPARE_TEXT = """\
     "kicks": 91,
     "kicks_mean_per_game": 9.1,
     "kicks_std": 1.2206555615733703,
-    "goals": 50,
-    "goals_mean_per_game": 5.0,
-    "goals_std": 2.0,
-    "effectiveness": 0.5494505494505495,
-    "wins": 5,
-    "losses": 3,
+    "goals": 53,
+    "goals_mean_per_game": 5.3,
+    "goals_std": 1.9000000000000001,
+    "effectiveness": 0.5824175824175825,
+    "wins": 6,
+    "losses": 2,
     "draws": 2
    }
   }
@@ -147,7 +147,7 @@ COMPARE_CENTER_TEXT = """\
     "kicks_std": 0.9433981132056604,
     "goals": 46,
     "goals_mean_per_game": 4.6,
-    "goals_std": 1.42828568570857,
+    "goals_std": 1.1135528725660042,
     "effectiveness": 0.5679012345679012,
     "wins": 7,
     "losses": 2,
@@ -165,12 +165,12 @@ COMPARE_GENERATED_TEXT = """\
     "kicks": 41,
     "kicks_mean_per_game": 8.2,
     "kicks_std": 0.7483314773547882,
-    "goals": 24,
-    "goals_mean_per_game": 4.8,
-    "goals_std": 1.7204650534085253,
-    "effectiveness": 0.5853658536585366,
-    "wins": 2,
-    "losses": 2,
+    "goals": 20,
+    "goals_mean_per_game": 4.0,
+    "goals_std": 1.0954451150103321,
+    "effectiveness": 0.4878048780487805,
+    "wins": 1,
+    "losses": 3,
     "draws": 1
    }
   },
@@ -180,12 +180,12 @@ COMPARE_GENERATED_TEXT = """\
     "kicks": 45,
     "kicks_mean_per_game": 9.0,
     "kicks_std": 1.5491933384829668,
-    "goals": 25,
-    "goals_mean_per_game": 5.0,
-    "goals_std": 2.449489742783178,
-    "effectiveness": 0.5555555555555556,
-    "wins": 2,
-    "losses": 2,
+    "goals": 22,
+    "goals_mean_per_game": 4.4,
+    "goals_std": 1.7435595774162693,
+    "effectiveness": 0.4888888888888889,
+    "wins": 3,
+    "losses": 1,
     "draws": 1
    }
   }

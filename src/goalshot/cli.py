@@ -35,8 +35,8 @@ from .experiment import (_LDA_SCENE_STREAM, check_experiment_size, check_report_
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
-from .scenes import (FEATURE_NAMES, SceneTable, balance_by_replication, feature_matrix,
-                     generate_synthetic_scenes, load_scenes, save_scenes,
+from .scenes import (FEATURE_NAMES, Label, SceneTable, balance_by_replication,
+                     feature_matrix, generate_synthetic_scenes, load_scenes, save_scenes,
                      split_dataset, univariate_stats)
 
 
@@ -84,6 +84,15 @@ def _load_model(path: str | None) -> mlp.MlpParams:
     return params
 
 
+def _require_both_classes(goal, source: str) -> None:
+    """Fail, naming the scenes' source and their class counts, unless the
+    GOAL flags hold both classes."""
+    goals = int(np.count_nonzero(goal))
+    if goals in (0, len(goal)):
+        raise ValueError(f"{source}: both classes must be present, "
+                         f"got {goals} GOAL and {len(goal) - goals} NO_GOAL")
+
+
 def cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load_config(args)
     table = generate_synthetic_scenes(args.n, config.gen, config.dynamics,
@@ -115,6 +124,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     split = split_dataset(SceneTable.load(args.data, config.field, config.dynamics),
                           config.seed)
+    _require_both_classes(split.train.goal, f"training split of scene file {args.data}")
     balanced = balance_by_replication(split.train, config.seed)
     params, train_report = mlp.train(
         feature_matrix(balanced, config.field), balanced.goal,
@@ -142,9 +152,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
     params = _load_model(args.model)
-    scenes = SceneTable.load(args.data, config.field, config.dynamics)
+    scenes, source = (SceneTable.load(args.data, config.field, config.dynamics),
+                      f"scene file {args.data}")
     if args.use_test_split:
-        scenes = split_dataset(scenes, config.seed).test
+        scenes, source = split_dataset(scenes, config.seed).test, f"test split of {source}"
+    _require_both_classes(scenes.goal, source)
     scores = mlp.score_batch(params, feature_matrix(scenes, config.field))
     roc = roc_curve(scores, scenes.goal)
     ks = ks2_curve(scores, scenes.goal)
@@ -169,12 +181,15 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig,
     if kind == "lda":
         if args.data:
             scenes = load_scenes(args.data, config.field, config.dynamics)
+            source = f"scene file {args.data}"
         else:
             lda_seed = int(np.random.SeedSequence(
                 [config.seed, _LDA_SCENE_STREAM]).generate_state(1)[0])
             scenes = generate_synthetic_scenes(args.lda_train_scenes, config.gen,
                                                config.dynamics, config.field,
                                                lda_seed).scenes()
+            source = f"--lda-train-scenes {args.lda_train_scenes}"
+        _require_both_classes([scene.label is Label.GOAL for scene in scenes], source)
         return LdaPolicy(lda_train(scenes, config.field), config.field,
                          config.aim, config.policy)
     return NaiveCenterPolicy(config.field, config.aim, config.policy)

@@ -22,7 +22,7 @@ from goalshot.geometry import FieldConfig, Vec2
 from goalshot.keeper import KeeperModel
 from goalshot.mlp import TrainConfig
 from goalshot.policies import PolicyConfig
-from goalshot.scenes import CSV_HEADER, SceneTable, load_scenes
+from goalshot.scenes import CSV_HEADER, SceneTable, load_scenes, split_dataset
 
 
 CONFIG_TEXT = """
@@ -425,7 +425,80 @@ class TestTrainEval:
         data = tmp_path / "empty.csv"
         data.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
         assert main(["eval", "--model", str(model_file), "--data", str(data)]) == 1
-        assert capsys.readouterr().err == "error: both classes must be present\n"
+        assert capsys.readouterr().err == (f"error: scene file {data}: both classes must be "
+                                           "present, got 0 GOAL and 0 NO_GOAL\n")
+
+
+def _scene_file(path, data_csv, labels):
+    """A scene CSV of data_csv's first rows of each label, in the given order."""
+    header, *lines = data_csv.read_text(encoding="utf-8").splitlines()
+    label = CSV_HEADER.index("label")
+    pools = {name: [line for line in lines if line.split(",")[label] == name]
+             for name in ("GOAL", "NO_GOAL")}
+    path.write_text("\n".join([header] + [pools[name].pop(0) for name in labels]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+class TestOneClassScenes:
+    """A command that needs both classes names the scenes it read and
+    counts them, and fails before it trains, scores or plays."""
+
+    @pytest.fixture
+    def all_goal(self, tmp_path, data_csv):
+        return _scene_file(tmp_path / "goals.csv", data_csv, ["GOAL"] * 5)
+
+    def _error(self, capsys, *argv):
+        assert main(list(argv)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def test_train(self, all_goal, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        err = self._error(capsys, "train", "--data", str(all_goal), "--model-out", str(model))
+        assert err == (f"error: training split of scene file {all_goal}: both classes must "
+                       "be present, got 3 GOAL and 0 NO_GOAL\n")
+        assert not model.exists()
+
+    def test_train_on_a_split_without_the_other_class(self, tmp_path, data_csv, capsys):
+        """The file holds both classes, its training split does not."""
+        failed = 0
+        for position in range(5):
+            labels = ["GOAL"] * 5
+            labels[position] = "NO_GOAL"
+            path = _scene_file(tmp_path / f"one_miss_{position}.csv", data_csv, labels)
+            if not split_dataset(SceneTable.load(path), 0).train.goal.all():
+                continue
+            err = self._error(capsys, "train", "--data", str(path),
+                              "--model-out", str(tmp_path / "model.json"))
+            assert err == (f"error: training split of scene file {path}: both classes "
+                           "must be present, got 3 GOAL and 0 NO_GOAL\n")
+            failed += 1
+        assert failed
+
+    def test_eval(self, all_goal, model_file, capsys):
+        err = self._error(capsys, "eval", "--model", str(model_file), "--data", str(all_goal))
+        assert err == (f"error: scene file {all_goal}: both classes must be present, "
+                       "got 5 GOAL and 0 NO_GOAL\n")
+        err = self._error(capsys, "eval", "--model", str(model_file), "--data", str(all_goal),
+                          "--use-test-split")
+        assert err == (f"error: test split of scene file {all_goal}: both classes must be "
+                       "present, got 1 GOAL and 0 NO_GOAL\n")
+
+    def test_compare_with_data(self, all_goal, tmp_path, capsys):
+        log = tmp_path / "episodes.jsonl"
+        err = self._error(capsys, "compare", "--policy-a", "lda", "--policy-b", "center",
+                          "--data", str(all_goal), "--episode-log", str(log))
+        assert err == (f"error: scene file {all_goal}: both classes must be present, "
+                       "got 5 GOAL and 0 NO_GOAL\n")
+        assert not log.exists()
+
+    def test_compare_on_one_generated_scene(self, capsys):
+        err = self._error(capsys, "compare", "--policy-a", "lda", "--policy-b", "center",
+                          "--lda-train-scenes", "1")
+        assert err in ("error: --lda-train-scenes 1: both classes must be present, "
+                       f"got {goals} GOAL and {1 - goals} NO_GOAL\n" for goals in (0, 1))
 
 
 class TestCompare:

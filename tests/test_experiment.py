@@ -344,12 +344,19 @@ class TestSharedResolution:
         assert generators == [(4, 0, goalshot.experiment._GAME_NOISE_STREAM),
                               (4, 0, 0, goalshot.experiment._EPISODE_STREAM)]
 
-    @pytest.mark.parametrize("gen", [CFG.gen, replace(CFG.gen, kick_power_min=10.0,
-                                                      kick_power_max=15.0)])
-    def test_both_sides_read_the_same_values_at_different_targets(self, monkeypatch, gen):
+    @pytest.mark.parametrize("gen, keeper", [
+        (CFG.gen, CFG.keeper),
+        (replace(CFG.gen, kick_power_min=10.0, kick_power_max=15.0), CFG.keeper),
+        (replace(CFG.gen, kick_power_min=10.0, kick_power_max=15.0),
+         replace(CFG.keeper, reaction_delay=40)),
+    ], ids=["defaults", "slow-kicks", "slow-kicks-late-keeper"])
+    def test_both_sides_read_the_same_values_at_different_targets(self, monkeypatch, gen,
+                                                                  keeper):
         """Each kind of value a flight reads, uniforms and normals, is the
         same sequence on both sides, whatever their targets and however long
-        they fly, and it is the shot's stream as the contract states it."""
+        they fly, and it is the shot's stream as the contract states it. A
+        late keeper reads its first normal after the ball's uniforms have
+        gone two tail blocks past their row."""
         simulate = goalshot.experiment.simulate_shot
         reads = []
 
@@ -370,7 +377,7 @@ class TestSharedResolution:
         monkeypatch.setattr(goalshot.experiment, "simulate_shot", recorded_simulate)
         a, b = (FixedPolicy(KickDecision(Action.KICK, target=Vec2(52.5, y)))
                 for y in (2.5, -3.0))
-        run_experiment(a, b, 1, 4, CFG.keeper, gen, CFG.dynamics, CFG.field, seed=6)
+        run_experiment(a, b, 1, 4, keeper, gen, CFG.dynamics, CFG.field, seed=6)
         assert len(reads) == 8
         blocks = game_noise(6, 0, 4)
         longest = 0
@@ -385,6 +392,9 @@ class TestSharedResolution:
                 longest = max(longest, min(len(side_a[kind]), len(side_b[kind])))
         # Both sides read into the tail of some shot at the slow kicks.
         assert (longest > 2 * HEAD_STEPS) == (gen.kick_power_max == 15.0)
+        if keeper.reaction_delay > 2 * HEAD_STEPS:
+            # a flight whose uniforms enter their second tail block before its first normal
+            assert max(len(r.values[0]) for r in reads if r.values[1]) > 4 * HEAD_STEPS
 
     def test_changing_one_shot_leaves_the_others_unchanged(self, policies):
         """Each shot reads only its own noise: replacing one shot's decision

@@ -152,8 +152,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
     params = _load_model(args.model)
-    scenes, source = (SceneTable.load(args.data, config.field, config.dynamics),
-                      f"scene file {args.data}")
+    scenes = SceneTable.load(args.data, config.field, config.dynamics)
+    source = f"scene file {args.data}"
     if args.use_test_split:
         scenes, source = split_dataset(scenes, config.seed).test, f"test split of {source}"
     _require_both_classes(scenes.goal, source)

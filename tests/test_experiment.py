@@ -284,15 +284,15 @@ class TestSharedResolution:
 
     @staticmethod
     def _count(monkeypatch):
-        """Record each kick's target and steps, and the entropy of each
+        """Record each simulated kick's steps, and the entropy of each
         generator built on a SeedSequence (the scene generator's is an int)."""
-        kicks, generators = [], []
+        steps, generators = [], []
         simulate = goalshot.experiment.simulate_shot
         default_rng = np.random.default_rng
 
         def counted_simulate(*args, **kwargs):
             result = simulate(*args, **kwargs)
-            kicks.append((args[2], result[1]))
+            steps.append(result[1])
             return result
 
         def counted_rng(seed=None):
@@ -302,7 +302,7 @@ class TestSharedResolution:
 
         monkeypatch.setattr(goalshot.experiment, "simulate_shot", counted_simulate)
         monkeypatch.setattr(np.random, "default_rng", counted_rng)
-        return kicks, generators
+        return steps, generators
 
     @pytest.mark.parametrize("targets, simulations", [
         ((Vec2(52.5, 1.0), Vec2(52.5, 1.0)), 1),
@@ -313,13 +313,13 @@ class TestSharedResolution:
                                                             simulations):
         """One simulation per distinct kick; the game's noise comes from one
         generator, and a flight within its head builds no other."""
-        kicks, generators = self._count(monkeypatch)
+        steps, generators = self._count(monkeypatch)
         a, b = (FixedPolicy(KickDecision(Action.NO_KICK) if t is None
                             else KickDecision(Action.KICK, target=t)) for t in targets)
         stats_a, stats_b = run_experiment(a, b, 1, 1, CFG.keeper, CFG.gen, CFG.dynamics,
                                           CFG.field, seed=4)
-        assert len(kicks) == simulations
-        assert all(steps <= HEAD_STEPS for _, steps in kicks)
+        assert len(steps) == simulations
+        assert all(n <= HEAD_STEPS for n in steps)
         assert generators == [(4, 0, goalshot.experiment._GAME_NOISE_STREAM)]
         assert stats_a.kicks == stats_b.kicks == int(targets[0] is not None)
 
@@ -327,7 +327,7 @@ class TestSharedResolution:
         """Slow kicks roll for more than HEAD_STEPS steps: the one flight of
         the shot both sides take builds the shot's tail generator once, and
         the shot nobody kicks builds nothing."""
-        kicks, generators = self._count(monkeypatch)
+        steps, generators = self._count(monkeypatch)
         slow = replace(CFG.gen, kick_power_min=10.0, kick_power_max=15.0)
 
         class KickFirst:
@@ -339,8 +339,8 @@ class TestSharedResolution:
 
         run_experiment(KickFirst(), KickFirst(), 1, 2, CFG.keeper, slow, CFG.dynamics,
                        CFG.field, seed=4)
-        [(_, steps)] = kicks
-        assert steps > HEAD_STEPS
+        [n] = steps
+        assert n > HEAD_STEPS
         assert generators == [(4, 0, goalshot.experiment._GAME_NOISE_STREAM),
                               (4, 0, 0, goalshot.experiment._EPISODE_STREAM)]
 
@@ -356,7 +356,7 @@ class TestSharedResolution:
         same sequence on both sides, whatever their targets and however long
         they fly, and it is the shot's stream as the contract states it. A
         late keeper reads its first normal after the ball's uniforms have
-        gone two tail blocks past their row."""
+        entered their second tail block."""
         simulate = goalshot.experiment.simulate_shot
         reads = []
 

@@ -116,14 +116,23 @@ class BlockUniforms:
     the scalar draws, and handed out by a C-level iterator, far cheaper per
     value than a Generator.random call. The generator ends up to a block
     ahead of the last value used, so nothing else may draw from it: a
-    labelling shot, whose uniforms interleave with the scene draws, keeps
-    scalar draws. An experiment's kick reads its shot's values drawn up
-    front for the game (experiment.ShotNoise) the same way.
+    labelling shot, whose uniforms interleave with normal and integer draws
+    from the scene generator, keeps scalar draws. `aim-table`'s rollouts and
+    an experiment's game scenes (scenes.draw_scenes) read one; a kick reads
+    its shot's values drawn up front for the game (experiment.ShotNoise) the
+    same way.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
         blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
         self.random = chain.from_iterable(blocks).__next__
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high) from the next uniform u: low + int((high - low) * u).
+        Not rng.integers' value, which numpy draws from bits of its own.
+        (high - low) * u rounds below high - low for every u < 1 while
+        high - low <= 2**53."""
+        return low + int((high - low) * self.random())
 
 
 def _segment_distance(qx, qy, ax, ay, bx, by) -> float:

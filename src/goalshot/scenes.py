@@ -16,8 +16,11 @@ dataset layer (split, balance, features, statistics) takes one. Past the
 table the label is the GOAL mask: training and the metrics take it. A
 `KickScene` is the one-scene view that a policy decides on;
 `SceneTable.scenes()` gives the rows as KickScenes, the mask mapped back to
-`Label`. `draw_scenes` draws the generator's scenes as KickScenes that no
-shot has labelled (label None), for an experiment to resolve.
+`Label`. `draw_scenes` draws scenes from the generator's kernel as
+KickScenes that no shot has labelled (label None), for an experiment to
+resolve. It reads its uniforms in blocks (dynamics.BlockUniforms), where
+the generator, whose labelling shots draw from the same stream, keeps
+scalar draws.
 `scene_features` is the one feature kernel, on plain floats: a scene's
 base row and, for an aim point's shot line (geometry.shot_line, which the
 MLP policy reuses from stage one), the values of the seven TARGET_COLUMNS.
@@ -41,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .aim import GOAL_LINE_TOLERANCE
-from .dynamics import DynamicsConfig
+from .dynamics import BlockUniforms, DynamicsConfig
 from .geometry import FieldConfig, Vec2, _require_finite, shot_line
 from .keeper import DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult, simulate_shot
 
@@ -546,13 +549,15 @@ class GeneratorConfig:
 
 
 def _scene_draws(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
-                 field: FieldConfig, rng: np.random.Generator
+                 field: FieldConfig, rng: np.random.Generator | BlockUniforms
                  ) -> Iterator[tuple[list[float], list[tuple[float, float]]]]:
     """The generator's kernel: check the sampling region against the field
     and the dynamics, then draw n scenes from rng on plain floats, each as
-    its SCALAR_COLUMNS values and its (x, y) defenders. A scene is drawn
-    when the caller asks for it, so what the caller draws from rng between
-    two scenes (a labelling shot, then the time) comes in that order."""
+    its SCALAR_COLUMNS values and its (x, y) defenders. rng is read only
+    through random() and integers(low, high), so it may be a Generator or a
+    BlockUniforms. A scene is drawn when the caller asks for it, so what the
+    caller draws from rng between two scenes (a labelling shot, then the
+    time) comes in that order."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     g = gen_config
@@ -637,8 +642,12 @@ def draw_scenes(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
     The scenes of generate_synthetic_scenes' kernel and checks, each with
     its time drawn right after it: no shot is simulated, so no label noise
     is drawn, and the scenes depend on the scene stream alone, not on
-    gen_config.keeper. For scenes that nothing labels: an experiment's."""
-    rng = np.random.default_rng(seed)
+    gen_config.keeper. For scenes that nothing labels: an experiment's.
+    The kernel reads a BlockUniforms over default_rng(seed): each value of
+    random() in the order of rng.random()'s draws, and the defender count
+    and the time from one of them each (BlockUniforms.integers), so they
+    are not the generator's own scenes on the same seed."""
+    rng = BlockUniforms(np.random.default_rng(seed))
     return [KickScene(int(rng.integers(0, 6000)), Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay),
                       body, Vec2(kx, ky), tuple(Vec2(x, y) for x, y in defenders), power,
                       Vec2(tx, ty))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import goalshot.scenes
 from conftest import from_scenes, make_scene, random_scene
 from goalshot.config import RunConfig
-from goalshot.dynamics import DynamicsConfig
+from goalshot.dynamics import UNIFORM_BLOCK, BlockUniforms, DynamicsConfig
 from goalshot.geometry import Vec2
 from goalshot.keeper import KeeperModel
 from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, MAX_DEFENDERS, GeneratorConfig,
@@ -565,19 +565,78 @@ class TestGenerator:
         assert 0.3 <= frac <= 0.7
 
 
-class TestDrawScenes:
-    """draw_scenes: the generator's scenes without their labelling shots."""
+class _InOrder:
+    """The values of default_rng(seed).random(k), read in order: random()
+    gives the next, integers(low, high) is low + int((high - low) * u) of it."""
 
-    def test_without_label_noise_they_are_the_generators_scenes(self):
-        """Where the labelling shot draws no noise, the generator's stream
-        is the scenes' alone: draw_scenes gives its scenes, times included,
-        with label None."""
-        quiet = replace(CFG.gen, max_defenders=MAX_DEFENDERS,
-                        keeper=replace(CFG.keeper, positioning_noise=0.0))
-        dynamics = replace(CFG.dynamics, noise_coefficient=0.0)
-        labelled = generate_synthetic_scenes(60, quiet, dynamics, CFG.field, seed=3).scenes()
-        assert draw_scenes(60, quiet, dynamics, CFG.field, seed=3) == [
-            replace(scene, label=None) for scene in labelled]
+    def __init__(self, seed: int, k: int):
+        self.random = iter(np.random.default_rng(seed).random(k).tolist()).__next__
+
+    def integers(self, low: int, high: int) -> int:
+        return low + int((high - low) * self.random())
+
+
+class TestDrawScenes:
+    """draw_scenes: the generator kernel's scenes without labelling shots,
+    read from a block reader."""
+
+    def test_they_are_the_kernels_scenes_on_uniforms_read_in_order(self):
+        """draw_scenes gives the kernel's scenes, each followed by its time,
+        drawn from default_rng(seed)'s uniforms in order, with label None."""
+        gen = replace(CFG.gen, max_defenders=MAX_DEFENDERS)
+        source = _InOrder(3, 60 * (11 + 2 * MAX_DEFENDERS))
+        expected = []
+        for (bx, by, vx, vy, ax, ay, body, kx, ky, power, tx, ty), defenders in (
+                goalshot.scenes._scene_draws(60, gen, CFG.dynamics, CFG.field, source)):
+            expected.append(KickScene(source.integers(0, 6000), Vec2(bx, by), Vec2(vx, vy),
+                                      Vec2(ax, ay), body, Vec2(kx, ky),
+                                      tuple(Vec2(x, y) for x, y in defenders), power,
+                                      Vec2(tx, ty)))
+        assert draw_scenes(60, gen, CFG.dynamics, CFG.field, seed=3) == expected
+        assert all(scene.label is None for scene in expected)
+
+    @pytest.mark.parametrize("high", [*range(1, MAX_DEFENDERS + 2), 6000])
+    def test_integers_stay_in_range_at_the_ends_of_the_uniforms(self, high):
+        """The defender count's ranges, 1 to MAX_DEFENDERS + 1 values, and
+        the time's 6000: u = 0 gives low, the largest u below 1 high - 1."""
+        source = BlockUniforms(np.random.default_rng(0))
+        for low in (0, 7):
+            source.random = iter([0.0, math.nextafter(1.0, 0.0)]).__next__
+            assert source.integers(low, low + high) == low
+            assert source.integers(low, low + high) == low + high - 1
+
+    @pytest.mark.parametrize("max_defenders", [0, 5, MAX_DEFENDERS])
+    def test_every_defender_count_occurs(self, max_defenders):
+        gen = replace(CFG.gen, max_defenders=max_defenders)
+        scenes = draw_scenes(2000, gen, CFG.dynamics, CFG.field, seed=4)
+        counts = {len(scene.defenders) for scene in scenes}
+        assert counts == set(range(max_defenders + 1))
+
+    def test_a_game_past_its_first_block_repeats_per_seed(self, monkeypatch):
+        """With max_defenders = 10, a 20-shot game reads past the first
+        UNIFORM_BLOCK uniforms of its seed, and the same seed gives the same
+        scenes."""
+        sources = []
+
+        class Counted(BlockUniforms):
+            def __init__(self, rng):
+                super().__init__(rng)
+                sources.append(self)
+                self.read, uniform = 0, self.random
+
+                def counted():
+                    self.read += 1
+                    return uniform()
+                self.random = counted
+
+        monkeypatch.setattr(goalshot.scenes, "BlockUniforms", Counted)
+        gen = replace(CFG.gen, max_defenders=MAX_DEFENDERS)
+        first, again, other = (draw_scenes(20, gen, CFG.dynamics, CFG.field, seed)
+                               for seed in (6, 6, 7))
+        assert first == again != other
+        reads = [source.read for source in sources]
+        assert reads[0] == reads[1] > UNIFORM_BLOCK
+        assert reads[0] == sum(11 + 2 * len(scene.defenders) for scene in first)
 
     def test_no_shot_and_no_part_for_the_keeper(self, monkeypatch):
         def no_shot(*args, **kwargs):

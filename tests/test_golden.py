@@ -38,11 +38,11 @@ from goalshot.scenes import generate_synthetic_scenes, load_scenes
 GEN_DATA_SHA256 = "b60aa2ef55b59e3952833ae0f47df82724de1929481ba1ecfa3db43ec6ec2007"
 MODEL_SHA256 = "857d85948a4437b83077eb05d64ac041f86d5e6d1d4f70098016d4d2336b2178"
 AIM_TABLE_SHA256 = "48cf079f68e6c2e270d8489a89544365018b9ceafecafc43d7ae2d65d1e79e8a"
-COMPARE_SHA256 = "067e2ad3dec7f261809854c15625a0c561c4fd65a70cf69ef7737b584c62cec1"
-COMPARE_GENERATED_SHA256 = "445513b6c09b2498b9568ca0beff67430178a84ee808b45f8eecba3b788d0002"
-EPISODE_LOG_SHA256 = "7373027eb5c0557db9c2f915728d3387870512335f540f6100569a22a597171a"
-COMPARE_CENTER_SHA256 = "95c0146de3c0543db19518f798346dc49bbfb9465444b17694b0f5e0d094a1b1"
-EPISODE_LOG_CENTER_SHA256 = "b8c94d5bc529bb78a2225b8db653d585b3fa3c444f01c11af95676104784aa97"
+COMPARE_SHA256 = "1a078b5b3f0949d2f029225f5926e7718f0145a1eb610b6d76e6c803274452d1"
+COMPARE_GENERATED_SHA256 = "3286444862ab70bcde280080cc6e248932e08bc2d34f49f5d16ef1dd904e6122"
+EPISODE_LOG_SHA256 = "ebfa1f8272a55fc26aca8d5e0be58cd7bab56020035afa44d903fa6c9df7edf6"
+COMPARE_CENTER_SHA256 = "00e28c5a43582c0dd5644701285a389df7fa9b16cf194dbb4bdafe6778209ccb"
+EPISODE_LOG_CENTER_SHA256 = "aa4b66e0ab4e82436164564fc259d10261d597c31578ce930422c8701a930cfa"
 DECISIONS_SHA256 = "9b1b2ad76be73f0a06324c159e4c6ebfae8e341130e62e9c9aa5fd862abd2c95"
 EVAL_SHA256 = "aeaad022de4de4177ba7fc74092c722ef9462f585039fed2af11fe07daafa07f"
 STATS_SHA256 = "821ec09178eef386d3304fb33befe7badd2f3e0052e18447d392b88556a9efd1"
@@ -92,31 +92,31 @@ COMPARE_TEXT = """\
   {
    "name": "mlp",
    "stats": {
-    "kicks": 81,
-    "kicks_mean_per_game": 8.1,
+    "kicks": 79,
+    "kicks_mean_per_game": 7.9,
     "kicks_std": 0.9433981132056604,
-    "goals": 46,
-    "goals_mean_per_game": 4.6,
-    "goals_std": 1.1135528725660042,
-    "effectiveness": 0.5679012345679012,
+    "goals": 49,
+    "goals_mean_per_game": 4.9,
+    "goals_std": 1.3,
+    "effectiveness": 0.620253164556962,
     "wins": 2,
-    "losses": 6,
-    "draws": 2
+    "losses": 4,
+    "draws": 4
    }
   },
   {
    "name": "lda",
    "stats": {
-    "kicks": 91,
-    "kicks_mean_per_game": 9.1,
-    "kicks_std": 1.2206555615733703,
-    "goals": 53,
-    "goals_mean_per_game": 5.3,
-    "goals_std": 1.9000000000000001,
-    "effectiveness": 0.5824175824175825,
-    "wins": 6,
+    "kicks": 89,
+    "kicks_mean_per_game": 8.9,
+    "kicks_std": 1.0440306508910548,
+    "goals": 52,
+    "goals_mean_per_game": 5.2,
+    "goals_std": 1.5362291495737217,
+    "effectiveness": 0.5842696629213483,
+    "wins": 4,
     "losses": 2,
-    "draws": 2
+    "draws": 4
    }
   }
  ]
@@ -130,28 +130,28 @@ COMPARE_CENTER_TEXT = """\
     "kicks": 100,
     "kicks_mean_per_game": 10.0,
     "kicks_std": 0.0,
-    "goals": 33,
-    "goals_mean_per_game": 3.3,
-    "goals_std": 1.4866068747318506,
-    "effectiveness": 0.33,
-    "wins": 2,
-    "losses": 7,
-    "draws": 1
+    "goals": 36,
+    "goals_mean_per_game": 3.6,
+    "goals_std": 1.2000000000000002,
+    "effectiveness": 0.36,
+    "wins": 1,
+    "losses": 6,
+    "draws": 3
    }
   },
   {
    "name": "mlp",
    "stats": {
-    "kicks": 81,
-    "kicks_mean_per_game": 8.1,
+    "kicks": 79,
+    "kicks_mean_per_game": 7.9,
     "kicks_std": 0.9433981132056604,
-    "goals": 46,
-    "goals_mean_per_game": 4.6,
-    "goals_std": 1.1135528725660042,
-    "effectiveness": 0.5679012345679012,
-    "wins": 7,
-    "losses": 2,
-    "draws": 1
+    "goals": 49,
+    "goals_mean_per_game": 4.9,
+    "goals_std": 1.3,
+    "effectiveness": 0.620253164556962,
+    "wins": 6,
+    "losses": 1,
+    "draws": 3
    }
   }
  ]
@@ -162,31 +162,31 @@ COMPARE_GENERATED_TEXT = """\
   {
    "name": "mlp",
    "stats": {
-    "kicks": 41,
-    "kicks_mean_per_game": 8.2,
-    "kicks_std": 0.7483314773547882,
-    "goals": 20,
-    "goals_mean_per_game": 4.0,
-    "goals_std": 1.0954451150103321,
-    "effectiveness": 0.4878048780487805,
-    "wins": 1,
-    "losses": 3,
-    "draws": 1
+    "kicks": 40,
+    "kicks_mean_per_game": 8.0,
+    "kicks_std": 0.6324555320336759,
+    "goals": 23,
+    "goals_mean_per_game": 4.6,
+    "goals_std": 1.624807680927192,
+    "effectiveness": 0.575,
+    "wins": 2,
+    "losses": 1,
+    "draws": 2
    }
   },
   {
    "name": "lda",
    "stats": {
-    "kicks": 45,
-    "kicks_mean_per_game": 9.0,
-    "kicks_std": 1.5491933384829668,
+    "kicks": 41,
+    "kicks_mean_per_game": 8.2,
+    "kicks_std": 1.32664991614216,
     "goals": 22,
     "goals_mean_per_game": 4.4,
-    "goals_std": 1.7435595774162693,
-    "effectiveness": 0.4888888888888889,
-    "wins": 3,
-    "losses": 1,
-    "draws": 1
+    "goals_std": 1.4966629547095764,
+    "effectiveness": 0.5365853658536586,
+    "wins": 1,
+    "losses": 2,
+    "draws": 2
    }
   }
  ]

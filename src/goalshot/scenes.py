@@ -353,10 +353,19 @@ class SceneTable:
         """Read scenes from CSV, validating the header, every cell, that the
         ball lies inside the field and before the goal line, that the target
         lies on the goal line within the mouth, and that the kick power lies
-        in [0, dynamics.max_power]. Errors name the first bad line (line 1 is
-        the header), in it the first bad cell in column order, else the first
-        failed range. A row is checked in one pass on plain floats; only a
-        row that fails is scanned cell by cell."""
+        in [0, dynamics.max_power]. Errors begin "scene file <path>: " and
+        name the first bad line (line 1 is the header), in it the first bad
+        cell in column order, else the first failed range. A row is checked
+        in one pass on plain floats; only a row that fails is scanned cell by
+        cell."""
+        try:
+            return cls._load(path, field, dynamics)
+        except ValueError as exc:
+            raise ValueError(f"scene file {path}: {exc}") from None
+
+    @classmethod
+    def _load(cls, path: str | Path, field: FieldConfig, dynamics: DynamicsConfig) -> SceneTable:
+        """load, its errors without the file's name."""
         half_length, half_width = field.field_length / 2, field.field_width / 2
         goal_x, max_power = field.goal_line_x, dynamics.max_power
         half_mouth = field.goal_width / 2 + GOAL_LINE_TOLERANCE

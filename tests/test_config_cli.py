@@ -363,22 +363,41 @@ class TestStats:
         assert "error:" in capsys.readouterr().err
 
 
+_SCENE_COMMANDS = pytest.mark.parametrize("command", [
+    ["stats"], ["train", "--model-out", "MODEL"], ["eval", "--model", "MODEL"],
+    ["compare", "--policy-a", "lda", "--policy-b", "center"]])
+
+
 class TestSceneCsvErrors:
-    @pytest.mark.parametrize("command", [
-        ["stats"], ["train", "--model-out", "MODEL"], ["eval", "--model", "MODEL"],
-        ["compare", "--policy-a", "lda", "--policy-b", "center"]])
-    def test_cell_over_the_csv_field_limit_fails_in_one_line(self, tmp_path, data_csv,
-                                                            model_file, command, capsys):
-        data = tmp_path / "huge.csv"
+    """Each command that reads --data exits 1 with one error line that names
+    the scene file, its line and, for a bad cell, its column."""
+
+    @staticmethod
+    def _fails(tmp_path, data_csv, model_file, command, line, column, value, capsys):
+        data = tmp_path / "bad.csv"
         lines = data_csv.read_text(encoding="utf-8").splitlines()[:3]
-        cells = lines[2].split(",")
-        cells[CSV_HEADER.index("kick_power")] = "8" * 131_073
-        data.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n", encoding="utf-8")
+        cells = lines[line - 1].split(",")
+        cells[CSV_HEADER.index(column)] = value
+        lines[line - 1] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         model = str(tmp_path / "m.json") if command[0] == "train" else str(model_file)
         argv = [model if arg == "MODEL" else arg for arg in command]
         capsys.readouterr()
         assert main([*argv, "--data", str(data)]) == 1
-        assert capsys.readouterr().err == "error: line 3: field larger than field limit (131072)\n"
+        return data, capsys.readouterr().err
+
+    @_SCENE_COMMANDS
+    def test_cell_over_the_csv_field_limit_fails_in_one_line(self, tmp_path, data_csv,
+                                                            model_file, command, capsys):
+        data, err = self._fails(tmp_path, data_csv, model_file, command, 3, "kick_power",
+                                "8" * 131_073, capsys)
+        assert err == f"error: scene file {data}: line 3: field larger than field limit (131072)\n"
+
+    @_SCENE_COMMANDS
+    def test_bad_cell_names_the_file(self, tmp_path, data_csv, model_file, command, capsys):
+        data, err = self._fails(tmp_path, data_csv, model_file, command, 2, "ball_x", "abc",
+                                capsys)
+        assert err == f"error: scene file {data}: line 2, column 'ball_x': not a number: 'abc'\n"
 
 
 class TestTrainEval:

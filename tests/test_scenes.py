@@ -240,13 +240,23 @@ class TestCsvRoundTrip:
         for load in (SceneTable.load, load_scenes):
             with pytest.raises(ValueError) as raised:
                 load(path, field)
-            assert str(raised.value) == "line 3: field larger than field limit (131072)"
+            assert str(raised.value) == (
+                f"scene file {path}: line 3: field larger than field limit (131072)")
 
     def test_wrong_header_rejected(self, field, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("a,b,c\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError) as raised:
             load_scenes(path, field)
+        assert str(raised.value) == (
+            f"scene file {path}: unexpected header: expected {','.join(CSV_HEADER)}")
+
+    def test_empty_file_is_named(self, field, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            SceneTable.load(path, field)
+        assert str(raised.value) == f"scene file {path}: empty file: missing header row"
 
     def test_first_bad_line_is_reported(self, field, tmp_path):
         """A range error on line 3 is reported before a non-number on line 4."""
@@ -258,7 +268,8 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as raised:
             SceneTable.load(path, field)
-        assert str(raised.value) == "line 3, column 'ball_x': ball outside field bounds"
+        assert str(raised.value) == (
+            f"scene file {path}: line 3, column 'ball_x': ball outside field bounds")
 
     @pytest.mark.parametrize("changes, message", [
         # A bad cell is reported before a failed range, cells in column order.
@@ -293,7 +304,7 @@ class TestCsvRoundTrip:
         for load in (SceneTable.load, load_scenes):
             with pytest.raises(ValueError) as raised:
                 load(path, field)
-            assert str(raised.value) == message
+            assert str(raised.value) == f"scene file {path}: {message}"
 
 
 def _outcome(fn, *args):

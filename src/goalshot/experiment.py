@@ -9,9 +9,12 @@ The stream contract:
 
 - A game's scenes come from the scene stream alone, with label None:
   scenes.draw_scenes, seeded with the first word of
-  SeedSequence([seed, game, _SCENE_STREAM]). No labelling shot is
-  simulated, so the labelling keeper (gen_config.keeper, [keeper]) plays
-  no part in a game; the keeper argument resolves the kicks.
+  SeedSequence([seed, game, _SCENE_STREAM]) and read through a
+  dynamics.BlockUniforms: the stream's uniforms in order, 256 per numpy
+  call, the defender count and the time from one uniform each. No
+  labelling shot is simulated, so the labelling keeper (gen_config.keeper,
+  [keeper]) plays no part in a game; the keeper argument resolves the
+  kicks.
 - Label noise is drawn only where a label is read: gen-data, and compare's
   LDA fit without --data (scenes.generate_synthetic_scenes, seeded with the
   first word of SeedSequence([seed, _LDA_SCENE_STREAM])).

@@ -128,10 +128,9 @@ class BlockUniforms:
         self.random = chain.from_iterable(blocks).__next__
 
     def integers(self, low: int, high: int) -> int:
-        """An int in [low, high) from the next uniform u: low + int((high - low) * u).
-        Not rng.integers' value, which numpy draws from bits of its own.
-        (high - low) * u rounds below high - low for every u < 1 while
-        high - low <= 2**53."""
+        """low + int((high - low) * u) of the next uniform u, not rng.integers'
+        value: in [low, high), as (high - low) * u rounds below high - low for
+        every u < 1 while high - low <= 2**53."""
         return low + int((high - low) * self.random())
 
 

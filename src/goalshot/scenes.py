@@ -657,7 +657,7 @@ def draw_scenes(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
     and the time from one of them each (BlockUniforms.integers), so they
     are not the generator's own scenes on the same seed."""
     rng = BlockUniforms(np.random.default_rng(seed))
-    return [KickScene(int(rng.integers(0, 6000)), Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay),
+    return [KickScene(rng.integers(0, 6000), Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay),
                       body, Vec2(kx, ky), tuple(Vec2(x, y) for x, y in defenders), power,
                       Vec2(tx, ty))
             for (bx, by, vx, vy, ax, ay, body, kx, ky, power, tx, ty), defenders

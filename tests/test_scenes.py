@@ -608,8 +608,9 @@ class TestDrawScenes:
 
     @pytest.mark.parametrize("high", [*range(1, MAX_DEFENDERS + 2), 6000])
     def test_integers_stay_in_range_at_the_ends_of_the_uniforms(self, high):
-        """The defender count's ranges, 1 to MAX_DEFENDERS + 1 values, and
-        the time's 6000: u = 0 gives low, the largest u below 1 high - 1."""
+        """Over the defender count's ranges, 1 to MAX_DEFENDERS + 1 values,
+        and the time's 6000, u = 0 gives the range's first value and the
+        largest u below 1 its last."""
         source = BlockUniforms(np.random.default_rng(0))
         for low in (0, 7):
             source.random = iter([0.0, math.nextafter(1.0, 0.0)]).__next__

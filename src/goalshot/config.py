@@ -107,15 +107,35 @@ def _parse_section(cls, section: str, items: dict[str, str]):
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    """Parse a config file; defaults fill every omitted section and key."""
-    path = Path(path)
+    """Parse a config file; defaults fill every omitted section and key.
+    Errors begin "config file <path>: "."""
+    try:
+        return _load(Path(path))
+    except ValueError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+
+
+def _syntax_error(exc: configparser.Error) -> str:
+    """configparser's complaint on one line, without the file name it holds."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: no section header before {exc.line.strip()!r}"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: not a section header or a key = value line"
+    # A repeated section or key: "While reading from <path> [line  n]: <what>".
+    return f"line {exc.lineno}: {str(exc).split(']: ', 1)[1]}"
+
+
+def _load(path: Path) -> RunConfig:
+    """load_run_config, its errors without the file's name."""
     if not path.is_file():
-        raise ValueError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+        raise ValueError("not found")
+    # A '%' in a value is a character, not a reference, and [DEFAULT] is an
+    # unknown section like any other: no header can name the empty section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:
-        raise ValueError(f"malformed config file: {exc}") from None
+        raise ValueError(_syntax_error(exc)) from None
 
     parsed: dict[str, object] = {}
     for section in parser.sections():

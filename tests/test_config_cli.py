@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -127,55 +128,92 @@ class TestConfigFile:
         out = tmp_path / "out.csv"
         assert main([*command, "--config", str(path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: [{section}] {key}: non-finite value '{raw}'\n"
+        assert captured.err == (f"error: config file {path}: [{section}] {key}: "
+                                f"non-finite value '{raw}'\n")
         assert captured.out == ""
         assert not out.exists()
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="not found"):
-            load_run_config(tmp_path / "nope.ini")
+        path = tmp_path / "nope.ini"
+        with pytest.raises(ValueError, match=f"^config file {re.escape(str(path))}: not found$"):
+            load_run_config(path)
 
-    @pytest.mark.parametrize("command,ini,message", [
+    @pytest.mark.parametrize("command,ini,message,where", [
         (["gen-data", "--n", "5", "--out", "OUT", "--seed", "-2"], "",
-         "run seed must be >= 0, got -2"),
+         "run seed must be >= 0, got -2", "--seed: "),
         (["gen-data", "--n", "5", "--out", "OUT"], "[run]\nseed = -3\n",
-         "run seed must be >= 0, got -3"),
+         "run seed must be >= 0, got -3", "config file INI: [run] "),
         (["train", "--data", "scenes.csv", "--model-out", "OUT"], "[train]\nseed = -3\n",
-         "train seed must be >= 0, got -3"),
+         "train seed must be >= 0, got -3", "config file INI: [train] "),
         # Without --mc-rollouts no generator is built, so nothing else catches it.
-        (["aim-table", "--out", "OUT", "--seed", "-1"], "", "run seed must be >= 0, got -1"),
+        (["aim-table", "--out", "OUT", "--seed", "-1"], "", "run seed must be >= 0, got -1",
+         "--seed: "),
     ])
-    def test_negative_seed_fails_at_load(self, command, ini, message, tmp_path, capsys):
+    def test_negative_seed_fails_at_load(self, command, ini, message, where, tmp_path,
+                                         capsys):
         path = tmp_path / "run.ini"
         path.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
         argv = [str(out) if arg == "OUT" else arg for arg in command]
         assert main([*argv, "--config", str(path)]) == 1
         captured = capsys.readouterr()
-        # An error in the file names its section, an error in a flag its flag.
-        where = ini.split("\n", 1)[0] + " " if ini else "--seed: "
-        assert captured.err == f"error: {where}{message}\n"
+        # An error in the file names the file and its section, an error in a
+        # flag its flag.
+        assert captured.err == f"error: {where.replace('INI', str(path))}{message}\n"
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("section,key,raw,message", [
-        ("keeper", "max_speed", "-1", "KeeperModel parameters must be non-negative"),
-        ("eval_keeper", "max_speed", "-1", "KeeperModel parameters must be non-negative"),
-        ("policy", "p_goal_threshold", "2", "p_goal_threshold must be in (0, 1)"),
-        ("aim", "target_count", "0", "target_count must be >= 1"),
+    @pytest.mark.parametrize("section,key,raw,message,where", [
+        ("keeper", "max_speed", "-1", "KeeperModel parameters must be non-negative",
+         "config file INI: "),
+        ("eval_keeper", "max_speed", "-1", "KeeperModel parameters must be non-negative",
+         "config file INI: "),
+        ("policy", "p_goal_threshold", "2", "p_goal_threshold must be in (0, 1)",
+         "config file INI: "),
+        ("aim", "target_count", "0", "target_count must be >= 1", "config file INI: "),
         pytest.param("gen", "max_defenders", _HUGE, "max_defenders must be in [0, 10]",
-                     id="gen-max_defenders-huge"),
+                     "config file INI: ", id="gen-max_defenders-huge"),
+        # Checked against [dynamics] when the generator runs, past the load.
         ("gen", "kick_power_max", "150",
-         "kick_power_max 150.0 exceeds [dynamics] max_power 100.0"),
+         "kick_power_max 150.0 exceeds [dynamics] max_power 100.0", ""),
     ])
-    def test_rejected_value_names_its_section(self, section, key, raw, message,
+    def test_rejected_value_names_its_section(self, section, key, raw, message, where,
                                               tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
         out = tmp_path / "out.csv"
         assert main(["gen-data", "--n", "5", "--config", str(path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: [{section}] {message}\n"
+        assert captured.err == f"error: {where.replace('INI', str(path))}[{section}] {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("[gen]\nx_min = abc\n", "[gen] x_min: cannot parse 'abc' as float"),
+        ("[gen]\nbogus = 1\n", "unknown key 'bogus' in section [gen]"),
+        (b"\xff[gen]\n",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("[gen]\nx_min = 5.0\n[gen]\n", "line 3: section 'gen' already exists"),
+        ("[gen]\nx_min = 5.0\nx_min = 6.0\n",
+         "line 3: option 'x_min' in section 'gen' already exists"),
+        ("x_min = 5.0\n", "line 1: no section header before 'x_min = 5.0'"),
+        ("[gen]\nx_min\n", "line 2: not a section header or a key = value line"),
+        # A '%' is a character, not the start of an interpolation.
+        ("[gen]\nx_min = 5%\n", "[gen] x_min: cannot parse '5%' as float"),
+        # [DEFAULT] is an unknown section, not defaults for every section.
+        ("[DEFAULT]\nseed = 3\n", "unknown config section [DEFAULT]"),
+    ], ids=["bad-float", "unknown-key", "not-utf8", "repeated-section", "repeated-key",
+            "no-section", "no-value", "percent", "default-section"])
+    def test_error_names_the_file_once(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["gen-data", "--n", "5", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config file {path}: {message}\n"
         assert captured.out == ""
         assert not out.exists()
 

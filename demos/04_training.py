@@ -28,7 +28,7 @@ print(f"train {len(split.train)} -> balanced {len(balanced)} "
 params, report = train(
     feature_matrix(balanced, cfg.field), balanced.goal,
     feature_matrix(split.validation, cfg.field), split.validation.goal,
-    TrainConfig(max_epochs=80, patience=10, seed=3))
+    TrainConfig(max_epochs=80, patience=10), seed=3)
 
 print()
 print(f"stopped after {report.epochs_run} epochs ({report.stop_reason.value}), "

@@ -18,7 +18,7 @@ balanced = balance_by_replication(split.train, seed=4)
 params, _ = train(
     feature_matrix(balanced, cfg.field), balanced.goal,
     feature_matrix(split.validation, cfg.field), split.validation.goal,
-    TrainConfig(max_epochs=80, patience=10, seed=4))
+    TrainConfig(max_epochs=80, patience=10), seed=4)
 
 scores = score_batch(params, feature_matrix(split.test, cfg.field))
 roc = roc_curve(scores, split.test.goal)

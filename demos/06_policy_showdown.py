@@ -21,7 +21,7 @@ balanced = balance_by_replication(split.train, seed=6)
 params, _ = train(
     feature_matrix(balanced, cfg.field), balanced.goal,
     feature_matrix(split.validation, cfg.field), split.validation.goal,
-    TrainConfig(max_epochs=80, patience=10, seed=6))
+    TrainConfig(max_epochs=80, patience=10), seed=6)
 lda_model = lda_train(split.train.scenes(), cfg.field)
 print(f"linear baseline: {lda_model.weight_distance:+.4f} * keeper_distance "
       f"{lda_model.weight_angle:+.4f} * keeper_angle {lda_model.bias:+.4f}")

@@ -30,7 +30,7 @@ from . import mlp
 from .aim import ShotQuery, discretize_targets, p_goal
 from .config import RunConfig, load_run_config, scalar_fields
 from .dynamics import BallState, BlockUniforms, kick_components, rollout_to_goal_line
-from .experiment import (_LDA_SCENE_STREAM, check_experiment_size, check_report_format,
+from .experiment import (check_experiment_size, check_report_format, lda_training_scenes,
                          report, run_experiment)
 from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve
@@ -59,8 +59,8 @@ def _with_flags(config, args: argparse.Namespace):
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    """The config file, or the defaults, with the given flags applied; the
-    run section first, so a bad --seed is reported as the run seed."""
+    """The config file, or the defaults, with the given flags applied: --seed
+    to the run seed, a run's only seed, the others to [train] and [policy]."""
     config = _with_flags(load_run_config(args.config) if args.config else RunConfig(), args)
     return replace(config, train=_with_flags(config.train, args),
                    policy=_with_flags(config.policy, args))
@@ -129,7 +129,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     params, train_report = mlp.train(
         feature_matrix(balanced, config.field), balanced.goal,
         feature_matrix(split.validation, config.field), split.validation.goal,
-        config.train)
+        config.train, seed=config.seed)
     mlp.save_model(params, args.model_out)
     doc = {
         "epochs_run": train_report.epochs_run,
@@ -183,11 +183,8 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig,
             scenes = load_scenes(args.data, config.field, config.dynamics)
             source = f"scene file {args.data}"
         else:
-            lda_seed = int(np.random.SeedSequence(
-                [config.seed, _LDA_SCENE_STREAM]).generate_state(1)[0])
-            scenes = generate_synthetic_scenes(args.lda_train_scenes, config.gen,
-                                               config.dynamics, config.field,
-                                               lda_seed).scenes()
+            scenes = lda_training_scenes(args.lda_train_scenes, config.gen, config.dynamics,
+                                         config.field, config.seed).scenes()
             source = f"--lda-train-scenes {args.lda_train_scenes}"
         _require_both_classes([scene.label is Label.GOAL for scene in scenes], source)
         return LdaPolicy(lda_train(scenes, config.field), config.field,

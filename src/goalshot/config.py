@@ -7,7 +7,7 @@ dataclass field names:
     [field]     field_length, field_width, goal_width, penalty_area_width
     [dynamics]  decay, noise_coefficient, max_speed, kick_power_rate, max_power
     [aim]       sigma_coefficient, sigma_horizon, target_count, target_inset
-    [train]     learning_rate, max_epochs, patience, init_half_range, seed, ...
+    [train]     learning_rate, max_epochs, patience, init_half_range, hidden_size
     [policy]    p_goal_threshold, score_threshold
     [keeper]    max_speed, reaction_delay, catch_radius, positioning_noise
     [eval_keeper]  same keys; optional, evaluates policies against a keeper

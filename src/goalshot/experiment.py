@@ -16,8 +16,8 @@ The stream contract:
   [keeper]) plays no part in a game; the keeper argument resolves the
   kicks.
 - Label noise is drawn only where a label is read: gen-data, and compare's
-  LDA fit without --data (scenes.generate_synthetic_scenes, seeded with the
-  first word of SeedSequence([seed, _LDA_SCENE_STREAM])).
+  LDA fit without --data (lda_training_scenes: scenes.generate_synthetic_scenes,
+  seeded with the first word of SeedSequence([seed, _LDA_SCENE_STREAM])).
 - Both sides share an episode's noise (common random numbers): each
   side's kick reads the same values, in the same order.
 - A game draws its episodes' noise up front, from one generator on
@@ -60,13 +60,11 @@ from .geometry import FieldConfig
 from .keeper import (DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult,
                      simulate_shot)
 from .policies import Action, KickDecision, Policy
-from .scenes import GeneratorConfig, KickScene, draw_scenes
-# Kept bound for perfbench/tracing.py, which spans it here; no game calls it.
-from .scenes import generate_synthetic_scenes  # noqa: F401
+from .scenes import GeneratorConfig, KickScene, SceneTable, draw_scenes, generate_synthetic_scenes
 
 __all__ = [
     "KeeperModel", "ShotResult", "EpisodeOutcome", "MatchStats", "check_report_format",
-    "run_experiment", "report", "stats_pair_from_json",
+    "run_experiment", "lda_training_scenes", "report", "stats_pair_from_json",
 ]
 
 # Entropy tags keeping apart the streams of game scenes, episode tails, the lda
@@ -159,6 +157,13 @@ def _resolve(decision: KickDecision, scene: KickScene, keeper: KeeperModel,
         scene.keeper, scene.defenders, keeper, dynamics, field,
         noise.shot(shot), defender_catch_radius)
     return EpisodeOutcome(kicked=True, result=result, steps=steps)
+
+
+def lda_training_scenes(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
+                        field: FieldConfig, seed: int) -> SceneTable:
+    """compare's n labelled scenes to fit the lda on, on their own stream."""
+    return generate_synthetic_scenes(n, gen_config, dynamics, field, int(
+        np.random.SeedSequence([seed, _LDA_SCENE_STREAM]).generate_state(1)[0]))
 
 
 def _aggregate(kicks: tuple[list[int], list[int]],

@@ -279,7 +279,6 @@ class TrainConfig:
     max_epochs: int = 10_000
     patience: int = 5
     init_half_range: float = 0.1
-    seed: int = 0
     hidden_size: int = 5
 
     def __post_init__(self) -> None:
@@ -293,8 +292,6 @@ class TrainConfig:
             raise ValueError("max_epochs, patience and hidden_size must be >= 1")
         if self.init_half_range <= 0:
             raise ValueError("init_half_range must be positive")
-        if self.seed < 0:
-            raise ValueError(f"train seed must be >= 0, got {self.seed}")
 
 
 class EarlyStopping:
@@ -342,11 +339,12 @@ def _targets(goal: np.ndarray, n: int) -> np.ndarray:
 
 def train(train_features: np.ndarray, train_goal: np.ndarray,
           val_features: np.ndarray, val_goal: np.ndarray,
-          config: TrainConfig = TrainConfig()) -> tuple[MlpParams, TrainReport]:
+          config: TrainConfig = TrainConfig(), seed: int = 0) -> tuple[MlpParams, TrainReport]:
     """Train a tanh MLP with online backprop and early stopping.
 
     The labels are the rows' bool GOAL masks, such as SceneTable.goal.
-    Deterministic for a given config.seed. The caller is expected to pass
+    Deterministic for a given seed, which draws the initial weights and
+    then each epoch's example order. The caller is expected to pass
     a class-balanced training set (see scenes.balance_by_replication).
     """
     x = np.asarray(train_features, dtype=float)
@@ -363,7 +361,7 @@ def train(train_features: np.ndarray, train_goal: np.ndarray,
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)  # constant features pass through
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     sizes = (x.shape[1], config.hidden_size, 2)
     kernel = _Backprop(init_params(sizes, mean, std, rng, config.init_half_range))
     params = kernel.params

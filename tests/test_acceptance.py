@@ -38,7 +38,7 @@ from oracles import Ray, example_mse, signed_offset
 
 CFG = RunConfig()
 SEED = 0
-TRAIN_CONFIG = TrainConfig(max_epochs=150, patience=12, seed=SEED)
+TRAIN_CONFIG = TrainConfig(max_epochs=150, patience=12)
 
 _timings: dict[str, float] = {}
 
@@ -69,7 +69,7 @@ def trained(dataset):
     params, report = train(
         feature_matrix(balanced, CFG.field), balanced.goal,
         feature_matrix(split.validation, CFG.field), split.validation.goal,
-        TRAIN_CONFIG)
+        TRAIN_CONFIG, seed=SEED)
     _timings["train"] = time.perf_counter() - start
     return params, split, report
 
@@ -289,15 +289,15 @@ def test_07_training_protocol():
         goal = np.array([row.sum() > 0 for row in x])
         vx = rng.uniform(-1, 1, (30, 4))
         vgoal = np.array([row.sum() > 0 for row in vx])
-        config = TrainConfig(max_epochs=4, patience=10 ** 9, seed=SEED)
-        _, report = train(x, goal, vx, vgoal, config)
+        config = TrainConfig(max_epochs=4, patience=10 ** 9)
+        _, report = train(x, goal, vx, vgoal, config, seed=SEED)
         assert report.stop_reason is StopReason.MAX_EPOCHS
         assert report.epochs_run == 4
         assert len(report.train_mse_history) == 4
         assert len(report.validation_mse_history) == 4
 
-        run_a = train(x, goal, vx, vgoal, TrainConfig(max_epochs=10, seed=3))
-        run_b = train(x, goal, vx, vgoal, TrainConfig(max_epochs=10, seed=3))
+        run_a = train(x, goal, vx, vgoal, TrainConfig(max_epochs=10), seed=3)
+        run_b = train(x, goal, vx, vgoal, TrainConfig(max_epochs=10), seed=3)
         assert run_a[1].validation_mse_history == run_b[1].validation_mse_history
         for wa, wb in zip(run_a[0].weights, run_b[0].weights):
             np.testing.assert_array_equal(wa, wb)

@@ -143,8 +143,9 @@ class TestConfigFile:
          "run seed must be >= 0, got -2", "--seed: "),
         (["gen-data", "--n", "5", "--out", "OUT"], "[run]\nseed = -3\n",
          "run seed must be >= 0, got -3", "config file INI: [run] "),
+        # [run] seed is the run's only seed: [train] has none to check.
         (["train", "--data", "scenes.csv", "--model-out", "OUT"], "[train]\nseed = -3\n",
-         "train seed must be >= 0, got -3", "config file INI: [train] "),
+         "unknown key 'seed' in section [train]", "config file INI: "),
         # Without --mc-rollouts no generator is built, so nothing else catches it.
         (["aim-table", "--out", "OUT", "--seed", "-1"], "", "run seed must be >= 0, got -1",
          "--seed: "),
@@ -478,6 +479,29 @@ class TestTrainEval:
         assert ks_rows[0] == "threshold,cdf_positive,cdf_negative,gap"
         assert len(ks_rows) > 2
 
+    def test_run_seed_in_the_file_trains_the_model_of_the_flag(self, tmp_path, data_csv):
+        """[run] seed is the run's only seed: from the file, as from --seed,
+        it also draws the initial weights and each epoch's example order."""
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nseed = 2\n", encoding="utf-8")
+        by_file, by_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        train = ["train", "--data", str(data_csv), "--max-epochs", "3"]
+        assert main([*train, "--config", str(config), "--model-out", str(by_file)]) == 0
+        assert main([*train, "--seed", "2", "--model-out", str(by_flag)]) == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+    def test_train_seed_key_rejected(self, tmp_path, data_csv, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[train]\nseed = 2\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        assert main(["train", "--config", str(config), "--data", str(data_csv),
+                     "--model-out", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: config file {config}: unknown key 'seed' "
+                                "in section [train]\n")
+        assert captured.out == ""
+        assert not model.exists()
+
     def test_eval_of_a_header_only_file_fails(self, tmp_path, model_file, capsys):
         data = tmp_path / "empty.csv"
         data.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
@@ -661,7 +685,7 @@ class TestCompare:
         def no_training_scenes(*args, **kwargs):
             raise AssertionError("the lda policy was built")
 
-        monkeypatch.setattr(cli, "generate_synthetic_scenes", no_training_scenes)
+        monkeypatch.setattr(cli, "lda_training_scenes", no_training_scenes)
         assert main(["compare", "--policy-a", "lda", *flags]) == 1
         assert message in capsys.readouterr().err
 
@@ -683,7 +707,7 @@ def _rejects_model(model, command, tmp_path, capsys, monkeypatch):
     def no_training_scenes(*args, **kwargs):
         raise AssertionError("the lda policy was built")
 
-    monkeypatch.setattr(cli, "generate_synthetic_scenes", no_training_scenes)
+    monkeypatch.setattr(cli, "lda_training_scenes", no_training_scenes)
     log = tmp_path / "old.log"
     log.write_bytes(b"an earlier run's log\n")
     argv = [str(log) if arg == "LOG" else arg for arg in command]
@@ -899,6 +923,14 @@ class TestSimulationCallSites:
         assert main(["compare", "--policy-a", "center", "--policy-b", "center",
                      "--games", "3", "--shots", "2", "--out", str(tmp_path / "r.txt")]) == 0
         assert len(generated) == 3
+
+    def test_compare_without_data_fits_the_lda_on_one_generated_table(self, tmp_path,
+                                                                     monkeypatch):
+        generated = self._count(monkeypatch, cli, "lda_training_scenes")
+        assert main(["compare", "--policy-a", "lda", "--policy-b", "center",
+                     "--lda-train-scenes", "40", "--games", "1", "--shots", "2",
+                     "--out", str(tmp_path / "r.txt")]) == 0
+        assert len(generated) == 1
 
     def test_compare_with_data_loads_it_once(self, tmp_path, monkeypatch):
         data = tmp_path / "scenes.csv"

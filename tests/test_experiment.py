@@ -210,7 +210,7 @@ def policies():
     balanced = balance_by_replication(split.train, seed=21)
     model, _ = train(feature_matrix(balanced, field), balanced.goal,
                      feature_matrix(split.validation, field), split.validation.goal,
-                     TrainConfig(max_epochs=10, seed=21))
+                     TrainConfig(max_epochs=10), seed=21)
     return {"mlp": MlpPolicy(model, field, CFG.aim, CFG.policy),
             "lda": LdaPolicy(lda_train(table.scenes(), field), field, CFG.aim, CFG.policy),
             "center": NaiveCenterPolicy(field, CFG.aim, CFG.policy)}

@@ -296,9 +296,9 @@ class TestTrain:
         rng = np.random.default_rng(19)
         x, goal = _toy_separable(rng, 80)
         vx, vgoal = _toy_separable(rng, 40)
-        config = TrainConfig(max_epochs=12, seed=4)
-        params_a, report_a = train(x, goal, vx, vgoal, config)
-        params_b, report_b = train(x, goal, vx, vgoal, config)
+        config = TrainConfig(max_epochs=12)
+        params_a, report_a = train(x, goal, vx, vgoal, config, seed=4)
+        params_b, report_b = train(x, goal, vx, vgoal, config, seed=4)
         assert report_a.validation_mse_history == report_b.validation_mse_history
         assert report_a.train_mse_history == report_b.train_mse_history
         for wa, wb in zip(params_a.weights, params_b.weights):
@@ -308,8 +308,8 @@ class TestTrain:
         rng = np.random.default_rng(23)
         x, goal = _toy_separable(rng, 60)
         vx, vgoal = _toy_separable(rng, 30)
-        config = TrainConfig(max_epochs=3, patience=10 ** 9, seed=1)
-        _, report = train(x, goal, vx, vgoal, config)
+        config = TrainConfig(max_epochs=3, patience=10 ** 9)
+        _, report = train(x, goal, vx, vgoal, config, seed=1)
         assert report.stop_reason is StopReason.MAX_EPOCHS
         assert report.epochs_run == 3
         assert len(report.train_mse_history) == 3
@@ -321,8 +321,8 @@ class TestTrain:
         x, goal = _toy_separable(rng, 400)
         vx, vgoal = _toy_separable(rng, 200)
         tx, tgoal = _toy_separable(rng, 200)
-        config = TrainConfig(max_epochs=400, patience=20, learning_rate=0.01, seed=2)
-        params, report = train(x, goal, vx, vgoal, config)
+        config = TrainConfig(max_epochs=400, patience=20, learning_rate=0.01)
+        params, report = train(x, goal, vx, vgoal, config, seed=2)
         assert params.layer_sizes == (2, 5, 2)
         auc = auc_rank(score_batch(params, tx), tgoal)
         assert auc >= 0.99
@@ -335,8 +335,8 @@ class TestTrain:
         vx, _ = _toy_separable(rng, 30)
         goal = rng.random(60) < 0.5
         vgoal = rng.random(30) < 0.5
-        config = TrainConfig(max_epochs=50, patience=2, learning_rate=0.05, seed=3)
-        params, report = train(x, goal, vx, vgoal, config)
+        config = TrainConfig(max_epochs=50, patience=2, learning_rate=0.05)
+        params, report = train(x, goal, vx, vgoal, config, seed=3)
         assert report.stop_reason is StopReason.EARLY_STOP
         assert report.best_epoch < report.epochs_run
         out = np.array([forward(params, row) for row in vx])

@@ -30,7 +30,7 @@ def trained_model():
     balanced = balance_by_replication(split.train, seed=2)
     params, _ = train(feature_matrix(balanced, CFG.field), balanced.goal,
                       feature_matrix(split.validation, CFG.field), split.validation.goal,
-                      TrainConfig(max_epochs=40, patience=8, seed=2))
+                      TrainConfig(max_epochs=40, patience=8), seed=2)
     return params
 
 

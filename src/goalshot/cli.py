@@ -84,6 +84,15 @@ def _load_model(path: str | None) -> mlp.MlpParams:
     return params
 
 
+def _located(source: str, function, *args):
+    """function(*args), a ValueError from it prefixed with the source of the
+    scenes it was given, as SceneTable.load prefixes the file's."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def _require_both_classes(goal, source: str) -> None:
     """Fail, naming the scenes' source and their class counts, unless the
     GOAL flags hold both classes."""
@@ -106,9 +115,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _load_config(args)
     table = SceneTable.load(args.data, config.field, config.dynamics)
-    matrix = feature_matrix(table, config.field)
-    stats = univariate_stats(matrix)
-    relevance = feature_relevance(matrix, table.goal)
+    matrix, source = feature_matrix(table, config.field), f"scene file {args.data}"
+    stats = _located(source, univariate_stats, matrix)
+    if len(table) > 1:  # one scene is one class; feature_relevance says it needs two
+        _require_both_classes(table.goal, source)
+    relevance = _located(source, feature_relevance, matrix, table.goal)
     header = (f"{'feature':<34} {'mean':>10} {'std':>10} {'median':>10} "
               f"{'p1':>10} {'p99':>10} {'missing':>8} {'auc':>7}")
     lines = [f"{len(table)} scenes", header, "-" * len(header)]
@@ -122,9 +133,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    split = split_dataset(SceneTable.load(args.data, config.field, config.dynamics),
-                          config.seed)
-    _require_both_classes(split.train.goal, f"training split of scene file {args.data}")
+    source = f"scene file {args.data}"
+    split = _located(source, split_dataset,
+                     SceneTable.load(args.data, config.field, config.dynamics), config.seed)
+    _require_both_classes(split.train.goal, f"training split of {source}")
     balanced = balance_by_replication(split.train, config.seed)
     params, train_report = mlp.train(
         feature_matrix(balanced, config.field), balanced.goal,
@@ -155,7 +167,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     scenes = SceneTable.load(args.data, config.field, config.dynamics)
     source = f"scene file {args.data}"
     if args.use_test_split:
-        scenes, source = split_dataset(scenes, config.seed).test, f"test split of {source}"
+        scenes = _located(source, split_dataset, scenes, config.seed).test
+        source = f"test split of {source}"
     _require_both_classes(scenes.goal, source)
     scores = mlp.score_batch(params, feature_matrix(scenes, config.field))
     roc = roc_curve(scores, scenes.goal)
@@ -187,7 +200,7 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig,
                                          config.field, config.seed).scenes()
             source = f"--lda-train-scenes {args.lda_train_scenes}"
         _require_both_classes([scene.label is Label.GOAL for scene in scenes], source)
-        return LdaPolicy(lda_train(scenes, config.field), config.field,
+        return LdaPolicy(_located(source, lda_train, scenes, config.field), config.field,
                          config.aim, config.policy)
     return NaiveCenterPolicy(config.field, config.aim, config.policy)
 

@@ -22,7 +22,7 @@ from goalshot.experiment import stats_pair_from_json
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.keeper import KeeperModel
 from goalshot.mlp import TrainConfig
-from goalshot.policies import PolicyConfig
+from goalshot.policies import PolicyConfig, lda_train
 from goalshot.scenes import CSV_HEADER, SceneTable, load_scenes, split_dataset
 
 
@@ -567,6 +567,11 @@ class TestOneClassScenes:
         assert err == (f"error: test split of scene file {all_goal}: both classes must be "
                        "present, got 1 GOAL and 0 NO_GOAL\n")
 
+    def test_stats(self, all_goal, capsys):
+        err = self._error(capsys, "stats", "--data", str(all_goal))
+        assert err == (f"error: scene file {all_goal}: both classes must be present, "
+                       "got 5 GOAL and 0 NO_GOAL\n")
+
     def test_compare_with_data(self, all_goal, tmp_path, capsys):
         log = tmp_path / "episodes.jsonl"
         err = self._error(capsys, "compare", "--policy-a", "lda", "--policy-b", "center",
@@ -580,6 +585,62 @@ class TestOneClassScenes:
                           "--lda-train-scenes", "1")
         assert err in ("error: --lda-train-scenes 1: both classes must be present, "
                        f"got {goals} GOAL and {1 - goals} NO_GOAL\n" for goals in (0, 1))
+
+
+class TestTooFewScenes:
+    """A scene file too small for the command, or whose scenes carry no
+    spread for the lda, fails in one error line that names it."""
+
+    @staticmethod
+    def _error(capsys, *argv):
+        assert main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_train_on_a_header_only_file(self, tmp_path, data_csv, capsys):
+        data = _scene_file(tmp_path / "empty.csv", data_csv, [])
+        model = tmp_path / "model.json"
+        err = self._error(capsys, "train", "--data", str(data), "--model-out", str(model))
+        assert err == f"error: scene file {data}: need at least 4 scenes to split, got 0\n"
+        assert not model.exists()
+
+    def test_eval_of_the_test_split_of_two_scenes(self, tmp_path, data_csv, model_file,
+                                                  capsys):
+        data = _scene_file(tmp_path / "two.csv", data_csv, ["GOAL", "NO_GOAL"])
+        err = self._error(capsys, "eval", "--model", str(model_file), "--data", str(data),
+                          "--use-test-split")
+        assert err == f"error: scene file {data}: need at least 4 scenes to split, got 2\n"
+
+    @pytest.mark.parametrize("labels,message", [([], "need at least one scene"),
+                                                (["GOAL"], "need at least two scenes")],
+                             ids=["no-scene", "one-scene"])
+    def test_stats(self, labels, message, tmp_path, data_csv, capsys):
+        data = _scene_file(tmp_path / "few.csv", data_csv, labels)
+        err = self._error(capsys, "stats", "--data", str(data))
+        assert err == f"error: scene file {data}: {message}\n"
+
+    def test_compare_lda_on_two_scenes_that_differ_only_in_their_label(self, tmp_path,
+                                                                       data_csv, capsys):
+        data, log = tmp_path / "pair.csv", tmp_path / "episodes.jsonl"
+        header, *lines = data_csv.read_text(encoding="utf-8").splitlines()
+        label = CSV_HEADER.index("label")
+        for line in lines:
+            cells = line.split(",")
+            pair = [",".join(cells[:label] + [name] + cells[label + 1:])
+                    for name in ("GOAL", "NO_GOAL")]
+            data.write_text("\n".join([header, *pair]) + "\n", encoding="utf-8")
+            try:
+                lda_train(load_scenes(data), FieldConfig())
+            except ValueError:
+                break
+        else:
+            pytest.fail("every pair gave the lda nonsingular normal equations")
+        err = self._error(capsys, "compare", "--policy-a", "lda", "--policy-b", "center",
+                          "--data", str(data), "--episode-log", str(log))
+        assert err == (f"error: scene file {data}: singular normal equations; "
+                       "features carry no spread\n")
+        assert not log.exists()
 
 
 class TestCompare:

@@ -14,9 +14,12 @@ dataclass field names:
                    that differs from the one that labeled the data
     [gen]       x_min, x_max, y_half_range, keeper_depth_min, ...
 
-A section accepts exactly the int and float fields of its class
-(scalar_fields), and every error in it, from parsing or from the class's
-own checks, names the section. [keeper] is the labeling keeper of the scene
+[run] seed is the run's only seed: it draws the scenes, the split, the
+balancing, the network's initial weights and example order, and every
+experiment stream. A section accepts exactly the int and float fields of
+its class (scalar_fields), and every error in it, from parsing or from the
+class's own checks, names the section. Every error in the file starts with
+"config file <path>: ". [keeper] is the labeling keeper of the scene
 generator, RunConfig.gen.keeper; RunConfig.keeper reads it, and it is also
 the default evaluation keeper. Unknown sections or keys are rejected. A
 command-line flag named like a scalar field of RunConfig, TrainConfig or

@@ -115,7 +115,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _load_config(args)
     table = SceneTable.load(args.data, config.field, config.dynamics)
-    matrix, source = feature_matrix(table, config.field), f"scene file {args.data}"
+    matrix = feature_matrix(table, config.field)
+    source = f"scene file {args.data}"
     stats = _located(source, univariate_stats, matrix)
     if len(table) > 1:  # one scene is one class; feature_relevance says it needs two
         _require_both_classes(table.goal, source)

@@ -124,8 +124,10 @@ def _syntax_error(exc: configparser.Error) -> str:
         return f"line {exc.lineno}: no section header before {exc.line.strip()!r}"
     if isinstance(exc, configparser.ParsingError):
         return f"line {exc.errors[0][0]}: not a section header or a key = value line"
-    # A repeated section or key: "While reading from <path> [line  n]: <what>".
-    return f"line {exc.lineno}: {str(exc).split(']: ', 1)[1]}"
+    # A repeated section or key.
+    option = getattr(exc, "option", None)
+    what = f"option {option!r} in section" if option else "section"
+    return f"line {exc.lineno}: {what} {exc.section!r} already exists"
 
 
 def _load(path: Path) -> RunConfig:

@@ -206,7 +206,10 @@ class TestConfigFile:
     ], ids=["bad-float", "unknown-key", "not-utf8", "repeated-section", "repeated-key",
             "no-section", "no-value", "percent", "default-section"])
     def test_error_names_the_file_once(self, text, message, tmp_path, capsys):
-        path = tmp_path / "bad.ini"
+        # configparser puts the path in its own messages; a "]: " in it
+        # must not cut them.
+        path = tmp_path / "odd]: dir" / "bad.ini"
+        path.parent.mkdir()
         if isinstance(text, bytes):
             path.write_bytes(text)
         else:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .geometry import FieldConfig, Vec2, _require_finite, shot_line
+from .geometry import FieldConfig, Point, Vec2, _require_finite, shot_line
 
 # How far an aim point may sit off the goal line or outside the mouth (m).
 GOAL_LINE_TOLERANCE = 1e-9
@@ -96,20 +96,21 @@ def sigma(d: float, config: AimConfig) -> float:
     return -config.sigma_coefficient * math.log(1.0 - d / config.sigma_horizon)
 
 
-def _ball_half(ball: Vec2, field: FieldConfig, config: AimConfig) -> tuple:
-    """The ball (x, y), then each post relative to it (x, y) and the sigma of
-    its distance. Raises HorizonError beyond the horizon (where within_horizon
-    is false), else ValueError for a ball on or past the goal line."""
+def _ball_half(ball: Point, field: FieldConfig, config: AimConfig) -> tuple:
+    """The ball (x, y) of a Vec2 or a pair, then each post relative to it
+    (x, y) and the sigma of its distance. Raises HorizonError beyond the
+    horizon (where within_horizon is false), else ValueError past the line."""
+    bx, by = ball
     left, right = field.post_left, field.post_right
-    left_x, left_y = left.x - ball.x, left.y - ball.y
-    right_x, right_y = right.x - ball.x, right.y - ball.y
+    left_x, left_y = left.x - bx, left.y - by
+    right_x, right_y = right.x - bx, right.y - by
     _require_finite("Vec2 component", left_x, left_y, right_x, right_y)
     # hypot of the differences is ball.distance_to(post)
     sigma_l = sigma(math.hypot(left_x, left_y), config)
     sigma_r = sigma(math.hypot(right_x, right_y), config)
-    if ball.x >= field.goal_line_x:
+    if bx >= field.goal_line_x:
         raise ValueError("ball must be in front of the goal line")
-    return ball.x, ball.y, left_x, left_y, sigma_l, right_x, right_y, sigma_r
+    return bx, by, left_x, left_y, sigma_l, right_x, right_y, sigma_r
 
 
 def _check_target(target: Vec2, field: FieldConfig) -> None:
@@ -144,10 +145,11 @@ def p_goal(query: ShotQuery, field: FieldConfig, config: AimConfig) -> AimResult
     return AimResult(*_aim_chances(ball_half, (query.target,))[0][2:])
 
 
-def within_horizon(ball: Vec2, field: FieldConfig, config: AimConfig) -> bool:
+def within_horizon(ball: Point, field: FieldConfig, config: AimConfig) -> bool:
     """True when both posts are close enough for the sigma model to apply."""
-    return max(ball.distance_to(field.post_left),
-               ball.distance_to(field.post_right)) < config.sigma_horizon
+    bx, by = ball
+    return max(math.hypot(post.x - bx, post.y - by)
+               for post in (field.post_left, field.post_right)) < config.sigma_horizon
 
 
 def discretize_targets(field: FieldConfig, config: AimConfig) -> list[Vec2]:

@@ -36,8 +36,8 @@ from .geometry import Vec2
 from .metrics import feature_relevance, ks2_curve, roc_curve
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
 from .scenes import (FEATURE_NAMES, Label, SceneTable, balance_by_replication,
-                     feature_matrix, generate_synthetic_scenes, load_scenes, save_scenes,
-                     split_dataset, univariate_stats)
+                     check_generator, feature_matrix, generate_synthetic_scenes, load_scenes,
+                     save_scenes, split_dataset, univariate_stats)
 
 
 def _with_flags(config, args: argparse.Namespace):
@@ -58,10 +58,14 @@ def _with_flags(config, args: argparse.Namespace):
     return config
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: argparse.Namespace, draws: bool = False) -> RunConfig:
     """The config file, or the defaults, with the given flags applied: --seed
-    to the run seed, a run's only seed, the others to [train] and [policy]."""
+    to the run seed, a run's only seed, the others to [train] and [policy].
+    For a command that draws scenes, the generator's checks run here too."""
     config = _with_flags(load_run_config(args.config) if args.config else RunConfig(), args)
+    if draws and args.config:
+        _located(f"config file {args.config}", check_generator, config.gen, config.dynamics,
+                 config.field)
     return replace(config, train=_with_flags(config.train, args),
                    policy=_with_flags(config.policy, args))
 
@@ -103,7 +107,7 @@ def _require_both_classes(goal, source: str) -> None:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args, draws=True)
     table = generate_synthetic_scenes(args.n, config.gen, config.dynamics,
                                       config.field, config.seed)
     save_scenes(table, args.out)
@@ -214,7 +218,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     check_experiment_size(args.games, args.shots)
     if "lda" in (args.policy_a, args.policy_b) and not args.data and args.lda_train_scenes < 1:
         raise ValueError(f"--lda-train-scenes must be >= 1, got {args.lda_train_scenes}")
-    config = _load_config(args)
+    config = _load_config(args, draws=True)
     # The model is checked before the lda reads or labels any scene.
     model = _load_model(args.model) if "mlp" in (args.policy_a, args.policy_b) else None
     policy_a = _make_policy(args.policy_a, args, config, model)

@@ -1,48 +1,40 @@
 """Policy-vs-policy shot experiments and aggregate match reports.
 
 A "game" is a bundle of shot episodes. In an experiment both policies face
-the identical seeded stream of scenes, and each episode seeds its noise
-from the (experiment seed, game, shot) triple, so two policies, or two
-runs, see exactly the same world and differ only through their decisions.
+the identical seeded stream of scenes and read the same noise in each
+episode (common random numbers), so two policies, or two runs, see exactly
+the same world and differ only through their decisions.
 
 The stream contract:
 
-- A game's scenes come from the scene stream alone, with label None:
+- A game's scenes come from the scene stream alone, unlabelled:
   scenes.draw_scenes, seeded with the first word of
-  SeedSequence([seed, game, _SCENE_STREAM]) and read through a
-  dynamics.BlockUniforms: the stream's uniforms in order, 256 per numpy
-  call, the defender count and the time from one uniform each. No
-  labelling shot is simulated, so the labelling keeper (gen_config.keeper,
-  [keeper]) plays no part in a game; the keeper argument resolves the
-  kicks.
+  SeedSequence([seed, game, _SCENE_STREAM]), reads its uniforms in blocks.
+  No labelling shot is simulated, so the labelling keeper
+  (gen_config.keeper, [keeper]) plays no part in a game; the keeper
+  argument resolves the kicks.
 - Label noise is drawn only where a label is read: gen-data, and compare's
   LDA fit without --data (lda_training_scenes: scenes.generate_synthetic_scenes,
   seeded with the first word of SeedSequence([seed, _LDA_SCENE_STREAM])).
-- Both sides share an episode's noise (common random numbers): each
-  side's kick reads the same values, in the same order.
 - A game draws its episodes' noise up front, from one generator on
   SeedSequence([seed, game, _GAME_NOISE_STREAM]): a (shots, 2 * HEAD_STEPS)
-  block of uniforms, then one of standard normals. Shot k's flight reads
-  row k of each, a row turned into floats only when a kick reads it. The
-  ball takes two uniforms per step and the pursuing keeper two normals, so
-  a row covers HEAD_STEPS steps of each.
+  block of uniforms, then one of standard normals, as lists of floats.
+  Shot k's flight reads row k of each: the ball takes two uniforms per step
+  and the pursuing keeper two normals, so a row covers HEAD_STEPS steps.
 - A flight that reads past its row goes on in the shot's tail, drawn from
   a generator on SeedSequence([seed, game, shot, _EPISODE_STREAM]), built
   only then: 2 * HEAD_STEPS uniforms, then as many normals, at a time. So
   the i-th value of each kind is the same whichever kind a flight runs out
   of first, and both sides read identical values whatever their targets.
 
-Decisions never depend on outcomes, so each policy decides all of a game's
-scenes in one decide_all batch before any shot is resolved: the MLP scores
-the game's survivor rows in one call, and the second policy reuses the
-stage one the first computed for the game's balls (policies._stage_one,
-keyed on the tuple of balls). An error in a decision therefore raises
-before the game's first episode-log line. The two sides of a shot share its
-noise, so a kick both policies take at the same target has one outcome,
-simulated once. Per-game goal totals decide win/loss/draw. The per-game
-counts stay Python ints until one (4, games) array reduces them to the
-means and stds. Each episode-log line, and the JSON report, is written as
-the text json.dumps gives for its record, from f-strings.
+A game runs on plain floats from draw to kick: each policy decides the
+rows draw_scenes gives (scenes.SceneRow) in one batch, the second reusing
+the first's stage one (policies._stage_one), and a kick hands the rows'
+(x, y) pairs to keeper.simulate_shot, so a game builds no KickScene and no
+Vec2. Per-game goal totals decide win/loss/draw. The per-game counts stay
+Python ints until one (4, games) array reduces them to the means and stds.
+Each episode-log line, and the JSON report, is the text json.dumps gives
+for its record, written from f-strings.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from itertools import chain, count
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,7 +52,8 @@ from .geometry import FieldConfig
 from .keeper import (DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult,
                      simulate_shot)
 from .policies import Action, KickDecision, Policy
-from .scenes import GeneratorConfig, KickScene, SceneTable, draw_scenes, generate_synthetic_scenes
+from .scenes import (GeneratorConfig, SceneRow, SceneTable, ball_of, draw_scenes,
+                     generate_synthetic_scenes, keeper_of, power_of, velocity_of)
 
 __all__ = [
     "KeeperModel", "ShotResult", "EpisodeOutcome", "MatchStats", "check_report_format",
@@ -77,8 +70,7 @@ _GAME_NOISE_STREAM = 4
 HEAD_STEPS = 16
 
 
-@dataclass(frozen=True)
-class EpisodeOutcome:
+class EpisodeOutcome(NamedTuple):
     kicked: bool
     result: ShotResult
     steps: int
@@ -110,13 +102,11 @@ class ShotNoise:
     normals, then the shot's tail (module docstring). The tail generator is
     built on the first value past the row."""
 
-    def __init__(self, uniforms: np.ndarray, normals: np.ndarray, tail_entropy: list[int]):
+    def __init__(self, uniforms: list[float], normals: list[float], tail_entropy: list[int]):
         self._tail_entropy = tail_entropy
         self._tail: list[tuple[list[float], list[float]]] = []
-        self.random = chain(uniforms.tolist(),
-                            chain.from_iterable(self._tail_blocks(0))).__next__
-        self.standard_normal = chain(normals.tolist(),
-                                     chain.from_iterable(self._tail_blocks(1))).__next__
+        self.random = chain(uniforms, chain.from_iterable(self._tail_blocks(0))).__next__
+        self.standard_normal = chain(normals, chain.from_iterable(self._tail_blocks(1))).__next__
 
     def _tail_blocks(self, kind: int):
         """The tail's blocks of one kind (0 uniforms, 1 normals), each pair
@@ -135,8 +125,8 @@ class GameNoise:
 
     def __init__(self, seed: int, game: int, shots: int):
         rng = np.random.default_rng(np.random.SeedSequence([seed, game, _GAME_NOISE_STREAM]))
-        self.uniforms = rng.random((shots, 2 * HEAD_STEPS))
-        self.normals = rng.standard_normal((shots, 2 * HEAD_STEPS))
+        self.uniforms = rng.random((shots, 2 * HEAD_STEPS)).tolist()
+        self.normals = rng.standard_normal((shots, 2 * HEAD_STEPS)).tolist()
         self._seed, self._game = seed, game
 
     def shot(self, shot: int) -> ShotNoise:
@@ -145,18 +135,19 @@ class GameNoise:
                          [self._seed, self._game, shot, _EPISODE_STREAM])
 
 
-def _resolve(decision: KickDecision, scene: KickScene, keeper: KeeperModel,
+def _resolve(decision: KickDecision, row: SceneRow, keeper: KeeperModel,
              dynamics: DynamicsConfig, field: FieldConfig, noise: GameNoise, shot: int,
              defender_catch_radius: float) -> EpisodeOutcome:
     """Simulate the decision's kick, if any, on a reader of the shot's
     noise; the reader is built only for a kick."""
     if decision.action is not Action.KICK:
         return _NO_KICK_OUTCOME
+    values, defenders = row
     result, steps = simulate_shot(
-        scene.ball, scene.ball_velocity, decision.target, scene.kick_power,
-        scene.keeper, scene.defenders, keeper, dynamics, field,
+        ball_of(values), velocity_of(values), decision.target, power_of(values),
+        keeper_of(values), defenders, keeper, dynamics, field,
         noise.shot(shot), defender_catch_radius)
-    return EpisodeOutcome(kicked=True, result=result, steps=steps)
+    return EpisodeOutcome(True, result, steps)
 
 
 def lda_training_scenes(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
@@ -205,15 +196,16 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
     """Paired experiment: both policies face the same scenes and noise.
 
     Each policy decides a game's scenes in one decide_all call before any
-    of them is resolved. Each shot reads its own row of the game's noise and
-    its own tail, so episodes are mutually independent and could be resolved
-    in any order; results are reduced in (game, shot) order. Both sides of a
-    shot read the same noise, so when their decisions agree (the same action
-    and target) the second side reuses the first side's outcome instead of
-    simulating the same kick again. With episode_log set, one JSON line is
-    written per episode, side a first, byte-equal to json.dumps of the
-    record (game, shot, policy name or policy_<side>, kicked, result,
-    steps).
+    of them is resolved (decisions never depend on outcomes), so an error in
+    a decision raises before the game's first episode-log line. Each shot
+    reads its own row of the game's noise and its own tail, so episodes are
+    mutually independent and could be resolved in any order; results are
+    reduced in (game, shot) order. Both sides of a shot read the same
+    noise, so when their decisions agree (the same action and target) the
+    second side reuses the first side's outcome instead of simulating the
+    same kick again. With episode_log set, one JSON line is written per
+    episode, side a first, byte-equal to json.dumps of the record (game,
+    shot, policy name or policy_<side>, kicked, result, steps).
     """
     check_experiment_size(games, shots_per_game)
     policies = (policy_a, policy_b)
@@ -227,19 +219,19 @@ def run_experiment(policy_a: Policy, policy_b: Policy, games: int,
     for game in range(games):
         scene_seed = int(np.random.SeedSequence(
             [seed, game, _SCENE_STREAM]).generate_state(1)[0])
-        scenes = draw_scenes(shots_per_game, gen_config, dynamics, field, scene_seed)
-        decisions = zip(*(policy.decide_all(scenes) for policy in policies), strict=True)
+        rows = draw_scenes(shots_per_game, gen_config, dynamics, field, scene_seed)
+        decisions = zip(*(policy.decide_all(rows) for policy in policies), strict=True)
         noise = GameNoise(seed, game, shots_per_game)
         game_kicks = [0, 0]
         game_goals = [0, 0]
-        for shot, (scene, pair) in enumerate(zip(scenes, decisions, strict=True)):
+        for shot, (row, pair) in enumerate(zip(rows, decisions, strict=True)):
             outcomes: dict[tuple, EpisodeOutcome] = {}
             for side, decision in enumerate(pair):
                 key = (decision.action, decision.target)
                 outcome = outcomes.get(key)
                 if outcome is None:
                     outcome = outcomes[key] = _resolve(
-                        decision, scene, keeper, dynamics, field, noise, shot,
+                        decision, row, keeper, dynamics, field, noise, shot,
                         defender_catch_radius)
                 game_kicks[side] += outcome.kicked
                 game_goals[side] += outcome.result is ShotResult.GOAL

@@ -28,7 +28,8 @@ class Vec2:
     y: float
 
     def __post_init__(self) -> None:
-        _require_finite("Vec2 component", self.x, self.y)
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            _require_finite("Vec2 component", self.x, self.y)
 
     def __iter__(self) -> Iterator[float]:
         """x, then y: a Vec2 unpacks like an (x, y) pair."""
@@ -61,6 +62,9 @@ class Vec2:
     @staticmethod
     def from_angle(angle: float, length: float = 1.0) -> Vec2:
         return Vec2(math.cos(angle) * length, math.sin(angle) * length)
+
+
+Point = Vec2 | tuple[float, float]  # what the float kernels read: it unpacks to x, y
 
 
 @dataclass(frozen=True)

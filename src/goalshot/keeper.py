@@ -9,9 +9,8 @@ before crossing the goal line; checking the whole segment rather than the
 endpoint keeps a fast ball from tunneling through a player's reach. A ball
 that dies en route also counts as caught: the keeper collects it.
 Otherwise the crossing lateral decides goal vs wide. The shot runs on the
-step loop of `dynamics`, keeper and defenders as plain floats. Its points
-are (x, y) pairs: a caller that holds floats passes tuples and builds no
-Vec2, and a Vec2 unpacks like a pair.
+step loop of `dynamics`, keeper and defenders as plain floats, and reads
+its points as (x, y) pairs (geometry.Point), so a caller builds no Vec2.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ from typing import Iterable
 import numpy as np
 
 from .dynamics import _CROSSED, MAX_STEPS, DynamicsConfig, _fly, kick_components
-from .geometry import FieldConfig, Vec2, _require_finite
+from .geometry import FieldConfig, Point, _require_finite
 
 DEFAULT_DEFENDER_CATCH_RADIUS = 1.0
-# A point as simulate_shot reads it: anything that unpacks to x, y.
-Point = Vec2 | tuple[float, float]
 
 
 class ShotResult(enum.Enum):
@@ -61,8 +58,7 @@ def simulate_shot(ball: Point, ball_velocity: Point, target: Point, power: float
                   field: FieldConfig, rng: np.random.Generator | None,
                   defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS
                   ) -> tuple[ShotResult, int]:
-    """Kick the ball at the target and resolve the episode. Each point is
-    read as an (x, y) pair: a Vec2 or a tuple of floats.
+    """Kick the ball at the target and resolve the episode.
 
     Returns the outcome and the number of steps simulated, at most MAX_STEPS.
     Deterministic for a given rng state; rng may be anything with a

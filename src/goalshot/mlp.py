@@ -182,7 +182,6 @@ class _Backprop:
             start += n + 1
         deltas = [np.empty(n) for n in sizes[1:]]
         top = len(blocks) - 1
-        self.mse_scale = 2.0 / sizes[-1]
         self.output, self.output_delta = outputs[top], deltas[top]
         # None for the input: the row of each step.
         self.layers = tuple((a, block, None if len(z) > 1 else block[-1], z)
@@ -207,10 +206,10 @@ class _Backprop:
             np.tanh(z, z)
         np.multiply(self.activations, self.activations, out=self.slopes)
         np.subtract(1.0, self.slopes, out=self.slopes)
-        # d/d_out of mean((out - t)^2), then back through tanh at each layer.
+        # d/d_out of mean((out - t)^2) over the two outputs, 2 / 2 * (out - t),
+        # then back through tanh at each layer.
         delta = self.output_delta
         np.subtract(self.output, target, out=delta)
-        np.multiply(self.mse_scale, delta, out=delta)
         for delta, slope, column, grad_block, weights, below in self.down:
             np.multiply(delta, slope, out=delta)
             np.multiply(column, delta, out=grad_block)

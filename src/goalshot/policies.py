@@ -1,24 +1,20 @@
 """Shot policies behind one decide_all() interface.
 
 A policy decides a batch of scenes at once, as the scenes of one game:
-decisions never depend on outcomes. The thresholded policies run one
-two-stage routine. Stage one discretizes the goal into aim points and keeps
-those whose analytic goal-entry probability clears p_goal_threshold, each
-kept with its shot line (the target relative to the ball, its distance and
-unit direction). Stage two ranks the survivors from those lines (the MLP
-policy by neural score, the LDA baseline by a two-variable linear
-discriminant) and kicks at the best one if it clears the ranker's bar; only
-the MLP's decision keeps its rank as neural_score. The MLP stacks every
-survivor row of the batch, each scene's base row with that survivor's
-target columns, into one array and scores it in one score_batch call; a
-batch with no survivor makes no call. Stage one, which depends only on the
-ball and the configs, runs once per ball and is kept for the last batch,
-keyed on its tuple of balls, so a second policy deciding the same scenes
-(as in a paired experiment) reuses it. A scene that fails a check raises
-for its whole batch, before any decision is returned, so an experiment
-raises before the game's first episode-log line. Deciding one scene is the
-batch of one. The naive reference has no stages; it always shoots at the
-goal center.
+decisions never depend on outcomes. A batch is a list of scene rows
+(scenes.SceneRow); decide takes one checked KickScene and decides the batch
+of its row. The thresholded policies run one two-stage routine. Stage one
+keeps the aim points whose analytic goal-entry probability clears
+p_goal_threshold, each with its shot line (the target relative to the
+ball, its distance and unit direction). Stage two ranks the survivors from
+those lines (the MLP policy by neural score, all of a batch's survivor
+rows in one score_batch call; the LDA baseline by a two-variable linear
+discriminant) and kicks at the best one if it clears the ranker's bar.
+Stage one depends only on the ball and the configs and is kept for the
+last batch, so a second policy deciding the same scenes reuses it. A scene
+that fails a check raises for its whole batch, before any decision is
+returned. The naive reference has no stages; it always shoots at the goal
+center.
 """
 
 from __future__ import annotations
@@ -36,10 +32,11 @@ import numpy as np
 from . import mlp
 from .aim import (AimConfig, HorizonError, _aim_chances, _aim_points, _ball_half,
                   p_goal, within_horizon)  # noqa: F401
-from .geometry import FieldConfig, Vec2
+from .geometry import FieldConfig, Point, Vec2
 from .mlp import MlpParams, forward  # noqa: F401
-from .scenes import (FEATURE_NAMES, KickScene, Label, features_by_target,
-                     set_target_columns, extract_features)  # noqa: F401
+from .scenes import (FEATURE_NAMES, KickScene, Label, SceneRow, ball_of, keeper_of,
+                     scene_features, scene_row, set_target_columns,
+                     extract_features)  # noqa: F401
 
 
 class Action(enum.Enum):
@@ -92,7 +89,7 @@ class LdaModel:
                 + self.weight_angle * keeper_angle + self.bias)
 
 
-def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
+def stage_one_survivors(ball: Point, field: FieldConfig, aim_config: AimConfig,
                         policy_config: PolicyConfig) -> list[tuple[Vec2, float, tuple]]:
     """(target, p_goal, shot line) of each aim point passing the analytic
     filter; shared by all thresholded policies. Raises HorizonError beyond
@@ -105,13 +102,12 @@ def stage_one_survivors(ball: Vec2, field: FieldConfig, aim_config: AimConfig,
 
 # The last batch's stage ones, as [(key, stage ones)]: a one-entry cache
 # whose key is compared by equality, not hashed. A paired decision passes
-# the very config and ball objects of the call before it, which compare by
-# identity, where hashing would run the three configs' generated Python
-# __hash__ on every call.
+# the very configs and ball floats of the call before it, which compare by
+# identity, where hashing would run the configs' Python __hash__ each call.
 _stage_one_memo: list[tuple[tuple, tuple[tuple | None, ...]]] = []
 
 
-def _stage_one(balls: tuple[Vec2, ...], field: FieldConfig, aim_config: AimConfig,
+def _stage_one(balls: tuple[Point, ...], field: FieldConfig, aim_config: AimConfig,
                policy_config: PolicyConfig) -> tuple[tuple | None, ...]:
     """The horizon gate and stage one of each ball of a batch: None beyond
     the horizon, else the survivors. Every argument is a frozen value, so
@@ -123,8 +119,7 @@ def _stage_one(balls: tuple[Vec2, ...], field: FieldConfig, aim_config: AimConfi
     stage_ones = []
     for ball in balls:
         try:
-            stage_ones.append(tuple(stage_one_survivors(ball, field, aim_config,
-                                                        policy_config)))
+            stage_ones.append(tuple(stage_one_survivors(ball, field, aim_config, policy_config)))
         except HorizonError:
             stage_ones.append(None)
     stage_ones = tuple(stage_ones)
@@ -132,18 +127,18 @@ def _stage_one(balls: tuple[Vec2, ...], field: FieldConfig, aim_config: AimConfi
     return stage_ones
 
 
-def _two_stage(scenes: Sequence[KickScene], field: FieldConfig, aim_config: AimConfig,
+def _two_stage(rows: Sequence[SceneRow], field: FieldConfig, aim_config: AimConfig,
                policy_config: PolicyConfig,
-               rank: Callable[[Sequence[KickScene], tuple], list[float]], bar: float,
+               rank: Callable[[Sequence[SceneRow], tuple], list[float]], bar: float,
                keep_score: bool) -> list[KickDecision]:
-    """Per scene, kick at the stage-one survivor with the largest rank above
+    """Per row, kick at the stage-one survivor with the largest rank above
     bar, kept as neural_score when keep_score is set; ties go to the target
     nearest the goal center, then to the smaller lateral coordinate.
-    rank(scenes, stage_ones) values the survivors of every scene that has
-    any, in one flat list, scene after scene; it is not called when none has."""
-    stage_ones = _stage_one(tuple([scene.ball for scene in scenes]), field, aim_config,
+    rank(rows, stage_ones) values the survivors of every row that has any,
+    in one flat list, row after row; it is not called when none has."""
+    stage_ones = _stage_one(tuple([ball_of(values) for values, _ in rows]), field, aim_config,
                             policy_config)
-    values = rank(scenes, stage_ones) if any(stage_ones) else []
+    values = rank(rows, stage_ones) if any(stage_ones) else []
     decisions = []
     start = 0
     for survivors in stage_ones:
@@ -169,43 +164,44 @@ def _two_stage(scenes: Sequence[KickScene], field: FieldConfig, aim_config: AimC
     return decisions
 
 
-def mlp_policy_decide_all(scenes: Sequence[KickScene], model: MlpParams, field: FieldConfig,
+def mlp_policy_decide_all(rows: Sequence[SceneRow], model: MlpParams, field: FieldConfig,
                           aim_config: AimConfig,
                           policy_config: PolicyConfig) -> list[KickDecision]:
     """Two-stage decisions: analytic p_goal filter, then best neural score,
     with every survivor row of the batch scored in one call. score_batch
     gives each row the bits of a one-row call, so each decision is the one
     its scene gets alone."""
-    def rank(scenes: Sequence[KickScene], stage_ones: tuple) -> list[float]:
-        rows = np.empty((sum(map(len, filter(None, stage_ones))), len(FEATURE_NAMES)))
+    def rank(rows: Sequence[SceneRow], stage_ones: tuple) -> list[float]:
+        features = np.empty((sum(map(len, filter(None, stage_ones))), len(FEATURE_NAMES)))
         targets = []
         start = 0
-        for scene, survivors in zip(scenes, stage_ones):
+        for (values, defenders), survivors in zip(rows, stage_ones):
             if survivors:
-                base, terms = features_by_target(scene, field)
-                rows[start:start + len(survivors)] = base
+                base, terms = scene_features(values, defenders, field)
+                features[start:start + len(survivors)] = base
                 start += len(survivors)
                 targets += [terms(target.y, line) for target, _, line in survivors]
-        return mlp.score_batch(model, set_target_columns(rows, targets)).tolist()
-    return _two_stage(scenes, field, aim_config, policy_config, rank,
+        return mlp.score_batch(model, set_target_columns(features, targets)).tolist()
+    return _two_stage(rows, field, aim_config, policy_config, rank,
                       policy_config.score_threshold, True)
 
 
 def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
-    """mlp_policy_decide_all of the one scene."""
-    return mlp_policy_decide_all((scene,), model, field, aim_config, policy_config)[0]
+    """mlp_policy_decide_all of the one scene's row."""
+    return mlp_policy_decide_all((scene_row(scene),), model, field, aim_config, policy_config)[0]
 
 
-def _lda_inputs(ball: Vec2, keeper: Vec2, lines: Iterable[tuple]) -> tuple[float, list[float]]:
+def _lda_inputs(ball: Point, keeper: Point, lines: Iterable[tuple]) -> tuple[float, list[float]]:
     """The discriminant's two variables: the keeper's distance to the ball
     and, per shot line, the angle at the ball between the keeper and the
     line's target. A line is read only as its first two items (dx, dy), the
     target relative to the ball, finite and at least 1e-12 long as a
     geometry.shot_line is. The angles are 0.0 where the keeper's offset is
     not finite or shorter than 1e-12."""
-    kdx, kdy = keeper.x - ball.x, keeper.y - ball.y
+    (bx, by), (kx, ky) = ball, keeper
+    kdx, kdy = kx - bx, ky - by
     distance = math.hypot(kdx, kdy)
     if not (math.isfinite(kdx) and math.isfinite(kdy)) or distance < 1e-12:
         return distance, [0.0 for _ in lines]
@@ -240,47 +236,45 @@ def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
                     bias=float(w[2]))
 
 
-def lda_policy_decide_all(scenes: Sequence[KickScene], model: LdaModel, field: FieldConfig,
+def lda_policy_decide_all(rows: Sequence[SceneRow], model: LdaModel, field: FieldConfig,
                           aim_config: AimConfig,
                           policy_config: PolicyConfig) -> list[KickDecision]:
     """Same two stages, ranked by the discriminant with bar 0; no neural score."""
-    def rank(scenes: Sequence[KickScene], stage_ones: tuple) -> list[float]:
+    def rank(rows: Sequence[SceneRow], stage_ones: tuple) -> list[float]:
         weight_angle, bias, shot_line_of = model.weight_angle, model.bias, itemgetter(2)
-        values = []
-        for scene, survivors in zip(scenes, stage_ones):
+        ranks = []
+        for (values, _), survivors in zip(rows, stage_ones):
             if survivors:
-                distance, angles = _lda_inputs(scene.ball, scene.keeper,
+                distance, angles = _lda_inputs(ball_of(values), keeper_of(values),
                                                map(shot_line_of, survivors))
                 # model.discriminant(distance, angle), its distance term once per scene
                 near = model.weight_distance * distance
-                values += [near + weight_angle * angle + bias for angle in angles]
-        return values
-    return _two_stage(scenes, field, aim_config, policy_config, rank, 0.0, False)
+                ranks += [near + weight_angle * angle + bias for angle in angles]
+        return ranks
+    return _two_stage(rows, field, aim_config, policy_config, rank, 0.0, False)
 
 
 def lda_policy_decide(scene: KickScene, model: LdaModel, field: FieldConfig,
                       aim_config: AimConfig,
                       policy_config: PolicyConfig) -> KickDecision:
-    """lda_policy_decide_all of the one scene."""
-    return lda_policy_decide_all((scene,), model, field, aim_config, policy_config)[0]
+    """lda_policy_decide_all of the one scene's row."""
+    return lda_policy_decide_all((scene_row(scene),), model, field, aim_config, policy_config)[0]
 
 
 def naive_center_policy(scene: KickScene, field: FieldConfig,
                         aim_config: AimConfig,
                         policy_config: PolicyConfig) -> KickDecision:
     """Reference floor: always kick at the goal center while in range."""
-    if not within_horizon(scene.ball, field, aim_config):
-        return _OUT_OF_RANGE
-    return KickDecision(Action.KICK, target=field.goal_center)
+    return NaiveCenterPolicy(field, aim_config, policy_config).decide_all([scene_row(scene)])[0]
 
 
 class Policy(Protocol):
-    """A named policy deciding a batch of scenes: one decision per scene, in
-    order."""
+    """A named policy deciding a batch of scene rows: one decision per row,
+    in order."""
 
     name: str
 
-    def decide_all(self, scenes: Sequence[KickScene]) -> list[KickDecision]: ...
+    def decide_all(self, rows: Sequence[SceneRow]) -> list[KickDecision]: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +289,8 @@ class MlpPolicy:
         return mlp_policy_decide(scene, self.model, self.field, self.aim_config,
                                  self.policy_config)
 
-    def decide_all(self, scenes: Sequence[KickScene]) -> list[KickDecision]:
-        return mlp_policy_decide_all(scenes, self.model, self.field, self.aim_config,
+    def decide_all(self, rows: Sequence[SceneRow]) -> list[KickDecision]:
+        return mlp_policy_decide_all(rows, self.model, self.field, self.aim_config,
                                      self.policy_config)
 
 
@@ -312,8 +306,8 @@ class LdaPolicy:
         return lda_policy_decide(scene, self.model, self.field, self.aim_config,
                                  self.policy_config)
 
-    def decide_all(self, scenes: Sequence[KickScene]) -> list[KickDecision]:
-        return lda_policy_decide_all(scenes, self.model, self.field, self.aim_config,
+    def decide_all(self, rows: Sequence[SceneRow]) -> list[KickDecision]:
+        return lda_policy_decide_all(rows, self.model, self.field, self.aim_config,
                                      self.policy_config)
 
 
@@ -328,5 +322,7 @@ class NaiveCenterPolicy:
         return naive_center_policy(scene, self.field, self.aim_config,
                                    self.policy_config)
 
-    def decide_all(self, scenes: Sequence[KickScene]) -> list[KickDecision]:
-        return [self.decide(scene) for scene in scenes]
+    def decide_all(self, rows: Sequence[SceneRow]) -> list[KickDecision]:
+        kick = KickDecision(Action.KICK, target=self.field.goal_center)
+        return [kick if within_horizon(ball_of(values), self.field, self.aim_config)
+                else _OUT_OF_RANGE for values, _ in rows]

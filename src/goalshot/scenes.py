@@ -3,30 +3,22 @@ synthetic labeled-scene generator.
 
 A scene is the world snapshot at the moment of a shot: ball, attacker,
 keeper, up to ten field defenders, the kick parameters, and the eventual
-outcome. Scenes are persisted as CSV (one scene per row, see CSV_HEADER)
-and turned into the canonical 22-value feature vector consumed by the
-neural scorer.
-
-A batch of scenes is a `SceneTable`: time as Python ints, the twelve
-scalar columns in float64, the defenders as an (n, 10, 2) array with a
-count per row, and a GOAL mask. `SceneTable.load` reads one from CSV, each
-value the float its cell parses to, `generate_synthetic_scenes` draws one
-and labels each scene with a shot, and `save_scenes` writes one; the
-dataset layer (split, balance, features, statistics) takes one. Past the
-table the label is the GOAL mask: training and the metrics take it. A
-`KickScene` is the one-scene view that a policy decides on;
-`SceneTable.scenes()` gives the rows as KickScenes, the mask mapped back to
-`Label`. `draw_scenes` draws scenes from the generator's kernel as
-KickScenes that no shot has labelled (label None), for an experiment to
-resolve. It reads its uniforms in blocks (dynamics.BlockUniforms), where
-the generator, whose labelling shots draw from the same stream, keeps
-scalar draws.
-`scene_features` is the one feature kernel, on plain floats: a scene's
-base row and, for an aim point's shot line (geometry.shot_line, which the
-MLP policy reuses from stage one), the values of the seven TARGET_COLUMNS.
-It builds every feature row: a scene's (`extract_features`), a survivor's
-(the MLP policy) and a table row's (`feature_matrix`, 9 to 17 us a row on
-a 2-core x86-64 VM), so a row has the same bits, and a bad row the same
+outcome. A batch of scenes is a `SceneTable`: time as Python ints, the
+twelve SCALAR_COLUMNS in float64, the defenders as an (n, 10, 2) array
+with a count per row, and a GOAL mask, the label past the table.
+`SceneTable.load` reads one from CSV (CSV_HEADER), each value the float its
+cell parses to, `generate_synthetic_scenes` draws one and labels each
+scene with a shot, `save_scenes` writes one, and the dataset layer (split,
+balance, features, statistics) takes one. `draw_scenes` gives an
+experiment the unlabelled rows of the generator's kernel (`SceneRow`: the
+SCALAR_COLUMNS values and the (x, y) defenders), checked once when drawn;
+other modules read a row through `ball_of`, `velocity_of`, `keeper_of` and
+`power_of`, so the layout stays here. A `KickScene` is the checked
+one-scene view at the edge (`scene_row` gives its row; `SceneTable.scenes()`
+gives a table's). `scene_features` is the one feature kernel, on plain
+floats: it builds every row of the canonical 22 features, a scene's
+(`extract_features`), a survivor's (the MLP policy) and a table row's
+(`feature_matrix`), so a row has the same bits, and a bad row the same
 error, wherever it is built.
 """
 
@@ -58,9 +50,8 @@ class Label(enum.Enum):
 
 @dataclass(frozen=True)
 class KickScene:
-    """One shot situation, the one-scene view that a policy decides on
-    (SceneTable.scenes() gives a table's rows as KickScenes). `label` is
-    None for scenes still to be resolved."""
+    """One shot situation, checked: the one-scene view that a policy's
+    decide takes. `label` is None for scenes still to be resolved."""
 
     time: int
     ball: Vec2
@@ -177,12 +168,6 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
     return base, terms
 
 
-def features_by_target(scene: KickScene, field: FieldConfig
-                       ) -> tuple[list[float], Callable[[float, tuple], tuple[float, ...]]]:
-    """scene_features of a KickScene."""
-    return scene_features(_scalars(scene), [(d.x, d.y) for d in scene.defenders], field)
-
-
 def extract_features(scene: KickScene, field: FieldConfig) -> np.ndarray:
     """Canonical 22-feature view of a scene, a float64 (22,) array in
     FEATURE_NAMES order.
@@ -192,7 +177,7 @@ def extract_features(scene: KickScene, field: FieldConfig) -> np.ndarray:
     extremes: field_length for distances, penalty_area_width for offsets.
     """
     ball, target = scene.ball, scene.target
-    base, terms = features_by_target(scene, field)
+    base, terms = scene_features(*scene_row(scene), field)
     row = np.array(base)
     row[_TARGET_INDEX] = terms(target.y, shot_line(target.x - ball.x, target.y - ball.y))
     return row
@@ -236,11 +221,20 @@ SCALAR_COLUMNS: tuple[str, ...] = _BASE_COLUMNS[1:13]
 _LABELS = (Label.GOAL.value, Label.NO_GOAL.value)
 
 
-def _scalars(scene: KickScene) -> list[float]:
-    """The scene's SCALAR_COLUMNS values."""
-    return [scene.ball.x, scene.ball.y, scene.ball_velocity.x, scene.ball_velocity.y,
-            scene.attacker.x, scene.attacker.y, scene.attacker_body_angle,
-            scene.keeper.x, scene.keeper.y, scene.kick_power, scene.target.x, scene.target.y]
+# A scene as plain floats, and the accessors of its values' points and power.
+SceneRow = tuple[list[float], list[tuple[float, float]]]
+ball_of = itemgetter(0, 1)
+velocity_of = itemgetter(2, 3)
+keeper_of = itemgetter(7, 8)
+power_of = itemgetter(9)
+
+
+def scene_row(scene: KickScene) -> SceneRow:
+    """The scene's row."""
+    return ([scene.ball.x, scene.ball.y, scene.ball_velocity.x, scene.ball_velocity.y,
+             scene.attacker.x, scene.attacker.y, scene.attacker_body_angle,
+             scene.keeper.x, scene.keeper.y, scene.kick_power, scene.target.x, scene.target.y],
+            [(d.x, d.y) for d in scene.defenders])
 
 
 def save_scenes(table: SceneTable, path: str | Path) -> None:
@@ -557,29 +551,42 @@ class GeneratorConfig:
                 raise ValueError(f"sampling range [{lo!r}, {hi!r}] is too wide")
 
 
-def _scene_draws(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
-                 field: FieldConfig, rng: np.random.Generator | BlockUniforms
-                 ) -> Iterator[tuple[list[float], list[tuple[float, float]]]]:
-    """The generator's kernel: check the sampling region against the field
-    and the dynamics, then draw n scenes from rng on plain floats, each as
-    its SCALAR_COLUMNS values and its (x, y) defenders. rng is read only
-    through random() and integers(low, high), so it may be a Generator or a
-    BlockUniforms. A scene is drawn when the caller asks for it, so what the
-    caller draws from rng between two scenes (a labelling shot, then the
-    time) comes in that order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    g = gen_config
-    half_goal = field.goal_width / 2
-    if g.x_max >= field.goal_line_x:
-        raise ValueError("ball sampling region reaches the goal line")
-    if g.x_min <= -field.field_length / 2 or g.y_half_range > field.field_width / 2:
-        raise ValueError("ball sampling region leaves the field")
-    if g.target_margin >= half_goal:
-        raise ValueError("target_margin leaves no goal mouth to aim at")
+def check_generator(gen_config: GeneratorConfig, dynamics: DynamicsConfig,
+                    field: FieldConfig) -> None:
+    """The checks of gen_config against the field and the dynamics, each
+    error naming the config keys."""
+    g, goal_x, region = gen_config, field.goal_line_x, "ball sampling region"
+    if g.x_max >= goal_x:
+        raise ValueError(f"{region} reaches the goal line: [gen] x_max {g.x_max!r} >= "
+                         f"[field] field_length / 2 = {goal_x!r}")
+    if g.x_min <= -goal_x:
+        raise ValueError(f"{region} leaves the field: [gen] x_min {g.x_min!r} <= "
+                         f"-[field] field_length / 2 = {-goal_x!r}")
+    if g.y_half_range > field.field_width / 2:
+        raise ValueError(f"{region} leaves the field: [gen] y_half_range {g.y_half_range!r} > "
+                         f"[field] field_width / 2 = {field.field_width / 2!r}")
+    if g.target_margin >= field.goal_width / 2:
+        raise ValueError(f"no goal mouth to aim at: [gen] target_margin {g.target_margin!r} >= "
+                         f"[field] goal_width / 2 = {field.goal_width / 2!r}")
     if g.kick_power_max > dynamics.max_power:
         raise ValueError(f"[gen] kick_power_max {g.kick_power_max!r} exceeds "
                          f"[dynamics] max_power {dynamics.max_power!r}")
+
+
+def _scene_draws(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
+                 field: FieldConfig, rng: np.random.Generator | BlockUniforms
+                 ) -> Iterator[SceneRow]:
+    """The generator's kernel: check_generator, then draw n scenes from rng
+    on plain floats, as rows. rng is read only through random() and
+    integers(low, high), so it may be a Generator or a BlockUniforms. A
+    scene is drawn when the caller asks for it, so what the caller draws
+    from rng between two scenes (a labelling shot, then the time) comes in
+    that order."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    g = gen_config
+    check_generator(g, dynamics, field)
+    half_goal = field.goal_width / 2
 
     random = rng.random
 
@@ -645,20 +652,18 @@ def generate_synthetic_scenes(n: int, gen_config: GeneratorConfig,
 
 
 def draw_scenes(n: int, gen_config: GeneratorConfig, dynamics: DynamicsConfig,
-                field: FieldConfig, seed: int) -> list[KickScene]:
-    """n scenes still to be resolved (label None); deterministic per seed.
+                field: FieldConfig, seed: int) -> list[SceneRow]:
+    """The rows of n scenes still to be resolved; deterministic per seed.
 
     The scenes of generate_synthetic_scenes' kernel and checks, each with
-    its time drawn right after it: no shot is simulated, so no label noise
-    is drawn, and the scenes depend on the scene stream alone, not on
-    gen_config.keeper. For scenes that nothing labels: an experiment's.
-    The kernel reads a BlockUniforms over default_rng(seed): each value of
-    random() in the order of rng.random()'s draws, and the defender count
-    and the time from one of them each (BlockUniforms.integers), so they
-    are not the generator's own scenes on the same seed."""
+    its time drawn right after it, not kept. No shot is simulated, so the
+    scenes depend on the scene stream alone, not on gen_config.keeper. The
+    kernel reads a BlockUniforms over default_rng(seed), the defender count
+    and the time from one uniform each, so these are not the generator's
+    scenes on the same seed."""
     rng = BlockUniforms(np.random.default_rng(seed))
-    return [KickScene(rng.integers(0, 6000), Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay),
-                      body, Vec2(kx, ky), tuple(Vec2(x, y) for x, y in defenders), power,
-                      Vec2(tx, ty))
-            for (bx, by, vx, vy, ax, ay, body, kx, ky, power, tx, ty), defenders
-            in _scene_draws(n, gen_config, dynamics, field, rng)]
+    rows = []
+    for row in _scene_draws(n, gen_config, dynamics, field, rng):
+        rng.integers(0, 6000)  # the time
+        rows.append(row)
+    return rows

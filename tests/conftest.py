@@ -8,7 +8,7 @@ from hypothesis import Phase, settings
 
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.mlp import save_model
-from goalshot.scenes import KickScene, Label, SceneTable, _scalars
+from goalshot.scenes import KickScene, Label, SceneTable, scene_row
 
 # A failing property test is reported with its shrunk example but without
 # the explain phase, which re-runs the example once per drawn value: on a
@@ -66,9 +66,16 @@ def from_scenes(scenes):
     if any(s.label is None for s in scenes):
         raise ValueError("every scene must be labeled")
     return SceneTable._of_rows([s.time for s in scenes],
-                               [_scalars(s) + [c for d in s.defenders for c in (d.x, d.y)]
-                                for s in scenes],
+                               [values + [c for d in defenders for c in d]
+                                for values, defenders in map(scene_row, scenes)],
                                [s.label is Label.GOAL for s in scenes])
+
+
+def row_scene(row, time=0, label=None):
+    """The KickScene view of a scene row (scenes.SceneRow)."""
+    (bx, by, vx, vy, ax, ay, body, kx, ky, power, tx, ty), defenders = row
+    return KickScene(time, Vec2(bx, by), Vec2(vx, vy), Vec2(ax, ay), body, Vec2(kx, ky),
+                     tuple(Vec2(x, y) for x, y in defenders), power, Vec2(tx, ty), label)
 
 
 def write_model(path, layer_sizes):

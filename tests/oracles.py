@@ -17,7 +17,8 @@ from goalshot.keeper import (DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotRes
                              simulate_shot)
 from goalshot.mlp import MlpParams, forward
 from goalshot.policies import Action
-from goalshot.scenes import CSV_HEADER, KickScene, Label, SceneTable, _threats
+from goalshot.scenes import (CSV_HEADER, KickScene, Label, SceneTable, _threats, scene_features,
+                             scene_row)
 
 
 @dataclass(frozen=True)
@@ -148,11 +149,16 @@ def filter_defenders(scene: KickScene, field: FieldConfig) -> list[Vec2]:
                                                 [(d.x, d.y) for d in scene.defenders], field)]
 
 
+def features_by_target(scene: KickScene, field: FieldConfig):
+    """scenes.scene_features of a KickScene: its base row and its target terms."""
+    return scene_features(*scene_row(scene), field)
+
+
 def run_episode(policy, scene: KickScene, keeper: KeeperModel, dynamics: DynamicsConfig,
                 field: FieldConfig, rng: np.random.Generator,
                 defender_catch_radius: float = DEFAULT_DEFENDER_CATCH_RADIUS) -> EpisodeOutcome:
-    """Let the policy decide on the scene and resolve any kick it takes."""
-    decision, = policy.decide_all([scene])
+    """Let the policy decide on the scene's row and resolve any kick it takes."""
+    decision, = policy.decide_all([scene_row(scene)])
     if decision.action is not Action.KICK:
         return EpisodeOutcome(kicked=False, result=ShotResult.NO_KICK, steps=0)
     result, steps = simulate_shot(scene.ball, scene.ball_velocity, decision.target,

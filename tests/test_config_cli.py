@@ -174,9 +174,9 @@ class TestConfigFile:
         ("aim", "target_count", "0", "target_count must be >= 1", "config file INI: "),
         pytest.param("gen", "max_defenders", _HUGE, "max_defenders must be in [0, 10]",
                      "config file INI: ", id="gen-max_defenders-huge"),
-        # Checked against [dynamics] when the generator runs, past the load.
+        # Checked against [dynamics] by the command, past the load, naming the file.
         ("gen", "kick_power_max", "150",
-         "kick_power_max 150.0 exceeds [dynamics] max_power 100.0", ""),
+         "kick_power_max 150.0 exceeds [dynamics] max_power 100.0", "config file INI: "),
     ])
     def test_rejected_value_names_its_section(self, section, key, raw, message, where,
                                               tmp_path, capsys):
@@ -809,6 +809,61 @@ class TestUnreadableModel:
         model = write_model(tmp_path / "model.json", (22, 5, 2))
         model.write_bytes(damage(model.read_text(encoding="utf-8")))
         _rejects_model(model, command, tmp_path, capsys, monkeypatch)
+
+
+class TestGeneratorChecks:
+    """A config whose generator does not fit its field or its dynamics
+    fails gen-data and compare in one error line that names the file and
+    the keys, before any scene is drawn or any output opened: an existing
+    episode log keeps its bytes."""
+
+    @pytest.fixture(params=[
+        ("[gen]\nkick_power_max = 150\n",
+         "[gen] kick_power_max 150.0 exceeds [dynamics] max_power 100.0"),
+        ("[dynamics]\nmax_power = 60\n",
+         "[gen] kick_power_max 100.0 exceeds [dynamics] max_power 60.0"),
+        ("[gen]\nx_max = 60\n", "ball sampling region reaches the goal line: "
+         "[gen] x_max 60.0 >= [field] field_length / 2 = 52.5"),
+        ("[field]\nfield_length = 80\n", "ball sampling region reaches the goal line: "
+         "[gen] x_max 45.5 >= [field] field_length / 2 = 40.0"),
+        ("[gen]\nx_min = -60\n", "ball sampling region leaves the field: "
+         "[gen] x_min -60.0 <= -[field] field_length / 2 = -52.5"),
+        ("[gen]\ny_half_range = 40\n", "ball sampling region leaves the field: "
+         "[gen] y_half_range 40.0 > [field] field_width / 2 = 34.0"),
+        ("[gen]\ntarget_margin = 8\n", "no goal mouth to aim at: "
+         "[gen] target_margin 8.0 >= [field] goal_width / 2 = 7.01"),
+    ], ids=["kick-power-max", "max-power", "x-max", "field-length", "x-min", "y-half-range",
+            "target-margin"])
+    def bad_ini(self, request, tmp_path):
+        text, message = request.param
+        path = tmp_path / "gen.ini"
+        path.write_text(text, encoding="utf-8")
+        return path, message
+
+    @staticmethod
+    def _fails(argv, path, message, capsys):
+        capsys.readouterr()
+        assert main([*argv, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config file {path}: {message}\n"
+        assert captured.out == ""
+
+    def test_gen_data(self, bad_ini, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_synthetic_scenes", None)  # never reached
+        out = tmp_path / "out.csv"
+        self._fails(["gen-data", "--n", "5", "--out", str(out)], *bad_ini, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_data", [True, False], ids=["data", "generated-lda"])
+    def test_compare_keeps_an_existing_episode_log(self, bad_ini, with_data, data_csv,
+                                                   model_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "lda_training_scenes", None)  # never reached
+        log = tmp_path / "old.log"
+        log.write_bytes(b"an earlier run's log\n")
+        data = ["--data", str(data_csv)] if with_data else []
+        self._fails(["compare", *data, "--model", str(model_file), "--episode-log", str(log)],
+                    *bad_ini, capsys)
+        assert log.read_bytes() == b"an earlier run's log\n"
 
 
 class TestAimTable:

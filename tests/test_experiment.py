@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scene
+from conftest import make_scene, row_scene
 import goalshot.experiment
 import goalshot.mlp
 import goalshot.policies
@@ -22,8 +22,9 @@ from goalshot.keeper import KeeperModel, simulate_shot
 from goalshot.mlp import TrainConfig, train
 from goalshot.policies import (Action, KickDecision, LdaPolicy, MlpPolicy,
                                NaiveCenterPolicy, PolicyConfig, lda_train, stage_one_survivors)
-from goalshot.scenes import (balance_by_replication, draw_scenes, feature_matrix,
-                             generate_synthetic_scenes, split_dataset)
+from goalshot.scenes import (SCALAR_COLUMNS, KickScene, balance_by_replication, ball_of,
+                             draw_scenes, feature_matrix, generate_synthetic_scenes,
+                             scene_row, split_dataset)
 from oracles import EpisodeStream, aggregate, run_episode
 
 CFG = RunConfig()
@@ -239,13 +240,13 @@ def reference_experiment(policy_a, policy_b, games, shots, seed, episode_log):
     for game in range(games):
         scene_seed = int(np.random.SeedSequence(
             [seed, game, goalshot.experiment._SCENE_STREAM]).generate_state(1)[0])
-        scenes = draw_scenes(shots, CFG.gen, CFG.dynamics, CFG.field, scene_seed)
+        rows = draw_scenes(shots, CFG.gen, CFG.dynamics, CFG.field, scene_seed)
         blocks = game_noise(seed, game, shots)
         counts = [[0, 0], [0, 0]]
-        for shot, scene in enumerate(scenes):
+        for shot, row in enumerate(rows):
             for side, policy in enumerate((policy_a, policy_b)):
                 rng = episode_stream(blocks, seed, game, shot)
-                outcome = run_episode(policy, scene, CFG.keeper, CFG.dynamics,
+                outcome = run_episode(policy, row_scene(row), CFG.keeper, CFG.dynamics,
                                       CFG.field, rng, CFG.gen.defender_catch_radius)
                 counts[side][0] += int(outcome.kicked)
                 counts[side][1] += int(outcome.result is ShotResult.GOAL)
@@ -444,8 +445,8 @@ class Recording:
 class TestSceneStream:
     def test_games_run_no_labelling_flight(self, policies, monkeypatch):
         """With the labelling shot made to raise, a 3-game mlp-vs-lda
-        experiment completes, and each game's scenes are draw_scenes' from
-        the game's scene seed: no label noise, label None."""
+        experiment completes, and each game's scenes are draw_scenes' rows
+        from the game's scene seed: no label noise, and no label."""
         def no_label(*args, **kwargs):
             raise AssertionError("a game scene was labelled")
         monkeypatch.setattr(goalshot.scenes, "simulate_shot", no_label)
@@ -457,7 +458,25 @@ class TestSceneStream:
             np.random.SeedSequence([31, game, goalshot.experiment._SCENE_STREAM])
             .generate_state(1)[0])) for game in range(3)]
         assert side_a.batches == side_b.batches == expected
-        assert all(scene.label is None for scenes in expected for scene in scenes)
+        assert all(len(values) == len(SCALAR_COLUMNS) for rows in expected for values, _ in rows)
+
+    def test_a_game_builds_no_kick_scene_and_no_vec2(self, policies, monkeypatch):
+        """From draw to kick a game runs on the rows' floats: once the aim
+        points and the posts are built, an mlp-vs-lda game with kicks and
+        an episode log constructs no KickScene and no Vec2."""
+        args = (1, 10, CFG.keeper, CFG.gen, CFG.dynamics, CFG.field)
+        run_experiment(policies["mlp"], policies["lda"], *args, 3)  # warm-up
+        built = []
+        for cls in (KickScene, Vec2):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, post_init=post_init:
+                                built.append(self) or post_init(self))
+        assert Vec2(1.0, 2.0) and built  # the count sees a construction
+        built.clear()
+        stats = run_experiment(policies["mlp"], policies["lda"], *args, 4,
+                               episode_log=io.StringIO())
+        assert built == []
+        assert stats[0].kicks > 0 and stats[1].kicks > 0
 
 
 class TestDecisionCallSites:
@@ -479,7 +498,8 @@ class TestDecisionCallSites:
         gen, shots = replace(CFG.gen, x_min=x_min), 10
         scene_seed = int(np.random.SeedSequence([seed, 0, goalshot.experiment._SCENE_STREAM])
                          .generate_state(1)[0])
-        balls = [s.ball for s in draw_scenes(shots, gen, CFG.dynamics, CFG.field, scene_seed)]
+        balls = [ball_of(values) for values, _ in draw_scenes(shots, gen, CFG.dynamics,
+                                                              CFG.field, scene_seed)]
         in_range = [b for b in balls if within_horizon(b, CFG.field, CFG.aim)]
         survivors = sum(len(stage_one_survivors(b, CFG.field, CFG.aim, CFG.policy))
                         for b in in_range)
@@ -499,7 +519,7 @@ class TestDecisionCallSites:
         single = {name: self._count(monkeypatch, goalshot.policies, f"{name}_policy_decide")
                   for name in ("mlp", "lda")}
         for name in ("mlp", "lda"):
-            policies[name].decide_all(scenes)
+            policies[name].decide_all([scene_row(scene) for scene in scenes])
             policies[name].decide(scenes[0])
             # decide is the batch of its one scene
             assert [len(args[0]) for args in batched[name]] == [4, 1]

@@ -3,20 +3,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_scene
+from conftest import make_scene, row_scene
 import goalshot.mlp
 import goalshot.policies
 from goalshot.aim import ShotQuery, discretize_targets, p_goal, within_horizon
 from goalshot.config import RunConfig
 from goalshot.geometry import FieldConfig, Vec2
-from goalshot.mlp import TrainConfig, forward, score, train
+from goalshot.mlp import MlpParams, TrainConfig, forward, score, train
 from goalshot.policies import (Action, KickDecision, LdaModel, LdaPolicy,
                                MlpPolicy, NaiveCenterPolicy, PolicyConfig,
                                lda_policy_decide, lda_train, mlp_policy_decide,
                                naive_center_policy, stage_one_survivors)
-from goalshot.scenes import (Label, balance_by_replication, extract_features,
-                             feature_matrix, generate_synthetic_scenes, split_dataset)
+from goalshot.scenes import (FEATURE_NAMES, Label, balance_by_replication, draw_scenes,
+                             extract_features, feature_matrix, generate_synthetic_scenes,
+                             scene_row, split_dataset)
 from oracles import angle_at, mirror_scene
 
 CFG = RunConfig()
@@ -378,27 +381,41 @@ def test_decisions_build_no_vec2(trained_model, lda_model, monkeypatch):
         assert any(d.out_of_range for d in decisions)
 
 
+def _policies(field, mlp_model, lda_model):
+    return {"mlp": MlpPolicy(mlp_model, field, CFG.aim, POLICY),
+            "lda": LdaPolicy(lda_model, field, CFG.aim, POLICY),
+            "center": NaiveCenterPolicy(field, CFG.aim, POLICY)}
+
+
+def _assert_decide_all_is_decide_of_each_view(policy, rows):
+    """decide_all of the rows, from a cold stage-one memo, is decide of
+    each row's KickScene view, bit for bit, and takes a tuple as well."""
+    goalshot.policies._stage_one_memo.clear()
+    decisions = policy.decide_all(rows)
+    assert repr(decisions) == repr([policy.decide(row_scene(row)) for row in rows])
+    assert repr(decisions) == repr(policy.decide_all(tuple(rows)))
+
+
 class TestDecideAll:
-    """decide_all of a batch is decide of each of its scenes, bit for bit.
-    The scenes run from near the goal to beyond the sigma horizon, so a
-    batch holds out-of-range scenes, in-range scenes without a stage-one
-    survivor and scenes with survivors."""
+    """decide_all of a batch of rows is decide of each row's KickScene
+    view, bit for bit. The scenes run from near the goal to beyond the
+    sigma horizon, so a batch holds out-of-range scenes, in-range scenes
+    without a stage-one survivor and scenes with survivors."""
 
     @pytest.fixture(scope="class")
     def batches(self, trained_model, lda_model):
         field = FieldConfig()
         gen = replace(CFG.gen, x_min=5.0)
         scenes = generate_synthetic_scenes(240, gen, CFG.dynamics, field, seed=13).scenes()
-        out = [s for s in scenes if not within_horizon(s.ball, field, CFG.aim)]
-        ranged = [s for s in scenes if within_horizon(s.ball, field, CFG.aim)]
-        none = [s for s in ranged if not stage_one_survivors(s.ball, field, CFG.aim, POLICY)]
-        some = [s for s in ranged if stage_one_survivors(s.ball, field, CFG.aim, POLICY)]
+        rows = [scene_row(s) for s in scenes]
+        out = [r for r, s in zip(rows, scenes) if not within_horizon(s.ball, field, CFG.aim)]
+        ranged = [(r, s) for r, s in zip(rows, scenes)
+                  if within_horizon(s.ball, field, CFG.aim)]
+        none = [r for r, s in ranged if not stage_one_survivors(s.ball, field, CFG.aim, POLICY)]
+        some = [r for r, s in ranged if stage_one_survivors(s.ball, field, CFG.aim, POLICY)]
         assert min(len(out), len(none), len(some)) >= 3
-        policies = {"mlp": MlpPolicy(trained_model, field, CFG.aim, POLICY),
-                    "lda": LdaPolicy(lda_model, field, CFG.aim, POLICY),
-                    "center": NaiveCenterPolicy(field, CFG.aim, POLICY)}
-        return policies, {
-            "all": scenes,
+        return _policies(field, trained_model, lda_model), {
+            "all": rows,
             "one": some[:1],
             "one_out_of_range": out[:1],
             "no_survivor": [out[0], none[0], none[1], out[1], none[2]],
@@ -409,11 +426,7 @@ class TestDecideAll:
                                        "some_survivors"])
     @pytest.mark.parametrize("name", ["mlp", "lda", "center"])
     def test_equals_decide_of_each_scene(self, batches, name, batch):
-        policy, scenes = batches[0][name], batches[1][batch]
-        goalshot.policies._stage_one_memo.clear()
-        decisions = policy.decide_all(scenes)
-        assert repr(decisions) == repr([policy.decide(scene) for scene in scenes])
-        assert repr(decisions) == repr(policy.decide_all(tuple(scenes)))
+        _assert_decide_all_is_decide_of_each_view(batches[0][name], batches[1][batch])
 
     def test_no_survivor_batch_scores_nothing(self, batches, monkeypatch):
         policies, scenes = batches
@@ -428,6 +441,37 @@ class TestDecideAll:
     def test_empty_batch(self, batches):
         for policy in batches[0].values():
             assert policy.decide_all([]) == []
+
+
+# A model whose score is the same above-bar value for every row, and an LDA
+# without an angle term: every survivor of a scene ties, so the tie-break
+# picks the target.
+_FLAT_MLP = MlpParams((len(FEATURE_NAMES), 5, 2), [np.zeros((len(FEATURE_NAMES), 5)),
+                                                   np.zeros((5, 2))],
+                      [np.zeros(5), np.array([0.5, -0.5])], np.zeros(len(FEATURE_NAMES)),
+                      np.ones(len(FEATURE_NAMES)))
+_FLAT_LDA = LdaModel(weight_distance=0.01, weight_angle=0.0, bias=0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x_min=st.floats(min_value=5.0, max_value=45.0),
+       width=st.floats(min_value=0.5, max_value=30.0),
+       max_defenders=st.integers(min_value=0, max_value=10),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), flat=st.booleans())
+def test_decide_all_of_drawn_rows_is_decide_of_each_view(trained_model, lda_model, x_min,
+                                                         width, max_defenders, seed, flat):
+    """Over generator configs from 5 m out, beyond the sigma horizon, to
+    near the goal, with 0-10 defenders, draw_scenes' rows hold out-of-range
+    scenes, scenes without a stage-one survivor and, under the flat models,
+    ties between survivors."""
+    field = FieldConfig()
+    gen = replace(CFG.gen, x_min=x_min, x_max=min(x_min + width, 52.0),
+                  max_defenders=max_defenders)
+    rows = draw_scenes(12, gen, CFG.dynamics, field, seed)
+    policies = _policies(field, *((_FLAT_MLP, _FLAT_LDA) if flat else
+                                  (trained_model, lda_model)))
+    for policy in policies.values():
+        _assert_decide_all_is_decide_of_each_view(policy, rows)
 
 
 class TestStageOneMemo:

@@ -12,10 +12,11 @@ from goalshot.config import RunConfig
 from goalshot.dynamics import UNIFORM_BLOCK, BlockUniforms, DynamicsConfig
 from goalshot.geometry import Vec2
 from goalshot.keeper import KeeperModel
-from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, MAX_DEFENDERS, GeneratorConfig,
-                             KickScene, Label, SceneTable, balance_by_replication, draw_scenes,
-                             extract_features, feature_matrix, generate_synthetic_scenes,
-                             load_scenes, save_scenes, split_dataset, univariate_stats)
+from goalshot.scenes import (CSV_HEADER, FEATURE_NAMES, MAX_DEFENDERS, SCALAR_COLUMNS,
+                             GeneratorConfig, KickScene, Label, SceneTable,
+                             balance_by_replication, draw_scenes, extract_features,
+                             feature_matrix, generate_synthetic_scenes, load_scenes,
+                             save_scenes, split_dataset, univariate_stats)
 from oracles import filter_defenders, mirror_scene, save_scenes_csv_writer
 
 CFG = RunConfig()
@@ -587,24 +588,32 @@ class _InOrder:
         return low + int((high - low) * self.random())
 
 
+def _are_rows(rows) -> bool:
+    """Each is a scene row: a list of the SCALAR_COLUMNS floats, no label,
+    and a list of (x, y) float pairs."""
+    return all(type(values) is list and len(values) == len(SCALAR_COLUMNS)
+               and all(type(v) is float for v in values) and type(defenders) is list
+               and all(type(d) is tuple and len(d) == 2 and all(type(c) is float for c in d)
+                       for d in defenders)
+               for values, defenders in rows)
+
+
 class TestDrawScenes:
-    """draw_scenes: the generator kernel's scenes without labelling shots,
-    read from a block reader."""
+    """draw_scenes: the rows of the generator kernel's scenes without
+    labelling shots, read from a block reader."""
 
     def test_they_are_the_kernels_scenes_on_uniforms_read_in_order(self):
-        """draw_scenes gives the kernel's scenes, each followed by its time,
-        drawn from default_rng(seed)'s uniforms in order, with label None."""
+        """draw_scenes gives the kernel's rows, each followed by the draw of
+        its time, from default_rng(seed)'s uniforms in order, unlabelled.
+        The time is not kept; a scene drawn one uniform off would differ."""
         gen = replace(CFG.gen, max_defenders=MAX_DEFENDERS)
         source = _InOrder(3, 60 * (11 + 2 * MAX_DEFENDERS))
         expected = []
-        for (bx, by, vx, vy, ax, ay, body, kx, ky, power, tx, ty), defenders in (
-                goalshot.scenes._scene_draws(60, gen, CFG.dynamics, CFG.field, source)):
-            expected.append(KickScene(source.integers(0, 6000), Vec2(bx, by), Vec2(vx, vy),
-                                      Vec2(ax, ay), body, Vec2(kx, ky),
-                                      tuple(Vec2(x, y) for x, y in defenders), power,
-                                      Vec2(tx, ty)))
+        for row in goalshot.scenes._scene_draws(60, gen, CFG.dynamics, CFG.field, source):
+            assert 0 <= source.integers(0, 6000) < 6000
+            expected.append(row)
         assert draw_scenes(60, gen, CFG.dynamics, CFG.field, seed=3) == expected
-        assert all(scene.label is None for scene in expected)
+        assert _are_rows(expected)
 
     @pytest.mark.parametrize("high", [*range(1, MAX_DEFENDERS + 2), 6000])
     def test_integers_stay_in_range_at_the_ends_of_the_uniforms(self, high):
@@ -620,8 +629,8 @@ class TestDrawScenes:
     @pytest.mark.parametrize("max_defenders", [0, 5, MAX_DEFENDERS])
     def test_every_defender_count_occurs(self, max_defenders):
         gen = replace(CFG.gen, max_defenders=max_defenders)
-        scenes = draw_scenes(2000, gen, CFG.dynamics, CFG.field, seed=4)
-        counts = {len(scene.defenders) for scene in scenes}
+        rows = draw_scenes(2000, gen, CFG.dynamics, CFG.field, seed=4)
+        counts = {len(defenders) for _, defenders in rows}
         assert counts == set(range(max_defenders + 1))
 
     def test_a_game_past_its_first_block_repeats_per_seed(self, monkeypatch):
@@ -648,18 +657,18 @@ class TestDrawScenes:
         assert first == again != other
         reads = [source.read for source in sources]
         assert reads[0] == reads[1] > UNIFORM_BLOCK
-        assert reads[0] == sum(11 + 2 * len(scene.defenders) for scene in first)
+        assert reads[0] == sum(11 + 2 * len(defenders) for _, defenders in first)
 
     def test_no_shot_and_no_part_for_the_keeper(self, monkeypatch):
         def no_shot(*args, **kwargs):
             raise AssertionError("a shot was simulated")
         monkeypatch.setattr(goalshot.scenes, "simulate_shot", no_shot)
         other = replace(CFG.gen, keeper=KeeperModel(max_speed=0.5, positioning_noise=1.0))
-        scenes = draw_scenes(40, CFG.gen, CFG.dynamics, CFG.field, seed=9)
-        assert scenes == draw_scenes(40, other, CFG.dynamics, CFG.field, seed=9)
-        assert scenes != draw_scenes(40, CFG.gen, CFG.dynamics, CFG.field, seed=10)
-        assert all(type(scene) is KickScene and scene.label is None for scene in scenes)
-        assert 0 < sum(map(len, (s.defenders for s in scenes))) <= 40 * CFG.gen.max_defenders
+        rows = draw_scenes(40, CFG.gen, CFG.dynamics, CFG.field, seed=9)
+        assert rows == draw_scenes(40, other, CFG.dynamics, CFG.field, seed=9)
+        assert rows != draw_scenes(40, CFG.gen, CFG.dynamics, CFG.field, seed=10)
+        assert _are_rows(rows)
+        assert 0 < sum(len(defenders) for _, defenders in rows) <= 40 * CFG.gen.max_defenders
 
     @pytest.mark.parametrize("n, gen, dynamics", [
         (0, CFG.gen, CFG.dynamics),

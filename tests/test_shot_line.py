@@ -29,7 +29,8 @@ from goalshot.config import RunConfig
 from goalshot.policies import (LdaModel, PolicyConfig, lda_policy_decide,
                                lda_policy_decide_all, lda_train, mlp_policy_decide,
                                stage_one_survivors)
-from goalshot.scenes import FEATURE_NAMES, extract_features, generate_synthetic_scenes
+from goalshot.scenes import (FEATURE_NAMES, ball_of, extract_features,
+                             generate_synthetic_scenes, scene_row)
 from oracles import angle_at
 
 FIELD = FieldConfig()
@@ -82,12 +83,12 @@ def ranked(scene, monkeypatch):
         rows.extend(features.tolist())
         return score_batch(model, features)
 
-    def spy_two_stage(scenes, field, aim_config, policy_config, rank, bar, keep_score):
-        stage_ones = goalshot.policies._stage_one(tuple(scene.ball for scene in scenes),
+    def spy_two_stage(rows, field, aim_config, policy_config, rank, bar, keep_score):
+        stage_ones = goalshot.policies._stage_one(tuple(ball_of(values) for values, _ in rows),
                                                   field, aim_config, policy_config)
         if bar == 0.0 and any(stage_ones):  # the LDA policy's rank
-            values.extend(rank(scenes, stage_ones))
-        return two_stage(scenes, field, aim_config, policy_config, rank, bar, keep_score)
+            values.extend(rank(rows, stage_ones))
+        return two_stage(rows, field, aim_config, policy_config, rank, bar, keep_score)
 
     monkeypatch.setattr(goalshot.mlp, "score_batch", spy_score_batch)
     monkeypatch.setattr(goalshot.policies, "_two_stage", spy_two_stage)
@@ -139,8 +140,8 @@ def test_survivor_lines_on_edge_cases(scene, monkeypatch):
 
 
 def test_cached_stage_one_serves_the_other_signed_zero(monkeypatch):
-    # Vec2(x, 0.0) == Vec2(x, -0.0), so the cached stage one of one ball
-    # serves the other; the rows must still be those of the second ball.
+    # (x, 0.0) == (x, -0.0), so the cached stage one of one ball serves the
+    # other; the rows must still be those of the second ball.
     goalshot.policies._stage_one_memo.clear()
     for y in (0.0, -0.0):
         scene = make_scene(ball=Vec2(40.0, y), keeper=Vec2(50.0, 1.0),
@@ -148,7 +149,7 @@ def test_cached_stage_one_serves_the_other_signed_zero(monkeypatch):
         check_scene(scene, monkeypatch)
     # the entry is still the +0.0 ball's: the -0.0 ball was served by it
     (balls, *_), _ = goalshot.policies._stage_one_memo[0]
-    assert balls == (Vec2(40.0, 0.0),) and math.copysign(1.0, balls[0].y) == 1.0
+    assert balls == ((40.0, 0.0),) and math.copysign(1.0, balls[0][1]) == 1.0
 
 
 def test_fitted_rank_is_the_discriminant_of_the_kernel_columns(monkeypatch):
@@ -173,7 +174,8 @@ def test_fitted_rank_is_the_discriminant_of_the_kernel_columns(monkeypatch):
         return two_stage(*head, spy_rank, bar, keep_score)
 
     monkeypatch.setattr(goalshot.policies, "_two_stage", spy_two_stage)
-    lda_policy_decide_all(scenes, model, FIELD, AIM, config.policy)
+    lda_policy_decide_all([scene_row(scene) for scene in scenes], model, FIELD, AIM,
+                          config.policy)
     expected = []
     for scene in filter(lambda scene: within_horizon(scene.ball, FIELD, AIM), scenes):
         for target, _, _ in stage_one_survivors(scene.ball, FIELD, AIM, config.policy):

@@ -20,10 +20,9 @@ from goalshot.aim import (GOAL_LINE_TOLERANCE, AimConfig, ShotQuery, discretize_
                           p_goal, sigma)
 from goalshot.geometry import FieldConfig, Vec2, shot_line
 from goalshot.policies import PolicyConfig, stage_one_survivors
-from goalshot.scenes import (TARGET_COLUMNS, Label, extract_features, feature_matrix,
-                             features_by_target)
-from oracles import (Ray, angle_at, filter_defenders, gaussian_cdf, p_miss_left,
-                     p_miss_right, signed_offset)
+from goalshot.scenes import TARGET_COLUMNS, Label, extract_features, feature_matrix
+from oracles import (Ray, angle_at, features_by_target, filter_defenders, gaussian_cdf,
+                     p_miss_left, p_miss_right, signed_offset)
 
 FIELD = FieldConfig()
 AIM_CONFIGS = (AimConfig(), AimConfig(target_count=1), AimConfig(target_inset=0.0))

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .aim import ShotQuery, discretize_targets, p_goal
+from .aim import ShotQuery, discretize_targets, p_goal, within_horizon
 from .config import RunConfig, load_run_config, scalar_fields
 from .dynamics import BallState, BlockUniforms, kick_components, rollout_to_goal_line
 from .experiment import (check_experiment_size, check_report_format, lda_training_scenes,
@@ -89,8 +89,8 @@ def _load_model(path: str | None) -> mlp.MlpParams:
 
 
 def _located(source: str, function, *args):
-    """function(*args), a ValueError from it prefixed with the source of the
-    scenes it was given, as SceneTable.load prefixes the file's."""
+    """function(*args), a ValueError from it prefixed with the source of what
+    it was given (a file or a flag), as SceneTable.load prefixes the file's."""
     try:
         return function(*args)
     except ValueError as exc:
@@ -212,10 +212,11 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig,
 
 def cmd_compare(args: argparse.Namespace) -> int:
     check_report_format(args.format)
-    for kind in (args.policy_a, args.policy_b):
+    for flag, kind in (("--policy-a", args.policy_a), ("--policy-b", args.policy_b)):
         if kind not in ("mlp", "lda", "center"):
-            raise ValueError(f"unknown policy {kind!r}; use mlp, lda or center")
-    check_experiment_size(args.games, args.shots)
+            raise ValueError(f"{flag}: unknown policy {kind!r}; use mlp, lda or center")
+    _located("--games" if args.games < 1 else "--shots", check_experiment_size, args.games,
+             args.shots)
     if "lda" in (args.policy_a, args.policy_b) and not args.data and args.lda_train_scenes < 1:
         raise ValueError(f"--lda-train-scenes must be >= 1, got {args.lda_train_scenes}")
     config = _load_config(args, draws=True)
@@ -247,11 +248,21 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--mc-power must be in [0, {max_power!r}] ([dynamics] max_power), "
                          f"got {args.mc_power!r}")
     field, aim_config = config.field, config.aim
-    # The grid is a rectangle: its corners are on the pitch when all of it is.
-    for distance in (args.min_distance, args.max_distance):
-        if not field.contains(Vec2(field.goal_line_x - distance, args.y_half)):
+    # The grid is a rectangle: all of it is on the pitch, in front of the goal
+    # line and within the sigma horizon when its corners are.
+    for flag, distance in (("--min-distance", args.min_distance),
+                           ("--max-distance", args.max_distance)):
+        corner = Vec2(field.goal_line_x - distance, args.y_half)
+        if not field.contains(corner):
             raise ValueError(f"grid ball off the pitch at distance {distance!r} "
                              f"with --y-half {args.y_half!r}")
+        if not corner.x < field.goal_line_x:
+            raise ValueError(f"{flag} must be > 0 (the ball in front of the goal line), "
+                             f"got {distance!r}")
+        if not within_horizon(corner, field, aim_config):
+            raise ValueError(f"{flag} {distance!r} with --y-half {args.y_half!r} puts a grid "
+                             f"ball at or beyond the sigma horizon {aim_config.sigma_horizon!r} "
+                             "([aim] sigma_horizon)")
     distances = np.linspace(args.min_distance, args.max_distance, args.distance_count)
     laterals = np.linspace(-args.y_half, args.y_half, args.y_count)
     targets = discretize_targets(field, aim_config)

@@ -3,18 +3,21 @@
 A policy decides a batch of scenes at once, as the scenes of one game:
 decisions never depend on outcomes. A batch is a list of scene rows
 (scenes.SceneRow); decide takes one checked KickScene and decides the batch
-of its row. The thresholded policies run one two-stage routine. Stage one
-keeps the aim points whose analytic goal-entry probability clears
-p_goal_threshold, each with its shot line (the target relative to the
-ball, its distance and unit direction). Stage two ranks the survivors from
-those lines (the MLP policy by neural score, all of a batch's survivor
-rows in one score_batch call; the LDA baseline by a two-variable linear
-discriminant) and kicks at the best one if it clears the ranker's bar.
-Stage one depends only on the ball and the configs and is kept for the
-last batch, so a second policy deciding the same scenes reuses it. A scene
-that fails a check raises for its whole batch, before any decision is
-returned. The naive reference has no stages; it always shoots at the goal
-center.
+of its row. The thresholded policies are one type, _TwoStagePolicy, whose
+decide_all runs both stages. Stage one keeps the aim points whose analytic
+goal-entry probability clears p_goal_threshold, each with its shot line
+(the target relative to the ball, its distance and unit direction). Stage
+two ranks the survivors from those lines and kicks at the best one if it
+clears the ranker's bar. A subclass gives only what differs: its name, its
+bar, whether the top rank is kept as the decision's neural_score, and
+_rank, which values the survivors. MlpPolicy ranks by neural score, all of
+a batch's survivor rows in one score_batch call, with bar score_threshold,
+and keeps the score; LdaPolicy ranks by a two-variable linear discriminant
+with bar 0. Stage one depends only on the ball and the configs and is kept
+for the last batch, so a second policy deciding the same scenes reuses it.
+A scene that fails a check raises for its whole batch, before any decision
+is returned. The naive reference has no stages; it always shoots at the
+goal center.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import enum
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -127,72 +130,6 @@ def _stage_one(balls: tuple[Point, ...], field: FieldConfig, aim_config: AimConf
     return stage_ones
 
 
-def _two_stage(rows: Sequence[SceneRow], field: FieldConfig, aim_config: AimConfig,
-               policy_config: PolicyConfig,
-               rank: Callable[[Sequence[SceneRow], tuple], list[float]], bar: float,
-               keep_score: bool) -> list[KickDecision]:
-    """Per row, kick at the stage-one survivor with the largest rank above
-    bar, kept as neural_score when keep_score is set; ties go to the target
-    nearest the goal center, then to the smaller lateral coordinate.
-    rank(rows, stage_ones) values the survivors of every row that has any,
-    in one flat list, row after row; it is not called when none has."""
-    stage_ones = _stage_one(tuple([ball_of(values) for values, _ in rows]), field, aim_config,
-                            policy_config)
-    values = rank(rows, stage_ones) if any(stage_ones) else []
-    decisions = []
-    start = 0
-    for survivors in stage_ones:
-        if not survivors:
-            decisions.append(_NO_KICK if survivors is not None else _OUT_OF_RANGE)
-            continue
-        end = start + len(survivors)
-        ranks = values[start:end]
-        start = end
-        top = max(ranks)
-        if top != top:  # max stays on a leading NaN, which clears no bar
-            top = max(filter(bar.__lt__, ranks), default=bar)
-        if not top > bar:
-            decisions.append(_NO_KICK)
-            continue
-        best = ranks.index(top)
-        if ranks.count(top) > 1:
-            best = min((i for i, value in enumerate(ranks) if value == top),
-                       key=lambda i: (abs(survivors[i][0].y), survivors[i][0].y))
-        target, pg, _ = survivors[best]
-        decisions.append(KickDecision(Action.KICK, target=target,
-                                      neural_score=top if keep_score else None, p_goal=pg))
-    return decisions
-
-
-def mlp_policy_decide_all(rows: Sequence[SceneRow], model: MlpParams, field: FieldConfig,
-                          aim_config: AimConfig,
-                          policy_config: PolicyConfig) -> list[KickDecision]:
-    """Two-stage decisions: analytic p_goal filter, then best neural score,
-    with every survivor row of the batch scored in one call. score_batch
-    gives each row the bits of a one-row call, so each decision is the one
-    its scene gets alone."""
-    def rank(rows: Sequence[SceneRow], stage_ones: tuple) -> list[float]:
-        features = np.empty((sum(map(len, filter(None, stage_ones))), len(FEATURE_NAMES)))
-        targets = []
-        start = 0
-        for (values, defenders), survivors in zip(rows, stage_ones):
-            if survivors:
-                base, terms = scene_features(values, defenders, field)
-                features[start:start + len(survivors)] = base
-                start += len(survivors)
-                targets += [terms(target.y, line) for target, _, line in survivors]
-        return mlp.score_batch(model, set_target_columns(features, targets)).tolist()
-    return _two_stage(rows, field, aim_config, policy_config, rank,
-                      policy_config.score_threshold, True)
-
-
-def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
-                      aim_config: AimConfig,
-                      policy_config: PolicyConfig) -> KickDecision:
-    """mlp_policy_decide_all of the one scene's row."""
-    return mlp_policy_decide_all((scene_row(scene),), model, field, aim_config, policy_config)[0]
-
-
 def _lda_inputs(ball: Point, keeper: Point, lines: Iterable[tuple]) -> tuple[float, list[float]]:
     """The discriminant's two variables: the keeper's distance to the ball
     and, per shot line, the angle at the ball between the keeper and the
@@ -236,36 +173,6 @@ def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
                     bias=float(w[2]))
 
 
-def lda_policy_decide_all(rows: Sequence[SceneRow], model: LdaModel, field: FieldConfig,
-                          aim_config: AimConfig,
-                          policy_config: PolicyConfig) -> list[KickDecision]:
-    """Same two stages, ranked by the discriminant with bar 0; no neural score."""
-    def rank(rows: Sequence[SceneRow], stage_ones: tuple) -> list[float]:
-        weight_angle, bias, shot_line_of = model.weight_angle, model.bias, itemgetter(2)
-        ranks = []
-        for (values, _), survivors in zip(rows, stage_ones):
-            if survivors:
-                distance, angles = _lda_inputs(ball_of(values), keeper_of(values),
-                                               map(shot_line_of, survivors))
-                # model.discriminant(distance, angle), its distance term once per scene
-                near = model.weight_distance * distance
-                ranks += [near + weight_angle * angle + bias for angle in angles]
-        return ranks
-    return _two_stage(rows, field, aim_config, policy_config, rank, 0.0, False)
-
-
-def lda_policy_decide(scene: KickScene, model: LdaModel, field: FieldConfig,
-                      aim_config: AimConfig,
-                      policy_config: PolicyConfig) -> KickDecision:
-    """lda_policy_decide_all of the one scene's row."""
-    return lda_policy_decide_all((scene_row(scene),), model, field, aim_config, policy_config)[0]
-
-
-def naive_center_policy(scene: KickScene, field: FieldConfig,
-                        aim_config: AimConfig,
-                        policy_config: PolicyConfig) -> KickDecision:
-    """Reference floor: always kick at the goal center while in range."""
-    return NaiveCenterPolicy(field, aim_config, policy_config).decide_all([scene_row(scene)])[0]
 
 
 class Policy(Protocol):
@@ -278,37 +185,99 @@ class Policy(Protocol):
 
 
 @dataclass(frozen=True, eq=False)
-class MlpPolicy:
-    model: MlpParams
+class _TwoStagePolicy:
+    """Both stages of a thresholded policy; a subclass gives name, bar,
+    keep_score and _rank."""
+
+    model: MlpParams | LdaModel
     field: FieldConfig
     aim_config: AimConfig
     policy_config: PolicyConfig
-    name: str = "mlp"
+
+    def decide_all(self, rows: Sequence[SceneRow]) -> list[KickDecision]:
+        """Per row, kick at the stage-one survivor with the largest rank above
+        bar, kept as neural_score when keep_score is set; ties go to the target
+        nearest the goal center, then to the smaller lateral coordinate.
+        _rank(rows, stage_ones) values the survivors of every row that has any,
+        in one flat list, row after row; it is not called when none has."""
+        stage_ones = _stage_one(tuple([ball_of(values) for values, _ in rows]), self.field,
+                                self.aim_config, self.policy_config)
+        values = self._rank(rows, stage_ones) if any(stage_ones) else []
+        bar, keep_score = self.bar, self.keep_score
+        decisions = []
+        start = 0
+        for survivors in stage_ones:
+            if not survivors:
+                decisions.append(_NO_KICK if survivors is not None else _OUT_OF_RANGE)
+                continue
+            end = start + len(survivors)
+            ranks = values[start:end]
+            start = end
+            top = max(ranks)
+            if top != top:  # max stays on a leading NaN, which clears no bar
+                top = max(filter(bar.__lt__, ranks), default=bar)
+            if not top > bar:
+                decisions.append(_NO_KICK)
+                continue
+            best = ranks.index(top)
+            if ranks.count(top) > 1:
+                best = min((i for i, value in enumerate(ranks) if value == top),
+                           key=lambda i: (abs(survivors[i][0].y), survivors[i][0].y))
+            target, pg, _ = survivors[best]
+            decisions.append(KickDecision(Action.KICK, target=target,
+                                          neural_score=top if keep_score else None, p_goal=pg))
+        return decisions
+
+
+class MlpPolicy(_TwoStagePolicy):
+    """Two-stage decisions: analytic p_goal filter, then best neural score,
+    with every survivor row of the batch scored in one call. score_batch
+    gives each row the bits of a one-row call, so each decision is the one
+    its scene gets alone."""
+
+    name = "mlp"
+    keep_score = True
+    bar = property(lambda self: self.policy_config.score_threshold)
 
     def decide(self, scene: KickScene) -> KickDecision:
         return mlp_policy_decide(scene, self.model, self.field, self.aim_config,
                                  self.policy_config)
 
-    def decide_all(self, rows: Sequence[SceneRow]) -> list[KickDecision]:
-        return mlp_policy_decide_all(rows, self.model, self.field, self.aim_config,
-                                     self.policy_config)
+    def _rank(self, rows: Sequence[SceneRow], stage_ones: tuple) -> list[float]:
+        features = np.empty((sum(map(len, filter(None, stage_ones))), len(FEATURE_NAMES)))
+        targets = []
+        start = 0
+        for (values, defenders), survivors in zip(rows, stage_ones):
+            if survivors:
+                base, terms = scene_features(values, defenders, self.field)
+                features[start:start + len(survivors)] = base
+                start += len(survivors)
+                targets += [terms(target.y, line) for target, _, line in survivors]
+        return mlp.score_batch(self.model, set_target_columns(features, targets)).tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class LdaPolicy:
-    model: LdaModel
-    field: FieldConfig
-    aim_config: AimConfig
-    policy_config: PolicyConfig
-    name: str = "lda"
+class LdaPolicy(_TwoStagePolicy):
+    """Same two stages, ranked by the discriminant with bar 0; no neural score."""
+
+    name = "lda"
+    keep_score = False
+    bar = 0.0
 
     def decide(self, scene: KickScene) -> KickDecision:
         return lda_policy_decide(scene, self.model, self.field, self.aim_config,
                                  self.policy_config)
 
-    def decide_all(self, rows: Sequence[SceneRow]) -> list[KickDecision]:
-        return lda_policy_decide_all(rows, self.model, self.field, self.aim_config,
-                                     self.policy_config)
+    def _rank(self, rows: Sequence[SceneRow], stage_ones: tuple) -> list[float]:
+        weight_angle, bias, shot_line_of = self.model.weight_angle, self.model.bias, itemgetter(2)
+        ranks = []
+        for (values, _), survivors in zip(rows, stage_ones):
+            if survivors:
+                distance, angles = _lda_inputs(ball_of(values), keeper_of(values),
+                                               map(shot_line_of, survivors))
+                # model.discriminant(distance, angle), its distance term once per scene
+                near = self.model.weight_distance * distance
+                ranks += [near + weight_angle * angle + bias for angle in angles]
+        return ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +285,7 @@ class NaiveCenterPolicy:
     field: FieldConfig
     aim_config: AimConfig
     policy_config: PolicyConfig
-    name: str = "center"
+    name = "center"
 
     def decide(self, scene: KickScene) -> KickDecision:
         return naive_center_policy(scene, self.field, self.aim_config,
@@ -326,3 +295,21 @@ class NaiveCenterPolicy:
         kick = KickDecision(Action.KICK, target=self.field.goal_center)
         return [kick if within_horizon(ball_of(values), self.field, self.aim_config)
                 else _OUT_OF_RANGE for values, _ in rows]
+
+
+def mlp_policy_decide(scene: KickScene, model: MlpParams, field: FieldConfig,
+                      aim_config: AimConfig, policy_config: PolicyConfig) -> KickDecision:
+    """MlpPolicy.decide_all of the one scene's row."""
+    return MlpPolicy(model, field, aim_config, policy_config).decide_all((scene_row(scene),))[0]
+
+
+def lda_policy_decide(scene: KickScene, model: LdaModel, field: FieldConfig,
+                      aim_config: AimConfig, policy_config: PolicyConfig) -> KickDecision:
+    """LdaPolicy.decide_all of the one scene's row."""
+    return LdaPolicy(model, field, aim_config, policy_config).decide_all((scene_row(scene),))[0]
+
+
+def naive_center_policy(scene: KickScene, field: FieldConfig,
+                        aim_config: AimConfig, policy_config: PolicyConfig) -> KickDecision:
+    """Reference floor: always kick at the goal center while in range."""
+    return NaiveCenterPolicy(field, aim_config, policy_config).decide_all([scene_row(scene)])[0]

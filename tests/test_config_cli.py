@@ -744,14 +744,19 @@ class TestCompare:
         (["--policy-b", "center", "--lda-train-scenes", "0"],
          "--lda-train-scenes must be >= 1, got 0"),
     ])
-    def test_bad_arguments_fail_before_building_policies(self, flags, message, capsys,
-                                                         monkeypatch):
+    def test_bad_arguments_fail_before_building_policies(self, flags, message, tmp_path,
+                                                         capsys, monkeypatch):
         def no_training_scenes(*args, **kwargs):
             raise AssertionError("the lda policy was built")
 
         monkeypatch.setattr(cli, "lda_training_scenes", no_training_scenes)
-        assert main(["compare", "--policy-a", "lda", *flags]) == 1
-        assert message in capsys.readouterr().err
+        out = tmp_path / "report.txt"
+        assert main(["compare", "--policy-a", "lda", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        # one error: line, led by the bad value's flag
+        assert err.startswith(f"error: {flags[-2]}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 # eval and compare, the mlp on either side, each given a model file.
@@ -967,6 +972,36 @@ class TestAimTable:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: grid ball off the pitch at distance ")
         assert "with --y-half " in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,ini,message", [
+        (["--min-distance", "0"], "",
+         "--min-distance must be > 0 (the ball in front of the goal line), got 0.0"),
+        (["--min-distance", "1e-20"], "",
+         "--min-distance must be > 0 (the ball in front of the goal line), got 1e-20"),
+        (["--min-distance", "20", "--max-distance", "-0.0"], "",
+         "--max-distance must be > 0 (the ball in front of the goal line), got -0.0"),
+        (["--max-distance", "40", "--y-half", "20"], "",
+         "--max-distance 40.0 with --y-half 20.0 puts a grid ball at or beyond the sigma "
+         "horizon 45.0 ([aim] sigma_horizon)"),
+        (["--min-distance", "45", "--max-distance", "10", "--y-half", "0"], "",
+         "--min-distance 45.0 with --y-half 0.0 puts a grid ball at or beyond the sigma "
+         "horizon 45.0 ([aim] sigma_horizon)"),
+        ([], "[aim]\nsigma_horizon = 25\n",
+         "--max-distance 28.0 with --y-half 12.0 puts a grid ball at or beyond the sigma "
+         "horizon 25.0 ([aim] sigma_horizon)"),
+    ])
+    def test_grid_behind_the_line_or_the_horizon_fails_before_any_cell(
+            self, flags, ini, message, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(ini, encoding="utf-8")
+        out = tmp_path / "aim.csv"
+        monkeypatch.setattr(cli, "p_goal", lambda *args: pytest.fail("grid computed"))
+        assert main(["aim-table", "--config", str(config), *flags, "--mc-rollouts", "3",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
     def test_grid_on_the_touchline_passes(self, capsys):

@@ -514,7 +514,7 @@ class TestDecisionCallSites:
 
     def test_policies_decide_through_the_module_functions(self, policies, monkeypatch):
         scenes = generate_synthetic_scenes(4, CFG.gen, CFG.dynamics, CFG.field, 7).scenes()
-        batched = {name: self._count(monkeypatch, goalshot.policies, f"{name}_policy_decide_all")
+        batched = {name: self._count(monkeypatch, type(policies[name]), "decide_all")
                    for name in ("mlp", "lda")}
         single = {name: self._count(monkeypatch, goalshot.policies, f"{name}_policy_decide")
                   for name in ("mlp", "lda")}
@@ -522,7 +522,7 @@ class TestDecisionCallSites:
             policies[name].decide_all([scene_row(scene) for scene in scenes])
             policies[name].decide(scenes[0])
             # decide is the batch of its one scene
-            assert [len(args[0]) for args in batched[name]] == [4, 1]
+            assert [len(rows) for _, rows in batched[name]] == [4, 1]
             assert [args[0] for args in single[name]] == [scenes[0]]
 
 

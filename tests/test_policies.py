@@ -545,6 +545,21 @@ class TestPolicyObjects:
         assert (mlp_policy.name, lda_policy.name, center.name) == \
             ("mlp", "lda", "center")
 
+    def test_names_and_bars_come_from_the_class(self, field, trained_model):
+        """No constructor takes a name. The two thresholded policies run one
+        decide_all, with the MLP's bar read from its policy config and the
+        LDA's fixed at 0."""
+        lda = LdaModel(0.0, 1.0, 0.1)
+        for cls, models in ((MlpPolicy, [trained_model]), (LdaPolicy, [lda]),
+                            (NaiveCenterPolicy, [])):
+            with pytest.raises(TypeError):
+                cls(*models, field, CFG.aim, POLICY, name="other")
+        assert MlpPolicy.decide_all is LdaPolicy.decide_all
+        config = PolicyConfig(score_threshold=0.3)
+        assert MlpPolicy(trained_model, field, CFG.aim, config).bar == 0.3
+        assert LdaPolicy(lda, field, CFG.aim, config).bar == 0.0
+        assert (MlpPolicy.keep_score, LdaPolicy.keep_score) == (True, False)
+
     def test_decide_resolves_module_functions_at_call_time(self, field, trained_model,
                                                            monkeypatch):
         # Tracing wraps these module attributes after the policies are built.

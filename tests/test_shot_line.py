@@ -26,10 +26,9 @@ from goalshot.aim import AimConfig, HorizonError, ShotQuery, p_goal, sigma, with
 from goalshot.geometry import FieldConfig, Vec2
 from goalshot.mlp import init_params
 from goalshot.config import RunConfig
-from goalshot.policies import (LdaModel, PolicyConfig, lda_policy_decide,
-                               lda_policy_decide_all, lda_train, mlp_policy_decide,
-                               stage_one_survivors)
-from goalshot.scenes import (FEATURE_NAMES, ball_of, extract_features,
+from goalshot.policies import (LdaModel, LdaPolicy, PolicyConfig, lda_policy_decide,
+                               lda_train, mlp_policy_decide, stage_one_survivors)
+from goalshot.scenes import (FEATURE_NAMES, extract_features,
                              generate_synthetic_scenes, scene_row)
 from oracles import angle_at
 
@@ -77,21 +76,19 @@ def ranked(scene, monkeypatch):
     """Each survivor of the scene's ball, with the feature row the MLP
     policy scores for it and the value the LDA policy ranks it by."""
     rows, values = [], []
-    score_batch, two_stage = goalshot.mlp.score_batch, goalshot.policies._two_stage
+    score_batch, rank = goalshot.mlp.score_batch, LdaPolicy._rank
 
     def spy_score_batch(model, features):
         rows.extend(features.tolist())
         return score_batch(model, features)
 
-    def spy_two_stage(rows, field, aim_config, policy_config, rank, bar, keep_score):
-        stage_ones = goalshot.policies._stage_one(tuple(ball_of(values) for values, _ in rows),
-                                                  field, aim_config, policy_config)
-        if bar == 0.0 and any(stage_ones):  # the LDA policy's rank
-            values.extend(rank(rows, stage_ones))
-        return two_stage(rows, field, aim_config, policy_config, rank, bar, keep_score)
+    def spy_rank(policy, rows, stage_ones):
+        ranked = rank(policy, rows, stage_ones)
+        values.extend(ranked)
+        return ranked
 
     monkeypatch.setattr(goalshot.mlp, "score_batch", spy_score_batch)
-    monkeypatch.setattr(goalshot.policies, "_two_stage", spy_two_stage)
+    monkeypatch.setattr(LdaPolicy, "_rank", spy_rank)
     mlp = mlp_policy_decide(scene, MODEL, FIELD, AIM, POLICY)
     lda = lda_policy_decide(scene, LDA, FIELD, AIM, POLICY)
     monkeypatch.undo()
@@ -162,20 +159,15 @@ def test_fitted_rank_is_the_discriminant_of_the_kernel_columns(monkeypatch):
                                                 seed=4).scenes(), FIELD)
     scenes = generate_synthetic_scenes(60, replace(config.gen, x_min=5.0), config.dynamics,
                                        FIELD, seed=5).scenes()
-    values, two_stage = [], goalshot.policies._two_stage
+    values, rank = [], LdaPolicy._rank
 
-    def spy_two_stage(*args):
-        *head, rank, bar, keep_score = args
+    def spy_rank(*rank_args):
+        ranked = rank(*rank_args)
+        values.extend(ranked)
+        return ranked
 
-        def spy_rank(*rank_args):
-            ranked = rank(*rank_args)
-            values.extend(ranked)
-            return ranked
-        return two_stage(*head, spy_rank, bar, keep_score)
-
-    monkeypatch.setattr(goalshot.policies, "_two_stage", spy_two_stage)
-    lda_policy_decide_all([scene_row(scene) for scene in scenes], model, FIELD, AIM,
-                          config.policy)
+    monkeypatch.setattr(LdaPolicy, "_rank", spy_rank)
+    LdaPolicy(model, FIELD, AIM, config.policy).decide_all([scene_row(scene) for scene in scenes])
     expected = []
     for scene in filter(lambda scene: within_horizon(scene.ball, FIELD, AIM), scenes):
         for target, _, _ in stage_one_survivors(scene.ball, FIELD, AIM, config.policy):

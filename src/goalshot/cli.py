@@ -97,6 +97,15 @@ def _located(source: str, function, *args):
         raise ValueError(f"{source}: {exc}") from None
 
 
+def _config_located(args: argparse.Namespace, function, *function_args):
+    """function(*function_args), which draws, labels or plays from the run
+    config. After the commands' up-front checks only the config file's values
+    can fail there, so with --config a ValueError names the file."""
+    if args.config:
+        return _located(f"config file {args.config}", function, *function_args)
+    return function(*function_args)
+
+
 def _require_both_classes(goal, source: str) -> None:
     """Fail, naming the scenes' source and their class counts, unless the
     GOAL flags hold both classes."""
@@ -107,9 +116,11 @@ def _require_both_classes(goal, source: str) -> None:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     config = _load_config(args, draws=True)
-    table = generate_synthetic_scenes(args.n, config.gen, config.dynamics,
-                                      config.field, config.seed)
+    table = _config_located(args, generate_synthetic_scenes, args.n, config.gen,
+                            config.dynamics, config.field, config.seed)
     save_scenes(table, args.out)
     print(f"wrote {len(table)} scenes to {args.out} "
           f"(goal fraction {int(table.goal.sum()) / len(table):.3f}, seed {config.seed})")
@@ -201,8 +212,9 @@ def _make_policy(kind: str, args: argparse.Namespace, config: RunConfig,
             scenes = load_scenes(args.data, config.field, config.dynamics)
             source = f"scene file {args.data}"
         else:
-            scenes = lda_training_scenes(args.lda_train_scenes, config.gen, config.dynamics,
-                                         config.field, config.seed).scenes()
+            scenes = _config_located(args, lda_training_scenes, args.lda_train_scenes,
+                                     config.gen, config.dynamics, config.field,
+                                     config.seed).scenes()
             source = f"--lda-train-scenes {args.lda_train_scenes}"
         _require_both_classes([scene.label is Label.GOAL for scene in scenes], source)
         return LdaPolicy(_located(source, lda_train, scenes, config.field), config.field,
@@ -227,11 +239,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     eval_keeper = config.eval_keeper or config.keeper
     log = open(args.episode_log, "w", encoding="utf-8") if args.episode_log else nullcontext()
     with log as log_handle:
-        stats = run_experiment(policy_a, policy_b, args.games, args.shots,
-                               eval_keeper, config.gen, config.dynamics,
-                               config.field, config.seed,
-                               config.gen.defender_catch_radius,
-                               episode_log=log_handle)
+        stats = _config_located(args, run_experiment, policy_a, policy_b, args.games,
+                                args.shots, eval_keeper, config.gen, config.dynamics,
+                                config.field, config.seed,
+                                config.gen.defender_catch_radius, log_handle)
     text = report(stats, args.format, names=(policy_a.name, policy_b.name))
     _write_or_print(text, args.out)
     return 0
@@ -239,8 +250,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_aim_table(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if args.distance_count < 1 or args.y_count < 1:
-        raise ValueError("--distance-count and --y-count must be >= 1")
+    for flag, count in (("--distance-count", args.distance_count), ("--y-count", args.y_count)):
+        if count < 1:
+            raise ValueError(f"{flag} must be >= 1, got {count}")
     if args.mc_rollouts < 0:
         raise ValueError("--mc-rollouts must be >= 0")
     max_power = config.dynamics.max_power

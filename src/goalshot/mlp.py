@@ -36,8 +36,10 @@ are those of the layer pass and of textbook backprop: einsum sums a
 layer's inputs in order, so its last term, 1.0 * b, is added where z += b
 added it, and 1.0 * delta is delta. A layer of one unit adds b apart,
 because einsum's single-output path sums in SIMD lanes. The layer outputs
-and deltas live in buffers made once per training run, so an example step
-allocates no array.
+and deltas live in buffers made once per training run, and the step is
+bound once, as a closure over those buffers and the ufuncs it calls, so an
+example step allocates no array, looks up no attribute and costs only its
+numpy calls.
 """
 
 from __future__ import annotations
@@ -159,71 +161,81 @@ class _Backprop:
     and its delta writes the weight and the bias gradients (1.0 * delta is
     delta). A layer of one unit is the exception: einsum sums a single
     output's terms in SIMD lanes, so it adds b apart, as x.W + b always did.
-    The buffers and the per-layer tuples are made once, so a step allocates
-    no array and builds no list.
+
+    The buffers and the per-layer tuples are made once, and backprop and
+    step are closures bound once per kernel over them and the ufuncs they
+    call. So a step allocates no array, builds no list and looks up no
+    attribute: it costs its numpy calls. 1 - a^2 subtracts from a buffer of
+    ones, where a Python 1.0 would be converted on every call.
     """
 
     def __init__(self, params: MlpParams) -> None:
         sizes = params.layer_sizes
-        self.theta = np.concatenate([a.ravel() for layer in zip(params.weights, params.biases)
-                                     for a in layer])
-        self.grad = np.empty_like(self.theta)
-        self.params = MlpParams(sizes, *_views(sizes, self.theta), params.norm_mean,
+        theta = np.concatenate([a.ravel() for layer in zip(params.weights, params.biases)
+                                for a in layer])
+        grad = np.empty_like(theta)
+        self.theta, self.grad = theta, grad
+        self.params = MlpParams(sizes, *_views(sizes, theta), params.norm_mean,
                                 params.norm_std)
-        blocks, grad_blocks = _blocks(sizes, self.theta), _blocks(sizes, self.grad)
+        blocks, grad_blocks = _blocks(sizes, theta), _blocks(sizes, grad)
         # Layer l writes outputs[l]; a hidden layer's slot goes on with a 1.0.
-        self.activations = np.ones(sum(sizes[1:]) + len(sizes) - 2)
-        self.slopes = np.empty_like(self.activations)
-        outputs, slopes, inputs, start = [], [], [None], 0
+        activations = np.ones(sum(sizes[1:]) + len(sizes) - 2)
+        slopes, ones = np.empty_like(activations), np.ones_like(activations)
+        outputs, layer_slopes, inputs, start = [], [], [], 0
         for n in sizes[1:]:
-            outputs.append(self.activations[start:start + n])
-            slopes.append(self.slopes[start:start + n])
-            inputs.append(self.activations[start:start + n + 1])
+            outputs.append(activations[start:start + n])
+            layer_slopes.append(slopes[start:start + n])
+            inputs.append(activations[start:start + n + 1])
             start += n + 1
         deltas = [np.empty(n) for n in sizes[1:]]
         top = len(blocks) - 1
-        self.output, self.output_delta = outputs[top], deltas[top]
-        # None for the input: the row of each step.
-        self.layers = tuple((a, block, None if len(z) > 1 else block[-1], z)
-                            for a, block, z in zip(inputs, blocks, outputs))
-        self.down = tuple((deltas[layer], slopes[layer], inputs[layer][:, None],
-                           grad_blocks[layer], blocks[layer][:-1], deltas[layer - 1])
-                          for layer in range(top, 0, -1))
-        self.bottom = (deltas[0], slopes[0], grad_blocks[0])
+        output, output_delta = outputs[top], deltas[top]
+        # Per layer: its block [W; b], W, b if the layer has one unit (else
+        # None), its output, and the next layer's input, that output and 1.0.
+        layers = tuple((block, block[:-1], None if len(z) > 1 else block[-1], z, a)
+                       for block, z, a in zip(blocks, outputs, inputs))
+        down = tuple((deltas[layer], layer_slopes[layer], inputs[layer - 1][:, None],
+                      grad_blocks[layer], blocks[layer][:-1], deltas[layer - 1])
+                     for layer in range(top, 0, -1))
+        bottom_delta, bottom_slope, bottom_grad = deltas[0], layer_slopes[0], grad_blocks[0]
+        einsum, tanh, add = np.einsum, np.tanh, np.add
+        multiply, subtract = np.multiply, np.subtract
 
-    def backprop(self, x: np.ndarray, x_column: np.ndarray, target: np.ndarray) -> None:
-        """The gradient of the per-example MSE at the normalized row x, which
-        ends with 1.0 (x_column is x as an (n, 1) view), into grad."""
-        for a, block, bias, z in self.layers:
-            if a is None:
-                a = x
-            if bias is None:
-                # einsum sums j in order: its last term, 1.0 * b, gives z = x.W; z += b.
-                np.einsum("...j,jk->...k", a, block, out=z)
-            else:
-                np.einsum("...j,jk->...k", a[:-1], block[:-1], out=z)
-                z += bias
-            np.tanh(z, z)
-        np.multiply(self.activations, self.activations, out=self.slopes)
-        np.subtract(1.0, self.slopes, out=self.slopes)
-        # d/d_out of mean((out - t)^2) over the two outputs, 2 / 2 * (out - t),
-        # then back through tanh at each layer.
-        delta = self.output_delta
-        np.subtract(self.output, target, out=delta)
-        for delta, slope, column, grad_block, weights, below in self.down:
-            np.multiply(delta, slope, out=delta)
-            np.multiply(column, delta, out=grad_block)
-            np.einsum("k,jk->j", delta, weights, out=below)
-        delta, slope, grad_block = self.bottom
-        np.multiply(delta, slope, out=delta)
-        np.multiply(x_column, delta, out=grad_block)
+        def backprop(x: np.ndarray, x_column: np.ndarray, target: np.ndarray) -> None:
+            """The gradient of the per-example MSE at the normalized row x,
+            which ends with 1.0 (x_column is x as an (n, 1) view), into grad."""
+            a = x
+            for block, weights, bias, z, next_input in layers:
+                if bias is None:
+                    # einsum sums j in order: its last term, 1.0 * b, gives z = x.W; z += b.
+                    einsum("...j,jk->...k", a, block, out=z)
+                else:
+                    einsum("...j,jk->...k", a[:-1], weights, out=z)
+                    add(z, bias, z)
+                tanh(z, z)
+                a = next_input
+            multiply(activations, activations, slopes)
+            subtract(ones, slopes, slopes)
+            # d/d_out of mean((out - t)^2) over the two outputs, 2 / 2 * (out - t),
+            # then back through tanh at each layer.
+            subtract(output, target, output_delta)
+            for delta, slope, column, grad_block, weights, below in down:
+                multiply(delta, slope, delta)
+                multiply(column, delta, grad_block)
+                einsum("k,jk->j", delta, weights, out=below)
+            multiply(bottom_delta, bottom_slope, bottom_delta)
+            multiply(x_column, bottom_delta, bottom_grad)
 
-    def step(self, x: np.ndarray, x_column: np.ndarray, target: np.ndarray,
-             learning_rate: float) -> None:
-        """One online gradient step, w - learning_rate * g for every parameter."""
-        self.backprop(x, x_column, target)
-        np.multiply(learning_rate, self.grad, out=self.grad)
-        np.subtract(self.theta, self.grad, out=self.theta)
+        def step(x: np.ndarray, x_column: np.ndarray, target: np.ndarray,
+                 learning_rate: float | np.ndarray) -> None:
+            """One online gradient step, w - learning_rate * g for every parameter.
+            A 0-d array learning rate, as train passes, skips the conversion
+            a float costs on every call; the product has the same bits."""
+            backprop(x, x_column, target)
+            multiply(learning_rate, grad, grad)
+            subtract(theta, grad, theta)
+
+        self.backprop, self.step = backprop, step
 
 
 def _blocks(sizes: tuple[int, ...], buffer: np.ndarray) -> list[np.ndarray]:
@@ -375,9 +387,10 @@ def train(train_features: np.ndarray, train_goal: np.ndarray,
     train_history: list[float] = []
     val_history: list[float] = []
     stop_reason = StopReason.MAX_EPOCHS
+    step, learning_rate = kernel.step, np.array(config.learning_rate)
     for _ in range(config.max_epochs):
         for i in rng.permutation(len(xn)).tolist():
-            kernel.step(rows[i], columns[i], row_targets[i], config.learning_rate)
+            step(rows[i], columns[i], row_targets[i], learning_rate)
         train_history.append(_dataset_mse(params, xn, targets))
         val_mse = _dataset_mse(params, xvn, val_targets)
         val_history.append(val_mse)

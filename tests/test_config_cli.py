@@ -365,18 +365,27 @@ class TestGenData:
         assert main(["gen-data", "--n", "50", "--out", str(b), "--seed", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_count_fails(self, tmp_path, capsys):
-        code = main(["gen-data", "--n", "0", "--out", str(tmp_path / "x.csv")])
+    @pytest.mark.parametrize("with_config", [False, True], ids=["flags", "config"])
+    def test_zero_count_fails(self, with_config, tmp_path, capsys):
+        """--n is checked up front and named, with or without --config."""
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nseed = 3\n", encoding="utf-8")
+        flags = ["--config", str(config)] if with_config else []
+        code = main(["gen-data", "--n", "0", *flags, "--out", str(tmp_path / "x.csv")])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --n must be >= 1, got 0\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_keeper_noise_out_of_float_range_fails(self, tmp_path, capsys):
+        """A config value that fails only while the scenes are labelled
+        names the config file."""
         path = tmp_path / "noise.ini"
         path.write_text("[keeper]\npositioning_noise = 1e308\n", encoding="utf-8")
         out = tmp_path / "x.csv"
-        assert main(["gen-data", "--n", "20", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == ("error: positioning_noise 1e+308 moves the "
-                                           "keeper's aim point out of float range\n")
+        assert main(["gen-data", "--n", "50", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: config file {path}: positioning_noise "
+                                           "1e+308 moves the keeper's aim point out of "
+                                           "float range\n")
         assert not out.exists()
 
     def test_field_length_alone_moves_the_goal_line(self, tmp_path):
@@ -681,6 +690,24 @@ class TestCompare:
         assert len(entries) == 2 * 2 * 2
         assert {e["policy"] for e in entries} == {"mlp", "lda"}
 
+    @pytest.mark.parametrize("section,data", [("eval_keeper", True), ("keeper", False)],
+                             ids=["eval-keeper-plays", "keeper-labels-the-lda-scenes"])
+    def test_keeper_noise_out_of_float_range_names_the_config(
+            self, section, data, tmp_path, data_csv, model_file, capsys):
+        """A config value that fails only while a game is played, or while
+        the lda's generated scenes are labelled, names the config file."""
+        path = tmp_path / "noise.ini"
+        path.write_text(f"[{section}]\npositioning_noise = 1e308\n", encoding="utf-8")
+        out = tmp_path / "report.txt"
+        argv = ["compare", "--config", str(path), "--model", str(model_file), "--games", "2",
+                "--shots", "5", "--lda-train-scenes", "200", "--out", str(out)]
+        assert main(argv + (["--data", str(data_csv)] if data else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: config file {path}: positioning_noise 1e+308 moves "
+                                "the keeper's aim point out of float range\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_labelling_keeper_plays_no_part_with_an_eval_keeper(self, tmp_path, data_csv,
                                                                 model_file):
         """With [eval_keeper] set and the lda fitted on --data, [keeper]
@@ -959,6 +986,14 @@ class TestAimTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("bad,other", [("--distance-count", "--y-count"),
+                                           ("--y-count", "--distance-count")])
+    def test_a_bad_count_names_its_flag_alone(self, bad, other, capsys):
+        """The error line is led by the bad count's flag and does not name
+        the other count's."""
+        assert main(["aim-table", bad, "0", other, "2"]) == 1
+        assert capsys.readouterr().err == f"error: {bad} must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("flags", [
         ["--y-half", "36", "--min-distance", "5", "--max-distance", "5"],

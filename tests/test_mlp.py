@@ -244,6 +244,34 @@ class TestGradient:
                                  params.weights + params.biases):
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("sizes_a, sizes_b", [((22, 5, 2), (22, 5, 2)),
+                                                  ((3, 1, 2), (22, 8, 2)),
+                                                  ((22, 8, 5, 2), (3, 4, 2))])
+    def test_kernels_step_apart(self, sizes_a, sizes_b):
+        """Two kernels over different params, stepped alternately with a
+        gradient() call between steps, each end bit-equal to the same kernel
+        stepped alone: a bound step reads and writes only its own buffers."""
+        rng = np.random.default_rng(41)
+        sides = []
+        for sizes in (sizes_a, sizes_b):
+            xn1 = np.hstack([rng.normal(0.0, 2.0, (6, sizes[0])), np.ones((6, 1))])
+            sides.append((random_params(rng, sizes), list(xn1), list(xn1[:, :, None]),
+                          list(_targets(rng.random(6) < 0.5, 6))))
+        solo = []
+        for params, rows, columns, targets in sides:
+            kernel = _Backprop(params)
+            start = kernel.theta.tobytes()
+            for row, column, target in zip(rows, columns, targets):
+                kernel.step(row, column, target, 0.3)
+            assert kernel.theta.tobytes() != start
+            solo.append(kernel.theta.tobytes())
+        kernels = [_Backprop(params) for params, *_ in sides]
+        for i in range(6):
+            for kernel, (params, rows, columns, targets) in zip(kernels, sides):
+                kernel.step(rows[i], columns[i], targets[i], 0.3)
+                gradient(params, rows[i][:-1], targets[i])
+        assert [kernel.theta.tobytes() for kernel in kernels] == solo
+
     def test_bad_target_rejected(self):
         params = zero_params()
         with pytest.raises(ValueError):

@@ -20,11 +20,12 @@ quadrature exists only as a test oracle. _ball_half computes the terms that
 depend only on the ball (the posts relative to it and the sigmas of their
 distances) once for all of its aim points; its sigma raises HorizonError
 beyond the horizon, which makes it the policies' horizon gate too.
-_aim_chances adds the terms of each aim point on plain floats: its shot line
-(geometry.shot_line), which the policies' rankers reuse, and both tails.
-p_goal checks a caller's aim point (on the goal line, within the mouth)
-after the ball; _aim_points builds only valid ones, so the policies' stage
-one runs no target check.
+_aim_chances adds the terms of each aim point on plain floats, its shot line
+(geometry.shot_line) and both tails, and in that one pass keeps stage one's
+survivors as (target, P(goal), shot line), which the rankers reuse, or p_goal's
+AimResult. p_goal checks a caller's aim point (on the goal line, within the
+mouth) after the ball; _aim_points builds only valid ones, so the policies'
+stage one runs no target check.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def _check_target(target: Vec2, field: FieldConfig) -> None:
         raise ValueError("target must lie within the goal mouth")
 
 
-def _aim_chances(ball_half: tuple, targets: Sequence[Vec2]) -> list[tuple]:
-    """(target, shot line, P(left), P(right), P(goal)) of each checked aim
-    point, given the ball half."""
+def _aim_chances(ball_half: tuple, targets: Sequence[Vec2], threshold: float,
+                 split: bool = False) -> list:
+    """(target, P(goal), shot line), or with split the AimResult, of each checked
+    aim point whose P(goal) is at least threshold, in order, given the ball half."""
     bx, by, left_x, left_y, sigma_l, right_x, right_y, sigma_r = ball_half
     erf, sqrt2 = math.erf, _SQRT2
     chances = []
@@ -134,7 +136,9 @@ def _aim_chances(ball_half: tuple, targets: Sequence[Vec2]) -> list[tuple]:
         # each S the cross product of the shot direction and the post's offset
         left = 0.5 * (1.0 + erf(-(ux * left_y - uy * left_x) / sigma_l / sqrt2))
         right = 0.5 * (1.0 + erf((ux * right_y - uy * right_x) / sigma_r / sqrt2))
-        chances.append((target, line, left, right, 1.0 - left - right))
+        goal = 1.0 - left - right
+        if goal >= threshold:
+            chances.append(AimResult(left, right, goal) if split else (target, goal, line))
     return chances
 
 
@@ -142,7 +146,7 @@ def p_goal(query: ShotQuery, field: FieldConfig, config: AimConfig) -> AimResult
     """Full left/right/goal probability split for one aim point."""
     ball_half = _ball_half(query.ball, field, config)
     _check_target(query.target, field)
-    return AimResult(*_aim_chances(ball_half, (query.target,))[0][2:])
+    return _aim_chances(ball_half, (query.target,), -math.inf, split=True)[0]
 
 
 def within_horizon(ball: Point, field: FieldConfig, config: AimConfig) -> bool:

@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -237,12 +238,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     policy_a = _make_policy(args.policy_a, args, config, model)
     policy_b = _make_policy(args.policy_b, args, config, model)
     eval_keeper = config.eval_keeper or config.keeper
-    log = open(args.episode_log, "w", encoding="utf-8") if args.episode_log else nullcontext()
-    with log as log_handle:
-        stats = _config_located(args, run_experiment, policy_a, policy_b, args.games,
-                                args.shots, eval_keeper, config.gen, config.dynamics,
-                                config.field, config.seed,
-                                config.gen.defender_catch_radius, log_handle)
+    # The games write a file beside the log, which replaces it once all are played.
+    log = args.episode_log
+    if log and os.path.isdir(log):
+        raise IsADirectoryError(f"--episode-log {log} is a directory")
+    temp = log and Path(f"{log}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") if temp else nullcontext() as log_handle:
+            stats = _config_located(args, run_experiment, policy_a, policy_b, args.games,
+                                    args.shots, eval_keeper, config.gen, config.dynamics,
+                                    config.field, config.seed,
+                                    config.gen.defender_catch_radius, log_handle)
+        if temp:
+            os.replace(temp, log)
+    finally:
+        if temp:
+            temp.unlink(missing_ok=True)
     text = report(stats, args.format, names=(policy_a.name, policy_b.name))
     _write_or_print(text, args.out)
     return 0

@@ -18,8 +18,10 @@ The two outputs are folded into a single score in [0, 1] via
 so the ideal GOAL response (+1, -1) maps to 1.0 and the ideal NO_GOAL
 response (-1, +1) maps to 0.0; these two responses are train's targets.
 
-One layer pass serves one row (forward, the policy) and a batch
-(score_batch, eval, the epoch MSE), and gives a row the same bits in each.
+One layer pass serves one row (forward) and a batch (score_batch, the
+policy, eval, the epoch MSE), and gives a row the same bits in each. It
+costs its numpy calls, one einsum per layer and ufunc calls in place on
+arrays it made, and returns only the last layer's output.
 No product goes through BLAS, so the bits do not depend on the kernels
 OpenBLAS picks for the CPU; numpy's tanh kernel still varies with the SIMD
 extensions found, so trained models are reproducible on x86-64 CPUs with
@@ -105,28 +107,27 @@ def init_params(layer_sizes: Sequence[int], norm_mean: np.ndarray,
 
 def _normalize(params: MlpParams, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=float)
-    expected = (params.layer_sizes[0],) if x.ndim == 1 else (x.shape[0], params.layer_sizes[0])
-    if x.shape != expected:
+    if x.ndim > 2 or x.shape[-1:] != (params.layer_sizes[0],):
         raise ValueError(f"expected {params.layer_sizes[0]} features, got shape {x.shape}")
-    return (x - params.norm_mean) / params.norm_std
+    # C order: einsum sums a one-unit layer's row in the same order only over contiguous rows
+    x = np.subtract(x, params.norm_mean, order="C")
+    return np.divide(x, params.norm_std, x)
 
 
-def _activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """The normalized input and every layer's output, for a row or a batch."""
-    activations = [x]
+def _layer_pass(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The last layer's output for a normalized row or batch x."""
     for w, b in zip(params.weights, params.biases):
         # einsum sums a row's products in one order for any batch and any CPU,
         # so a batch row is bit-equal to the 1-row call; the BLAS gemv and
         # gemm behind matmul are not, and their kernels differ per core.
-        z = np.einsum("...j,jk->...k", activations[-1], w)
-        z += b
-        activations.append(np.tanh(z, out=z))
-    return activations
+        x = np.einsum("...j,jk->...k", x, w)
+        np.tanh(np.add(x, b, x), x)
+    return x
 
 
 def forward(params: MlpParams, features: np.ndarray) -> tuple[float, float]:
     """Raw (node1, node2) outputs, each in (-1, 1)."""
-    out = _activations(params, _normalize(params, features))[-1]
+    out = _layer_pass(params, _normalize(params, features))
     return float(out[0]), float(out[1])
 
 
@@ -139,8 +140,9 @@ def score(node1: float, node2: float) -> float:
 
 def score_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
     """score(*forward(params, row)) for each row of a batch, bit for bit."""
-    out = _activations(params, _normalize(params, features))[-1]
-    return (out[:, 0] - out[:, 1]) / 4.0 + 0.5
+    out = _layer_pass(params, _normalize(params, features))
+    scores = np.subtract(out[:, 0], out[:, 1])
+    return np.add(np.divide(scores, 4.0, scores), 0.5, scores)
 
 
 @dataclass(eq=False)
@@ -335,7 +337,7 @@ class EarlyStopping:
 
 def _dataset_mse(params: MlpParams, x_normalized: np.ndarray,
                  targets: np.ndarray) -> float:
-    out = _activations(params, x_normalized)[-1]
+    out = _layer_pass(params, x_normalized)
     return float(np.mean((out - targets) ** 2))
 
 
@@ -377,8 +379,7 @@ def train(train_features: np.ndarray, train_goal: np.ndarray,
     kernel = _Backprop(init_params(sizes, mean, std, rng, config.init_half_range))
     params = kernel.params
 
-    xn = (x - mean) / std
-    xvn = (xv - mean) / std
+    xn, xvn = _normalize(params, x), _normalize(params, xv)
     # The kernel's rows end with the 1.0 that its [W; b] blocks multiply b by.
     xn1 = np.hstack([xn, np.ones((len(xn), 1))])
     rows, columns, row_targets = list(xn1), list(xn1[:, :, None]), list(targets)

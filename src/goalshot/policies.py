@@ -97,10 +97,8 @@ def stage_one_survivors(ball: Point, field: FieldConfig, aim_config: AimConfig,
     """(target, p_goal, shot line) of each aim point passing the analytic
     filter; shared by all thresholded policies. Raises HorizonError beyond
     the sigma horizon."""
-    threshold = policy_config.p_goal_threshold
-    return [(target, pg, line) for target, line, _, _, pg in
-            _aim_chances(_ball_half(ball, field, aim_config), _aim_points(field, aim_config))
-            if pg >= threshold]
+    return _aim_chances(_ball_half(ball, field, aim_config), _aim_points(field, aim_config),
+                        policy_config.p_goal_threshold)
 
 
 # The last batch's stage ones, as [(key, stage ones)]: a one-entry cache

@@ -137,11 +137,14 @@ def scene_features(values: Sequence[float], defenders: Iterable[Sequence[float]]
     # The keeper and the threats relative to the ball, raising as a Vec2 of
     # the difference would on an overflow.
     kdx, kdy = kx - bx, ky - by
-    _require_finite("Vec2 component", kdx, kdy)
+    if not (math.isfinite(kdx) and math.isfinite(kdy)):
+        _require_finite("Vec2 component", kdx, kdy)
     near = []
     for d_ball, x, y in threats[:3]:
-        _require_finite("Vec2 component", x - bx, y - by)
-        near.append((d_ball, x - bx, y - by, math.hypot(center.x - x, center.y - y)))
+        dx, dy = x - bx, y - by
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            _require_finite("Vec2 component", dx, dy)
+        near.append((d_ball, dx, dy, math.hypot(center.x - x, center.y - y)))
     near += [(field.field_length, None, None, field.field_length)] * (3 - len(near))
     # Two threats give three features each, the third its distance to the ball.
     (d1, x1, y1, g1), (d2, x2, y2, g2), (third, _, _, _) = near

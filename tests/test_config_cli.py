@@ -708,6 +708,40 @@ class TestCompare:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_a_game_that_fails_keeps_an_existing_episode_log(self, tmp_path, data_csv,
+                                                             model_file, capsys):
+        """The episode log is replaced only once every game is played: a
+        config value that fails while a game is played leaves an earlier log
+        as it was, writes no report and leaves no temporary file."""
+        path = tmp_path / "noise.ini"
+        path.write_text("[eval_keeper]\npositioning_noise = 1e308\n", encoding="utf-8")
+        log, out = tmp_path / "old.log", tmp_path / "report.txt"
+        log.write_bytes(b"an earlier log\n")
+        assert main(["compare", "--config", str(path), "--model", str(model_file),
+                     "--data", str(data_csv), "--games", "2", "--shots", "5",
+                     "--episode-log", str(log), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: config file {path}: positioning_noise 1e+308 moves "
+                                "the keeper's aim point out of float range\n")
+        assert captured.out == ""
+        assert log.read_bytes() == b"an earlier log\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noise.ini", "old.log"]
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_a_log_path_that_cannot_be_created_fails_before_any_game(
+            self, where, tmp_path, data_csv, model_file, capsys, monkeypatch):
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was played")
+
+        monkeypatch.setattr(cli, "run_experiment", no_game)
+        log = tmp_path / "missing" / "episodes.jsonl" if where == "missing-directory" else tmp_path
+        assert main(["compare", "--model", str(model_file), "--data", str(data_csv),
+                     "--games", "2", "--shots", "5", "--episode-log", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and str(log) in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_labelling_keeper_plays_no_part_with_an_eval_keeper(self, tmp_path, data_csv,
                                                                 model_file):
         """With [eval_keeper] set and the lda fitted on --data, [keeper]

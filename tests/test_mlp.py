@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -103,10 +104,21 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(zero_params(), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("shape", [(21,), (), (4, 3, 22), (6, 21)],
+                             ids=["short-row", "0-d", "3-d", "short-batch"])
+    @pytest.mark.parametrize("layer_pass", [forward, score_batch], ids=["forward", "score_batch"])
+    def test_shape_error_names_the_input_width(self, layer_pass, shape):
+        """A row or a batch of the wrong width or rank fails with the one
+        shape error, before any layer runs."""
+        params = zero_params((22, 5, 2))
+        message = re.escape(f"expected 22 features, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            layer_pass(params, np.zeros(shape))
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
            n=st.integers(min_value=1, max_value=64),
-           sizes=st.sampled_from([(22, 5, 2), (3, 4, 2), (22, 8, 5, 2)]),
+           sizes=st.sampled_from([(22, 5, 2), (3, 4, 2), (22, 8, 5, 2), (22, 1, 2)]),
            view=st.sampled_from(["copy", "slice", "every_other", "columns", "fortran"]))
     def test_batch_matches_single(self, seed, n, sizes, view):
         """Row i of score_batch is bit-equal to the one-row forward, for any

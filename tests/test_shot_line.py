@@ -16,14 +16,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scene
 import goalshot.mlp
 import goalshot.policies
-from goalshot.aim import AimConfig, HorizonError, ShotQuery, p_goal, sigma, within_horizon
-from goalshot.geometry import FieldConfig, Vec2
+from goalshot.aim import (AimConfig, HorizonError, ShotQuery, discretize_targets, p_goal,
+                          sigma, within_horizon)
+from goalshot.geometry import FieldConfig, Vec2, shot_line
 from goalshot.mlp import init_params
 from goalshot.config import RunConfig
 from goalshot.policies import (LdaModel, LdaPolicy, PolicyConfig, lda_policy_decide,
@@ -123,6 +124,32 @@ def test_survivor_lines_match_one_pass_functions(scene):
     with pytest.MonkeyPatch.context() as monkeypatch:
         goalshot.policies._stage_one_memo.clear()
         check_scene(scene, monkeypatch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ball=_balls, threshold=st.floats(min_value=0.01, max_value=0.99),
+       boundary=st.one_of(st.none(), st.integers(min_value=0, max_value=AIM.target_count - 1)))
+@example(ball=Vec2(40.0, 3.0), threshold=0.5, boundary=9)
+@example(ball=Vec2(40.0, 0.0), threshold=0.5, boundary=0)  # a tie with the mirrored point
+def test_stage_one_keeps_the_aim_points_at_or_above_the_threshold(ball, threshold, boundary):
+    """Stage one keeps, in order, exactly the aim points whose p_goal clears
+    p_goal_threshold, with p_goal's P(goal) and the shot line's bits. With
+    boundary, the threshold is that aim point's exact P(goal), which clears it."""
+    if not within_horizon(ball, FIELD, AIM):
+        with pytest.raises(HorizonError):
+            stage_one_survivors(ball, FIELD, AIM, POLICY)
+        return
+    goals = [p_goal(ShotQuery(ball, target), FIELD, AIM).p_goal
+             for target in discretize_targets(FIELD, AIM)]
+    if boundary is not None and 0.0 < goals[boundary] < 1.0:
+        threshold = goals[boundary]
+    expected = [(target, float.hex(pg), hexes(shot_line(target.x - ball.x, target.y - ball.y)))
+                for target, pg in zip(discretize_targets(FIELD, AIM), goals) if pg >= threshold]
+    if boundary is not None and threshold == goals[boundary]:
+        assert (discretize_targets(FIELD, AIM)[boundary], float.hex(threshold)) in [
+            (target, pg) for target, pg, _ in expected]
+    survivors = stage_one_survivors(ball, FIELD, AIM, PolicyConfig(p_goal_threshold=threshold))
+    assert [(target, float.hex(pg), hexes(line)) for target, pg, line in survivors] == expected
 
 
 @pytest.mark.parametrize("scene", [

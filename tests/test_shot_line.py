@@ -139,15 +139,14 @@ def test_stage_one_keeps_the_aim_points_at_or_above_the_threshold(ball, threshol
         with pytest.raises(HorizonError):
             stage_one_survivors(ball, FIELD, AIM, POLICY)
         return
-    goals = [p_goal(ShotQuery(ball, target), FIELD, AIM).p_goal
-             for target in discretize_targets(FIELD, AIM)]
+    targets = discretize_targets(FIELD, AIM)
+    goals = [p_goal(ShotQuery(ball, target), FIELD, AIM).p_goal for target in targets]
     if boundary is not None and 0.0 < goals[boundary] < 1.0:
         threshold = goals[boundary]
     expected = [(target, float.hex(pg), hexes(shot_line(target.x - ball.x, target.y - ball.y)))
-                for target, pg in zip(discretize_targets(FIELD, AIM), goals) if pg >= threshold]
+                for target, pg in zip(targets, goals) if pg >= threshold]
     if boundary is not None and threshold == goals[boundary]:
-        assert (discretize_targets(FIELD, AIM)[boundary], float.hex(threshold)) in [
-            (target, pg) for target, pg, _ in expected]
+        assert (targets[boundary], float.hex(threshold)) in [(t, pg) for t, pg, _ in expected]
     survivors = stage_one_survivors(ball, FIELD, AIM, PolicyConfig(p_goal_threshold=threshold))
     assert [(target, float.hex(pg), hexes(line)) for target, pg, line in survivors] == expected
 

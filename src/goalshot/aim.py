@@ -66,7 +66,7 @@ class AimConfig:
             raise ValueError("target_inset must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShotQuery:
     """Ball position plus an aim point on the goal line."""
 
@@ -74,7 +74,7 @@ class ShotQuery:
     target: Vec2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AimResult:
     """Miss-left / miss-right / goal probabilities; sums to 1 by construction."""
 

@@ -30,7 +30,8 @@ import numpy as np
 from . import mlp
 from .aim import ShotQuery, discretize_targets, p_goal, within_horizon
 from .config import RunConfig, load_run_config, scalar_fields
-from .dynamics import BallState, BlockUniforms, kick_components, rollout_to_goal_line
+from .dynamics import (BallState, BlockUniforms, KeeperNoiseError, kick_components,
+                       rollout_to_goal_line)
 from .experiment import (check_experiment_size, check_report_format, lda_training_scenes,
                          report, run_experiment)
 from .geometry import Vec2
@@ -98,13 +99,18 @@ def _located(source: str, function, *args):
         raise ValueError(f"{source}: {exc}") from None
 
 
-def _config_located(args: argparse.Namespace, function, *function_args):
+def _config_located(args: argparse.Namespace, function, *function_args, keeper="keeper"):
     """function(*function_args), which draws, labels or plays from the run
     config. After the commands' up-front checks only the config file's values
-    can fail there, so with --config a ValueError names the file."""
-    if args.config:
-        return _located(f"config file {args.config}", function, *function_args)
-    return function(*function_args)
+    can fail there, so with --config a ValueError names the file, and a
+    KeeperNoiseError also the section of the keeper that function uses."""
+    try:
+        return function(*function_args)
+    except ValueError as exc:
+        if not args.config:
+            raise
+        section = f"[{keeper}] " if isinstance(exc, KeeperNoiseError) else ""
+        raise ValueError(f"config file {args.config}: {section}{exc}") from None
 
 
 def _require_both_classes(goal, source: str) -> None:
@@ -248,7 +254,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             stats = _config_located(args, run_experiment, policy_a, policy_b, args.games,
                                     args.shots, eval_keeper, config.gen, config.dynamics,
                                     config.field, config.seed,
-                                    config.gen.defender_catch_radius, log_handle)
+                                    config.gen.defender_catch_radius, log_handle,
+                                    keeper="eval_keeper" if config.eval_keeper else "keeper")
         if temp:
             os.replace(temp, log)
     finally:

@@ -63,6 +63,10 @@ _LEFT_RANGE = ("the ball left the finite range at ({!r}, {!r}): "
                "the noise range noise_coefficient * speed overflows")
 
 
+class KeeperNoiseError(ValueError):
+    """A keeper's positioning noise that moves its aim point out of float range."""
+
+
 @dataclass(frozen=True)
 class DynamicsConfig:
     """Simulator motion constants (per-step units)."""
@@ -86,7 +90,7 @@ class DynamicsConfig:
             raise ValueError("kick_power_rate * max_power overflows")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallState:
     position: Vec2
     velocity: Vec2
@@ -215,8 +219,8 @@ def _fly(px, py, vx, vy, config: DynamicsConfig, line_x, rng, max_steps,
             reach = hypot(gx, gy)
             if reach > k_speed:
                 if not isfinite(reach):
-                    raise ValueError(f"positioning_noise {k_noise!r} "
-                                     "moves the keeper's aim point out of float range")
+                    raise KeeperNoiseError(f"positioning_noise {k_noise!r} "
+                                           "moves the keeper's aim point out of float range")
                 scale = k_speed / reach
                 gx, gy = gx * scale, gy * scale
             kx, ky = kx + gx, ky + gy

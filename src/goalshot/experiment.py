@@ -76,7 +76,7 @@ class EpisodeOutcome(NamedTuple):
     steps: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchStats:
     """Aggregate over an experiment; effectiveness is None when no kick was
     taken. Means and stds are per game (population convention)."""

@@ -3,7 +3,9 @@
 Coordinate conventions used throughout the package: x runs along the field
 with the attacked goal at positive x, y is the lateral axis, units are
 meters. Seen from above with +x ahead, "left" is the +y side, so the left
-goal post sits at lateral +goal_width/2.
+goal post sits at lateral +goal_width/2. Vec2, built per point, is a
+slotted frozen dataclass: x and y live in slots and there is no instance
+dict. FieldConfig keeps its dict, which holds its cached_property values.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ def _require_finite(label: str, *values: float) -> None:
             raise ValueError(f"{label} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec2:
     """Immutable 2D point/vector. Components must be finite."""
 

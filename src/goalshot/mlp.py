@@ -105,9 +105,9 @@ def init_params(layer_sizes: Sequence[int], norm_mean: np.ndarray,
                      np.asarray(norm_std, float))
 
 
-def _normalize(params: MlpParams, features: np.ndarray) -> np.ndarray:
+def _normalize(params: MlpParams, features: np.ndarray, ndim: int) -> np.ndarray:
     x = np.asarray(features, dtype=float)
-    if x.ndim > 2 or x.shape[-1:] != (params.layer_sizes[0],):
+    if x.ndim != ndim or x.shape[-1:] != (params.layer_sizes[0],):
         raise ValueError(f"expected {params.layer_sizes[0]} features, got shape {x.shape}")
     # C order: einsum sums a one-unit layer's row in the same order only over contiguous rows
     x = np.subtract(x, params.norm_mean, order="C")
@@ -126,8 +126,8 @@ def _layer_pass(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def forward(params: MlpParams, features: np.ndarray) -> tuple[float, float]:
-    """Raw (node1, node2) outputs, each in (-1, 1)."""
-    out = _layer_pass(params, _normalize(params, features))
+    """Raw (node1, node2) outputs of one feature row, each in (-1, 1)."""
+    out = _layer_pass(params, _normalize(params, features, 1))
     return float(out[0]), float(out[1])
 
 
@@ -140,7 +140,7 @@ def score(node1: float, node2: float) -> float:
 
 def score_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
     """score(*forward(params, row)) for each row of a batch, bit for bit."""
-    out = _layer_pass(params, _normalize(params, features))
+    out = _layer_pass(params, _normalize(params, features, 2))
     scores = np.subtract(out[:, 0], out[:, 1])
     return np.add(np.divide(scores, 4.0, scores), 0.5, scores)
 
@@ -266,7 +266,7 @@ def gradient(params: MlpParams, features: np.ndarray,
         raise ValueError(f"target must have {params.layer_sizes[-1]} components")
     if np.any(np.abs(t) > 1.0):
         raise ValueError("target components must be in [-1, 1]")
-    x = np.append(_normalize(params, features), 1.0)
+    x = np.append(_normalize(params, features, 1), 1.0)
     kernel = _Backprop(params)
     kernel.backprop(x, x[:, None], t)
     return MlpGradients(*_views(params.layer_sizes, kernel.grad))
@@ -379,7 +379,7 @@ def train(train_features: np.ndarray, train_goal: np.ndarray,
     kernel = _Backprop(init_params(sizes, mean, std, rng, config.init_half_range))
     params = kernel.params
 
-    xn, xvn = _normalize(params, x), _normalize(params, xv)
+    xn, xvn = _normalize(params, x, 2), _normalize(params, xv, 2)
     # The kernel's rows end with the 1.0 that its [W; b] blocks multiply b by.
     xn1 = np.hstack([xn, np.ones((len(xn), 1))])
     rows, columns, row_targets = list(xn1), list(xn1[:, :, None]), list(targets)

@@ -17,7 +17,8 @@ with bar 0. Stage one depends only on the ball and the configs and is kept
 for the last batch, so a second policy deciding the same scenes reuses it.
 A scene that fails a check raises for its whole batch, before any decision
 is returned. The naive reference has no stages; it always shoots at the
-goal center.
+goal center. KickDecision and LdaModel are slotted: no instance dict. The
+configs and policies, a handful per run, keep theirs.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class PolicyConfig:
             raise ValueError("score_threshold must be in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KickDecision:
     """out_of_range marks a NO_KICK forced by the sigma-model horizon. A
     KICK needs a target."""
@@ -79,7 +80,7 @@ _NO_KICK = KickDecision(Action.NO_KICK)
 _OUT_OF_RANGE = KickDecision(Action.NO_KICK, out_of_range=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LdaModel:
     """Linear discriminant over (keeper distance to ball, keeper angle)."""
 
@@ -169,8 +170,6 @@ def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
         raise ValueError("singular normal equations; features carry no spread") from None
     return LdaModel(weight_distance=float(w[0]), weight_angle=float(w[1]),
                     bias=float(w[2]))
-
-
 
 
 class Policy(Protocol):

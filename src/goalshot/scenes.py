@@ -15,7 +15,8 @@ SCALAR_COLUMNS values and the (x, y) defenders), checked once when drawn;
 other modules read a row through `ball_of`, `velocity_of`, `keeper_of` and
 `power_of`, so the layout stays here. A `KickScene` is the checked
 one-scene view at the edge (`scene_row` gives its row; `SceneTable.scenes()`
-gives a table's). `scene_features` is the one feature kernel, on plain
+gives a table's), slotted so that a scene per row carries no instance dict.
+`scene_features` is the one feature kernel, on plain
 floats: it builds every row of the canonical 22 features, a scene's
 (`extract_features`), a survivor's (the MLP policy) and a table row's
 (`feature_matrix`), so a row has the same bits, and a bad row the same
@@ -48,7 +49,7 @@ class Label(enum.Enum):
     NO_GOAL = "NO_GOAL"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KickScene:
     """One shot situation, checked: the one-scene view that a policy's
     decide takes. `label` is None for scenes still to be resolved."""

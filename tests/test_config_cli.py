@@ -378,14 +378,14 @@ class TestGenData:
 
     def test_keeper_noise_out_of_float_range_fails(self, tmp_path, capsys):
         """A config value that fails only while the scenes are labelled
-        names the config file."""
+        names the config file and the labelling keeper's section."""
         path = tmp_path / "noise.ini"
         path.write_text("[keeper]\npositioning_noise = 1e308\n", encoding="utf-8")
         out = tmp_path / "x.csv"
         assert main(["gen-data", "--n", "50", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (f"error: config file {path}: positioning_noise "
-                                           "1e+308 moves the keeper's aim point out of "
-                                           "float range\n")
+        assert capsys.readouterr().err == (f"error: config file {path}: [keeper] "
+                                           "positioning_noise 1e+308 moves the keeper's aim "
+                                           "point out of float range\n")
         assert not out.exists()
 
     def test_field_length_alone_moves_the_goal_line(self, tmp_path):
@@ -690,12 +690,16 @@ class TestCompare:
         assert len(entries) == 2 * 2 * 2
         assert {e["policy"] for e in entries} == {"mlp", "lda"}
 
-    @pytest.mark.parametrize("section,data", [("eval_keeper", True), ("keeper", False)],
-                             ids=["eval-keeper-plays", "keeper-labels-the-lda-scenes"])
+    @pytest.mark.parametrize("section,data", [("eval_keeper", True), ("keeper", False),
+                                              ("keeper", True)],
+                             ids=["eval-keeper-plays", "keeper-labels-the-lda-scenes",
+                                  "keeper-plays"])
     def test_keeper_noise_out_of_float_range_names_the_config(
             self, section, data, tmp_path, data_csv, model_file, capsys):
         """A config value that fails only while a game is played, or while
-        the lda's generated scenes are labelled, names the config file."""
+        the lda's generated scenes are labelled, names the config file and
+        the section of the keeper that failed: [eval_keeper] where it plays
+        the games, else [keeper]."""
         path = tmp_path / "noise.ini"
         path.write_text(f"[{section}]\npositioning_noise = 1e308\n", encoding="utf-8")
         out = tmp_path / "report.txt"
@@ -703,8 +707,8 @@ class TestCompare:
                 "--shots", "5", "--lda-train-scenes", "200", "--out", str(out)]
         assert main(argv + (["--data", str(data_csv)] if data else [])) == 1
         captured = capsys.readouterr()
-        assert captured.err == (f"error: config file {path}: positioning_noise 1e+308 moves "
-                                "the keeper's aim point out of float range\n")
+        assert captured.err == (f"error: config file {path}: [{section}] positioning_noise "
+                                "1e+308 moves the keeper's aim point out of float range\n")
         assert captured.out == ""
         assert not out.exists()
 
@@ -721,8 +725,9 @@ class TestCompare:
                      "--data", str(data_csv), "--games", "2", "--shots", "5",
                      "--episode-log", str(log), "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == (f"error: config file {path}: positioning_noise 1e+308 moves "
-                                "the keeper's aim point out of float range\n")
+        assert captured.err == (f"error: config file {path}: [eval_keeper] "
+                                "positioning_noise 1e+308 moves the keeper's aim point out "
+                                "of float range\n")
         assert captured.out == ""
         assert log.read_bytes() == b"an earlier log\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["noise.ini", "old.log"]

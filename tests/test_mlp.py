@@ -104,12 +104,19 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(zero_params(), np.array([1.0, 2.0]))
 
-    @pytest.mark.parametrize("shape", [(21,), (), (4, 3, 22), (6, 21)],
-                             ids=["short-row", "0-d", "3-d", "short-batch"])
-    @pytest.mark.parametrize("layer_pass", [forward, score_batch], ids=["forward", "score_batch"])
+    @pytest.mark.parametrize("layer_pass, shape", [
+        *(pytest.param(layer_pass, shape, id=f"{layer_pass.__name__}-{name}")
+          for layer_pass in (forward, score_batch)
+          for name, shape in (("short-row", (21,)), ("0-d", ()), ("3-d", (4, 3, 22)),
+                              ("short-batch", (6, 21)))),
+        pytest.param(forward, (1, 22), id="forward-one-row-batch"),
+        pytest.param(forward, (2, 22), id="forward-batch"),
+        pytest.param(score_batch, (22,), id="score_batch-row"),
+    ])
     def test_shape_error_names_the_input_width(self, layer_pass, shape):
         """A row or a batch of the wrong width or rank fails with the one
-        shape error, before any layer runs."""
+        shape error, before any layer runs: forward takes one row and
+        score_batch a batch."""
         params = zero_params((22, 5, 2))
         message = re.escape(f"expected 22 features, got shape {shape}")
         with pytest.raises(ValueError, match=f"^{message}$"):

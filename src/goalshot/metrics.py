@@ -8,7 +8,7 @@ rank statistic (ties counted 1/2) exactly; auc_rank computes that
 statistic independently and serves as the oracle route. auc_rank ranks
 each positive score by its mid-rank in the sorted pooled scores, found by
 two binary searches; mid-ranks are half-integers, so the rank sum is
-exact.
+exact. The curves sort for their distinct scores: np.unique imports numpy.ma.
 """
 
 from __future__ import annotations
@@ -58,15 +58,21 @@ def _split_scores(scores: np.ndarray, goal: np.ndarray) -> tuple[np.ndarray, np.
     return pos, neg
 
 
+def _distinct_sorted(scores: np.ndarray) -> np.ndarray:
+    """np.unique(scores) without np.unique's import of numpy.ma, bit for bit on
+    finite scores without -0.0. Where 0.0 and -0.0 both occur, it keeps the
+    one first in input order: the sort is stable, and each run keeps its first."""
+    ordered = scores[np.argsort(scores, kind="stable")]
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 def roc_curve(scores: np.ndarray, goal: np.ndarray) -> RocCurve:
     """ROC curve swept over all distinct score thresholds, AUC by trapezoid."""
     pos, neg = _split_scores(scores, goal)
-    pos_sorted = np.sort(pos)
-    neg_sorted = np.sort(neg)
-    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
+    thresholds = _distinct_sorted(np.concatenate([pos, neg]))[::-1]
     # Counts of scores >= threshold, one step per distinct score.
-    tpr = (len(pos) - np.searchsorted(pos_sorted, thresholds, side="left")) / len(pos)
-    fpr = (len(neg) - np.searchsorted(neg_sorted, thresholds, side="left")) / len(neg)
+    tpr = (len(pos) - np.searchsorted(np.sort(pos), thresholds, side="left")) / len(pos)
+    fpr = (len(neg) - np.searchsorted(np.sort(neg), thresholds, side="left")) / len(neg)
     xs = np.concatenate([[0.0], fpr])
     ys = np.concatenate([[0.0], tpr])
     auc = float(np.trapezoid(ys, xs))
@@ -88,7 +94,7 @@ def auc_rank(scores: np.ndarray, goal: np.ndarray) -> float:
 def ks2_curve(scores: np.ndarray, goal: np.ndarray) -> Ks2Curve:
     """Two-sample Kolmogorov-Smirnov curve and statistic."""
     pos, neg = _split_scores(scores, goal)
-    thresholds = np.unique(np.concatenate([pos, neg]))
+    thresholds = _distinct_sorted(np.concatenate([pos, neg]))
     cdf_pos = np.searchsorted(np.sort(pos), thresholds, side="right") / len(pos)
     cdf_neg = np.searchsorted(np.sort(neg), thresholds, side="right") / len(neg)
     gaps = np.abs(cdf_pos - cdf_neg)

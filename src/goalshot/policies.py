@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Protocol, Sequence
@@ -146,24 +147,36 @@ def _lda_inputs(ball: Point, keeper: Point, lines: Iterable[tuple]) -> tuple[flo
                             kdx * line[0] + kdy * line[1]) for line in lines]
 
 
-def lda_train(scenes: Sequence[KickScene], field: FieldConfig) -> LdaModel:
+def lda_train(scenes: Iterable[KickScene], field: FieldConfig) -> LdaModel:
     """Least-squares fit of the two-variable discriminant with labels +/-1,
-    each scene's angle taken at its own target."""
-    rows = []
-    targets = []
-    for scene in scenes:
-        if scene.label is None:
-            raise ValueError("every scene must be labeled")
-        dx, dy = scene.target.x - scene.ball.x, scene.target.y - scene.ball.y
-        distance, (angle,) = _lda_inputs(scene.ball, scene.keeper, [(dx, dy)])
-        if not (math.isfinite(dx) and math.isfinite(dy) and math.hypot(dx, dy) >= 1e-12):
-            angle = 0.0  # a target on the ball, or too far from it to subtract
-        rows.append([distance, angle, 1.0])
-        targets.append(1.0 if scene.label is Label.GOAL else -1.0)
-    y = np.array(targets)
+    each scene's angle at its own target. One pass over any iterable writes
+    its (distance, angle, 1.0) rows and targets straight into float64 arrays.
+    Raises at the first unlabelled scene, then for one class or none, at the
+    first row that is not finite, then for singular equations."""
+    targets = array("d")
+
+    def rows():
+        for scene in scenes:
+            if scene.label is None:
+                raise ValueError("every scene must be labeled")
+            dx, dy = scene.target.x - scene.ball.x, scene.target.y - scene.ball.y
+            distance, (angle,) = _lda_inputs(scene.ball, scene.keeper, [(dx, dy)])
+            if not (math.isfinite(dx) and math.isfinite(dy) and math.hypot(dx, dy) >= 1e-12):
+                angle = 0.0  # a target on the ball, or too far from it to subtract
+            targets.append(1.0 if scene.label is Label.GOAL else -1.0)
+            yield distance
+            yield angle
+            yield 1.0
+
+    count = 3 * len(scenes) if hasattr(scenes, "__len__") else -1
+    x = np.fromiter(rows(), float, count).reshape(-1, 3)
+    y = np.frombuffer(targets)
     if np.all(y > 0) or np.all(y < 0):
         raise ValueError("both classes must be present")
-    x = np.array(rows)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"scene {int(finite.argmin())} (from 0): the keeper's distance "
+                         f"or angle to the ball is not finite")
     try:
         w = np.linalg.solve(x.T @ x, x.T @ y)
     except np.linalg.LinAlgError:

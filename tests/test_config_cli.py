@@ -491,6 +491,19 @@ class TestTrainEval:
         assert ks_rows[0] == "threshold,cdf_positive,cdf_negative,gap"
         assert len(ks_rows) > 2
 
+    def test_eval_leaves_numpy_ma_unimported(self, tmp_path, data_csv, model_file):
+        """np.unique imports numpy.ma; the curves take their distinct scores
+        without it, so an eval process never loads it."""
+        code = ("import sys; from goalshot.cli import main; "
+                f"code = main(['eval', '--model', {str(model_file)!r}, '--data', "
+                f"{str(data_csv)!r}, '--use-test-split', '--roc-out', "
+                f"{str(tmp_path / 'roc.csv')!r}, '--ks2-out', {str(tmp_path / 'ks2.csv')!r}]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120, check=True)
+        assert result.stdout.splitlines()[-1] == "0 False"
+
     def test_run_seed_in_the_file_trains_the_model_of_the_flag(self, tmp_path, data_csv):
         """[run] seed is the run's only seed: from the file, as from --seed,
         it also draws the initial weights and each epoch's example order."""
@@ -631,6 +644,23 @@ class TestTooFewScenes:
         data = _scene_file(tmp_path / "few.csv", data_csv, labels)
         err = self._error(capsys, "stats", "--data", str(data))
         assert err == f"error: scene file {data}: {message}\n"
+
+    def test_compare_lda_on_a_keeper_out_of_float_range(self, tmp_path, data_csv, capsys):
+        """A finite keeper loads, but its distance to the ball overflows: the
+        fit names the scene instead of returning NaN weights."""
+        data, log = tmp_path / "far.csv", tmp_path / "episodes.jsonl"
+        header, *lines = data_csv.read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split(",")
+        for column in ("keeper_x", "keeper_y"):
+            cells[CSV_HEADER.index(column)] = "1.7e308"
+        lines[3] = ",".join(cells)
+        data.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        assert len(load_scenes(data)) == len(lines)
+        err = self._error(capsys, "compare", "--policy-a", "lda", "--policy-b", "center",
+                          "--data", str(data), "--episode-log", str(log))
+        assert err == (f"error: scene file {data}: scene 3 (from 0): the keeper's distance "
+                       "or angle to the ball is not finite\n")
+        assert not log.exists()
 
     def test_compare_lda_on_two_scenes_that_differ_only_in_their_label(self, tmp_path,
                                                                        data_csv, capsys):

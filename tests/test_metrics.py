@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import from_scenes, make_scene, random_scene
-from goalshot.metrics import Ks2Curve, auc_rank, feature_relevance, ks2_curve, roc_curve
+from goalshot.metrics import (Ks2Curve, _distinct_sorted, auc_rank, feature_relevance,
+                              ks2_curve, roc_curve)
 from goalshot.scenes import FEATURE_NAMES, Label, feature_matrix
 
 
@@ -137,6 +140,24 @@ class TestAucRank:
 def test_goal_must_be_a_bool_mask(metric, goal):
     with pytest.raises(ValueError, match="bool GOAL mask"):
         metric(np.array([0.9, 0.2, 0.4]), goal)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+                | st.sampled_from([0.0, 0.5, 1.0, -2.0, 1e-300]), min_size=1))
+def test_distinct_scores_equal_np_unique(values):
+    """Bit for bit on finite scores, ties drawn often, without -0.0 (v + 0.0
+    turns -0.0 into 0.0), which score_batch never returns."""
+    scores = np.array(values)
+    assert _distinct_sorted(scores).tobytes() == np.unique(scores).tobytes()
+
+
+@pytest.mark.parametrize("values,zero", [([0.0, 1.0, -0.0], 0.0), ([-0.0, 0.0], -0.0),
+                                         ([2.0, -0.0, 0.0, -1.0], -0.0)],
+                         ids=["positive-first", "negative-first", "negative-first-of-four"])
+def test_distinct_scores_keep_the_first_signed_zero(values, zero):
+    distinct = _distinct_sorted(np.array(values))
+    assert (distinct == 0.0).sum() == 1
+    assert math.copysign(1.0, distinct[distinct == 0.0][0]) == math.copysign(1.0, zero)
 
 
 def test_import_loads_no_scipy():

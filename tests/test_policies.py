@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -182,11 +183,11 @@ class TestLdaTrain:
         with pytest.raises(ValueError):
             lda_train([self._scene_with(3.0, 0.2, Label.GOAL)], field)
 
-    def test_fit_equals_the_angle_at_reference(self, field):
-        """The fit's inputs are the keeper's distance to the ball and the
-        oracle angle_at of the scene's own target, bit for bit, also where a
-        target or keeper is on the ball or 1e-13 from it, where the target
-        offset overflows and where only its length does."""
+    @staticmethod
+    def _fit_scenes(field):
+        """Generated scenes, then each edge scene with both labels: a target
+        or keeper on the ball or 1e-13 from it, a target offset that
+        overflows and one whose length only does."""
         ball, keeper, far = Vec2(30.0, 0.0), Vec2(30.0, 3.0), Vec2(-1e308, 0.0)
         edges = [make_scene(ball=ball, target=ball),
                  make_scene(ball=ball, target=Vec2(30.0 + 1e-13, 0.0), keeper=keeper),
@@ -195,14 +196,75 @@ class TestLdaTrain:
                  make_scene(ball=far, target=Vec2(1e308, 0.0), keeper=Vec2(-1e308, 3.0)),
                  make_scene(ball=ball, target=Vec2(1.7e308, 1.7e308), keeper=keeper)]
         scenes = generate_synthetic_scenes(200, CFG.gen, CFG.dynamics, field, seed=6).scenes()
-        scenes += [replace(scene, label=label) for scene in edges
-                   for label in (Label.GOAL, Label.NO_GOAL)]
+        return scenes + [replace(scene, label=label) for scene in edges
+                         for label in (Label.GOAL, Label.NO_GOAL)]
+
+    def test_fit_equals_the_angle_at_reference(self, field):
+        """The fit's inputs are the keeper's distance to the ball and the
+        oracle angle_at of the scene's own target, bit for bit, also at the
+        edge scenes."""
+        scenes = self._fit_scenes(field)
         x = np.array([[s.keeper.distance_to(s.ball), angle_at(s.ball, s.keeper, s.target), 1.0]
                       for s in scenes])
         y = np.array([1.0 if s.label is Label.GOAL else -1.0 for s in scenes])
         w = np.linalg.solve(x.T @ x, x.T @ y)
         assert np.isfinite(x).all() and x[-1, 1] == math.pi / 4
         assert lda_train(scenes, field) == LdaModel(*w.tolist())
+
+    @pytest.mark.parametrize("container", [list, tuple, iter, lambda s: (x for x in s)],
+                             ids=["list", "tuple", "iterator", "generator"])
+    def test_fit_equals_the_list_built_reference(self, container, field):
+        """The fit's arrays hold the bits np.array gives its row and target
+        lists, from any iterable of scenes, sized or not."""
+        scenes = self._fit_scenes(field)
+        rows, targets = [], []
+        for s in scenes:
+            dx, dy = s.target.x - s.ball.x, s.target.y - s.ball.y
+            distance, (angle,) = goalshot.policies._lda_inputs(s.ball, s.keeper, [(dx, dy)])
+            if not (math.isfinite(dx) and math.isfinite(dy) and math.hypot(dx, dy) >= 1e-12):
+                angle = 0.0
+            rows.append([distance, angle, 1.0])
+            targets.append(1.0 if s.label is Label.GOAL else -1.0)
+        x, y = np.array(rows), np.array(targets)
+        w = np.linalg.solve(x.T @ x, x.T @ y)
+        assert lda_train(container(scenes), field) == LdaModel(*w.tolist())
+
+    def test_peak_memory_is_the_arrays(self, field):
+        """No list or float per scene outlives its scene: the fit's traced
+        peak stays below 64 B per scene (the row arrays take 32)."""
+        scenes = generate_synthetic_scenes(300, CFG.gen, CFG.dynamics, field, seed=4).scenes()
+        scenes *= 10
+        lda_train(scenes, field)  # warm: imports and first-call caches
+        tracemalloc.start()
+        try:
+            lda_train(scenes, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * len(scenes)
+
+    @pytest.mark.parametrize("case,message", [
+        pytest.param(case, message, id=case) for case, message in (
+            ("unlabelled-last", "every scene must be labeled"),
+            ("none", "both classes must be present"),
+            ("none-iterated", "both classes must be present"),
+            ("one-class-out-of-range", "both classes must be present"),
+            ("out-of-range-singular", r"^scene 2 \(from 0\): the keeper's distance or "
+                                      r"angle to the ball is not finite$"),
+            ("singular", "singular normal equations"))])
+    def test_errors_keep_their_order(self, case, message, field):
+        """Unlabelled first, then one class or none, then a row that is not
+        finite, then singular equations."""
+        goal, miss = (self._scene_with(3.0, 0.2, label) for label in (Label.GOAL, Label.NO_GOAL))
+        far = replace(miss, keeper=Vec2(1.7e308, 1.7e308))
+        scenes = {"unlabelled-last": [goal, goal, replace(goal, label=None)],
+                  "none": [],
+                  "none-iterated": iter([]),
+                  "one-class-out-of-range": [miss, far],
+                  "out-of-range-singular": [goal, miss, far, goal, miss],
+                  "singular": [goal, miss, goal, miss]}[case]
+        with pytest.raises(ValueError, match=message):
+            lda_train(scenes, field)
 
     def test_degenerate_features_rejected(self, field):
         scenes = [self._scene_with(3.0, 0.0, Label.GOAL),

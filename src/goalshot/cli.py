@@ -30,11 +30,10 @@ import numpy as np
 from . import mlp
 from .aim import ShotQuery, discretize_targets, p_goal, within_horizon
 from .config import RunConfig, load_run_config, scalar_fields
-from .dynamics import (BallState, BlockUniforms, KeeperNoiseError, kick_components,
-                       rollout_to_goal_line)
+from .dynamics import BallState, BlockUniforms, KeeperNoiseError, kick, rollout_to_goal_line
 from .experiment import (check_experiment_size, check_report_format, lda_training_scenes,
                          report, run_experiment)
-from .geometry import Vec2
+from .geometry import Vec2, _located
 from .metrics import feature_relevance, ks2_curve, roc_curve
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
 from .scenes import (FEATURE_NAMES, Label, SceneTable, balance_by_replication,
@@ -53,10 +52,7 @@ def _with_flags(config, args: argparse.Namespace):
         flag = "--" + key.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{flag}: non-finite value {value!r}")
-        try:
-            config = replace(config, **{key: value})
-        except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
+        config = _located(flag, replace, config, **{key: value})
     return config
 
 
@@ -88,15 +84,6 @@ def _load_model(path: str | None) -> mlp.MlpParams:
         raise ValueError(f"model file {path}: input layer takes {params.layer_sizes[0]} "
                          f"features, a scene gives {len(FEATURE_NAMES)}")
     return params
-
-
-def _located(source: str, function, *args):
-    """function(*args), a ValueError from it prefixed with the source of what
-    it was given (a file or a flag), as SceneTable.load prefixes the file's."""
-    try:
-        return function(*args)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
 
 
 def _config_located(args: argparse.Namespace, function, *function_args, keeper="keeper"):
@@ -302,7 +289,7 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
         # Safe to draw ahead: nothing else draws from this generator.
         uniforms = BlockUniforms(np.random.default_rng(config.seed))
     lines = [header]
-    at_rest, half_goal = Vec2(0.0, 0.0), field.goal_width / 2
+    half_goal = field.goal_width / 2
     for distance in distances:
         for lateral in laterals:
             ball = Vec2(field.goal_line_x - float(distance), float(lateral))
@@ -312,10 +299,8 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
                         f"{result.p_right!r},{result.p_goal!r}")
                 if args.mc_rollouts:
                     goals = 0
-                    # The ball at rest, kicked at the target: kick(BallState.at_rest(ball), ...).
-                    kicked = kick_components(args.mc_power, math.atan2(
+                    state = kick(BallState.at_rest(ball), args.mc_power, math.atan2(
                         target.y - ball.y, target.x - ball.x), config.dynamics)
-                    state = BallState(ball, at_rest, Vec2(*kicked))
                     for _ in range(args.mc_rollouts):
                         crossed, lateral_at_line, _ = rollout_to_goal_line(
                             state, config.dynamics, field, uniforms)

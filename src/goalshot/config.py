@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 from .aim import AimConfig
 from .dynamics import DynamicsConfig
-from .geometry import FieldConfig
+from .geometry import FieldConfig, _located
 from .keeper import KeeperModel
 from .mlp import TrainConfig
 from .policies import PolicyConfig
@@ -112,10 +112,7 @@ def _parse_section(cls, section: str, items: dict[str, str]):
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse a config file; defaults fill every omitted section and key.
     Errors begin "config file <path>: "."""
-    try:
-        return _load(Path(path))
-    except ValueError as exc:
-        raise ValueError(f"config file {path}: {exc}") from None
+    return _located(f"config file {path}", _load, Path(path))
 
 
 def _syntax_error(exc: configparser.Error) -> str:

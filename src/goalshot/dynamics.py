@@ -57,8 +57,6 @@ STOP_SPEED = 1e-3
 MAX_STEPS = 10_000
 # Uniforms a BlockUniforms draws from its generator at a time.
 UNIFORM_BLOCK = 256
-# How a flight ends in `_fly`; running out of steps counts as stopped.
-_CROSSED, _CAUGHT, _STOPPED = "crossed", "caught", "stopped"
 _LEFT_RANGE = ("the ball left the finite range at ({!r}, {!r}): "
                "the noise range noise_coefficient * speed overflows")
 
@@ -153,7 +151,7 @@ def _fly(px, py, vx, vy, config: DynamicsConfig, line_x, rng, max_steps,
     """Step the ball from (px, py), with (vx, vy) = v + a, until it crosses
     x = line_x, is caught or stops. `keeper` is None or (x, y, catch_radius,
     max_speed, reaction_delay, positioning_noise), `defenders` (x, y, radius)
-    triples. Returns (end, steps, crossing lateral or None, (px, py, vx, vy))."""
+    triples. Returns (steps, crossing lateral or None, (px, py, vx, vy))."""
     noise, top_speed, decay = config.noise_coefficient, config.max_speed, config.decay
     hypot, isfinite = math.hypot, math.isfinite
     speed = hypot(vx, vy)
@@ -198,12 +196,12 @@ def _fly(px, py, vx, vy, config: DynamicsConfig, line_x, rng, max_steps,
                         or lo_y - qy > radius or qy - hi_y > radius):
                     continue
                 if _segment_distance(qx, qy, x0, y0, ex, ey) <= radius:
-                    return _CAUGHT, n, None, (px, py, vx, vy)
+                    return n, None, (px, py, vx, vy)
         if crossed:
-            return _CROSSED, n, ey, (px, py, vx, vy)
+            return n, ey, (px, py, vx, vy)
         speed = hypot(vx, vy)
         if speed < STOP_SPEED:
-            return _STOPPED, n, None, (px, py, vx, vy)
+            return n, None, (px, py, vx, vy)
         if n > pursue_after:
             # The keeper heads for the closest point to itself on the ball's travel ray.
             dx, dy = vx * (1.0 / speed), vy * (1.0 / speed)
@@ -224,14 +222,14 @@ def _fly(px, py, vx, vy, config: DynamicsConfig, line_x, rng, max_steps,
                 scale = k_speed / reach
                 gx, gy = gx * scale, gy * scale
             kx, ky = kx + gx, ky + gy
-    return _STOPPED, max_steps, None, (px, py, vx, vy)
+    return max_steps, None, (px, py, vx, vy)
 
 
 def step(state: BallState, config: DynamicsConfig,
          rng: np.random.Generator | None) -> BallState:
     """Advance the ball one simulation step; `rng` may be None only without noise."""
     p, v, a = state.position, state.velocity, state.acceleration
-    px, py, vx, vy = _fly(p.x, p.y, v.x + a.x, v.y + a.y, config, math.inf, rng, 1)[3]
+    px, py, vx, vy = _fly(p.x, p.y, v.x + a.x, v.y + a.y, config, math.inf, rng, 1)[2]
     if not (math.isfinite(px) and math.isfinite(py)):
         raise ValueError(_LEFT_RANGE.format(px, py))
     return BallState(Vec2(px, py), Vec2(vx, vy), Vec2(0.0, 0.0))
@@ -271,9 +269,9 @@ def rollout_to_goal_line(state: BallState, config: DynamicsConfig,
     if state.position.x >= field.goal_line_x:
         raise ValueError("ball must start before the goal line")
     p, v, a = state.position, state.velocity, state.acceleration
-    end, steps, lateral, _ = _fly(p.x, p.y, v.x + a.x, v.y + a.y, config,
-                                  field.goal_line_x, rng, MAX_STEPS)
-    return CrossingOutcome(end == _CROSSED, lateral, steps)
+    steps, lateral, _ = _fly(p.x, p.y, v.x + a.x, v.y + a.y, config,
+                             field.goal_line_x, rng, MAX_STEPS)
+    return CrossingOutcome(lateral is not None, lateral, steps)
 
 
 def travel_range(initial_speed: float, decay: float) -> float:

@@ -22,6 +22,15 @@ def _require_finite(label: str, *values: float) -> None:
             raise ValueError(f"{label} must be finite, got {v!r}")
 
 
+def _located(source: str, function, *args, **kwargs):
+    """function(*args, **kwargs), a ValueError from it prefixed with the
+    source of what it was given: a file, a flag."""
+    try:
+        return function(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Vec2:
     """Immutable 2D point/vector. Components must be finite."""

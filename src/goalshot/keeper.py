@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import _CROSSED, MAX_STEPS, DynamicsConfig, _fly, kick_components
+from .dynamics import MAX_STEPS, DynamicsConfig, _fly, kick_components
 from .geometry import FieldConfig, Point, _require_finite
 
 DEFAULT_DEFENDER_CATCH_RADIUS = 1.0
@@ -74,9 +74,9 @@ def simulate_shot(ball: Point, ball_velocity: Point, target: Point, power: float
     ax, ay = kick_components(power, math.atan2(ty - by, tx - bx), dynamics)
     keeper = (kx, ky, keeper_model.catch_radius, keeper_model.max_speed,
               keeper_model.reaction_delay, keeper_model.positioning_noise)
-    end, steps, lateral, _ = _fly(bx, by, vx + ax, vy + ay, dynamics, field.goal_line_x,
-                                  rng, MAX_STEPS, keeper,
-                                  [(x, y, defender_catch_radius) for x, y in defenders])
-    if end != _CROSSED:
+    steps, lateral, _ = _fly(bx, by, vx + ax, vy + ay, dynamics, field.goal_line_x,
+                             rng, MAX_STEPS, keeper,
+                             [(x, y, defender_catch_radius) for x, y in defenders])
+    if lateral is None:
         return ShotResult.CAUGHT, steps
     return (ShotResult.GOAL if abs(lateral) <= field.goal_width / 2 else ShotResult.WIDE), steps

@@ -38,7 +38,7 @@ import numpy as np
 
 from .aim import GOAL_LINE_TOLERANCE
 from .dynamics import BlockUniforms, DynamicsConfig
-from .geometry import FieldConfig, Vec2, _require_finite, shot_line
+from .geometry import FieldConfig, Vec2, _located, _require_finite, shot_line
 from .keeper import DEFAULT_DEFENDER_CATCH_RADIUS, KeeperModel, ShotResult, simulate_shot
 
 MAX_DEFENDERS = 10
@@ -356,10 +356,7 @@ class SceneTable:
         cell in column order, else the first failed range. A row is checked
         in one pass on plain floats; only a row that fails is scanned cell by
         cell."""
-        try:
-            return cls._load(path, field, dynamics)
-        except ValueError as exc:
-            raise ValueError(f"scene file {path}: {exc}") from None
+        return _located(f"scene file {path}", cls._load, path, field, dynamics)
 
     @classmethod
     def _load(cls, path: str | Path, field: FieldConfig, dynamics: DynamicsConfig) -> SceneTable:

@@ -33,7 +33,7 @@ from .config import RunConfig, load_run_config, scalar_fields
 from .dynamics import BallState, BlockUniforms, KeeperNoiseError, kick, rollout_to_goal_line
 from .experiment import (check_experiment_size, check_report_format, lda_training_scenes,
                          report, run_experiment)
-from .geometry import Vec2, _located
+from .geometry import FieldConfig, Vec2, _located
 from .metrics import feature_relevance, ks2_curve, roc_curve
 from .policies import LdaPolicy, MlpPolicy, NaiveCenterPolicy, PolicyConfig, lda_train
 from .scenes import (FEATURE_NAMES, Label, SceneTable, balance_by_replication,
@@ -86,6 +86,25 @@ def _load_model(path: str | None) -> mlp.MlpParams:
     return params
 
 
+def _features(loaded: SceneTable, path: str, field: FieldConfig, *tables: SceneTable):
+    """feature_matrix of each table, rows of `loaded`, the scene file at path.
+    If the kernel rejects a row of them or gives it a non-finite feature, a
+    scan of the file by row names the first such line in the error."""
+    try:
+        matrices = [feature_matrix(table, field) for table in tables]
+        if all(np.isfinite(matrix).all() for matrix in matrices):
+            return matrices
+    except ValueError:
+        pass
+    for i in range(len(loaded)):
+        source = f"scene file {path}: line {i + 2}"
+        row = _located(source, feature_matrix, loaded.take([i]), field)[0]
+        for name, value in zip(FEATURE_NAMES, row.tolist()):
+            if not math.isfinite(value):
+                raise ValueError(f"{source}: feature '{name}' is not finite")
+    raise AssertionError("a row of the tables is a row of the file")
+
+
 def _config_located(args: argparse.Namespace, function, *function_args, keeper="keeper"):
     """function(*function_args), which draws, labels or plays from the run
     config. After the commands' up-front checks only the config file's values
@@ -124,7 +143,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _load_config(args)
     table = SceneTable.load(args.data, config.field, config.dynamics)
-    matrix = feature_matrix(table, config.field)
+    (matrix,) = _features(table, args.data, config.field, table)
     source = f"scene file {args.data}"
     stats = _located(source, univariate_stats, matrix)
     if len(table) > 1:  # one scene is one class; feature_relevance says it needs two
@@ -144,14 +163,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     source = f"scene file {args.data}"
-    split = _located(source, split_dataset,
-                     SceneTable.load(args.data, config.field, config.dynamics), config.seed)
+    table = SceneTable.load(args.data, config.field, config.dynamics)
+    split = _located(source, split_dataset, table, config.seed)
     _require_both_classes(split.train.goal, f"training split of {source}")
     balanced = balance_by_replication(split.train, config.seed)
-    params, train_report = mlp.train(
-        feature_matrix(balanced, config.field), balanced.goal,
-        feature_matrix(split.validation, config.field), split.validation.goal,
-        config.train, seed=config.seed)
+    x, x_validation = _features(table, args.data, config.field, balanced, split.validation)
+    params, train_report = mlp.train(x, balanced.goal, x_validation, split.validation.goal,
+                                     config.train, seed=config.seed)
     mlp.save_model(params, args.model_out)
     doc = {
         "epochs_run": train_report.epochs_run,
@@ -174,13 +192,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
     params = _load_model(args.model)
-    scenes = SceneTable.load(args.data, config.field, config.dynamics)
+    table = scenes = SceneTable.load(args.data, config.field, config.dynamics)
     source = f"scene file {args.data}"
     if args.use_test_split:
-        scenes = _located(source, split_dataset, scenes, config.seed).test
+        scenes = _located(source, split_dataset, table, config.seed).test
         source = f"test split of {source}"
     _require_both_classes(scenes.goal, source)
-    scores = mlp.score_batch(params, feature_matrix(scenes, config.field))
+    scores = mlp.score_batch(params, *_features(table, args.data, config.field, scenes))
     roc = roc_curve(scores, scenes.goal)
     ks = ks2_curve(scores, scenes.goal)
     print(f"n={len(scores)} auc={roc.auc:.6f} ks2={ks.ks2:.6f} "
@@ -265,6 +283,10 @@ def cmd_aim_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--mc-power must be in [0, {max_power!r}] ([dynamics] max_power), "
                          f"got {args.mc_power!r}")
     field, aim_config = config.field, config.aim
+    for flag, value in (("--min-distance", args.min_distance),
+                        ("--max-distance", args.max_distance), ("--y-half", args.y_half)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag}: non-finite value {value!r}")
     # The grid is a rectangle: all of it is on the pitch, in front of the goal
     # line and within the sigma horizon when its corners are.
     for flag, distance in (("--min-distance", args.min_distance),

@@ -193,6 +193,10 @@ class TestDiscretizeTargets:
             assert abs(t.y) <= field.goal_width / 2 - AIM.target_inset + 1e-12
             assert t.x == field.goal_line_x
 
+    def test_inset_past_the_half_width_rejected(self, field):
+        with pytest.raises(ValueError, match="^target_inset exceeds the goal half-width$"):
+            discretize_targets(field, AimConfig(target_inset=7.5))
+
     def test_sorted_by_lateral(self, field):
         targets = discretize_targets(field, AIM)
         assert [t.y for t in targets] == sorted(t.y for t in targets)

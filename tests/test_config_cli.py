@@ -172,6 +172,23 @@ class TestConfigFile:
         ("policy", "p_goal_threshold", "2", "p_goal_threshold must be in (0, 1)",
          "config file INI: "),
         ("aim", "target_count", "0", "target_count must be >= 1", "config file INI: "),
+        ("aim", "sigma_coefficient", "0", "sigma_coefficient must be positive",
+         "config file INI: "),
+        ("aim", "sigma_horizon", "-1", "sigma_horizon must be positive", "config file INI: "),
+        ("aim", "target_inset", "-0.5", "target_inset must be >= 0", "config file INI: "),
+        ("dynamics", "decay", "1", "decay must be in (0, 1), got 1.0", "config file INI: "),
+        ("dynamics", "noise_coefficient", "-0.1", "noise_coefficient must be >= 0",
+         "config file INI: "),
+        ("dynamics", "max_speed", "0",
+         "max_speed, kick_power_rate and max_power must be positive", "config file INI: "),
+        ("train", "init_half_range", "0", "init_half_range must be positive",
+         "config file INI: "),
+        ("gen", "y_half_range", "0", "empty ball sampling region: y_half_range <= 0",
+         "config file INI: "),
+        ("gen", "keeper_depth_min", "-1", "invalid keeper depth range", "config file INI: "),
+        ("gen", "kick_power_min", "-1", "invalid kick power range", "config file INI: "),
+        ("gen", "target_margin", "-1", "spreads, margins and radii must be >= 0",
+         "config file INI: "),
         pytest.param("gen", "max_defenders", _HUGE, "max_defenders must be in [0, 10]",
                      "config file INI: ", id="gen-max_defenders-huge"),
         # Checked against [dynamics] by the command, past the load, naming the file.
@@ -685,6 +702,83 @@ class TestTooFewScenes:
         assert not log.exists()
 
 
+# Rows that load but that the feature kernel cannot use, each with its
+# changed cells and the error it gives: a finite keeper whose distance to the
+# ball overflows, and a ball 7e-15 m before its target.
+_UNUSABLE = {
+    "far-keeper": ({"keeper_x": "1.7e308", "keeper_y": "1.7e308"},
+                   "feature 'keeper_distance_to_ball' is not finite"),
+    "zero-length": ({"ball_x": "52.49999999999999", "ball_y": "1.0", "target_y": "1.0"},
+                    "cannot normalize a zero-length vector"),
+}
+
+
+def _row_in(data_csv, part, seed):
+    """The index of data_csv's first row that lies in the given part of its
+    split at seed (line index + 2 of the file)."""
+    table = SceneTable.load(data_csv)
+    values = getattr(split_dataset(table, seed), part).values
+    return next(i for i, row in enumerate(table.values) if (values == row).all(axis=1).any())
+
+
+def _changed_row(path, data_csv, index, changes):
+    """data_csv with the given cells of its row at index changed."""
+    header, *lines = data_csv.read_text(encoding="utf-8").splitlines()
+    cells = lines[index].split(",")
+    for column, value in changes.items():
+        cells[CSV_HEADER.index(column)] = value
+    lines[index] = ",".join(cells)
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+class TestUnusableRows:
+    """stats, train and eval fail in one error line that names the scene
+    file and the line of a row they use but cannot featurize, and write no
+    model."""
+
+    @pytest.mark.parametrize("defect", list(_UNUSABLE))
+    @pytest.mark.parametrize("part", ["train", "validation"])
+    @pytest.mark.parametrize("command", ["stats", "train", "eval"])
+    def test_error_names_the_line(self, command, part, defect, tmp_path, data_csv,
+                                  model_file, capsys):
+        changes, message = _UNUSABLE[defect]
+        index = _row_in(data_csv, part, seed=1)
+        data = _changed_row(tmp_path / "unusable.csv", data_csv, index, changes)
+        model = tmp_path / "model.json"
+        flags = {"stats": [], "train": ["--model-out", str(model)],
+                 "eval": ["--model", str(model_file)]}[command]
+        capsys.readouterr()
+        assert main([command, "--data", str(data), "--seed", "1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: scene file {data}: line {index + 2}: {message}\n"
+        assert not model.exists()
+
+    @staticmethod
+    def _eval_test_split(data, model_file, capsys):
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model_file), "--data", str(data),
+                     "--use-test-split", "--seed", "1"])
+        return code, *capsys.readouterr()
+
+    def test_a_row_outside_the_test_split_keeps_eval_output(self, tmp_path, data_csv,
+                                                            model_file, capsys):
+        index = _row_in(data_csv, "train", seed=1)
+        data = _changed_row(tmp_path / "far.csv", data_csv, index, _UNUSABLE["far-keeper"][0])
+        clean = self._eval_test_split(data_csv, model_file, capsys)
+        assert clean[0] == 0
+        assert self._eval_test_split(data, model_file, capsys) == clean
+
+    def test_a_row_in_the_test_split_names_its_line(self, tmp_path, data_csv, model_file,
+                                                    capsys):
+        index = _row_in(data_csv, "test", seed=1)
+        data = _changed_row(tmp_path / "far.csv", data_csv, index, _UNUSABLE["far-keeper"][0])
+        assert self._eval_test_split(data, model_file, capsys) == (
+            1, "", f"error: scene file {data}: line {index + 2}: feature "
+            "'keeper_distance_to_ball' is not finite\n")
+
+
 class TestCompare:
     def test_identical_policies_all_draws(self, tmp_path, data_csv, model_file):
         out = tmp_path / "report.json"
@@ -1094,6 +1188,11 @@ class TestAimTable:
         ([], "[aim]\nsigma_horizon = 25\n",
          "--max-distance 28.0 with --y-half 12.0 puts a grid ball at or beyond the sigma "
          "horizon 25.0 ([aim] sigma_horizon)"),
+        # A non-finite grid flag names itself, in _with_flags' words.
+        (["--min-distance", "nan"], "", "--min-distance: non-finite value nan"),
+        (["--max-distance", "inf"], "", "--max-distance: non-finite value inf"),
+        (["--y-half", "inf"], "", "--y-half: non-finite value inf"),
+        (["--y-half=-inf"], "", "--y-half: non-finite value -inf"),
     ])
     def test_grid_behind_the_line_or_the_horizon_fails_before_any_cell(
             self, flags, ini, message, tmp_path, monkeypatch, capsys):

@@ -60,6 +60,14 @@ class TestStep:
             state = BallState(state.position, state.velocity * (1 / 0.9), Vec2(0.0, 0.0)) \
                 if state.velocity.norm() < 2.0 else state  # keep it lively
 
+    def test_lateral_leaving_the_finite_range_fails(self):
+        """v + a overflows in y alone: the speed cap turns y to NaN while x
+        stays finite, so the flight sees no crossing and step checks itself."""
+        state = BallState(Vec2(0.0, 0.0), Vec2(0.0, 1.7e308), Vec2(0.0, 1.7e308))
+        with pytest.raises(ValueError) as raised:
+            step(state, NOISELESS, None)
+        assert str(raised.value).startswith("the ball left the finite range at (0.0, nan)")
+
 
 class TestKick:
     def test_zero_power(self):
@@ -159,6 +167,10 @@ class TestTravelRange:
             travel_range(1.0, 1.0)
         with pytest.raises(ValueError):
             travel_range(1.0, 0.0)
+
+    def test_negative_speed(self):
+        with pytest.raises(ValueError, match="^initial_speed must be >= 0$"):
+            travel_range(-1.0, 0.94)
 
     def test_stepper_matches_closed_form(self):
         rng = np.random.default_rng(31)

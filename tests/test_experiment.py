@@ -626,6 +626,13 @@ class TestReport:
         text = report((SOME_STATS, ZERO_KICK_STATS), "json", names=("x", "y"))
         assert stats_pair_from_json(text) == (SOME_STATS, ZERO_KICK_STATS)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_json_of_other_than_two_policies_rejected(self, count):
+        doc = json.loads(report((SOME_STATS, SOME_STATS), "json", names=("x", "y")))
+        doc["policies"] = doc["policies"][:1] * count
+        with pytest.raises(ValueError, match="^expected exactly two policies in the report$"):
+            stats_pair_from_json(json.dumps(doc))
+
     def test_csv_and_json_agree(self):
         csv_text = report((SOME_STATS, ZERO_KICK_STATS), "csv", names=("x", "y"))
         parsed = stats_pair_from_json(

@@ -142,6 +142,13 @@ def test_goal_must_be_a_bool_mask(metric, goal):
         metric(np.array([0.9, 0.2, 0.4]), goal)
 
 
+@pytest.mark.parametrize("metric", [roc_curve, ks2_curve, auc_rank])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scores_rejected(metric, bad):
+    with pytest.raises(ValueError, match="^scores must be finite$"):
+        metric(np.array([0.9, bad, 0.4]), np.array([True, False, True]))
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
                 | st.sampled_from([0.0, 0.5, 1.0, -2.0, 1e-300]), min_size=1))
 def test_distinct_scores_equal_np_unique(values):

@@ -398,6 +398,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(x, goal, np.zeros((0, 2)), no_rows, TrainConfig(max_epochs=1))
 
+    def test_feature_widths_must_agree(self):
+        goal = np.array([True, False, True, False])
+        with pytest.raises(ValueError, match="^train and validation feature widths differ$"):
+            train(np.zeros((4, 2)), goal, np.zeros((4, 3)), goal, TrainConfig(max_epochs=1))
+
     @pytest.mark.parametrize("bad", [
         [Label.GOAL, Label.NO_GOAL, Label.GOAL, Label.NO_GOAL],
         [Label.GOAL, None, Label.GOAL, Label.NO_GOAL],
@@ -550,6 +555,16 @@ class TestPersistence:
             load_model(path)
         with pytest.raises(ValueError, match="2 output nodes"):
             zero_params(layer_sizes)
+
+    @pytest.mark.parametrize("weights, biases, norm_mean, message", [
+        ([], [np.zeros(2)], np.zeros(3), "one weight matrix and bias vector per layer"),
+        ([np.zeros((3, 2))], [], np.zeros(3), "one weight matrix and bias vector per layer"),
+        ([np.zeros((3, 2))], [np.zeros(2)], np.zeros(2),
+         "normalization must cover every input feature"),
+    ], ids=["no-weights", "no-biases", "short-mean"])
+    def test_param_shapes_keep_their_text(self, weights, biases, norm_mean, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            MlpParams((3, 2), weights, biases, norm_mean, np.ones(3))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

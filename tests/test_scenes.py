@@ -288,6 +288,10 @@ class TestCsvRoundTrip:
         ({"kick_power": "-0.0"}, None),
         # A defender given after an empty slot loads, as def1 onwards.
         ({"def1_x": "", "def1_y": "", "def3_x": "40.0", "def3_y": "2.0"}, None),
+        # A cell with a comma in it makes one cell more.
+        ({"def10_y": "1.0,2.0"}, "line 2: expected 34 cells, got 35"),
+        # The row's only defect: the fast path's finite test sends it to the cell scan.
+        ({"ball_y": "inf"}, "line 2, column 'ball_y': non-finite value 'inf'"),
     ])
     def test_row_errors_keep_their_text(self, field, tmp_path, changes, message):
         path = tmp_path / "row.csv"
@@ -692,6 +696,16 @@ class TestKickSceneValidation:
     def test_bad_power(self):
         with pytest.raises(ValueError):
             make_scene(kick_power=-2.0)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"attacker_body_angle": math.nan}, "attacker_body_angle must be finite"),
+        ({"kick_power": math.inf}, "kick_power must be finite and >= 0"),
+        ({"defenders": (Vec2(40.0, 0.0),) * 11}, "at most 10 defenders, got 11"),
+    ])
+    def test_rejection_keeps_its_text(self, changes, message):
+        with pytest.raises(ValueError) as raised:
+            make_scene(**changes)
+        assert str(raised.value) == message
 
     def test_feature_matrix_shape(self, field):
         scenes = [make_scene(label=Label.GOAL), make_scene(kick_power=50.0, label=Label.GOAL)]
